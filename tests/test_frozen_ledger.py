@@ -1,0 +1,151 @@
+"""Frozen ledgers of the shared session runs.
+
+tests/data/frozen_ledger.json holds, for the compact, triangle,
+linear-pulse and quick appendix fixtures as computed by nlw 0.1.0, the
+SHA-256 of every snapshot level and the ledger, flux, trace, triangle and
+envelope records.  Snapshot levels must stay bit-identical.  Recorded
+values may move only by the rounding of a reordered sum or product, so
+they are compared at rtol 1e-13 (atol 1e-300 absorbs subnormals).  Each
+series is stored as evenly strided samples, its last entry included, plus
+the sum of its absolute values over every entry, which a change at any
+single level would move.
+
+To regenerate after an intended change of the numbers, dump
+``ledger_record`` of the four fixtures to the JSON file from a throwaway
+test and say why in the change log.
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+FROZEN = Path(__file__).parent / "data" / "frozen_ledger.json"
+SAMPLES = 64
+RTOL = 1e-13
+ATOL = 1e-300
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _series(a):
+    a = np.asarray(a, dtype=float)
+    stride = max(1, math.ceil(a.size / SAMPLES))
+    idx = list(range(0, a.size, stride))
+    if idx[-1] != a.size - 1:
+        idx.append(a.size - 1)
+    return {
+        "size": int(a.size),
+        "index": idx,
+        "values": [float(a[i]) for i in idx],
+        "abs_sum": float(np.nansum(np.abs(a))),
+    }
+
+
+def _run_record(traj):
+    led = traj.ledger
+    series = {
+        name: _series(getattr(led, name))
+        for name in ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p",
+                     "exterior_l2p2", "s_bulk")
+    }
+    for label, arrays in led.radii.items():
+        for part, arr in zip(("total", "minus", "plus"), arrays):
+            series[f"radius {label} {part}"] = _series(arr)
+    for kind, traces in (("flux_in", traj.flux_in), ("flux_out", traj.flux_out),
+                         ("char", traj.char_traces)):
+        for label, arr in traces.items():
+            series[f"{kind} {label}"] = _series(arr)
+    rec = {
+        "snapshots": [
+            {"t": snap.t, "levels": [_digest(snap.w_prev), _digest(snap.w_curr),
+                                     _digest(snap.w_next)]}
+            for snap in traj.snapshots
+        ],
+        "triangles": [
+            {"kind": t.kind, "t0": t.t0, "r0": t.r0, "m_lo": t.m_lo, "m_hi": t.m_hi,
+             "bulk": t.bulk, "flux": t.flux, "energy": t.energy}
+            for t in traj.triangle_records
+        ],
+        "envelope": None,
+    }
+    env = traj.envelope
+    if env is not None:
+        series["envelope max_ratio"] = _series(env.max_ratio)
+        series["envelope min_profile"] = _series(env.min_profile)
+        for k, off in enumerate(env.ray_offsets):
+            series[f"envelope ray {off}"] = _series(env.ray_ratio[k])
+        rec["envelope"] = {
+            name: float(getattr(env, name))
+            for name in ("c", "beta", "peak_ratio", "peak_r", "peak_t",
+                         "first_violation_t")
+        }
+    rec["series"] = series
+    return rec
+
+
+def ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick):
+    """JSON-ready record of the four shared fixtures."""
+    runs = {"compact": compact_run["traj"], "linear_pulse": linear_pulse_run,
+            "appendix_quick": appendix_quick["traj"]}
+    for h, traj in triangle_runs.items():
+        runs[f"triangle h=1/{round(1 / h)}"] = traj
+    return {name: _run_record(traj) for name, traj in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def records(compact_run, triangle_runs, linear_pulse_run, appendix_quick):
+    with FROZEN.open(encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    now = ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick)
+    assert set(now) == set(frozen)
+    return frozen, now
+
+
+def _close(got, want, what):
+    np.testing.assert_allclose(
+        np.asarray(got, dtype=float), np.asarray(want, dtype=float),
+        rtol=RTOL, atol=ATOL, err_msg=what,
+    )
+
+
+def test_snapshot_levels_bit_identical(records):
+    frozen, now = records
+    for name in frozen:
+        want, got = frozen[name]["snapshots"], now[name]["snapshots"]
+        assert [s["t"] for s in got] == [s["t"] for s in want], name
+        for s_got, s_want in zip(got, want):
+            assert s_got["levels"] == s_want["levels"], f"{name} t={s_want['t']}"
+
+
+def test_ledger_series_match_frozen(records):
+    frozen, now = records
+    for name in frozen:
+        want, got = frozen[name]["series"], now[name]["series"]
+        assert set(got) == set(want), name
+        for key, ref in want.items():
+            cur = got[key]
+            assert cur["size"] == ref["size"] and cur["index"] == ref["index"], key
+            _close(cur["values"], ref["values"], f"{name}: {key}")
+            _close(cur["abs_sum"], ref["abs_sum"], f"{name}: {key} abs sum")
+
+
+def test_triangle_and_envelope_records_match_frozen(records):
+    frozen, now = records
+    for name in frozen:
+        want, got = frozen[name], now[name]
+        assert len(got["triangles"]) == len(want["triangles"]), name
+        for t_got, t_want in zip(got["triangles"], want["triangles"]):
+            for key in ("kind", "t0", "r0", "m_lo", "m_hi"):
+                assert t_got[key] == t_want[key], f"{name}: triangle {key}"
+            for key in ("bulk", "flux", "energy"):
+                _close(t_got[key], t_want[key], f"{name}: triangle {key}")
+        assert (got["envelope"] is None) == (want["envelope"] is None), name
+        if want["envelope"] is not None:
+            for key, ref in want["envelope"].items():
+                _close(got["envelope"][key], ref, f"{name}: envelope {key}")
