@@ -99,9 +99,10 @@ class EnergyLedger:
     # -- bookkeeping checks -------------------------------------------------
 
     def conservation_drift(self):
-        """max_t |E(t) - E(0)| / E(0)."""
+        """max_t |E(t) - E(0)| / E(0), or max_t |E(t) - E(0)| when E(0) = 0."""
         e0 = self.e_total[0]
-        return float(np.abs(self.e_total - e0).max() / abs(e0))
+        drift = float(np.abs(self.e_total - e0).max())
+        return drift / abs(e0) if e0 != 0.0 else drift
 
     def additivity_error(self):
         """max_t |E(t) - (E_-(t) + E_+(t))|; zero by construction."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BlowupError, NoContractionError, OffGridError
 from .model import nonlinearity
-from .numerics import abs_power, cumtrapz, grid_index, odd_power
+from .numerics import abs_power, grid_index, odd_power, trapz
 
 BLOWUP_FACTOR = 1e3
 PICARD_MAX_SWEEPS = 50
@@ -52,9 +52,10 @@ class GridSpec:
             raise OffGridError(f"h={self.h} must be positive")
         if self.boundary not in ("outgoing", "pad"):
             raise OffGridError(f"unknown boundary treatment {self.boundary!r}")
-        # r_max and t_max must be node-aligned
+        # r_max, t_max and the exterior start r = 1 + t must be node-aligned
         grid_index(self.r_max, self.h, "r_max")
         grid_index(self.t_max, self.h, "t_max")
+        grid_index(1.0, self.h, "exterior base radius r")
 
     @property
     def n(self):
@@ -263,6 +264,18 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     whose records carry the requested probes.  One extra level beyond
     t_max is computed so that centered time derivatives exist at t_max.
 
+    Each level evaluates one power, q = |w|^{p-1}.  The source
+    f = (q w) / r^{p-1} drives the step, and every diagnostic power is a
+    product of f, q and w: |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2
+    and |u|^{2(p-1)} r^2 = (q / r^{p-1})^2 r^2.  Only the characteristic
+    bins, which sample the midpoint-in-time field, take a second power.
+
+    At unit CFL the support of the field grows by one node per level, so
+    level m vanishes past node supp + m, with supp the last nonzero node
+    of the data.  The step, the blow-up check, the diagnostics and the
+    bins run on nodes [0, supp + m + 2] only (the whole grid once that
+    reaches r_max); the result is the same as on the whole grid.
+
     Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
     from .diagnostics import EnergyLedger  # deferred to avoid an import cycle
@@ -285,8 +298,11 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     inv_r = np.zeros(n + 1)
     inv_r[1:] = 1.0 / r[1:]
     r_sq = r * r
-    pot_coef = 0.0 if linear else 2.0 / (p + 1.0)
-    nl_scale = 0.0 if linear else 1.0
+    pot_coef = 2.0 / (p + 1.0)
+    # trapezoid weight times the time step h, per node, for the bins
+    bin_wts = np.full(n + 1, h * h)
+    bin_wts[0] = bin_wts[-1] = h * (0.5 * h)
+    one_idx = grid_index(1.0, h, "exterior base radius r")
 
     ledger = EnergyLedger.allocate(steps, h, params, mon, n)
 
@@ -344,7 +360,6 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         )
         env_floor = np.zeros(n + 1)
         env_floor[1:] = mon.envelope.c * r[1:] ** params.beta
-        one_idx = grid_index(1.0, h, "envelope base radius")
         prof_idx = grid_index(mon.envelope.r_min_profile, h, "profile radius")
         ray_idx = [
             grid_index(off, h, "ray offset") for off in mon.envelope.ray_offsets
@@ -369,23 +384,61 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         linear=linear,
     )
 
-    def diagnose(m, w_prev, w, w_next, w_t=None):
-        """Record every per-level series for level m (time t = m*h)."""
-        if w_t is None:
-            w_t = (w_next - w_prev) / (2.0 * h)
-        wr = np.empty_like(w)
-        wr[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-        wr[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
-        wr[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * h)
+    # light cone: level m vanishes past node supp + m.  Each workspace below
+    # is written only on nodes [0, e), for a window end e that never
+    # decreases, so its entries past the window stay zero
+    nonzero = np.flatnonzero((pair.w0 != 0.0) | (pair.w1 != 0.0))
+    supp = int(nonzero[-1]) if nonzero.size else 0
+    f = np.zeros(n + 1)  # (|w|^{p-1} w) / r^{p-1}, the source of the step
+    g1 = np.zeros(n + 1)  # |w|^{p+1} / r^{p-1}; stays zero in linear runs
+    g2 = np.zeros(n + 1)  # |w|^{p+1} / r^p; stays zero in linear runs
+    wr = np.zeros(n + 1)
+    wt = np.zeros(n + 1)
+    ea = np.zeros(n + 1)  # inward energy density / pi
+    eb = np.zeros(n + 1)  # outward energy density / pi
+    tmp = np.zeros(n + 1)
+    source = np.zeros(n + 1) if linear else f
 
-        wp1 = abs_power(w, p + 1.0)  # |w|^{p+1}
-        pot = pot_coef * wp1 * inv_rp1
-        a = wr + w_t
-        b = wr - w_t
-        em_cum = math.pi * cumtrapz(a * a + pot, h)
-        ep_cum = math.pi * cumtrapz(b * b + pot, h)
-        e_minus = em_cum[-1]
-        e_plus = ep_cum[-1]
+    def window(m):
+        """End of the nodes [0, supp + m + 2] that the work of level m
+        touches: level m + 1 reaches node supp + m + 1, one more is zero."""
+        return min(n + 1, supp + m + 3)
+
+    def powers(w, e):
+        """Fill f (and g1, g2) on nodes [0, e) from the level w; return q."""
+        q = abs_power(w[:e], p - 1.0)
+        np.multiply(q, w[:e], out=f[:e])
+        f[:e] *= inv_rp1[:e]
+        if not linear:
+            np.multiply(f[:e], w[:e], out=g1[:e])
+            np.multiply(g1[:e], inv_r[:e], out=g2[:e])
+        return q
+
+    def diagnose(m, w_prev, w, w_next, q, e, w_t=None):
+        """Record every per-level series for level m (time t = m*h) from
+        the nodes [0, e), past which every integrand vanishes."""
+        win = slice(0, e)
+        c = min(e, n)  # centered differences on nodes 1 .. c-1
+        np.subtract(w[2 : c + 1], w[: c - 1], out=wr[1:c])
+        wr[1:c] /= 2.0 * h
+        wr[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
+        if e > n:
+            wr[n] = (3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]) / (2.0 * h)
+        if w_t is None:
+            np.subtract(w_next[win], w_prev[win], out=wt[win])
+            wt[win] /= 2.0 * h
+            w_t = wt
+
+        np.add(wr[win], w_t[win], out=ea[win])
+        ea[win] *= ea[win]
+        np.subtract(wr[win], w_t[win], out=eb[win])
+        eb[win] *= eb[win]
+        if not linear:
+            np.multiply(g1[win], pot_coef, out=tmp[win])
+            ea[win] += tmp[win]
+            eb[win] += tmp[win]
+        e_minus = math.pi * trapz(ea[win], h)
+        e_plus = math.pi * trapz(eb[win], h)
         ledger.e_minus[m] = e_minus
         ledger.e_plus[m] = e_plus
         ledger.e_total[m] = e_minus + e_plus
@@ -395,18 +448,17 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         else:
             ledger.xi[m] = (4.0 * w[1] - w[2]) / (2.0 * h)
 
-        ledger.bulk[m] = nl_scale * _trapz_flat(wp1 * inv_rp, h)
-
-        u = w * inv_r
-        u2 = u * u
-        y2p_int = abs_power(u2, float(p)) * r_sq  # |u|^{2p} r^2
-        ledger.y2p[m] = math.sqrt(4.0 * math.pi * _trapz_flat(y2p_int, h))
+        ledger.bulk[m] = trapz(g2[win], h)
+        np.multiply(f[win], f[win], out=tmp[win])  # |u|^{2p} r^2
+        ledger.y2p[m] = math.sqrt(4.0 * math.pi * trapz(tmp[win], h))
 
         # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr
-        j0 = m + int(round(1.0 / h))
-        if j0 < n:
-            l2p2_int = abs_power(u[j0:], 2.0 * (p - 1.0)) * r_sq[j0:]
-            ledger.exterior_l2p2[m] = 4.0 * math.pi * _trapz_flat(l2p2_int, h)
+        j0 = m + one_idx
+        if j0 < min(e, n):
+            ext = q[j0:] * inv_rp1[j0:e]
+            ext *= ext
+            ext *= r_sq[j0:e]
+            ledger.exterior_l2p2[m] = 4.0 * math.pi * trapz(ext, h)
         else:
             ledger.exterior_l2p2[m] = 0.0
 
@@ -415,7 +467,8 @@ def evolve(pair, params, grid, monitors=None, linear=False):
                 idx = max(1, min(n, int(round(m / 4.0))))
             else:
                 idx = radius_idx[label]
-            em, ep = em_cum[idx], ep_cum[idx]
+            em = math.pi * trapz(ea[: idx + 1], h)
+            ep = math.pi * trapz(eb[: idx + 1], h)
             tot, mn, pl = ledger.radii[label]
             tot[m] = em + ep
             mn[m] = em
@@ -424,11 +477,11 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         for s, arr in flux_in.items():
             i = flux_in_idx[s] - m
             if 0 <= i <= n:
-                arr[m] = 0.0 if i == 0 else wp1[i] * inv_rp1[i] * nl_scale
+                arr[m] = 0.0 if i == 0 else g1[i]
         for tau, arr in flux_out.items():
             i = m - flux_out_idx[tau]
             if 0 <= i <= n:
-                arr[m] = 0.0 if i == 0 else wp1[i] * inv_rp1[i] * nl_scale
+                arr[m] = 0.0 if i == 0 else g1[i]
         for tau, arr in char_traces.items():
             i = m - char_idx[tau]
             if 1 <= i <= n - 1:
@@ -438,27 +491,15 @@ def evolve(pair, params, grid, monitors=None, linear=False):
             if not (rec.m_lo <= m <= rec.m_hi):
                 continue
             wt_time = 0.5 if m in (rec.m_lo, rec.m_hi) else 1.0
-            if rec.kind == "inward":
-                width = rec.m_hi - m
-                edge = rec.m_hi - m  # node index on the slanted edge
-            else:
-                width = m - rec.m_lo
-                edge = m - rec.m_lo
-            if width > 0:
-                seg = wp1[: width + 1] * inv_rp[: width + 1]
-                # radial trapezoid (one h) times the time trapezoid weight (one h)
-                rec.bulk += wt_time * h * h * nl_scale * (
-                    seg.sum() - 0.5 * (seg[0] + seg[-1])
-                )
-            if edge == 0:
-                fl = 0.0
-            else:
-                fl = wp1[edge] * inv_rp1[edge] * nl_scale
-            rec.flux += wt_time * h * fl
-            if rec.kind == "inward" and m == rec.m_lo:
-                rec.energy = em_cum[grid_index(rec.r0, h, "triangle r0")]
-            if rec.kind == "outward" and m == rec.m_hi:
-                rec.energy = ep_cum[grid_index(rec.r0, h, "triangle r0")]
+            # node on the slanted edge, which is also the slice's width
+            edge = rec.m_hi - m if rec.kind == "inward" else m - rec.m_lo
+            # radial trapezoid times the time trapezoid weight (one h)
+            rec.bulk += wt_time * h * trapz(g2[: edge + 1], h)
+            rec.flux += wt_time * h * (0.0 if edge == 0 else g1[edge])
+            if m == (rec.m_lo if rec.kind == "inward" else rec.m_hi):
+                i0 = grid_index(rec.r0, h, "triangle r0")
+                dens = ea if rec.kind == "inward" else eb
+                rec.energy = math.pi * trapz(dens[: i0 + 1], h)
 
         if env is not None:
             lo = m + one_idx
@@ -493,46 +534,44 @@ def evolve(pair, params, grid, monitors=None, linear=False):
                 )
             )
 
-    def bin_step(m, w_lo, w_hi):
+    def bin_step(m, w_lo, w_hi, e):
         """Accumulate the characteristic bins for the step m -> m+1 using
         the midpoint-in-time field; bin k collects mass near r+t=(k+1/2)h."""
-        w_mid = 0.5 * (w_lo + w_hi)
-        g = abs_power(w_mid, p + 1.0) * inv_rp * nl_scale
-        wts = np.full(n + 1, h)
-        wts[0] = 0.5 * h
-        wts[-1] = 0.5 * h
-        ledger.s_bulk[m : m + n + 1] += (h * wts) * g
+        np.add(w_lo[:e], w_hi[:e], out=tmp[:e])
+        tmp[:e] *= 0.5
+        g = abs_power(tmp[:e], p + 1.0)
+        g *= inv_rp[:e]
+        g *= bin_wts[:e]
+        ledger.s_bulk[m : m + e] += g
 
     w_prev = pair.w0.copy()
     w_back = bootstrap(pair, params, grid, linear=linear, direction=-1)
     w_curr = bootstrap(pair, params, grid, linear=linear, direction=+1)
-    diagnose(0, w_back, w_prev, w_curr, w_t=pair.w1)
-    bin_step(0, w_prev, w_curr)
+    e = window(0)
+    q = powers(w_prev, e)
+    diagnose(0, w_back, w_prev, w_curr, q, e, w_t=pair.w1)
+    if not linear:
+        bin_step(0, w_prev, w_curr, e)
 
-    f_buf = np.zeros(n + 1)
+    w_next = w_back  # level -1 is no longer needed; reuse its buffer
     for m in range(1, steps + 1):
-        if linear:
-            f_buf[:] = 0.0
-        else:
-            f_buf[1:] = odd_power(w_curr[1:], p) * inv_rp1[1:]
-        w_next = _interior_step(w_prev, w_curr, f_buf, h)
+        e = window(m)
+        q = powers(w_curr, e)
+        top = min(e + 1, n + 1)  # updates nodes 1 .. top-2
+        _interior_step(w_prev[:top], w_curr[:top], source[:top], h, out=w_next[:top])
         w_next[0] = 0.0
         w_next[-1] = 0.0 if grid.boundary == "pad" else w_curr[-2]
 
-        sup = float(np.abs(w_next).max())
+        sup = float(np.abs(w_next[:e]).max())
         if not math.isfinite(sup) or sup > blowup_at:
             raise BlowupError(f"|w| reached {sup:.3g} at t={(m + 1) * h:.6g}")
 
-        diagnose(m, w_prev, w_curr, w_next)
-        if m < steps:
-            bin_step(m, w_curr, w_next)
-        w_prev, w_curr = w_curr, w_next
+        diagnose(m, w_prev, w_curr, w_next, q, e)
+        if m < steps and not linear:
+            bin_step(m, w_curr, w_next, e)
+        w_prev, w_curr, w_next = w_curr, w_next, w_prev
 
     return traj
-
-
-def _trapz_flat(y, h):
-    return h * (y.sum() - 0.5 * (y[0] + y[-1]))
 
 
 def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX_SWEEPS):

@@ -216,6 +216,29 @@ def test_missing_required_key_exits_2(tmp_path, capsys):
     assert "params.p" in capsys.readouterr().err
 
 
+def test_grid_spacing_off_unit_radius_exits_2(tmp_path, capsys):
+    # r = 1 + t, where the exterior norm starts, must be a grid node
+    cfg = _write(tmp_path, RUN_CFG.replace("grid.h = 1/64", "grid.h = 0.3")
+                 .replace("grid.t_max = 2", "grid.t_max = 0.6")
+                 .replace("monitors.radii = 1.0,t/4", "monitors.radii = t/4")
+                 .replace("monitors.snapshots = 1,2", "monitors.snapshots = 0.6"))
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "h=0.3" in err
+    assert "Traceback" not in err
+
+
+def test_verify_all_zero_data(tmp_path, capsys):
+    # E(0) = 0: the drift is absolute, and the light cone of the data is empty
+    cfg = _write(tmp_path, RUN_CFG.replace("data.amplitude = 0.4", "data.amplitude = 0"))
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out-dir", str(out)]) == 0
+    assert "[conservation] PASS 0 " in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["energy"]["conservation_drift"] == 0.0
+    assert summary["energy"]["initial"] == 0.0
+
+
 def test_runtime_lab_error_exits_3(tmp_path, capsys):
     # snapshot time past t_max is only caught once the run is being set up
     cfg = _write(tmp_path, RUN_CFG.replace(

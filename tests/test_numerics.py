@@ -116,3 +116,22 @@ def test_grid_index():
     assert grid_index(128.0, 1.0 / 128.0) == 128 * 128
     with pytest.raises(OffGridError):
         grid_index(0.3, 1.0 / 4.0)
+
+
+@pytest.mark.parametrize("q", [2.5, 3.5, 4.5])
+def test_power_underflow_guard(q):
+    """Non-integer powers equal np.abs(x)**q bitwise down to the smallest
+    normal float and are exactly zero below it; odd_power keeps the sign."""
+    mags = np.concatenate([[0.0, 5e-324, 1e-320], np.logspace(-320, 3, 4001)])
+    x = np.concatenate([mags, -mags])
+    with np.errstate(under="ignore"):
+        ref = np.abs(x) ** q
+    normal = ref >= np.finfo(float).tiny
+    assert normal.any() and not normal.all()
+    got = abs_power(x, q)
+    assert np.array_equal(got[normal], ref[normal])
+    assert np.all(got[~normal] == 0.0)
+    odd = odd_power(x, q + 1.0)
+    assert np.array_equal(odd[normal], ref[normal] * x[normal])
+    assert np.all(odd[~normal] == 0.0)
+    assert np.array_equal(np.signbit(odd), np.signbit(x))

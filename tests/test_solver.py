@@ -40,6 +40,8 @@ def test_grid_validation():
         GridSpec(h=0.0, r_max=1.0, t_max=1.0)
     with pytest.raises(OffGridError):
         GridSpec(h=0.1, r_max=1.0, t_max=1.0, boundary="absorbing")
+    with pytest.raises(OffGridError, match="exterior base radius"):
+        GridSpec(h=0.3, r_max=3.0, t_max=0.6)  # r = 1 + t is off the grid
     g = GridSpec.padded(1.0 / 32.0, 10.0, 3.0)
     assert g.boundary == "pad"
     assert g.r_max >= 13.0
@@ -174,6 +176,84 @@ def test_pad_boundary_reflects_nothing_before_contact():
     w1 = s1.snapshot_at(3.0).w_curr[:n]
     w2 = s2.snapshot_at(3.0).w_curr[:n]
     np.testing.assert_array_equal(w1, w2)
+
+
+# --------------------------------------------------------------------------
+# light-cone window
+# --------------------------------------------------------------------------
+
+WINDOW_MONITORS = Monitors(
+    radii=(1.0, "t/4"),
+    flux_s=(2.0, 3.0),
+    flux_tau=(0.5,),
+    char_tau=(0.5,),
+    triangles=((0.5, 1.0),),
+    triangles_out=((2.0, 1.0),),
+    snapshot_times=(1.0, 2.0, 3.0),
+)
+
+
+def _assert_window_exact(family, boundary):
+    """Evolve the data on a grid with margin 1 past its light cone, where
+    every level runs on the light-cone window, and on a grid with margin
+    2 t_max + 2 seeded with 1e-300 next to its edge, where every level
+    runs on the whole grid.  The seed's light cone never reaches the
+    shared nodes, and its squares underflow out of every integral.  The
+    fields must match bitwise on the shared nodes and vanish past the
+    light cone of the data; the ledgers must match up to summation order."""
+    params = make_params(3.5, 0.5)
+    h, t_max = 1.0 / 256.0, 3.0
+    grids = [
+        GridSpec(h=h, r_max=GridSpec.padded(h, t_max, family.support_radius(),
+                                            margin=margin).r_max,
+                 t_max=t_max, boundary=boundary)
+        for margin in (1.0, 2.0 * t_max + 2.0)
+    ]
+    pair = family.sample(grids[0])
+    supp = int(np.flatnonzero((pair.w0 != 0.0) | (pair.w1 != 0.0))[-1])
+    n, steps = grids[0].n, grids[0].steps
+    assert supp + steps + 2 < n  # the small grid's edge stays dark
+    seeded = family.sample(grids[1])
+    seeded.w1[-2] = 1e-300
+    assert grids[1].n - steps - 2 > n
+    small = evolve(pair, params, grids[0], WINDOW_MONITORS)
+    large = evolve(seeded, params, grids[1], WINDOW_MONITORS)
+
+    assert len(small.snapshots) == len(large.snapshots) == 3
+    for s_a, s_b in zip(small.snapshots, large.snapshots):
+        m = round(s_a.t / h)
+        levels = zip((s_a.w_prev, s_a.w_curr, s_a.w_next),
+                     (s_b.w_prev, s_b.w_curr, s_b.w_next))
+        for k, (w_a, w_b) in enumerate(levels):
+            assert np.array_equal(w_a, w_b[: n + 1])
+            assert not w_a[supp + m + k :].any()  # level m - 1 + k
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
+
+    la, lb = small.ledger, large.ledger
+    for name in ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2"):
+        close(getattr(la, name), getattr(lb, name))
+    assert la.e_total[0] > 0.0 and la.bulk.max() > 0.0
+    for label in la.radii:
+        for a, b in zip(la.radii[label], lb.radii[label]):
+            close(a, b)
+    close(la.s_bulk, lb.s_bulk[: la.s_bulk.size])
+    assert not lb.s_bulk[la.s_bulk.size :].any()
+    for name in ("flux_in", "flux_out", "char_traces"):
+        series_a, series_b = getattr(small, name), getattr(large, name)
+        for key in series_a:
+            close(series_a[key], series_b[key])
+    for rec_a, rec_b in zip(small.triangle_records, large.triangle_records):
+        close([rec_a.bulk, rec_a.flux, rec_a.energy], [rec_b.bulk, rec_b.flux, rec_b.energy])
+
+
+def test_light_cone_window_padded_gaussian():
+    _assert_window_exact(GaussianBump(0.5, 1.5, 0.04), "pad")
+
+
+def test_light_cone_window_outgoing_pulse():
+    _assert_window_exact(DirectedPulse(0.5, 1.5, 0.04, direction="inward"), "outgoing")
 
 
 # --------------------------------------------------------------------------
