@@ -452,15 +452,13 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         np.multiply(f[win], f[win], out=tmp[win])  # |u|^{2p} r^2
         ledger.y2p[m] = math.sqrt(4.0 * math.pi * trapz(tmp[win], h))
 
-        # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr
+        # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr; trapz
+        # gives 0 once fewer than two nodes of the window lie past 1 + t
         j0 = m + one_idx
-        if j0 < min(e, n):
-            ext = q[j0:] * inv_rp1[j0:e]
-            ext *= ext
-            ext *= r_sq[j0:e]
-            ledger.exterior_l2p2[m] = 4.0 * math.pi * trapz(ext, h)
-        else:
-            ledger.exterior_l2p2[m] = 0.0
+        ext = q[j0:] * inv_rp1[j0:e]  # |u|^{p-1}
+        ext *= ext
+        ext *= r_sq[j0:e]
+        ledger.exterior_l2p2[m] = 4.0 * math.pi * trapz(ext, h)
 
         for label in mon.radii:
             if label == "t/4":
