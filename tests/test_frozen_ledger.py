@@ -3,7 +3,11 @@
 tests/data/frozen_ledger.json holds, for the compact, triangle,
 linear-pulse and quick appendix fixtures as computed by nlw 0.1.0, the
 SHA-256 of every snapshot level and the ledger, flux, trace, triangle and
-envelope records.  Snapshot levels must stay bit-identical.  Recorded
+envelope records.  Under the key "reports" it also holds the numbers that
+are computed after the run: the quick appendix report (K, tail norms,
+exterior values, free-wave defects, triangle source integrals), a
+cylinder integral, and the time-zero functionals K1 and E of the triangle
+fixtures' data.  Snapshot levels must stay bit-identical.  Recorded
 values may move only by the rounding of a reordered sum or product, so
 they are compared at rtol 1e-13 (atol 1e-300 absorbs subnormals).  Each
 series is stored as evenly strided samples, its last entry included, plus
@@ -11,8 +15,9 @@ the sum of its absolute values over every entry, which a change at any
 single level would move.
 
 To regenerate after an intended change of the numbers, dump
-``ledger_record`` of the four fixtures to the JSON file from a throwaway
-test and say why in the change log.
+``ledger_record`` of the four fixtures, with ``report_record`` under
+"reports", to the JSON file from a throwaway test and say why in the
+change log.
 """
 
 import hashlib
@@ -22,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from nlw import cylinder_integral, energy_total, weighted_morawetz
 
 FROZEN = Path(__file__).parent / "data" / "frozen_ledger.json"
 SAMPLES = 64
@@ -98,10 +105,40 @@ def ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick):
     return {name: _run_record(traj) for name, traj in runs.items()}
 
 
+def report_record(triangle_runs, appendix_quick):
+    """JSON-ready numbers derived from the runs and their initial data."""
+    rep = appendix_quick["report"]
+    rates = rep["scattering_rates"]
+    ext = rates["exterior_growth"]
+    traj = appendix_quick["traj"]
+    cyl = cylinder_integral(traj, 4.0, 1.0, channel="outward")
+    out = {
+        "appendix k1": rep["channel_mass"]["k1"],
+        "appendix k": rep["channel_mass"]["k"],
+        "appendix lp_l2p totals": rates["lp_l2p"]["totals"],
+        "appendix lp_l2p exponent": rates["lp_l2p"]["exponent"],
+        "appendix exterior values": ext["values"],
+        "appendix exterior fit": [ext["slope"], ext["offset"], ext["r_squared"]],
+        "appendix free_wave_defect": rates["free_wave_defect"]["values"],
+        "appendix triangle integrals": [row["integral"] for row in rep["triangle_bound"]],
+        "appendix cylinder": [cyl.value, cyl.tail, cyl.tail_exponent],
+        "appendix morawetz k1": weighted_morawetz(traj).k1,
+    }
+    for h, run in triangle_runs.items():
+        out[f"triangle h=1/{round(1 / h)} morawetz k1"] = weighted_morawetz(run).k1
+        out[f"triangle h=1/{round(1 / h)} energy_total"] = energy_total(run.pair, run.params)
+    return out
+
+
 @pytest.fixture(scope="module")
-def records(compact_run, triangle_runs, linear_pulse_run, appendix_quick):
+def frozen():
     with FROZEN.open(encoding="utf-8") as fh:
-        frozen = json.load(fh)
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def records(frozen, compact_run, triangle_runs, linear_pulse_run, appendix_quick):
+    frozen = {name: rec for name, rec in frozen.items() if name != "reports"}
     now = ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick)
     assert set(now) == set(frozen)
     return frozen, now
@@ -149,3 +186,11 @@ def test_triangle_and_envelope_records_match_frozen(records):
         if want["envelope"] is not None:
             for key, ref in want["envelope"].items():
                 _close(got["envelope"][key], ref, f"{name}: envelope {key}")
+
+
+def test_report_numbers_match_frozen(frozen, triangle_runs, appendix_quick):
+    want = frozen["reports"]
+    got = report_record(triangle_runs, appendix_quick)
+    assert set(got) == set(want)
+    for key, ref in want.items():
+        _close(got[key], ref, key)
