@@ -34,7 +34,7 @@ from .errors import (
     TailNotConvergedError,
 )
 from .model import AppendixPowerLaw, k_functional, make_params
-from .numerics import abs_power, dyadic_times, grid_index, odd_power, trapz
+from .numerics import abs_power, dyadic_times, grid_index, trapz
 from .scattering import (
     exterior_cumulative,
     exterior_growth_fit,
@@ -43,7 +43,7 @@ from .scattering import (
     lp_l2p_tail,
     predicted_tail_exponent,
 )
-from .solver import EnvelopeSpec, GridSpec, Monitors, _interior_step, bootstrap, evolve
+from .solver import EnvelopeSpec, GridSpec, Monitors, evolve, leapfrog
 
 
 def triangle_bound_constant(p, n_quad=4096):
@@ -102,26 +102,13 @@ def full_slab(pair, params, grid):
     """Leapfrog evolution that keeps every level: returns W[level, node].
 
     Only intended for short, coarse runs (the memory cost is the full
-    space-time slab); the appendix triangle checks use it.
+    space-time slab); the appendix triangle checks use it.  The levels
+    are leapfrog()'s, so they agree with evolve()'s snapshots bit for bit.
     """
-    h = grid.h
-    steps = grid.steps
-    n = grid.n
-    w = np.empty((steps + 1, n + 1))
-    w[0] = pair.w0
-    w[1] = bootstrap(pair, params, grid)
-    r = grid.r
-    # same source arithmetic as evolve(), so slab levels agree with its
-    # snapshots bit for bit
-    inv_rp1 = np.zeros(n + 1)
-    inv_rp1[1:] = 1.0 / abs_power(r[1:], params.p - 1.0)
-    f = np.zeros(n + 1)
-    for m in range(1, steps):
-        f[1:] = odd_power(w[m, 1:], params.p) * inv_rp1[1:]
-        _interior_step(w[m - 1], w[m], f, h, out=w[m + 1])
-        w[m + 1, 0] = 0.0
-        w[m + 1, -1] = 0.0 if grid.boundary == "pad" else w[m, -2]
-    return w
+    slab = np.empty((grid.steps + 1, grid.n + 1))
+    for m, _, w, *_ in leapfrog(pair, params, grid):
+        slab[m] = w
+    return slab
 
 
 def triangle_integral(slab, grid, params, region):
@@ -143,14 +130,10 @@ def triangle_integral(slab, grid, params, region):
     for m in range(m_apex + 1):
         half = m_apex - m
         lo, hi = i_apex - half, i_apex + half
-        if hi == lo:
-            continue
         seg_w = slab[m, lo : hi + 1]
-        seg_r = r[lo : hi + 1]
-        g = abs_power(seg_w, float(p)) / abs_power(seg_r, p - 1.0)
-        inner = h * (g.sum() - 0.5 * (g[0] + g[-1]))
+        g = abs_power(seg_w, float(p)) / abs_power(r[lo : hi + 1], p - 1.0)
         weight = 0.5 if m in (0, m_apex) else 1.0
-        total += weight * h * inner
+        total += weight * h * trapz(g, h)
     return total
 
 

@@ -17,8 +17,9 @@ strings, comma-separated lists, and colon pairs for triangle probes
 ("t0:r0").  Unknown keys are rejected, missing required keys reported
 by name.
 
-Exit codes: 0 success, 1 a verify check failed, 2 config problem,
-3 any other lab error (blowup, divergent integral, off-grid request...).
+Exit codes: 0 success, 1 a verify check failed, 2 config problem
+(initial data that do not fit the grid included), 3 any other lab error
+(blowup, divergent integral, off-grid request...).
 """
 
 import argparse
@@ -29,12 +30,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
 from .appendix import run_appendix_example
 from .diagnostics import pointwise_bounds, triangle_residual
-from .errors import ConfigError, NlwError
+from .errors import ConfigError, InitialDataError, NlwError
 from .model import (
     AppendixPowerLaw,
     DirectedPulse,
@@ -143,10 +145,16 @@ class Config:
             raise ConfigError("unknown config keys: " + ", ".join(unknown))
         self.raw = dict(raw)
 
+    def _absent(self, key, default):
+        """True when key is unset and has a default; raise if it has none."""
+        if key in self.raw:
+            return False
+        if default is _MISSING:
+            raise ConfigError(f"missing required config key {key!r}")
+        return True
+
     def number(self, key, default=_MISSING):
-        if key not in self.raw:
-            if default is _MISSING:
-                raise ConfigError(f"missing required config key {key!r}")
+        if self._absent(key, default):
             return default
         v = parse_scalar(self.raw[key])
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -163,16 +171,10 @@ class Config:
         return n
 
     def string(self, key, default=_MISSING):
-        if key not in self.raw:
-            if default is _MISSING:
-                raise ConfigError(f"missing required config key {key!r}")
-            return default
-        return self.raw[key]
+        return default if self._absent(key, default) else self.raw[key]
 
     def boolean(self, key, default=_MISSING):
-        if key not in self.raw:
-            if default is _MISSING:
-                raise ConfigError(f"missing required config key {key!r}")
+        if self._absent(key, default):
             return default
         v = parse_scalar(self.raw[key])
         if not isinstance(v, bool):
@@ -340,16 +342,7 @@ def write_ledger_csv(path, traj, stride=1):
     led = traj.ledger
     stride = max(1, int(stride))
     cols = ["t", "E_total", "E_minus", "E_plus", "xi", "bulk", "y2p", "exterior_l2p2"]
-    series = [
-        led.t,
-        led.e_total,
-        led.e_minus,
-        led.e_plus,
-        led.xi,
-        led.bulk,
-        led.y2p,
-        led.exterior_l2p2,
-    ]
+    series = [getattr(led, col.lower()) for col in cols]  # the ledger's names
     for label, (tot, mn, pl) in led.radii.items():
         tag = _radius_tag(label)
         cols += [f"E_total_r{tag}", f"E_minus_r{tag}", f"E_plus_r{tag}"]
@@ -421,23 +414,14 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None):
     if data_desc:
         doc["data"] = dict(data_desc)
     if traj.triangle_records:
-        rows = []
-        for rec in traj.triangle_records:
-            rep = triangle_residual(traj, rec.t0, rec.r0, kind=rec.kind)
-            rows.append(
-                {
-                    "t0": rec.t0,
-                    "r0": rec.r0,
-                    "kind": rec.kind,
-                    "energy": rep.energy,
-                    "xi_term": rep.xi_term,
-                    "flux_term": rep.flux_term,
-                    "bulk_term": rep.bulk_term,
-                    "residual": rep.residual,
-                    "residual_frac": rep.residual_frac,
-                }
-            )
-        doc["triangles"] = rows
+        reps = [
+            triangle_residual(traj, rec.t0, rec.r0, kind=rec.kind)
+            for rec in traj.triangle_records
+        ]
+        doc["triangles"] = [
+            {**asdict(rep), "residual": rep.residual, "residual_frac": rep.residual_frac}
+            for rep in reps
+        ]
     if traj.envelope is not None:
         env = traj.envelope
         doc["envelope"] = {
@@ -498,36 +482,34 @@ def write_run_plots(out_dir, traj):
 # -- verify checks -----------------------------------------------------------
 
 
+def _worst(values):
+    """Largest of the values, nan if any is nan (a nan check fails)."""
+    return float(np.max(np.asarray(values, dtype=float)))
+
+
 def run_checks(traj, cfg):
     """List of (name, value, threshold, passed); value <= threshold passes."""
     led = traj.ledger
     e0 = max(abs(float(led.e_total[0])), 1e-300)
-    checks = []
+    values = {}
     if traj.grid.boundary == "pad":
-        tol = cfg.number("checks.conservation", 1e-4)
-        val = led.conservation_drift()
-        checks.append(("conservation", val, tol, val <= tol))
-    tol = cfg.number("checks.additivity", 1e-12)
-    val = led.additivity_error() / e0
-    checks.append(("additivity", val, tol, val <= tol))
-    tol = cfg.number("checks.monotonicity", 1e-6)
-    up, down = led.monotonicity_margins()
-    val = max(up, down) / e0
-    checks.append(("monotonicity", val, tol, val <= tol))
-    tol = cfg.number("checks.pointwise", 1e-6)
-    worst = 0.0
+        values["conservation"] = (led.conservation_drift(), 1e-4)
+    values["additivity"] = (led.additivity_error() / e0, 1e-12)
+    values["monotonicity"] = (_worst(led.monotonicity_margins()) / e0, 1e-6)
     states = [traj.pair.w0] + [snap.w_curr for snap in traj.snapshots]
-    for w in states:
-        rep = pointwise_bounds(w, led.h, led.p)
-        worst = max(worst, rep.max_ratio1, rep.max_ratio2)
-    checks.append(("pointwise", worst - 1.0, tol, worst - 1.0 <= tol))
+    reps = [pointwise_bounds(w, led.h, led.p) for w in states]
+    worst = _worst([[rep.max_ratio1, rep.max_ratio2] for rep in reps])
+    values["pointwise"] = (worst - 1.0, 1e-6)
     if traj.triangle_records:
-        tol = cfg.number("checks.triangle", 0.01)
-        worst = 0.0
-        for rec in traj.triangle_records:
-            rep = triangle_residual(traj, rec.t0, rec.r0, kind=rec.kind)
-            worst = max(worst, abs(rep.residual_frac))
-        checks.append(("triangle", worst, tol, worst <= tol))
+        worst = _worst([
+            abs(triangle_residual(traj, rec.t0, rec.r0, kind=rec.kind).residual_frac)
+            for rec in traj.triangle_records
+        ])
+        values["triangle"] = (worst, 0.01)
+    checks = []
+    for name, (val, default) in values.items():
+        tol = cfg.number(f"checks.{name}", default)
+        checks.append((name, val, tol, val <= tol))
     return checks
 
 
@@ -751,6 +733,20 @@ def cmd_appendix(args):
     return 0
 
 
+def _csv_column(path, rows, col):
+    """The numbers in one column of csv rows; ConfigError names a bad cell."""
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        try:
+            out[i] = float(row[col])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(
+                f"{path}: column {col!r}, data row {i + 1}: "
+                f"{row[col]!r} is not a number"
+            ) from err
+    return out
+
+
 def cmd_fit(args):
     try:
         with open(args.csv, newline="", encoding="utf-8") as fh:
@@ -765,8 +761,8 @@ def cmd_fit(args):
                 f"column {col!r} not in {args.csv} "
                 f"(have: {', '.join(rows[0].keys())})"
             )
-    x = np.array([float(row[args.x]) for row in rows])
-    y = np.array([float(row[args.y]) for row in rows])
+    x = _csv_column(args.csv, rows, args.x)
+    y = _csv_column(args.csv, rows, args.y)
     mask = np.ones(x.size, dtype=bool)
     if args.t_min is not None:
         mask &= x >= args.t_min
@@ -850,7 +846,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as err:
+    except (ConfigError, InitialDataError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NlwError as err:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OffGridError, TailNotConvergedError, WeightInvalidError
-from .model import k_functional
+from .model import inward_density, k_functional, potential_density
 from .numerics import abs_power, cumtrapz, derivative, grid_index, trapz
 
 
@@ -96,6 +96,39 @@ class EnergyLedger:
             raise OffGridError(f"t={t} outside the recorded range")
         return idx
 
+    def decade_level(self):
+        """First level of the last decade [t_max/10, t_max], grid-aligned."""
+        return self.level(self.h * int(round(self.t_max / 10.0 / self.h)))
+
+    def decade_tail(self, series, what, strict=True):
+        """Tail int_{t_max}^inf a t^s dt of a per-level series, from a
+        least-squares fit of log series against log t over the last
+        decade; returns (tail, s).
+
+        A series already decayed to rounding noise (last sample at most
+        1e-12 of its peak) gives (0, -inf).  A fit that cannot be trusted,
+        because the decade holds a non-positive sample (s = nan) or the
+        decay is not integrable (s > -1.05), raises TailNotConvergedError
+        naming `what`, or gives (0, s) when strict is False.
+        """
+        if float(series[-1]) <= 1e-12 * max(float(series.max()), 1e-300):
+            return 0.0, -math.inf
+        l_dec = self.decade_level()
+        tt, yy = self.t[l_dec:], series[l_dec:]
+        if tt[0] <= 0.0 or np.any(yy <= 0.0):
+            slope, problem = math.nan, "has non-positive samples"
+        else:
+            slope, logc = np.polyfit(np.log(tt), np.log(yy), 1)
+            if slope <= -1.05:
+                tail = math.exp(logc) * self.t_max ** (slope + 1.0) / (-slope - 1.0)
+                return float(tail), float(slope)
+            problem = f"decays like t^{slope:.3f}, which is not integrable"
+        if strict:
+            raise TailNotConvergedError(
+                f"{what} {problem} over the last decade; extend t_max"
+            )
+        return 0.0, float(slope)
+
     # -- bookkeeping checks -------------------------------------------------
 
     def conservation_drift(self):
@@ -121,8 +154,6 @@ class EnergyLedger:
     def xi_energy(self, t1, t2, weight=None):
         """pi * int_{t1}^{t2} weight(t) xi(t)^2 dt (weight=None means 1)."""
         l1, l2 = self.level(t1), self.level(t2)
-        if l2 <= l1:
-            return 0.0
         sq = self.xi[l1 : l2 + 1] ** 2
         if weight is not None:
             sq = sq * weight(self.t[l1 : l2 + 1])
@@ -131,8 +162,6 @@ class EnergyLedger:
     def bulk_time_integral(self, t1, t2):
         """iint over [t1,t2] x (0,inf) of |w|^{p+1}/r^p (no prefactor)."""
         l1, l2 = self.level(t1), self.level(t2)
-        if l2 <= l1:
-            return 0.0
         return trapz(self.bulk[l1 : l2 + 1], self.h)
 
     def bulk_weighted(self, weight, s_min=1.0):
@@ -158,11 +187,7 @@ def energy_channels(w, w_t, h, p, potential=True):
     w_t = np.asarray(w_t, dtype=float)
     r = h * np.arange(w.size)
     wr = derivative(w, h)
-    pot = np.zeros_like(w)
-    if potential:
-        pot[1:] = (2.0 / (p + 1.0)) * abs_power(w[1:], p + 1.0) / abs_power(
-            r[1:], p - 1.0
-        )
+    pot = potential_density(w, r, p) if potential else 0.0
     a = wr + w_t
     b = wr - w_t
     em_cum = math.pi * cumtrapz(a * a + pot, h)
@@ -176,14 +201,7 @@ def energy_channels(w, w_t, h, p, potential=True):
     )
 
 
-def xi_trace(traj):
-    """(times, xi) series of the origin slope."""
-    return traj.ledger.t, traj.ledger.xi
-
-
 def _flux_window(traj, series, l1, l2, what):
-    if l2 <= l1:
-        return 0.0
     seg = series[l1 : l2 + 1]
     if np.isnan(seg).any():
         raise OffGridError(
@@ -227,6 +245,11 @@ def flux_outward(traj, tau, t1=None, t2=None):
     return _flux_window(traj, traj.flux_out[tau], led.level(t1), led.level(t2), "flux_outward")
 
 
+def _relative(residual, energy):
+    """|residual| / |energy|, or |residual| when the energy is 0."""
+    return abs(residual) / abs(energy) if energy != 0.0 else abs(residual)
+
+
 @dataclass
 class TriangleReport:
     kind: str
@@ -243,7 +266,7 @@ class TriangleReport:
 
     @property
     def residual_frac(self):
-        return abs(self.residual) / abs(self.energy)
+        return _relative(self.residual, self.energy)
 
 
 def triangle_residual(traj, t0, r0, kind="inward"):
@@ -287,7 +310,7 @@ class InfiniteTriangleReport:
 
     @property
     def residual_frac(self):
-        return abs(self.residual) / abs(self.energy)
+        return _relative(self.residual, self.energy)
 
 
 def infinite_triangle_residual(traj, t):
@@ -310,8 +333,7 @@ def infinite_triangle_residual(traj, t):
         )
     xi_all = led.xi_energy(t, t_max)
     bulk_all = led.bulk_time_integral(t, t_max)
-    # last decade of the truncated window, aligned to the grid
-    t_dec = led.h * int(round(t_max / 10.0 / led.h))
+    t_dec = led.t[led.decade_level()]
     xi_tail = led.xi_energy(t_dec, t_max)
     bulk_tail = led.bulk_time_integral(t_dec, t_max)
     if xi_tail > 0.1 * xi_all or bulk_tail > 0.1 * bulk_all:
@@ -403,17 +425,11 @@ def weighted_morawetz(traj, kappa=None, weight=None, gamma=None):
     bulk_term = coef * led.bulk_weighted(weight, s_min=1.0)
 
     # K1: weight 1 inside the unit ball, a(r) outside
-    h = pair.h
     r = pair.r
-    wr = derivative(pair.w0, h)
-    chan = (wr + pair.w1) ** 2
-    chan[1:] += (2.0 / (p + 1.0)) * abs_power(pair.w0[1:], p + 1.0) / abs_power(
-        r[1:], p - 1.0
-    )
     wfull = np.ones_like(r)
     outside = r >= 1.0
     wfull[outside] = weight(r[outside])
-    k1 = math.pi * trapz(wfull * chan, h)
+    k1 = math.pi * trapz(wfull * inward_density(pair, p), pair.h)
     return MorawetzReport(gamma=gamma, xi_term=xi_term, bulk_term=bulk_term, k1=k1)
 
 
@@ -447,12 +463,11 @@ class CylinderReport:
 def cylinder_integral(traj, t0, radius, channel="outward"):
     """int_{t0}^{inf} E_ch(t; 0, radius) dt with a power-law tail estimate.
 
-    The truncated part integrates the recorded series over [t0, t_max].
-    The remainder is estimated by fitting log E against log t over the
-    last decade [t_max/10, t_max] and integrating the fitted power law
-    past t_max; if the fitted decay is not integrable (exponent > -1.05)
-    the truncation dominates and TailNotConvergedError is raised.  A
-    series that has already decayed to rounding noise gets tail = 0.
+    The truncated part integrates the recorded series over [t0, t_max],
+    the remainder is EnergyLedger.decade_tail's.  If the fitted decay is
+    not integrable (exponent > -1.05) the truncation dominates and
+    TailNotConvergedError is raised.  A series that has already decayed
+    to rounding noise gets tail = 0.
     """
     led = traj.ledger
     series = _radius_series(traj, radius, channel)
@@ -460,25 +475,8 @@ def cylinder_integral(traj, t0, radius, channel="outward"):
     if l0 >= series.size - 1:
         raise OffGridError(f"t0={t0} leaves no integration window")
     value = trapz(series[l0:], led.h)
-
-    peak = float(series.max())
-    last = float(series[-1])
-    if last <= 1e-12 * max(peak, 1e-300):
-        return CylinderReport(t0, radius, channel, float(value), 0.0, -math.inf)
-
-    l_dec = led.level(led.h * int(round(led.t_max / 10.0 / led.h)))
-    tt = led.t[l_dec:]
-    yy = series[l_dec:]
-    if np.any(yy <= 0.0) or tt[0] <= 0.0:
-        raise TailNotConvergedError("tail window contains non-positive samples")
-    slope, logc = np.polyfit(np.log(tt), np.log(yy), 1)
-    if slope > -1.05:
-        raise TailNotConvergedError(
-            f"fitted tail decay t^{slope:.3f} of E_{channel}(t;0,{radius}) is "
-            f"not integrable; extend t_max"
-        )
-    tail = math.exp(logc) * led.t_max ** (slope + 1.0) / (-slope - 1.0)
-    return CylinderReport(t0, radius, channel, float(value), float(tail), float(slope))
+    tail, slope = led.decade_tail(series, f"E_{channel}(t;0,{radius})")
+    return CylinderReport(t0, radius, channel, float(value), tail, slope)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Exception taxonomy for the wave lab.
 
 Every failure mode that a caller might want to catch selectively gets its
-own class.  The CLI maps ConfigError to exit code 2 and every other
-NlwError to exit code 3; check failures (which are results, not errors)
-map to exit code 1.
+own class.  The CLI maps ConfigError and InitialDataError to exit code 2
+and every other NlwError to exit code 3; check failures (which are
+results, not errors) map to exit code 1.
 """
 
 
@@ -13,6 +13,11 @@ class NlwError(Exception):
 
 class ConfigError(NlwError):
     """Malformed or inconsistent configuration input."""
+
+
+class InitialDataError(NlwError, ValueError):
+    """Sampled initial data do not fit their grid (shape, spacing, or the
+    pinned origin value)."""
 
 
 class OutOfRangeError(NlwError):

@@ -22,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryLeakError, DivergentIntegralError, OutOfRangeError
-from .numerics import abs_power, derivative, odd_power, trapz, trapz_between
+from .errors import (
+    BoundaryLeakError,
+    DivergentIntegralError,
+    InitialDataError,
+    OutOfRangeError,
+)
+from .numerics import abs_power, derivative, odd_power, trapz
 
 P_MIN = 3.0
 P_MAX = 5.0  # exclusive
@@ -76,6 +81,16 @@ def nonlinearity(w, r, p):
     return out
 
 
+def potential_density(w, r, p):
+    """Potential part (2/(p+1)) |w|^{p+1} / r^{p-1} of the channel energy
+    densities, with the origin node at its limit 0."""
+    out = np.zeros_like(w)
+    out[1:] = (2.0 / (p + 1.0)) * abs_power(w[1:], p + 1.0) / abs_power(
+        r[1:], p - 1.0
+    )
+    return out
+
+
 @dataclass
 class RadialPair:
     """Sampled initial data (w0, w1) on a uniform radial grid.
@@ -92,9 +107,9 @@ class RadialPair:
         self.w0 = np.asarray(self.w0, dtype=float)
         self.w1 = np.asarray(self.w1, dtype=float)
         if self.w0.shape != self.w1.shape:
-            raise ValueError("w0 and w1 must have the same shape")
+            raise InitialDataError("w0 and w1 must have the same shape")
         if self.w0[0] != 0.0 or self.w1[0] != 0.0:
-            raise ValueError("initial data must vanish exactly at r = 0")
+            raise InitialDataError("initial data must vanish exactly at r = 0")
 
     @property
     def r(self):
@@ -104,9 +119,10 @@ class RadialPair:
 class InitialData:
     """Base class for initial data families.
 
-    Subclasses implement w-side profiles w0(r), w1(r) (vectorized) and
-    report a support radius (None for unbounded tails).  sample() evaluates
-    on a grid and runs the boundary leak check unless the family opts out.
+    Subclasses implement w-side profiles w0(r) and, unless the data start
+    at rest, w1(r) (vectorized), and report a support radius (None for
+    unbounded tails).  sample() evaluates on a grid and runs the boundary
+    leak check unless the family opts out.
     """
 
     check_leak = True
@@ -115,7 +131,7 @@ class InitialData:
         raise NotImplementedError
 
     def w1(self, r):
-        raise NotImplementedError
+        return np.zeros_like(np.asarray(r, dtype=float))
 
     def support_radius(self):
         return None
@@ -151,9 +167,6 @@ class GaussianBump(InitialData):
 
     def w0(self, r):
         return np.asarray(r, dtype=float) * self.u0(r)
-
-    def w1(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
 
     def support_radius(self):
         # radius beyond which the profile is below 1e-14 of its peak
@@ -256,9 +269,6 @@ class AppendixPowerLaw(InitialData):
         out[tail] = self.c * r[tail] ** beta
         return out
 
-    def w1(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
     def support_radius(self):
         return None
 
@@ -271,16 +281,16 @@ class Tabulated(InitialData):
         self._w1 = np.asarray(w1, dtype=float)
         self.h = float(h)
         if self._w0.shape != self._w1.shape:
-            raise ValueError("w0 and w1 must have the same shape")
+            raise InitialDataError("w0 and w1 must have the same shape")
 
     def sample(self, grid, leak_tol=0.05):
         if abs(grid.h - self.h) > 1e-12 * self.h:
-            raise ValueError(
+            raise InitialDataError(
                 f"tabulated spacing h={self.h} does not match grid h={grid.h}"
             )
         n = grid.n
         if self._w0.size > n + 1:
-            raise ValueError("tabulated data extends beyond the grid")
+            raise InitialDataError("tabulated data extends beyond the grid")
         w0 = np.zeros(n + 1)
         w1 = np.zeros(n + 1)
         w0[: self._w0.size] = self._w0
@@ -327,11 +337,6 @@ def check_boundary_leak(pair, tol=0.05):
     return frac
 
 
-def sample_pair(family, grid, leak_tol=0.05):
-    """Evaluate an initial data family on a grid, returning a RadialPair."""
-    return family.sample(grid, leak_tol=leak_tol)
-
-
 def lift_initial_data(u0, u1, h, leak_tol=0.05):
     """Lift sampled 3D radial data (u0, u1) to the reduced pair (r*u0, r*u1)."""
     u0 = np.asarray(u0, dtype=float)
@@ -351,13 +356,8 @@ def energy_total(pair, params):
     term (see check_boundary_leak).
     """
     h = pair.h
-    p = params.p
     wr = derivative(pair.w0, h)
-    pot = np.zeros_like(pair.w0)
-    r = pair.r
-    pot[1:] = (2.0 / (p + 1.0)) * abs_power(pair.w0[1:], p + 1.0) / abs_power(
-        r[1:], p - 1.0
-    )
+    pot = potential_density(pair.w0, pair.r, params.p)
     return 2.0 * math.pi * trapz(wr * wr + pair.w1**2 + pot, h)
 
 
@@ -391,6 +391,13 @@ class KReport:
     decades: tuple  # per-decade contributions over [1, r_max], diagnostics
 
 
+def inward_density(pair, p):
+    """|w0' + w1|^2 + (2/(p+1)) |w0|^{p+1}/r^{p-1}: pi times its integral
+    is the inward channel energy E_-(0) of the data."""
+    wr = derivative(pair.w0, pair.h)
+    return (wr + pair.w1) ** 2 + potential_density(pair.w0, pair.r, p)
+
+
 def k_functional(pair, params):
     """Compute the weighted channel mass, guarding against divergence.
 
@@ -406,13 +413,8 @@ def k_functional(pair, params):
     p = params.p
     kappa = params.kappa
     r = pair.r
-    wr = derivative(pair.w0, h)
-    chan = (wr + pair.w1) ** 2
-    chan[1:] += (2.0 / (p + 1.0)) * abs_power(pair.w0[1:], p + 1.0) / abs_power(
-        r[1:], p - 1.0
-    )
     weight = np.maximum(1.0, r**kappa)
-    g = weight * chan
+    g = weight * inward_density(pair, p)
     k1 = math.pi * trapz(g, h)
 
     decades = []
@@ -420,7 +422,7 @@ def k_functional(pair, params):
     while lo * 10.0 <= r[-1] * (1.0 + 1e-12):
         i0 = int(round(lo / h))
         i1 = min(int(round(lo * 10.0 / h)), r.size - 1)
-        decades.append(math.pi * trapz_between(g, h, i0, i1))
+        decades.append(math.pi * trapz(g[i0 : i1 + 1], h))
         lo *= 10.0
     if len(decades) >= 2:
         prev, last = decades[-2], decades[-1]
@@ -453,25 +455,5 @@ def conformal_charge_w(w, w_t, t, h, p):
     qa[0] = 0.0
     qb[0] = (t * w_t[0]) ** 2  # w(0)=0 and r*w_r -> 0; w_t(0) should be 0 too
     q0 = 4.0 * math.pi * trapz(qa + qb, h)
-    pot = np.zeros_like(w)
-    pot[1:] = abs_power(w[1:], p + 1.0) / abs_power(r[1:], p - 1.0)
-    q1 = (8.0 * math.pi / (p + 1.0)) * trapz((r * r + t * t) * pot, h)
+    q1 = 4.0 * math.pi * trapz((r * r + t * t) * potential_density(w, r, p), h)
     return q0, q1
-
-
-def conformal_charge(u0, u1, t, h, p):
-    """Conformal charge from 3D radial samples (finite u1 required)."""
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    r = h * np.arange(u0.size)
-    return conformal_charge_w(r * u0, r * u1, t, h, p)
-
-
-def charge_dissipation_rate(w, t, h, p):
-    """d(Q0+Q1)/dt = (4 (3-p) t / (p+1)) * int |u|^{p+1} dx, from a state."""
-    w = np.asarray(w, dtype=float)
-    r = h * np.arange(w.size)
-    dens = np.zeros_like(w)
-    dens[1:] = abs_power(w[1:] / r[1:], p + 1.0) * r[1:] * r[1:]
-    lp = 4.0 * math.pi * trapz(dens, h)
-    return 4.0 * (3.0 - p) * t / (p + 1.0) * lp

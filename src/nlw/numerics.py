@@ -30,14 +30,6 @@ def cumtrapz(y, h):
     return out
 
 
-def trapz_between(y, h, i0, i1):
-    """Trapezoid integral of y over the node range [i0, i1]."""
-    if i1 <= i0:
-        return 0.0
-    seg = y[i0:i1 + 1]
-    return h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-
-
 def derivative(f, h):
     """Second-order first derivative on a uniform grid.
 
@@ -110,19 +102,8 @@ def _underflow_floor(q):
 def odd_power(x, q):
     """|x|^{q-1} * x, the odd extension of the power law (q >= 1)."""
     x = np.asarray(x)
-    qi = int(round(q))
-    if abs(q - qi) < 1e-12 and 1 <= qi <= 8:
-        if qi == 1:
-            return x
-        x2 = x * x
-        if qi == 2:
-            return np.abs(x) * x
-        if qi == 3:
-            return x2 * x
-        if qi == 4:
-            return np.abs(x) * x2 * x
-        if qi == 5:
-            return x2 * x2 * x
+    if abs(q - 1.0) < 1e-12:
+        return x
     return abs_power(x, q - 1.0) * x
 
 

@@ -26,11 +26,10 @@ from .errors import (
     DegenerateFitError,
     OffGridError,
     ShortSpanError,
-    TailNotConvergedError,
 )
 from .model import RadialPair
 from .numerics import derivative, grid_index, trapz
-from .solver import GridSpec, _interior_step, bootstrap
+from .solver import GridSpec, leapfrog
 
 MIN_DYADIC_SAMPLES = 8
 
@@ -43,6 +42,13 @@ def predicted_tail_exponent(params):
 def char_settle_rate(p):
     """Exponent (p-2)/(p+1) at which outgoing derivatives settle."""
     return (p - 2.0) / (p + 1.0)
+
+
+def _r_squared(resid, y):
+    """Coefficient of determination of a least-squares fit with a constant
+    term; 1 for (numerically) constant y, which such a fit matches."""
+    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
+    return 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 1e-30 else 1.0
 
 
 @dataclass
@@ -69,17 +75,10 @@ def fit_power_law(t, y):
         raise DegenerateFitError("power-law fit needs positive samples")
     lt, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lt, ly, 1)
-    resid = ly - (slope * lt + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
-    if ss_tot < 1e-30:
-        r2 = 1.0 if ss_res < 1e-30 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
     return FitResult(
         exponent=float(slope),
         amplitude=float(math.exp(intercept)),
-        r_squared=r2,
+        r_squared=_r_squared(ly - (slope * lt + intercept), ly),
         window=(float(t[0]), float(t[-1])),
         n_points=int(t.size),
     )
@@ -102,10 +101,7 @@ def fit_log_growth(t, v):
     x = np.log1p(t)
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    resid = v - design @ coef
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(v - v.mean(), v - v.mean()))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-30 else 1.0
+    r2 = _r_squared(v - design @ coef, v)
     return LogGrowthFit(offset=float(coef[0]), slope=float(coef[1]), r_squared=r2)
 
 
@@ -201,29 +197,19 @@ def free_wave_defect(traj, t1, t2):
     if steps < 1:
         raise OffGridError(f"need t2 > t1, got ({t1}, {t2})")
 
-    w0 = snap1.w_curr.copy()
-    w1 = snap1.w_t
-    w0[0] = 0.0
-    w1[0] = 0.0
-    pair = RadialPair(w0=w0, w1=w1, h=h)
+    # leapfrog pins w(0) = 0, so the snapshot is data as it stands
+    pair = RadialPair(w0=snap1.w_curr, w1=snap1.w_t, h=h)
     span_grid = GridSpec(
         h=h,
         r_max=traj.grid.r_max,
         t_max=steps * h,
         boundary=traj.grid.boundary,
     )
-    w_prev = pair.w0.copy()
-    w_curr = bootstrap(pair, traj.params, span_grid, linear=True)
-    zero = np.zeros_like(w_prev)
-    w_at = None
-    for m in range(1, steps + 1):
-        w_next = _interior_step(w_prev, w_curr, zero, h)
-        w_next[0] = 0.0
-        w_next[-1] = 0.0 if span_grid.boundary == "pad" else w_curr[-2]
-        if m == steps:
-            w_at = (w_prev, w_curr, w_next)
-        w_prev, w_curr = w_curr, w_next
-    w_free_prev, w_free, w_free_next = w_at
+    # the levels of the last step, which the loop leaves bound
+    for _, w_free_prev, w_free, w_free_next, *_ in leapfrog(
+        pair, traj.params, span_grid, linear=True
+    ):
+        pass
     wt_free = (w_free_next - w_free_prev) / (2.0 * h)
 
     d = snap2.w_curr - w_free
@@ -263,25 +249,8 @@ def lp_l2p_tail(traj, t0, require_tail=True):
     if l0 >= y.size - 1:
         raise OffGridError(f"t0={t0} leaves no integration window")
     value = trapz(y[l0:], led.h)
-    last = float(y[-1])
-    if last <= 1e-12 * max(float(y.max()), 1e-300):
-        return TailNormReport(t0, float(value), 0.0, -math.inf)
-    l_dec = led.level(led.h * int(round(led.t_max / 10.0 / led.h)))
-    tt, yy = led.t[l_dec:], y[l_dec:]
-    if np.any(yy <= 0.0):
-        if not require_tail:
-            return TailNormReport(t0, float(value), 0.0, math.nan)
-        raise TailNotConvergedError("tail window contains non-positive samples")
-    slope, logc = np.polyfit(np.log(tt), np.log(yy), 1)
-    if slope > -1.05:
-        if not require_tail:
-            return TailNormReport(t0, float(value), 0.0, float(slope))
-        raise TailNotConvergedError(
-            f"integrand decays like t^{slope:.3f}; tail not integrable "
-            f"within the run, extend t_max"
-        )
-    tail = math.exp(logc) * led.t_max ** (slope + 1.0) / (-slope - 1.0)
-    return TailNormReport(t0, float(value), float(tail), float(slope))
+    tail, slope = led.decade_tail(y, "the L^{2p} norm", strict=require_tail)
+    return TailNormReport(t0, float(value), tail, slope)
 
 
 def exterior_cumulative(traj, t_samples):
@@ -292,7 +261,7 @@ def exterior_cumulative(traj, t_samples):
     cums = []
     for t_val in t_samples:
         l = led.level(t_val)
-        cums.append(trapz(series[: l + 1], led.h) if l >= 1 else 0.0)
+        cums.append(trapz(series[: l + 1], led.h))
     return np.asarray(cums)
 
 

@@ -19,10 +19,10 @@ trapezoid quadrature over the full backward light triangle of every node.
 Its source quadrature is genuinely different from the leapfrog's, which
 makes the pair usable for cross-verification at second order.
 
-evolve() accumulates the running diagnostics (channel energies, origin
-trace, flux lines, triangle probes, characteristic-line bins) while it
-steps, because storing the full space-time field is not affordable for
-production grids.
+leapfrog() generates the levels of the scheme.  evolve() accumulates the
+running diagnostics (channel energies, origin trace, flux lines, triangle
+probes, characteristic-line bins) while it steps, because storing the
+full space-time field is not affordable for production grids.
 """
 
 import math
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, NoContractionError, OffGridError
+from .errors import BlowupError, InitialDataError, NoContractionError, OffGridError
 from .model import nonlinearity
 from .numerics import abs_power, grid_index, odd_power, trapz
 
@@ -77,15 +77,6 @@ class GridSpec:
         the outer boundary before t_max (causally padded, boundary pinned)."""
         r_max = h * math.ceil((support_radius + t_max + margin) / h)
         return cls(h=h, r_max=r_max, t_max=t_max, boundary="pad")
-
-
-@dataclass
-class WaveState:
-    """Two consecutive levels of the leapfrog ladder: w(t) and w(t-h)."""
-
-    t: float
-    w_prev: np.ndarray
-    w_curr: np.ndarray
 
 
 @dataclass
@@ -209,15 +200,6 @@ class Trajectory:
         raise KeyError(f"no snapshot recorded at t={t}")
 
 
-def _interior_step(w_prev, w_curr, f_curr, h, out=None):
-    """One leapfrog step on interior nodes; boundary nodes left untouched."""
-    if out is None:
-        out = np.empty_like(w_curr)
-    out[1:-1] = w_curr[:-2] + w_curr[2:] - w_prev[1:-1]
-    out[1:-1] -= (h * h) * f_curr[1:-1]
-    return out
-
-
 def bootstrap(pair, params, grid, linear=False, direction=+1):
     """First time level from a Taylor expansion at t = 0:
 
@@ -243,17 +225,77 @@ def bootstrap(pair, params, grid, linear=False, direction=+1):
     return w
 
 
-def step(state, params, grid, linear=False):
-    """Advance a WaveState by one time step (allocating convenience API)."""
-    f = (
-        np.zeros_like(state.w_curr)
-        if linear
-        else nonlinearity(state.w_curr, grid.r, params.p)
-    )
-    w_next = _interior_step(state.w_prev, state.w_curr, f, grid.h)
-    w_next[0] = 0.0
-    w_next[-1] = 0.0 if grid.boundary == "pad" else state.w_curr[-2]
-    return WaveState(t=state.t + grid.h, w_prev=state.w_curr, w_curr=w_next)
+def _inverse_power(r, s):
+    """1 / r^s on the nodes, with the origin slot 0 (integrands vanish there)."""
+    out = np.zeros(r.size)
+    out[1:] = 1.0 / abs_power(r[1:], s)
+    return out
+
+
+def _source(w, e, p, inv_rp1, out):
+    """Fill out[:e] with the source (|w|^{p-1} w) / r^{p-1} of the nodes
+    [0, e) and return the power q = |w|^{p-1} it took."""
+    q = abs_power(w[:e], p - 1.0)
+    np.multiply(q, w[:e], out=out[:e])
+    out[:e] *= inv_rp1[:e]
+    return q
+
+
+def leapfrog(pair, params, grid, linear=False):
+    """Generate the leapfrog levels m = 0 .. steps of a run.
+
+    Yields (m, w_prev, w, w_next, e, q, f): the levels m-1, m and m+1
+    (level 0 is the data between the two Taylor bootstraps), the end e of
+    the nodes [0, e) that carry the work of level m, and there the power
+    q = |w|^{p-1} and the source f = (q w) / r^{p-1} of the step (both
+    None in linear runs, which take no power).  The arrays are workspaces
+    that later levels overwrite: copy what must outlive the level.
+
+    At unit CFL the support of the field grows by one node per level, so
+    level m vanishes past node supp + m, with supp the last nonzero node
+    of the data.  The step and the blow-up check run on nodes
+    [0, supp + m + 2] only (the whole grid once that reaches r_max); the
+    result is the same as on the whole grid.
+
+    Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
+    """
+    h = grid.h
+    n = grid.n
+    p = params.p
+    if pair.w0.size != n + 1:
+        raise InitialDataError(f"data have {pair.w0.size} nodes, the grid {n + 1}")
+    inv_rp1 = None if linear else _inverse_power(grid.r, p - 1.0)
+    nonzero = np.flatnonzero((pair.w0 != 0.0) | (pair.w1 != 0.0))
+    supp = int(nonzero[-1]) if nonzero.size else 0
+    blowup_at = BLOWUP_FACTOR * (np.abs(pair.w0).max() + 1.0)
+    # written only on nodes [0, e) for a window end e that never decreases,
+    # so its entries past the window stay zero
+    f = None if linear else np.zeros(n + 1)
+    q = None
+
+    w_prev = bootstrap(pair, params, grid, linear=linear, direction=-1)
+    w = pair.w0.copy()
+    w_next = bootstrap(pair, params, grid, linear=linear, direction=+1)
+    for m in range(grid.steps + 1):
+        # level m + 1 reaches node supp + m + 1; one more node is zero
+        e = min(n + 1, supp + m + 3)
+        if not linear:
+            q = _source(w, e, p, inv_rp1, f)
+        if m > 0:
+            top = min(e + 1, n + 1)  # updates nodes 1 .. top-2
+            nxt = w_next[1 : top - 1]
+            np.add(w[: top - 2], w[2:top], out=nxt)
+            nxt -= w_prev[1 : top - 1]
+            if not linear:
+                nxt -= (h * h) * f[1 : top - 1]
+            w_next[0] = 0.0
+            w_next[-1] = 0.0 if grid.boundary == "pad" else w[-2]
+            sup = float(np.abs(w_next[:e]).max())
+            if not math.isfinite(sup) or sup > blowup_at:
+                raise BlowupError(f"|w| reached {sup:.3g} at t={(m + 1) * h:.6g}")
+        yield m, w_prev, w, w_next, e, q, f
+        # level m - 1 is no longer needed; its buffer takes level m + 2
+        w_prev, w, w_next = w, w_next, w_prev
 
 
 def evolve(pair, params, grid, monitors=None, linear=False):
@@ -264,17 +306,14 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     whose records carry the requested probes.  One extra level beyond
     t_max is computed so that centered time derivatives exist at t_max.
 
-    Each level evaluates one power, q = |w|^{p-1}.  The source
-    f = (q w) / r^{p-1} drives the step, and every diagnostic power is a
-    product of f, q and w: |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2
-    and |u|^{2(p-1)} r^2 = (q / r^{p-1})^2 r^2.  Only the characteristic
-    bins, which sample the midpoint-in-time field, take a second power.
-
-    At unit CFL the support of the field grows by one node per level, so
-    level m vanishes past node supp + m, with supp the last nonzero node
-    of the data.  The step, the blow-up check, the diagnostics and the
-    bins run on nodes [0, supp + m + 2] only (the whole grid once that
-    reaches r_max); the result is the same as on the whole grid.
+    The levels come from leapfrog(), diagnostics and bins included on its
+    light-cone window only.  Each level evaluates one power,
+    q = |w|^{p-1}.  The source f = (q w) / r^{p-1} drives the step, and
+    every diagnostic power is a product of f, q and w:
+    |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2 and
+    |u|^{2(p-1)} r^2 = (q / r^{p-1})^2 r^2.  Linear runs take that power
+    here, for the ledger only.  The characteristic bins, which sample the
+    midpoint-in-time field, take a second power.
 
     Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
@@ -287,16 +326,9 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     r = grid.r
     p = params.p
 
-    if pair.w0.size != n + 1:
-        raise ValueError("initial data length does not match the grid")
-
-    # precomputed radial weights (origin slot zeroed; integrands vanish there)
-    inv_rp1 = np.zeros(n + 1)  # 1 / r^{p-1}
-    inv_rp1[1:] = 1.0 / abs_power(r[1:], p - 1.0)
-    inv_rp = np.zeros(n + 1)  # 1 / r^p
-    inv_rp[1:] = 1.0 / abs_power(r[1:], p)
-    inv_r = np.zeros(n + 1)
-    inv_r[1:] = 1.0 / r[1:]
+    inv_rp1 = _inverse_power(r, p - 1.0)
+    inv_rp = _inverse_power(r, p)
+    inv_r = _inverse_power(r, 1.0)
     r_sq = r * r
     pot_coef = 2.0 / (p + 1.0)
     # trapezoid weight times the time step h, per node, for the bins
@@ -313,18 +345,14 @@ def evolve(pair, params, grid, monitors=None, linear=False):
             continue
         radius_idx[label] = grid_index(float(label), h, f"radius {label}")
 
-    flux_in = {
-        s: np.full(steps + 1, np.nan) for s in mon.flux_s
-    }
-    flux_in_idx = {s: grid_index(s, h, f"flux label s={s}") for s in mon.flux_s}
-    flux_out = {tau: np.full(steps + 1, np.nan) for tau in mon.flux_tau}
-    flux_out_idx = {
-        tau: grid_index(tau, h, f"flux label tau={tau}") for tau in mon.flux_tau
-    }
-    char_traces = {tau: np.full(steps + 1, np.nan) for tau in mon.char_tau}
-    char_idx = {
-        tau: grid_index(tau, h, f"trace label tau={tau}") for tau in mon.char_tau
-    }
+    def line_monitor(labels, what):
+        """A NaN series and the node index of each characteristic label."""
+        series = {x: np.full(steps + 1, np.nan) for x in labels}
+        return series, {x: grid_index(x, h, f"{what}={x}") for x in labels}
+
+    flux_in, flux_in_idx = line_monitor(mon.flux_s, "flux label s")
+    flux_out, flux_out_idx = line_monitor(mon.flux_tau, "flux label tau")
+    char_traces, char_idx = line_monitor(mon.char_tau, "trace label tau")
 
     triangles = []
     for (t0, r0) in mon.triangles:
@@ -368,8 +396,6 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     if mon.xi_variant not in ("one_sided", "second_order"):
         raise OffGridError(f"unknown xi variant {mon.xi_variant!r}")
 
-    blowup_at = BLOWUP_FACTOR * (np.abs(pair.w0).max() + 1.0)
-
     traj = Trajectory(
         grid=grid,
         params=params,
@@ -384,12 +410,9 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         linear=linear,
     )
 
-    # light cone: level m vanishes past node supp + m.  Each workspace below
-    # is written only on nodes [0, e), for a window end e that never
-    # decreases, so its entries past the window stay zero
-    nonzero = np.flatnonzero((pair.w0 != 0.0) | (pair.w1 != 0.0))
-    supp = int(nonzero[-1]) if nonzero.size else 0
-    f = np.zeros(n + 1)  # (|w|^{p-1} w) / r^{p-1}, the source of the step
+    # each workspace below is written only on leapfrog's window [0, e),
+    # whose end never decreases, so its entries past the window stay zero
+    f_linear = np.zeros(n + 1) if linear else None  # the ledger's source
     g1 = np.zeros(n + 1)  # |w|^{p+1} / r^{p-1}; stays zero in linear runs
     g2 = np.zeros(n + 1)  # |w|^{p+1} / r^p; stays zero in linear runs
     wr = np.zeros(n + 1)
@@ -397,24 +420,8 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     ea = np.zeros(n + 1)  # inward energy density / pi
     eb = np.zeros(n + 1)  # outward energy density / pi
     tmp = np.zeros(n + 1)
-    source = np.zeros(n + 1) if linear else f
 
-    def window(m):
-        """End of the nodes [0, supp + m + 2] that the work of level m
-        touches: level m + 1 reaches node supp + m + 1, one more is zero."""
-        return min(n + 1, supp + m + 3)
-
-    def powers(w, e):
-        """Fill f (and g1, g2) on nodes [0, e) from the level w; return q."""
-        q = abs_power(w[:e], p - 1.0)
-        np.multiply(q, w[:e], out=f[:e])
-        f[:e] *= inv_rp1[:e]
-        if not linear:
-            np.multiply(f[:e], w[:e], out=g1[:e])
-            np.multiply(g1[:e], inv_r[:e], out=g2[:e])
-        return q
-
-    def diagnose(m, w_prev, w, w_next, q, e, w_t=None):
+    def diagnose(m, w_prev, w, w_next, q, f, e, w_t=None):
         """Record every per-level series for level m (time t = m*h) from
         the nodes [0, e), past which every integrand vanishes."""
         win = slice(0, e)
@@ -542,32 +549,16 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         g *= bin_wts[:e]
         ledger.s_bulk[m : m + e] += g
 
-    w_prev = pair.w0.copy()
-    w_back = bootstrap(pair, params, grid, linear=linear, direction=-1)
-    w_curr = bootstrap(pair, params, grid, linear=linear, direction=+1)
-    e = window(0)
-    q = powers(w_prev, e)
-    diagnose(0, w_back, w_prev, w_curr, q, e, w_t=pair.w1)
-    if not linear:
-        bin_step(0, w_prev, w_curr, e)
-
-    w_next = w_back  # level -1 is no longer needed; reuse its buffer
-    for m in range(1, steps + 1):
-        e = window(m)
-        q = powers(w_curr, e)
-        top = min(e + 1, n + 1)  # updates nodes 1 .. top-2
-        _interior_step(w_prev[:top], w_curr[:top], source[:top], h, out=w_next[:top])
-        w_next[0] = 0.0
-        w_next[-1] = 0.0 if grid.boundary == "pad" else w_curr[-2]
-
-        sup = float(np.abs(w_next[:e]).max())
-        if not math.isfinite(sup) or sup > blowup_at:
-            raise BlowupError(f"|w| reached {sup:.3g} at t={(m + 1) * h:.6g}")
-
-        diagnose(m, w_prev, w_curr, w_next, q, e)
+    for m, w_prev, w, w_next, e, q, f in leapfrog(pair, params, grid, linear):
+        if linear:
+            f = f_linear
+            q = _source(w, e, p, inv_rp1, f)
+        else:
+            np.multiply(f[:e], w[:e], out=g1[:e])
+            np.multiply(g1[:e], inv_r[:e], out=g2[:e])
+        diagnose(m, w_prev, w, w_next, q, f, e, w_t=pair.w1 if m == 0 else None)
         if m < steps and not linear:
-            bin_step(m, w_curr, w_next, e)
-        w_prev, w_curr, w_next = w_curr, w_next, w_prev
+            bin_step(m, w, w_next, e)
 
     return traj
 

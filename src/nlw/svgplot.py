@@ -90,22 +90,13 @@ def line_plot(
 
     all_x = [x for _, pts in cleaned for x, _ in pts]
     all_y = [y for _, pts in cleaned for _, y in pts]
-    if loglog:
-        x_lo, x_hi = min(all_x), max(all_x)
-        y_lo, y_hi = min(all_y), max(all_y)
-        fx = lambda x: math.log10(x)
-        x0, x1 = fx(x_lo), fx(x_hi)
-        y0, y1 = math.log10(y_lo), math.log10(y_hi)
-        x_ticks = _decade_ticks(x_lo, x_hi)
-        y_ticks = _decade_ticks(y_lo, y_hi)
-    else:
-        x_lo, x_hi = min(all_x), max(all_x)
-        y_lo, y_hi = min(all_y), max(all_y)
-        fx = float
-        x0, x1 = x_lo, x_hi
-        y0, y1 = y_lo, y_hi
-        x_ticks = _nice_ticks(x_lo, x_hi)
-        y_ticks = _nice_ticks(y_lo, y_hi)
+    x_lo, x_hi = min(all_x), max(all_x)
+    y_lo, y_hi = min(all_y), max(all_y)
+    scale = math.log10 if loglog else float
+    ticks = _decade_ticks if loglog else _nice_ticks
+    x_ticks, y_ticks = ticks(x_lo, x_hi), ticks(y_lo, y_hi)
+    x0, x1 = scale(x_lo), scale(x_hi)
+    y0, y1 = scale(y_lo), scale(y_hi)
     if x1 <= x0:
         x1 = x0 + 1.0
     if y1 <= y0:
@@ -115,12 +106,10 @@ def line_plot(
     plot_h = height - _MARGIN_T - _MARGIN_B
 
     def px(x):
-        v = fx(x) if not loglog else math.log10(x)
-        return _MARGIN_L + plot_w * (v - x0) / (x1 - x0)
+        return _MARGIN_L + plot_w * (scale(x) - x0) / (x1 - x0)
 
     def py(y):
-        v = y if not loglog else math.log10(y)
-        return _MARGIN_T + plot_h * (1.0 - (v - y0) / (y1 - y0))
+        return _MARGIN_T + plot_h * (1.0 - (scale(y) - y0) / (y1 - y0))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlw.cli import Config, load_config, main, parse_scalar
+from nlw.cli import Config, load_config, main, parse_scalar, run_checks, run_problem
 from nlw.errors import ConfigError
 
 
@@ -239,6 +239,40 @@ def test_verify_all_zero_data(tmp_path, capsys):
     assert summary["energy"]["initial"] == 0.0
 
 
+def test_verify_all_zero_data_with_triangle_probe(tmp_path, capsys):
+    # E_-(t0; 0, r0) = 0 as well: the residual fraction is the absolute 0
+    cfg = _write(tmp_path, RUN_CFG.replace("data.amplitude = 0.4", "data.amplitude = 0")
+                 + "monitors.triangles = 0.5:1\n")
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out-dir", str(out)]) == 0
+    assert "[triangle] PASS 0 " in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["triangles"][0]["residual_frac"] == 0.0
+
+
+def test_checks_fail_on_nan(tmp_path):
+    cfg = Config(load_config(_write(tmp_path, RUN_CFG + "monitors.triangles = 0.5:1\n")))
+    traj, _, _ = run_problem(cfg)
+    assert all(ok for *_, ok in run_checks(traj, cfg))
+    traj.ledger.e_plus[3] = math.nan
+    traj.triangle_records[0].energy = math.nan
+    checks = {name: (value, ok) for name, value, _, ok in run_checks(traj, cfg)}
+    for name in ("monotonicity", "triangle"):
+        value, ok = checks[name]
+        assert math.isnan(value) and not ok, name
+
+
+def test_tabulated_spacing_mismatch_exits_2(tmp_path, capsys):
+    data = tmp_path / "state.npz"
+    np.savez(data, w0=np.zeros(33), w1=np.zeros(33), h=1.0 / 16.0)
+    cfg = _write(tmp_path, f"params.p = 3\ngrid.h = 1/32\ngrid.t_max = 1\n"
+                           f"data.family = file\ndata.path = {data}\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "spacing" in err
+    assert "Traceback" not in err
+
+
 def test_runtime_lab_error_exits_3(tmp_path, capsys):
     # snapshot time past t_max is only caught once the run is being set up
     cfg = _write(tmp_path, RUN_CFG.replace(
@@ -388,3 +422,12 @@ def test_fit_window_and_errors(tmp_path, capsys):
     header_only.write_text("t,val\n")
     assert main(["fit", str(header_only), "--y", "val"]) == 2
     capsys.readouterr()
+
+
+def test_fit_non_numeric_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("t,val\n1,2\n2,oops\n4,0.5\n")
+    assert main(["fit", str(path), "--y", "val"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'val'" in err and "row 2" in err and "oops" in err
+    assert "Traceback" not in err

@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from nlw.diagnostics import (
+    InfiniteTriangleReport,
+    TriangleReport,
     cylinder_integral,
     energy_channels,
     flux_inward,
@@ -14,7 +16,6 @@ from nlw.diagnostics import (
     pointwise_bounds,
     triangle_residual,
     weighted_morawetz,
-    xi_trace,
 )
 from nlw.errors import (
     OffGridError,
@@ -102,12 +103,6 @@ def test_xi_balance_for_linear_reflection(linear_pulse_run):
     assert abs(converted - e_minus0) < 1e-3 * e_minus0
 
 
-def test_xi_trace_shape(linear_pulse_run):
-    t, xi = xi_trace(linear_pulse_run)
-    assert t.shape == xi.shape
-    assert np.max(np.abs(xi)) > 0.0
-
-
 # --------------------------------------------------------------------------
 # characteristic flux
 # --------------------------------------------------------------------------
@@ -191,6 +186,16 @@ def test_infinite_triangle_closure():
     traj = evolve(fam.sample(grid), params, grid)
     rep = infinite_triangle_residual(traj, 1.0)
     assert abs(rep.residual_frac) < 0.01
+
+
+def test_residual_fraction_is_absolute_at_zero_energy():
+    rep = TriangleReport("inward", 1.0, 2.0, energy=0.0, xi_term=0.0,
+                         flux_term=0.0, bulk_term=1e-3)
+    assert rep.residual_frac == pytest.approx(1e-3)
+    assert InfiniteTriangleReport(1.0, 0.0, 0.0, 0.0).residual_frac == 0.0
+    rep = TriangleReport("outward", 1.0, 1.0, energy=-2.0, xi_term=-1.0,
+                         flux_term=0.0, bulk_term=0.0)
+    assert rep.residual_frac == pytest.approx(0.5)
 
 
 def test_infinite_triangle_guards(compact_run):

@@ -4,25 +4,33 @@ import numpy as np
 import pytest
 
 import oracles
+import dataclasses
+
+from nlw.diagnostics import energy_channels
 from nlw.errors import (
     BoundaryLeakError,
     DivergentIntegralError,
+    InitialDataError,
     OutOfRangeError,
 )
 from nlw.model import (
     AppendixPowerLaw,
     GaussianBump,
     DirectedPulse,
+    ModelParams,
     RadialPair,
+    Tabulated,
     check_boundary_leak,
     conformal_charge_w,
     energy_total,
+    inward_density,
     k_functional,
     lift_initial_data,
     make_params,
     nonlinearity,
     u_side_energy,
 )
+from nlw.solver import GridSpec
 
 
 # --------------------------------------------------------------------------
@@ -37,6 +45,13 @@ def test_params_frozen_exponents():
     assert make_params(3.0, 0.5).beta == pytest.approx(0.0)
     assert make_params(4.0, 0.5).beta == pytest.approx(1.0 / 3.0)
     assert make_params(4.5, 0.5).beta == pytest.approx(3.0 / 7.0)
+
+
+def test_params_are_a_frozen_record():
+    params = make_params(4, 0.25)
+    assert params == ModelParams(p=4.0, kappa=0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.p = 3.0
 
 
 def test_params_power_identity():
@@ -159,6 +174,19 @@ def test_radial_pair_requires_pinned_origin():
         RadialPair(w0=np.zeros(3), w1=np.zeros(4), h=0.5)
 
 
+def test_initial_data_errors_are_lab_errors():
+    # InitialDataError is an NlwError (the CLI exits 2) and a ValueError
+    with pytest.raises(InitialDataError, match="r = 0"):
+        RadialPair(w0=np.array([0.5, 0.0, 0.0]), w1=np.zeros(3), h=0.5)
+    table = Tabulated(np.zeros(9), np.zeros(9), 1.0 / 16.0)
+    with pytest.raises(InitialDataError, match="spacing"):
+        table.sample(GridSpec(h=1.0 / 32.0, r_max=1.0, t_max=1.0))
+    with pytest.raises(InitialDataError, match="beyond the grid"):
+        table.sample(GridSpec(h=1.0 / 16.0, r_max=0.25, t_max=1.0))
+    with pytest.raises(InitialDataError, match="same shape"):
+        Tabulated(np.zeros(9), np.zeros(8), 1.0 / 16.0)
+
+
 def test_lift_initial_data_round_trip():
     h = 1.0 / 64.0
     r = h * np.arange(513)
@@ -226,6 +254,17 @@ def test_energy_channels_sum_and_split():
 # --------------------------------------------------------------------------
 # weighted channel mass
 # --------------------------------------------------------------------------
+
+def test_inward_density_integrates_to_inward_channel():
+    h = 1.0 / 128.0
+    fam = DirectedPulse(0.5, 3.0, 0.4, direction="inward")
+    pair = fam.sample(GridSpec.padded(h, 1.0, fam.support_radius()))
+    p = 4.0
+    e_minus = energy_channels(pair.w0, pair.w1, h, p).e_minus
+    assert math.pi * np.trapezoid(inward_density(pair, p), dx=h) == pytest.approx(
+        e_minus, rel=1e-12
+    )
+
 
 def test_k_functional_divergence_guard():
     """p=4 power-law tail: the weighted integrand scales like

@@ -11,7 +11,6 @@ from nlw.numerics import (
     grid_index,
     odd_power,
     trapz,
-    trapz_between,
 )
 
 
@@ -44,16 +43,6 @@ def test_cumtrapz_consistency():
     assert abs(cum[-1] - trapz(y, h)) < 1e-12
     k = 173
     assert abs(cum[k] - trapz(y[: k + 1], h)) < 1e-12
-
-
-def test_trapz_between_slices_the_same_integral():
-    rng = np.random.default_rng(11)
-    y = rng.standard_normal(200)
-    h = 0.05
-    total = trapz_between(y, h, 20, 140)
-    assert abs(total - trapz(y[20:141], h)) < 1e-13
-    assert trapz_between(y, h, 50, 50) == 0.0
-    assert trapz_between(y, h, 60, 40) == 0.0
 
 
 def test_derivative_is_second_order():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from nlw.errors import BlowupError, NoContractionError, OffGridError
+import nlw.solver
+from nlw.errors import BlowupError, InitialDataError, NoContractionError, OffGridError
 from nlw.model import (
     DirectedPulse,
     GaussianBump,
@@ -18,7 +19,7 @@ from nlw.solver import (
     bootstrap,
     duhamel_solve,
     evolve,
-    step,
+    leapfrog,
 )
 
 
@@ -340,17 +341,62 @@ def test_unknown_xi_variant_rejected():
         evolve(pair, params, grid, Monitors(xi_variant="fancy"))
 
 
-def test_step_advances_one_level():
-    params = make_params(3.0, 0.5)
-    fam = GaussianBump(0.3, 2.0, 0.5)
-    h = 1.0 / 64.0
-    grid = GridSpec.padded(h, 1.0, fam.support_radius())
-    pair = fam.sample(grid)
-    first = bootstrap(pair, params, grid)
-    from nlw.solver import WaveState
+def _leapfrog_levels(pair, params, grid, linear, times):
+    """Copies of the (w_prev, w, w_next) leapfrog yields at the given times."""
+    out = {}
+    for m, w_prev, w, w_next, e, q, f in leapfrog(pair, params, grid, linear):
+        if m * grid.h in times:
+            out[m * grid.h] = (w_prev.copy(), w.copy(), w_next.copy())
+    return out
 
-    state = WaveState(t=h, w_prev=pair.w0.copy(), w_curr=first)
-    state2 = step(state, params, grid)
-    assert state2.t == pytest.approx(2.0 * h)
-    assert state2.w_curr[0] == 0.0
-    assert state2.w_curr.shape == pair.w0.shape
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_leapfrog_levels_are_evolve_snapshots(linear):
+    params = make_params(3.5, 0.5)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 64.0, 2.0, fam.support_radius())
+    pair = fam.sample(grid)
+    times = (0.0, 0.5, 2.0)
+    traj = evolve(pair, params, grid, Monitors(snapshot_times=times), linear=linear)
+    levels = _leapfrog_levels(pair, params, grid, linear, times)
+    for snap in traj.snapshots:
+        for a, b in zip(levels[snap.t], (snap.w_prev, snap.w_curr, snap.w_next)):
+            assert np.array_equal(a, b)
+
+
+def test_leapfrog_yields_window_power_and_source():
+    params = make_params(4.0, 0.25)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 2.0, fam.support_radius())
+    pair = fam.sample(grid)
+    r = grid.r
+    ends = []
+    for m, w_prev, w, w_next, e, q, f in leapfrog(pair, params, grid):
+        ends.append(e)
+        assert not w[e:].any() and not w_next[e:].any()
+        np.testing.assert_allclose(q, np.abs(w[:e]) ** 3, rtol=1e-14)
+        np.testing.assert_allclose(f[1:e], q[1:] * w[1:e] / r[1:e] ** 3, rtol=1e-14)
+    assert len(ends) == grid.steps + 1
+    assert ends == sorted(ends) and ends[-1] <= grid.n + 1
+
+
+def test_leapfrog_linear_takes_no_power(monkeypatch):
+    calls = []
+    real = nlw.solver.abs_power
+    monkeypatch.setattr(nlw.solver, "abs_power", lambda *a: calls.append(1) or real(*a))
+    params = make_params(3.0, 0.5)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 1.0, fam.support_radius())
+    for *_, q, f in leapfrog(fam.sample(grid), params, grid, linear=True):
+        assert q is None and f is None
+    assert calls == []
+
+
+def test_leapfrog_rejects_data_off_the_grid():
+    params = make_params(3.0, 0.5)
+    grid = GridSpec(h=0.25, r_max=4.0, t_max=1.0, boundary="pad")
+    pair = RadialPair(np.zeros(12), np.zeros(12), h=0.25)
+    with pytest.raises(InitialDataError):
+        next(leapfrog(pair, params, grid))
+    with pytest.raises(InitialDataError):
+        evolve(pair, params, grid)
