@@ -7,7 +7,10 @@ envelope records.  Under the key "reports" it also holds the numbers that
 are computed after the run: the quick appendix report (K, tail norms,
 exterior values, free-wave defects, triangle source integrals), a
 cylinder integral, and the time-zero functionals K1 and E of the triangle
-fixtures' data.  Snapshot levels must stay bit-identical.  Recorded
+fixtures' data.  Under the key "duhamel" it holds the SHA-256 of
+``duhamel_solve`` outputs on five small cases (p = 3, 3.5 and 4, a
+one-step horizon, an outgoing grid).  Snapshot levels and Duhamel
+outputs must stay bit-identical.  Recorded
 values may move only by the rounding of a reordered sum or product, so
 they are compared at rtol 1e-13 (atol 1e-300 absorbs subnormals).  Each
 series is stored as evenly strided samples, its last entry included, plus
@@ -28,7 +31,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlw import cylinder_integral, energy_total, weighted_morawetz
+from nlw import (
+    DirectedPulse,
+    GaussianBump,
+    GridSpec,
+    cylinder_integral,
+    duhamel_solve,
+    energy_total,
+    make_params,
+    weighted_morawetz,
+)
 
 FROZEN = Path(__file__).parent / "data" / "frozen_ledger.json"
 SAMPLES = 64
@@ -130,6 +142,37 @@ def report_record(triangle_runs, appendix_quick):
     return out
 
 
+def _duhamel_cases():
+    """(name, pair, params, grid, t_target) of the frozen oracle solves."""
+    refinement = GaussianBump(0.5, 2.0, 0.5)
+    c02 = GaussianBump(0.1, 2.0, 0.5)
+    bootstrap = GaussianBump(0.8, 2.0, 0.4)
+    pulse = DirectedPulse(0.5, 3.0, 0.5, direction="inward")
+    cases = [
+        ("p=4 refinement bump h=1/32 t=1", refinement, make_params(4.0, 0.25),
+         GridSpec.padded(1.0 / 32.0, 1.0, refinement.support_radius()), 1.0),
+        ("p=3 C02 bump h=1/64 t=1", c02, make_params(3.0, 0.5),
+         GridSpec.padded(1.0 / 64.0, 1.0, c02.support_radius()), 1.0),
+        ("p=3.5 refinement bump h=1/32 t=1", refinement, make_params(3.5, 0.25),
+         GridSpec.padded(1.0 / 32.0, 1.0, refinement.support_radius()), 1.0),
+        ("p=4 bootstrap bump h=1/32 t=h", bootstrap, make_params(4.0, 0.25),
+         GridSpec.padded(1.0 / 32.0, 1.0, bootstrap.support_radius()), 1.0 / 32.0),
+        # data reach r_max, so the zero extension past it is exercised too
+        ("p=3 inward pulse outgoing h=1/32 t=1", pulse, make_params(3.0, 0.5),
+         GridSpec(h=1.0 / 32.0, r_max=6.0, t_max=1.0, boundary="outgoing"), 1.0),
+    ]
+    return [(name, fam.sample(grid), params, grid, t) for name, fam, params, grid, t in cases]
+
+
+def duhamel_record():
+    """JSON-ready size and SHA-256 of each frozen ``duhamel_solve`` output."""
+    out = {}
+    for name, pair, params, grid, t in _duhamel_cases():
+        w = duhamel_solve(pair, params, grid, t)
+        out[name] = {"size": int(w.size), "sha256": _digest(w)}
+    return out
+
+
 @pytest.fixture(scope="module")
 def frozen():
     with FROZEN.open(encoding="utf-8") as fh:
@@ -138,7 +181,8 @@ def frozen():
 
 @pytest.fixture(scope="module")
 def records(frozen, compact_run, triangle_runs, linear_pulse_run, appendix_quick):
-    frozen = {name: rec for name, rec in frozen.items() if name != "reports"}
+    frozen = {name: rec for name, rec in frozen.items()
+              if name not in ("reports", "duhamel")}
     now = ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick)
     assert set(now) == set(frozen)
     return frozen, now
@@ -194,3 +238,7 @@ def test_report_numbers_match_frozen(frozen, triangle_runs, appendix_quick):
     assert set(got) == set(want)
     for key, ref in want.items():
         _close(got[key], ref, key)
+
+
+def test_duhamel_outputs_bit_identical(frozen):
+    assert duhamel_record() == frozen["duhamel"]
