@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, InitialDataError, NoContractionError, OffGridError
+from .errors import (
+    BlowupError,
+    ConfigError,
+    InitialDataError,
+    NoContractionError,
+    OffGridError,
+)
 from .model import nonlinearity
 from .numerics import abs_power, grid_index, odd_power, trapz
 
@@ -563,6 +569,20 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     return traj
 
 
+def _diagonals(a, col, sign, shape):
+    """Read-only view v[jt, j, y] = a[j, col + sign*(jt - j) + y].
+
+    Each v[jt] is a shifted diagonal band of a: one step down a row moves
+    one column against sign.  The caller keeps every index of shape
+    inside a.
+    """
+    s0, s1 = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a[0, col:], shape=shape, strides=(sign * s1, s0 - sign * s1, s1),
+        writeable=False,
+    )
+
+
 def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX_SWEEPS):
     """Solve the integral (Duhamel) form of the equation by Picard
     iteration and return the field at t_target.
@@ -573,13 +593,25 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
     (computed with per-level prefix sums).  The quadrature shares nothing
     with the leapfrog's diamond-midpoint rule beyond the grid itself.
 
+    A sweep evaluates the source once per time level, then sums each
+    target level's light triangle over all earlier source levels at once:
+    the prefix-sum and source values it needs are shifted diagonals of the
+    per-level tables, read through strided views, and the rows are added
+    in source-level order, so every node sees the same operations in the
+    same order as a level-by-level loop.
+
     Values are exact (to quadrature order) wherever the backward triangle
     stays inside the grid: data are zero-extended beyond r_max, so for
     data supported in r <= r_max - t_target the whole level is clean.
 
-    Raises NoContractionError if the sweep cap is hit before the sup-norm
-    update falls below tol.
+    Raises OffGridError for a negative or off-grid t_target, ConfigError
+    for max_sweeps < 1, and NoContractionError if the sweep cap is hit
+    before the sup-norm update falls below tol.
     """
+    if max_sweeps < 1:
+        raise ConfigError(f"max_sweeps={max_sweeps} must be at least 1")
+    if t_target < 0:
+        raise OffGridError(f"t_target={t_target} must not be negative")
     h = grid.h
     n = grid.n
     p = params.p
@@ -618,8 +650,18 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
     r_pow[1:] = 1.0 / abs_power(h * y[1:], p - 1.0)
 
     u = lin.copy()
+    new = np.empty_like(lin)
     ge = np.zeros((m + 1, ny + 2 * m + 1))
     pg = np.zeros((m + 1, ny + 2 * m + 2))
+    # source level j reaches target level jt over [y - d, y + d], d = jt - j
+    band = (m + 1, m, ny + 1)
+    pg_hi = _diagonals(pg, off + 1, 1, band)  # pg[j, y + d + off + 1]
+    pg_lo = _diagonals(pg, off, -1, band)  # pg[j, y - d + off]
+    ge_hi = _diagonals(ge, off, 1, band)  # ge[j, y + d + off]
+    ge_lo = _diagonals(ge, off, -1, band)  # ge[j, y - d + off]
+    work = np.empty_like(lin)
+    half_sum = np.empty((m, ny + 1))
+    acc = np.empty(ny + 1)
     prev_diff = math.inf
     grew = 0
     for sweep in range(max_sweeps):
@@ -627,24 +669,26 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
         # the guards below turn it into NoContractionError
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m + 1):
-                g = odd_power(u[j], p) * r_pow
-                ge[j, off : off + ny + 1] = g
-                ge[j, :off] = -g[m:0:-1]
+                g = ge[j, off : off + ny + 1]
+                np.multiply(odd_power(u[j], p), r_pow, out=g)
+                np.negative(g[m:0:-1], out=ge[j, :off])
                 np.cumsum(ge[j], out=pg[j, 1:])
-            new = lin.copy()
+            np.copyto(new, lin)
             for jt in range(1, m + 1):
-                acc = np.zeros(ny + 1)
-                for j in range(jt):
-                    d = jt - j
-                    lo = y - d + off
-                    hi = y + d + off
-                    inner = h * (
-                        pg[j, hi + 1] - pg[j, lo] - 0.5 * (ge[j, lo] + ge[j, hi])
-                    )
-                    acc += inner if j > 0 else 0.5 * inner
-                new[jt] -= 0.5 * h * acc
-            diff = float(np.abs(new - u).max())
-        u = new
+                # inner[j] = h*(pg_hi - pg_lo - 0.5*(ge_lo + ge_hi)), j < jt
+                inner, gsum = work[:jt], half_sum[:jt]
+                np.subtract(pg_hi[jt, :jt], pg_lo[jt, :jt], out=inner)
+                np.add(ge_lo[jt, :jt], ge_hi[jt, :jt], out=gsum)
+                gsum *= 0.5
+                inner -= gsum
+                inner *= h
+                inner[0] *= 0.5
+                np.add.reduce(inner, axis=0, out=acc, initial=0.0)
+                acc *= 0.5 * h
+                new[jt] -= acc
+            np.subtract(new, u, out=work)
+            diff = float(np.abs(work, out=work).max())
+        u, new = new, u
         if diff <= tol:
             return u[m, : n + 1].copy()
         if not math.isfinite(diff):

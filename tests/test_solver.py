@@ -5,7 +5,13 @@ import pytest
 
 import oracles
 import nlw.solver
-from nlw.errors import BlowupError, InitialDataError, NoContractionError, OffGridError
+from nlw.errors import (
+    BlowupError,
+    ConfigError,
+    InitialDataError,
+    NoContractionError,
+    OffGridError,
+)
 from nlw.model import (
     DirectedPulse,
     GaussianBump,
@@ -142,6 +148,49 @@ def test_duhamel_rejects_non_contractive_horizon():
     pair = fam.sample(grid)
     with pytest.raises(NoContractionError):
         duhamel_solve(pair, params, grid, 8.0)
+
+
+def _small_duhamel_case():
+    params = make_params(4.0, 0.25)
+    fam = GaussianBump(0.5, 2.0, 0.5)
+    grid = GridSpec.padded(1.0 / 16.0, 1.0, fam.support_radius())
+    return fam.sample(grid), params, grid
+
+
+def test_duhamel_rejects_negative_time():
+    pair, params, grid = _small_duhamel_case()
+    with pytest.raises(OffGridError):
+        duhamel_solve(pair, params, grid, -1.0)
+    assert np.array_equal(duhamel_solve(pair, params, grid, 0.0), pair.w0)
+
+
+def test_duhamel_rejects_sweep_cap_below_one():
+    pair, params, grid = _small_duhamel_case()
+    for cap in (0, -2):
+        with pytest.raises(ConfigError):
+            duhamel_solve(pair, params, grid, 1.0, max_sweeps=cap)
+
+
+def test_duhamel_takes_one_source_power_per_level_per_sweep(monkeypatch):
+    pair, params, grid = _small_duhamel_case()
+
+    def converges(cap):
+        try:
+            duhamel_solve(pair, params, grid, 1.0, max_sweeps=cap)
+        except NoContractionError:
+            return False
+        return True
+
+    # the number of sweeps is the smallest cap the iteration converges under
+    sweeps = next(
+        cap for cap in range(1, nlw.solver.PICARD_MAX_SWEEPS + 1) if converges(cap)
+    )
+    assert sweeps >= 2
+    calls = []
+    real = nlw.solver.odd_power
+    monkeypatch.setattr(nlw.solver, "odd_power", lambda *a: calls.append(1) or real(*a))
+    duhamel_solve(pair, params, grid, 1.0)
+    assert len(calls) == (grid.steps + 1) * sweeps
 
 
 # --------------------------------------------------------------------------
