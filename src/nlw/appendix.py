@@ -162,26 +162,46 @@ def source_triangle_check(slab, grid, params, c, region):
     return TriangleBoundReport(region=region, integral=value, bound=bound)
 
 
+def envelope_holds(pair, params, grid, c):
+    """Whether the run from pair keeps |w| < 3 c r^beta on the causal wedge
+    [1 + t, r_max - t] at every level through t_max: the peak ratio of
+    evolve()'s envelope monitor stays below 1 and the scheme does not blow
+    up."""
+    mon = Monitors(envelope=EnvelopeSpec(c=c, ray_offsets=()))
+    try:
+        traj = evolve(pair, params, grid, mon)
+    except BlowupError:
+        # far past the threshold the explicit scheme goes unstable near the
+        # origin before the level loop finishes; either way the envelope
+        # did not hold
+        return False
+    return traj.envelope.peak_ratio < 1.0
+
+
 def find_envelope_threshold(p, h=1.0 / 32.0, t_max=16.0, lo=0.02, hi=2.0, cap=4.0):
     """Largest amplitude c (up to bisection resolution) for which the
     envelope |w| < 3 c r^beta holds on r >= 1 + t through t_max, found
-    empirically on a coarse grid.  Returns the safe (holding) endpoint.
+    empirically on a coarse grid.  Returns the safe (holding) endpoint,
+    at most cap: the search doubles hi while the envelope holds there,
+    then bisects [lo, hi] twelve times.
+
+    Each probe c runs envelope_holds on the power-law data of amplitude c,
+    on an outgoing grid of radius 2 + 2 t_max.
+
+    Raises OutOfRangeError unless 0 < lo < hi <= cap, or if the envelope
+    fails even at lo.
     """
+    if not 0.0 < lo < hi <= cap:
+        raise OutOfRangeError(
+            f"need 0 < lo < hi <= cap, got lo={lo}, hi={hi}, cap={cap}"
+        )
     params = make_params(p, 0.5)  # kappa is irrelevant to the envelope
+    r_max = h * math.ceil((2.0 + 2.0 * t_max) / h)
+    grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
 
     def holds(c):
-        family = AppendixPowerLaw(c, params)
-        r_max = h * math.ceil((2.0 + 2.0 * t_max) / h)
-        grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
-        mon = Monitors(envelope=EnvelopeSpec(c=c, ray_offsets=()))
-        try:
-            traj = evolve(family.sample(grid, leak_tol=None), params, grid, mon)
-        except BlowupError:
-            # far past the threshold the explicit scheme goes unstable near
-            # the origin before the level loop finishes; either way the
-            # envelope did not hold
-            return False
-        return traj.envelope.peak_ratio < 1.0
+        pair = AppendixPowerLaw(c, params).sample(grid, leak_tol=None)
+        return envelope_holds(pair, params, grid, c)
 
     if not holds(lo):
         raise OutOfRangeError(f"envelope fails even at c={lo}; no threshold found")

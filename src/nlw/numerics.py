@@ -11,6 +11,7 @@ import functools
 import numpy as np
 
 _TINY = np.finfo(float).tiny
+_DOT_CHUNK = 10_000
 
 
 def trapz(y, h):
@@ -19,6 +20,25 @@ def trapz(y, h):
     if y.shape[-1] < 2:
         return 0.0
     return h * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+
+
+def trapz_dot(a, b, h):
+    """Composite trapezoid integral of the product a*b of two samples on a
+    uniform grid: a dot product with the two end terms corrected.
+
+    Equal to trapz(a * b, h) up to the rounding of the summation order,
+    without forming the product.  The dot runs in chunks of _DOT_CHUNK
+    entries, which OpenBLAS keeps on one thread: past that size it splits
+    a dot across threads, and on arrays this core has just written the
+    other thread's fetch costs several times the dot itself.
+    """
+    size = a.shape[-1]
+    if size < 2:
+        return 0.0
+    total = 0.0
+    for i in range(0, size, _DOT_CHUNK):
+        total += float(np.dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK]))
+    return h * (total - 0.5 * (float(a[0] * b[0]) + float(a[-1] * b[-1])))
 
 
 def cumtrapz(y, h):
@@ -46,7 +66,7 @@ def derivative(f, h):
     return out
 
 
-def abs_power(x, q):
+def abs_power(x, q, out=None):
     """|x|**q with cheap exact paths for small integer exponents.
 
     The evolution loop evaluates |w|^{p-1} every step; for the integer
@@ -59,32 +79,42 @@ def abs_power(x, q):
     np.power skips exact zeros and entries whose power would underflow,
     which libm otherwise evaluates on a path some 50 times slower than a
     normal power.
+
+    out, a float array of x's shape, receives the result and is returned;
+    its values are bitwise those of the allocating form.  Exponents 5 to 7
+    still take one temporary (x^2), the others none.
     """
     x = np.asarray(x)
+    res = np.empty(x.shape) if out is None else out
     qi = int(round(q))
     if abs(q - qi) < 1e-12 and 1 <= qi <= 8:
-        x2 = x * x
         if qi == 1:
-            return np.abs(x)
-        if qi == 2:
-            return x2
-        if qi == 3:
-            return np.abs(x) * x2
-        if qi == 4:
-            return x2 * x2
-        if qi == 5:
-            return np.abs(x) * x2 * x2
-        if qi == 6:
-            return x2 * x2 * x2
-        if qi == 7:
-            return np.abs(x) * x2 * x2 * x2
-        x4 = x2 * x2
-        return x4 * x4
-    a = np.abs(x)
-    out = np.zeros_like(a, dtype=float)
-    # ~(a <= floor) rather than a > floor, so that NaN stays NaN
-    np.power(a, q, out=out, where=~(a <= _underflow_floor(q)))
-    return out[()]
+            np.abs(x, out=res)
+        elif qi in (2, 4, 8):
+            np.multiply(x, x, out=res)
+            for _ in range(qi // 4):
+                res *= res
+        elif qi == 3:
+            # |x| x^2 == |x x^2| bitwise: rounding is symmetric in sign
+            np.multiply(x, x, out=res)
+            res *= x
+            np.abs(res, out=res)
+        else:
+            x2 = x * x
+            if qi == 6:
+                np.multiply(x2, x2, out=res)
+            else:
+                np.multiply(x, x2, out=res)
+                np.abs(res, out=res)
+            for _ in range((qi - 3) // 2):
+                res *= x2
+    else:
+        a = np.abs(x, out=res)
+        # a <= floor is False for NaN, so NaN stays NaN
+        under = a <= _underflow_floor(q)
+        np.power(a, q, out=a, where=~under)
+        a[under] = 0.0
+    return res if out is not None else res[()]
 
 
 @functools.lru_cache(maxsize=64)

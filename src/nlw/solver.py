@@ -38,7 +38,7 @@ from .errors import (
     OffGridError,
 )
 from .model import nonlinearity
-from .numerics import abs_power, grid_index, odd_power, trapz
+from .numerics import abs_power, grid_index, odd_power, trapz, trapz_dot
 
 BLOWUP_FACTOR = 1e3
 PICARD_MAX_SWEEPS = 50
@@ -238,13 +238,12 @@ def _inverse_power(r, s):
     return out
 
 
-def _source(w, e, p, inv_rp1, out):
-    """Fill out[:e] with the source (|w|^{p-1} w) / r^{p-1} of the nodes
-    [0, e) and return the power q = |w|^{p-1} it took."""
-    q = abs_power(w[:e], p - 1.0)
-    np.multiply(q, w[:e], out=out[:e])
+def _source(w, e, p, inv_rp1, q, out):
+    """Fill q[:e] with the power |w|^{p-1} of the nodes [0, e) and out[:e]
+    with the source (q w) / r^{p-1}."""
+    abs_power(w[:e], p - 1.0, out=q[:e])
+    np.multiply(q[:e], w[:e], out=out[:e])
     out[:e] *= inv_rp1[:e]
-    return q
 
 
 def leapfrog(pair, params, grid, linear=False):
@@ -274,10 +273,11 @@ def leapfrog(pair, params, grid, linear=False):
     nonzero = np.flatnonzero((pair.w0 != 0.0) | (pair.w1 != 0.0))
     supp = int(nonzero[-1]) if nonzero.size else 0
     blowup_at = BLOWUP_FACTOR * (np.abs(pair.w0).max() + 1.0)
-    # written only on nodes [0, e) for a window end e that never decreases,
-    # so its entries past the window stay zero
+    # q and f are written only on nodes [0, e) for a window end e that
+    # never decreases, so their entries past the window stay zero
+    q = None if linear else np.zeros(n + 1)
     f = None if linear else np.zeros(n + 1)
-    q = None
+    work = np.empty(n + 1)  # the step's h^2 f
 
     w_prev = bootstrap(pair, params, grid, linear=linear, direction=-1)
     w = pair.w0.copy()
@@ -286,20 +286,21 @@ def leapfrog(pair, params, grid, linear=False):
         # level m + 1 reaches node supp + m + 1; one more node is zero
         e = min(n + 1, supp + m + 3)
         if not linear:
-            q = _source(w, e, p, inv_rp1, f)
+            _source(w, e, p, inv_rp1, q, f)
         if m > 0:
             top = min(e + 1, n + 1)  # updates nodes 1 .. top-2
             nxt = w_next[1 : top - 1]
             np.add(w[: top - 2], w[2:top], out=nxt)
             nxt -= w_prev[1 : top - 1]
             if not linear:
-                nxt -= (h * h) * f[1 : top - 1]
+                nxt -= np.multiply(f[1 : top - 1], h * h, out=work[1 : top - 1])
             w_next[0] = 0.0
             w_next[-1] = 0.0 if grid.boundary == "pad" else w[-2]
-            sup = float(np.abs(w_next[:e]).max())
+            window = w_next[:e]
+            sup = float(np.maximum(window.max(), -window.min()))  # NaN stays NaN
             if not math.isfinite(sup) or sup > blowup_at:
                 raise BlowupError(f"|w| reached {sup:.3g} at t={(m + 1) * h:.6g}")
-        yield m, w_prev, w, w_next, e, q, f
+        yield m, w_prev, w, w_next, e, (None if linear else q[:e]), f
         # level m - 1 is no longer needed; its buffer takes level m + 2
         w_prev, w, w_next = w, w_next, w_prev
 
@@ -317,9 +318,14 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     q = |w|^{p-1}.  The source f = (q w) / r^{p-1} drives the step, and
     every diagnostic power is a product of f, q and w:
     |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2 and
-    |u|^{2(p-1)} r^2 = (q / r^{p-1})^2 r^2.  Linear runs take that power
-    here, for the ledger only.  The characteristic bins, which sample the
+    |u|^{2(p-1)} r^2 = (q r^{2-p})^2.  Linear runs take that power here,
+    for the ledger only.  The characteristic bins, which sample the
     midpoint-in-time field, take a second power.
+
+    The window totals (E_-, E_+, bulk, y2p, exterior norm) are trapezoid
+    dot products (numerics.trapz_dot); the densities themselves are formed
+    only on the prefix of nodes that the radii and triangle probes read.
+    Every per-level array is a workspace allocated once per run.
 
     Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
@@ -335,11 +341,14 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     inv_rp1 = _inverse_power(r, p - 1.0)
     inv_rp = _inverse_power(r, p)
     inv_r = _inverse_power(r, 1.0)
-    r_sq = r * r
+    r_2mp = r * inv_rp1  # r^{2-p}, 0 at the origin
     pot_coef = 2.0 / (p + 1.0)
-    # trapezoid weight times the time step h, per node, for the bins
-    bin_wts = np.full(n + 1, h * h)
-    bin_wts[0] = bin_wts[-1] = h * (0.5 * h)
+    chan_sq = 1.0 / (4.0 * h * h)  # (w_r +- w_t)^2 per chan^2
+    # per node: the trapezoid weight times the time step h, over r^p, and
+    # 2^-(p+1), which turns |w_m + w_{m+1}|^{p+1} into the midpoint's power
+    bin_coef = np.full(n + 1, h * h)
+    bin_coef[0] = bin_coef[-1] = h * (0.5 * h)
+    bin_coef *= inv_rp * 0.5 ** (p + 1.0)
     one_idx = grid_index(1.0, h, "exterior base radius r")
 
     ledger = EnergyLedger.allocate(steps, h, params, mon, n)
@@ -373,6 +382,8 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         if m0 < 0 or m1 > steps:
             raise OffGridError(f"outward triangle ({t0},{r0}) leaves the run")
         triangles.append(TriangleRecord(t0, r0, "outward", m0, m1))
+    # node of each triangle's corner radius r0
+    tri_i0 = [grid_index(rec.r0, h, "triangle r0") for rec in triangles]
 
     snap_levels = {}
     for t_snap in mon.snapshot_times:
@@ -394,6 +405,7 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         )
         env_floor = np.zeros(n + 1)
         env_floor[1:] = mon.envelope.c * r[1:] ** params.beta
+        env_floor3 = 3.0 * env_floor
         prof_idx = grid_index(mon.envelope.r_min_profile, h, "profile radius")
         ray_idx = [
             grid_index(off, h, "ray offset") for off in mon.envelope.ray_offsets
@@ -416,42 +428,65 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         linear=linear,
     )
 
-    # each workspace below is written only on leapfrog's window [0, e),
-    # whose end never decreases, so its entries past the window stay zero
-    f_linear = np.zeros(n + 1) if linear else None  # the ledger's source
-    g1 = np.zeros(n + 1)  # |w|^{p+1} / r^{p-1}; stays zero in linear runs
-    g2 = np.zeros(n + 1)  # |w|^{p+1} / r^p; stays zero in linear runs
-    wr = np.zeros(n + 1)
-    wt = np.zeros(n + 1)
-    ea = np.zeros(n + 1)  # inward energy density / pi
-    eb = np.zeros(n + 1)  # outward energy density / pi
+    # chan, dens and g2 are written only on nodes [0, e) of leapfrog's
+    # window, whose end never decreases, so their entries past the window
+    # stay zero; tmp is scratch
+    q_linear = np.zeros(n + 1) if linear else None  # the ledger's power
+    f_linear = np.zeros(n + 1) if linear else None  # and source
+    dt0 = (2.0 * h) * pair.w1  # 2h w_t at level 0
+    # 2h (w_r + w_t) and 2h (w_r - w_t); the bins' power in row 0
+    chan = np.zeros((2, n + 1))
+    dens = np.zeros((2, n + 1))  # inward, outward energy density / pi
+    g2 = np.zeros(n + 1)  # |w|^{p+1} / r^p; zero in linear runs
     tmp = np.zeros(n + 1)
 
-    def diagnose(m, w_prev, w, w_next, q, f, e, w_t=None):
+    def diagnose(m, w_prev, w, w_next, q, f, e):
         """Record every per-level series for level m (time t = m*h) from
-        the nodes [0, e), past which every integrand vanishes."""
-        win = slice(0, e)
+        the nodes [0, e), past which every integrand vanishes.  The
+        densities dens and g2 are formed on the nodes [0, pre) that the
+        radii and triangle probes read."""
+        # 2h (w_r +- w_t) from differences: 2h w_r in tmp, 2h w_t in chan[1]
         c = min(e, n)  # centered differences on nodes 1 .. c-1
-        np.subtract(w[2 : c + 1], w[: c - 1], out=wr[1:c])
-        wr[1:c] /= 2.0 * h
-        wr[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h)
+        np.subtract(w[2 : c + 1], w[: c - 1], out=tmp[1:c])
+        tmp[0] = -3.0 * w[0] + 4.0 * w[1] - w[2]
         if e > n:
-            wr[n] = (3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]) / (2.0 * h)
-        if w_t is None:
-            np.subtract(w_next[win], w_prev[win], out=wt[win])
-            wt[win] /= 2.0 * h
-            w_t = wt
+            tmp[n] = 3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]
+        ch = chan[:, :e]
+        d_t = dt0[:e] if m == 0 else np.subtract(w_next[:e], w_prev[:e], out=ch[1])
+        np.add(tmp[:e], d_t, out=ch[0])
+        np.subtract(tmp[:e], d_t, out=ch[1])
 
-        np.add(wr[win], w_t[win], out=ea[win])
-        ea[win] *= ea[win]
-        np.subtract(wr[win], w_t[win], out=eb[win])
-        eb[win] *= eb[win]
-        if not linear:
-            np.multiply(g1[win], pot_coef, out=tmp[win])
-            ea[win] += tmp[win]
-            eb[win] += tmp[win]
-        e_minus = math.pi * trapz(ea[win], h)
-        e_plus = math.pi * trapz(eb[win], h)
+        t4_idx = max(1, min(n, int(round(m / 4.0))))
+        radius_at = [
+            (label, t4_idx if label == "t/4" else radius_idx[label])
+            for label in mon.radii
+        ]
+        live = []  # (record, slanted-edge node, corner level?, corner node)
+        for rec, i0 in zip(triangles, tri_i0):
+            if rec.m_lo <= m <= rec.m_hi:
+                inward = rec.kind == "inward"
+                edge = rec.m_hi - m if inward else m - rec.m_lo
+                live.append((rec, edge, m == (rec.m_lo if inward else rec.m_hi), i0))
+        pre = 1 + max(
+            [idx for _, idx in radius_at]
+            + [max(edge, i0 if corner else 0) for _, edge, corner, i0 in live],
+            default=-1,
+        )
+        pre = min(e, pre)
+        if pre > 0:
+            dp = dens[:, :pre]
+            np.divide(ch[:, :pre], 2.0 * h, out=dp)
+            dp *= dp
+            if not linear:
+                # |w|^{p+1} / r^{p-1}, then its share 2/(p+1) of the energy
+                pot_dens = np.multiply(f[:pre], w[:pre], out=tmp[:pre])
+                np.multiply(pot_dens, inv_r[:pre], out=g2[:pre])
+                pot_dens *= pot_coef
+                dp += pot_dens
+
+        pot = 0.0 if linear else pot_coef * trapz_dot(f[:e], w[:e], h)
+        e_minus = math.pi * (trapz_dot(ch[0], ch[0], h) * chan_sq + pot)
+        e_plus = math.pi * (trapz_dot(ch[1], ch[1], h) * chan_sq + pot)
         ledger.e_minus[m] = e_minus
         ledger.e_plus[m] = e_plus
         ledger.e_total[m] = e_minus + e_plus
@@ -461,62 +496,57 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         else:
             ledger.xi[m] = (4.0 * w[1] - w[2]) / (2.0 * h)
 
-        ledger.bulk[m] = trapz(g2[win], h)
-        np.multiply(f[win], f[win], out=tmp[win])  # |u|^{2p} r^2
-        ledger.y2p[m] = math.sqrt(4.0 * math.pi * trapz(tmp[win], h))
+        if not linear:
+            u = np.multiply(w[:e], inv_r[:e], out=tmp[:e])
+            ledger.bulk[m] = trapz_dot(f[:e], u, h)
+        ledger.y2p[m] = math.sqrt(4.0 * math.pi * trapz_dot(f[:e], f[:e], h))
 
-        # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr; trapz
-        # gives 0 once fewer than two nodes of the window lie past 1 + t
+        # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr; the
+        # integral is 0 once fewer than two nodes of the window lie past 1 + t
         j0 = m + one_idx
-        ext = q[j0:] * inv_rp1[j0:e]  # |u|^{p-1}
-        ext *= ext
-        ext *= r_sq[j0:e]
-        ledger.exterior_l2p2[m] = 4.0 * math.pi * trapz(ext, h)
+        u_p1 = np.multiply(q[j0:], r_2mp[j0:e], out=tmp[j0:e])  # |u|^{p-1} r
+        ledger.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h)
 
-        for label in mon.radii:
-            if label == "t/4":
-                idx = max(1, min(n, int(round(m / 4.0))))
-            else:
-                idx = radius_idx[label]
-            em = math.pi * trapz(ea[: idx + 1], h)
-            ep = math.pi * trapz(eb[: idx + 1], h)
+        for label, idx in radius_at:
+            em, ep = math.pi * trapz(dens[:, : idx + 1], h)
             tot, mn, pl = ledger.radii[label]
             tot[m] = em + ep
             mn[m] = em
             pl[m] = ep
 
+        def flux(i):
+            """|w|^{p+1} / r^{p-1} at node i, 0 at the origin and if linear."""
+            return 0.0 if i == 0 or linear else f[i] * w[i]
+
         for s, arr in flux_in.items():
             i = flux_in_idx[s] - m
             if 0 <= i <= n:
-                arr[m] = 0.0 if i == 0 else g1[i]
+                arr[m] = flux(i)
         for tau, arr in flux_out.items():
             i = m - flux_out_idx[tau]
             if 0 <= i <= n:
-                arr[m] = 0.0 if i == 0 else g1[i]
+                arr[m] = flux(i)
         for tau, arr in char_traces.items():
             i = m - char_idx[tau]
             if 1 <= i <= n - 1:
-                arr[m] = wr[i] - w_t[i]
+                arr[m] = chan[1, i] / (2.0 * h)
 
-        for rec in triangles:
-            if not (rec.m_lo <= m <= rec.m_hi):
-                continue
+        for rec, edge, corner, i0 in live:
             wt_time = 0.5 if m in (rec.m_lo, rec.m_hi) else 1.0
-            # node on the slanted edge, which is also the slice's width
-            edge = rec.m_hi - m if rec.kind == "inward" else m - rec.m_lo
-            # radial trapezoid times the time trapezoid weight (one h)
+            # radial trapezoid times the time trapezoid weight (one h);
+            # the slanted-edge node is also the slice's width
             rec.bulk += wt_time * h * trapz(g2[: edge + 1], h)
-            rec.flux += wt_time * h * (0.0 if edge == 0 else g1[edge])
-            if m == (rec.m_lo if rec.kind == "inward" else rec.m_hi):
-                i0 = grid_index(rec.r0, h, "triangle r0")
-                dens = ea if rec.kind == "inward" else eb
-                rec.energy = math.pi * trapz(dens[: i0 + 1], h)
+            rec.flux += wt_time * h * flux(edge)
+            if corner:
+                row = 0 if rec.kind == "inward" else 1
+                rec.energy = math.pi * trapz(dens[row, : i0 + 1], h)
 
         if env is not None:
             lo = m + one_idx
             hi = n - m  # causal wedge: boundary influence travels inward at speed 1
             if lo <= hi:
-                ratio = np.abs(w[lo : hi + 1]) / (3.0 * env_floor[lo : hi + 1])
+                ratio = np.abs(w[lo : hi + 1], out=tmp[: hi + 1 - lo])
+                ratio /= env_floor3[lo : hi + 1]
                 k = int(np.argmax(ratio))
                 env.max_ratio[m] = ratio[k]
                 if ratio[k] > env.peak_ratio:
@@ -527,8 +557,8 @@ def evolve(pair, params, grid, monitors=None, linear=False):
                     env.first_violation_t = m * h
                 plo = max(lo, prof_idx)
                 if plo <= hi:
-                    prof = np.abs(w[plo : hi + 1]) / env_floor[plo : hi + 1]
-                    env.min_profile[m] = prof.min()
+                    # |w| / (c r^beta) is three times the ratio, to rounding
+                    env.min_profile[m] = 3.0 * ratio[plo - lo :].min()
                 for kray, doff in enumerate(ray_idx):
                     j = lo + doff
                     if j <= hi:
@@ -548,21 +578,20 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     def bin_step(m, w_lo, w_hi, e):
         """Accumulate the characteristic bins for the step m -> m+1 using
         the midpoint-in-time field; bin k collects mass near r+t=(k+1/2)h."""
-        np.add(w_lo[:e], w_hi[:e], out=tmp[:e])
-        tmp[:e] *= 0.5
-        g = abs_power(tmp[:e], p + 1.0)
-        g *= inv_rp[:e]
-        g *= bin_wts[:e]
+        # |x|^{p+1} as |x|^{p-1} x^2 with x = w_m + w_{m+1}: no temporary,
+        # and for p = 3 .. 6 the multiplications of abs_power's own ladder
+        x = np.add(w_lo[:e], w_hi[:e], out=tmp[:e])
+        g = abs_power(x, p - 1.0, out=chan[0, :e])
+        x *= x
+        g *= x
+        g *= bin_coef[:e]
         ledger.s_bulk[m : m + e] += g
 
     for m, w_prev, w, w_next, e, q, f in leapfrog(pair, params, grid, linear):
         if linear:
-            f = f_linear
-            q = _source(w, e, p, inv_rp1, f)
-        else:
-            np.multiply(f[:e], w[:e], out=g1[:e])
-            np.multiply(g1[:e], inv_r[:e], out=g2[:e])
-        diagnose(m, w_prev, w, w_next, q, f, e, w_t=pair.w1 if m == 0 else None)
+            _source(w, e, p, inv_rp1, q_linear, f_linear)
+            q, f = q_linear[:e], f_linear
+        diagnose(m, w_prev, w, w_next, q, f, e)
         if m < steps and not linear:
             bin_step(m, w, w_next, e)
 

@@ -6,6 +6,7 @@ import pytest
 
 from nlw.appendix import (
     TriangleRegion,
+    envelope_holds,
     find_envelope_threshold,
     full_slab,
     run_appendix_example,
@@ -13,9 +14,10 @@ from nlw.appendix import (
     triangle_bound_constant,
     triangle_integral,
 )
-from nlw.errors import OutOfRangeError
+from nlw.errors import BlowupError, OutOfRangeError
 from nlw.model import AppendixPowerLaw, GaussianBump, make_params
-from nlw.solver import GridSpec, Monitors, evolve
+from nlw.numerics import grid_index
+from nlw.solver import GridSpec, Monitors, evolve, leapfrog
 
 from oracles import cp_closed, triangle_power_closed, triangle_quad
 
@@ -172,6 +174,61 @@ def test_envelope_threshold_brackets():
 def test_envelope_threshold_unreachable_floor():
     with pytest.raises(OutOfRangeError):
         find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0, lo=3.9, hi=3.95)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cap", [(0.02, 8.0, 1.0), (2.0, 2.0, 4.0), (3.0, 2.0, 4.0), (0.0, 2.0, 4.0)]
+)
+def test_envelope_threshold_rejects_a_bad_bracket(lo, hi, cap):
+    """A bracket outside 0 < lo < hi <= cap is refused up front; with
+    hi = 8 > cap = 1 the search used to return 3.096, above its cap."""
+    with pytest.raises(OutOfRangeError):
+        find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0, lo=lo, hi=hi, cap=cap)
+
+
+def test_envelope_threshold_stays_at_or_below_cap():
+    # the envelope holds at c = 1 here (threshold about 3.1), so the
+    # doubling search stops at the cap itself
+    assert find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0, hi=0.5, cap=1.0) == 1.0
+
+
+def _envelope_only_holds(pair, params, grid, c):
+    """The probe decision from the leapfrog levels alone: "fails" at the
+    first level whose envelope ratio |w| / (3 c r^beta) over the wedge
+    [1 + t, r_max - t] reaches 1, "blows up" on a blow-up; no ledger."""
+    floor3 = np.zeros(grid.n + 1)
+    floor3[1:] = 3.0 * (c * grid.r[1:] ** params.beta)
+    one = grid_index(1.0, grid.h)
+    try:
+        for m, _, w, *_ in leapfrog(pair, params, grid):
+            lo, hi = m + one, grid.n - m
+            if lo <= hi and np.max(np.abs(w[lo : hi + 1]) / floor3[lo : hi + 1]) >= 1.0:
+                return "fails"
+    except BlowupError:
+        return "blows up"
+    return "holds"
+
+
+@pytest.mark.parametrize("p", [3.5, 4.0])
+def test_envelope_probe_decides_as_the_envelope_only_check(p):
+    """envelope_holds (the threshold search's probe) against an early-exit
+    check of the envelope ratio alone, on power-law data of amplitude a
+    probed at c: a = c over the whole range (holds, then blows up), and
+    a = 3 probed at c < a / 2.5, where the ratio starts near 1 and may
+    reach it mid-run or at once."""
+    params = make_params(p, 0.5)
+    h, t_max = 1.0 / 16.0, 8.0
+    grid = GridSpec(h=h, r_max=h * math.ceil((2.0 + 2.0 * t_max) / h), t_max=t_max,
+                    boundary="outgoing")
+    cases = [(a, a) for a in (0.5, 2.0, 3.0, 3.5, 3.6, 4.0, 8.0, 16.0)]
+    cases += [(3.0, 3.0 / k) for k in (2.5, 2.7, 2.8, 2.9, 2.95, 3.0, 3.2)]
+    seen = set()
+    for a, c in cases:
+        pair = AppendixPowerLaw(a, params).sample(grid, leak_tol=None)
+        verdict = _envelope_only_holds(pair, params, grid, c)
+        seen.add(verdict)
+        assert envelope_holds(pair, params, grid, c) == (verdict == "holds"), (a, c)
+    assert seen == {"holds", "fails", "blows up"}
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from nlw.numerics import (
     grid_index,
     odd_power,
     trapz,
+    trapz_dot,
 )
 
 
@@ -124,3 +125,60 @@ def test_power_underflow_guard(q):
     assert np.array_equal(odd[normal], ref[normal] * x[normal])
     assert np.all(odd[~normal] == 0.0)
     assert np.array_equal(np.signbit(odd), np.signbit(x))
+
+
+def _ladder(x, q):
+    """abs_power's values spelled out: products of x^2 for the integer
+    exponents 1 .. 8, np.power zeroed below the smallest normal float for
+    the others."""
+    a = np.abs(x)
+    x2 = x * x
+    ladder = {
+        1: lambda: a,
+        2: lambda: x2,
+        3: lambda: a * x2,
+        4: lambda: x2 * x2,
+        5: lambda: a * x2 * x2,
+        6: lambda: x2 * x2 * x2,
+        7: lambda: a * x2 * x2 * x2,
+        8: lambda: (x2 * x2) * (x2 * x2),
+    }
+    if q == int(q):
+        return ladder[int(q)]()
+    ref = a**q
+    ref[ref < np.finfo(float).tiny] = 0.0
+    return ref
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5, 3.5, 4.5])
+def test_abs_power_out_is_bitwise_the_allocating_form(q):
+    """With out=, abs_power writes into out and returns it, with the bits
+    of the allocating form: zeros of either sign, NaN, infinities and the
+    values around the underflow floor included."""
+    floor = np.finfo(float).tiny ** (1.0 / q)
+    near_floor = floor * (1.0 + np.finfo(float).eps * np.arange(-8, 9))
+    mags = np.concatenate([np.logspace(-320, 300, 2001), near_floor])
+    x = np.concatenate([mags, -mags, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ref = _ladder(x, q)
+        got = abs_power(x, q)
+        out = np.full(x.shape, 7.0)
+        into = abs_power(x, q, out=out)
+        scalar = abs_power(np.float64(-1.5), q)
+    assert into is out
+    assert got.tobytes() == ref.tobytes()
+    assert out.tobytes() == ref.tobytes()
+    assert np.ndim(scalar) == 0 and scalar == _ladder(np.array([-1.5]), q)[0]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 257, 10_000, 10_001, 25_003])
+def test_trapz_dot_is_the_trapezoid_of_the_product(size):
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal(size)
+    b = rng.standard_normal(size) + 2.0
+    got = trapz_dot(a, b, 0.01)
+    if size < 2:
+        assert got == 0.0
+    else:
+        ref = trapz(a * b, 0.01)
+        assert got == pytest.approx(ref, rel=1e-13, abs=1e-13 * trapz(np.abs(a * b), 0.01))

@@ -13,13 +13,14 @@ from nlw.errors import (
     OffGridError,
 )
 from nlw.model import (
+    AppendixPowerLaw,
     DirectedPulse,
     GaussianBump,
     RadialPair,
     energy_total,
     make_params,
 )
-from nlw.numerics import grid_index
+from nlw.numerics import derivative, grid_index, trapz
 from nlw.solver import (
     GridSpec,
     Monitors,
@@ -513,3 +514,81 @@ def test_leapfrog_rejects_data_off_the_grid():
         next(leapfrog(pair, params, grid))
     with pytest.raises(InitialDataError):
         evolve(pair, params, grid)
+
+
+def _ledger_loop(pair, params, grid, radii, linear):
+    """evolve()'s per-level totals and radius energies recomputed from the
+    leapfrog levels with full-grid densities and numerics.trapz, the way
+    evolve() formed them before it took its totals as dot products."""
+    h, n, p = grid.h, grid.n, params.p
+    r = grid.r
+    inv_rp1 = np.concatenate([[0.0], 1.0 / r[1:] ** (p - 1.0)])
+    inv_r = np.concatenate([[0.0], 1.0 / r[1:]])
+    one = grid_index(1.0, h)
+    out = {name: np.zeros(grid.steps + 1)
+           for name in ("e_minus", "e_plus", "bulk", "y2p", "exterior_l2p2")}
+    for label in radii:
+        out[f"radius {label}"] = np.zeros((2, grid.steps + 1))
+    for m, w_prev, w, w_next, e, q, f in leapfrog(pair, params, grid, linear):
+        if linear:
+            q = np.abs(w) ** (p - 1.0)
+            f = q * w * inv_rp1
+        else:
+            q = np.concatenate([q, np.zeros(n + 1 - e)])  # yielded on [0, e)
+        wr = derivative(w, h)
+        wt = pair.w1 if m == 0 else (w_next - w_prev) / (2.0 * h)
+        pot = 0.0 if linear else (2.0 / (p + 1.0)) * (f * w)
+        ea = (wr + wt) ** 2 + pot
+        eb = (wr - wt) ** 2 + pot
+        out["e_minus"][m] = math.pi * trapz(ea, h)
+        out["e_plus"][m] = math.pi * trapz(eb, h)
+        out["bulk"][m] = 0.0 if linear else trapz(f * w * inv_r, h)
+        out["y2p"][m] = math.sqrt(4.0 * math.pi * trapz(f * f, h))
+        j0 = m + one
+        ext = (q[j0:] * inv_rp1[j0:]) ** 2 * r[j0:] ** 2
+        out["exterior_l2p2"][m] = 4.0 * math.pi * trapz(ext, h)
+        for label in radii:
+            if label == "t/4":
+                idx = max(1, min(n, int(round(m / 4.0))))
+            else:
+                idx = grid_index(label, h)
+            out[f"radius {label}"][:, m] = (
+                math.pi * trapz(ea[: idx + 1], h),
+                math.pi * trapz(eb[: idx + 1], h),
+            )
+    return out
+
+
+LEDGER_CASES = {
+    "p=3.5 padded bump": (
+        3.5, GaussianBump(0.5, 2.0, 0.5), lambda fam: GridSpec.padded(1.0 / 64.0, 4.0, fam.support_radius()), False),
+    "p=3 linear inward pulse": (
+        3.0, DirectedPulse(0.8, 3.0, 0.4, direction="inward"),
+        lambda fam: GridSpec.padded(1.0 / 64.0, 5.0, fam.support_radius()), True),
+    "p=4 power law, outgoing": (
+        4.0, AppendixPowerLaw(1.0, make_params(4.0, 0.25)),
+        lambda fam: GridSpec(h=1.0 / 32.0, r_max=12.0, t_max=4.0, boundary="outgoing"), False),
+}
+
+
+@pytest.mark.parametrize("case", list(LEDGER_CASES))
+def test_ledger_matches_level_by_level_reference(case):
+    p, fam, make_grid, linear = LEDGER_CASES[case]
+    params = make_params(p, 0.25)
+    grid = make_grid(fam)
+    pair = fam.sample(grid, leak_tol=None) if isinstance(fam, AppendixPowerLaw) else fam.sample(grid)
+    radii = (1.0, 2.0, "t/4")
+    led = evolve(pair, params, grid, Monitors(radii=radii), linear=linear).ledger
+    ref = _ledger_loop(pair, params, grid, radii, linear)
+    for name in ("e_minus", "e_plus", "bulk", "y2p", "exterior_l2p2"):
+        np.testing.assert_allclose(getattr(led, name), ref[name], rtol=1e-13, atol=1e-300,
+                                   err_msg=name)
+    for label in radii:
+        _, e_minus, e_plus = led.radii[label]
+        np.testing.assert_allclose(np.stack([e_minus, e_plus]), ref[f"radius {label}"],
+                                   rtol=1e-13, atol=1e-300, err_msg=f"radius {label}")
+    assert led.exterior_l2p2.max() > 0.0 and led.y2p.min() > 0.0
+    if linear:
+        assert not led.bulk.any()
+    else:
+        assert led.bulk.min() > 0.0
