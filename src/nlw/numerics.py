@@ -23,8 +23,8 @@ def trapz(y, h):
 
 
 def trapz_dot(a, b, h):
-    """Composite trapezoid integral of the product a*b of two samples on a
-    uniform grid: a dot product with the two end terms corrected.
+    """Composite trapezoid integral of the product a*b of two 1-D samples on
+    a uniform grid: a dot product with the two end terms corrected.
 
     Equal to trapz(a * b, h) up to the rounding of the summation order,
     without forming the product.  The dot runs in chunks of _DOT_CHUNK
@@ -32,7 +32,7 @@ def trapz_dot(a, b, h):
     a dot across threads, and on arrays this core has just written the
     other thread's fetch costs several times the dot itself.
     """
-    size = a.shape[-1]
+    size = len(a)
     if size < 2:
         return 0.0
     total = 0.0
