@@ -277,7 +277,7 @@ def leapfrog(pair, params, grid, linear=False):
     # never decreases, so their entries past the window stay zero
     q = None if linear else np.zeros(n + 1)
     f = None if linear else np.zeros(n + 1)
-    work = np.empty(n + 1)  # the step's h^2 f
+    work = None if linear else np.empty(n + 1)  # the step's h^2 f
 
     w_prev = bootstrap(pair, params, grid, linear=linear, direction=-1)
     w = pair.w0.copy()
