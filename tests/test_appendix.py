@@ -192,6 +192,16 @@ def test_envelope_threshold_stays_at_or_below_cap():
     assert find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0, hi=0.5, cap=1.0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "p, want",
+    [(3.0, 4.201171875), (3.5, 3.55126953125), (4.0, 3.09716796875), (4.5, 2.76904296875)],
+)
+def test_envelope_threshold_pinned(p, want):
+    """The search's result, bit for bit, at h = 1/16 and t_max = 8 (values
+    of nlw 0.1.0).  cap = 16 lets p = 3 end by bisection, not at the cap."""
+    assert find_envelope_threshold(p, h=1.0 / 16.0, t_max=8.0, cap=16.0) == want
+
+
 def _envelope_only_holds(pair, params, grid, c):
     """The probe decision from the leapfrog levels alone: "fails" at the
     first level whose envelope ratio |w| / (3 c r^beta) over the wedge
