@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BlowupError,
+    ConfigError,
     DivergentIntegralError,
     OutOfRangeError,
     TailNotConvergedError,
@@ -166,8 +167,8 @@ def envelope_holds(pair, params, grid, c):
     """Whether the run from pair keeps |w| < 3 c r^beta on the causal wedge
     [1 + t, r_max - t] at every level through t_max: the peak ratio of
     evolve()'s envelope monitor stays below 1 and the scheme does not blow
-    up."""
-    mon = Monitors(envelope=EnvelopeSpec(c=c, ray_offsets=()))
+    up.  The probe records the envelope alone: no ledger totals, no bins."""
+    mon = Monitors(envelope=EnvelopeSpec(c=c, ray_offsets=()), totals=False)
     try:
         traj = evolve(pair, params, grid, mon)
     except BlowupError:
@@ -235,7 +236,7 @@ def run_appendix_example(
     verdict, the weighted channel mass (or its divergence), the decay of
     the inward energy against t^{-kappa}, the scattering-rate fits, and
     the triangle source bound.  c=None picks half the empirically found
-    envelope threshold.
+    envelope threshold.  The main run records no characteristic bins.
 
     r_max=None sizes the grid at 16*t_max + 4.  The causal wedge only
     needs 1 + 2*t_max, but the exterior norm is truncation-sensitive:
@@ -243,7 +244,12 @@ def run_appendix_example(
     1/(1+t) - 1/r_max into a linear-in-T deficit of the cumulative norm,
     so r_max must be a large multiple of t_max for the logarithmic
     growth to come through cleanly.
+
+    Raises ConfigError, before any run, if t_max is below 4, the first
+    dyadic sample time.
     """
+    if not t_max >= 4.0:
+        raise ConfigError(f"t_max={t_max} is below 4, the first dyadic sample time")
     params = make_params(p, kappa)
     threshold = None
     if c is None:

@@ -41,50 +41,47 @@ from .model import inward_density, k_functional, potential_density
 from .numerics import abs_power, cumtrapz, derivative, grid_index, trapz
 
 
+TOTALS = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")
+
+
 @dataclass
 class EnergyLedger:
     """Per-level scalar series recorded by evolve().
 
-    s_bulk bins the nonlinear bulk mass by characteristic label: bin k
-    holds the contribution of |w|^{p+1}/r^p from the strip of spacetime
-    with r + t in [k*h, (k+1)*h) (midpoint-in-time, trapezoid-in-space),
-    so weighted integrals over r+t > s_min reduce to a weighted bin sum.
+    Unless Monitors.totals is False, allocate() adds the totals: E, E_-
+    and E_+ (e_total, e_minus, e_plus), xi, bulk = int |w|^{p+1}/r^p dr,
+    y2p = (4pi int |u|^{2p} r^2 dr)^{1/2} and exterior_l2p2 =
+    4pi int_{r>1+t} |u|^{2(p-1)} r^2 dr.  Only if Monitors.bins asks for
+    them it adds the characteristic bins s_bulk: bin k holds the
+    contribution of |w|^{p+1}/r^p from the strip of spacetime with r + t
+    in [k*h, (k+1)*h) (midpoint-in-time, trapezoid-in-space), so weighted
+    integrals over r+t > s_min reduce to a weighted bin sum.  Reading a
+    series the run did not record raises OffGridError.
     """
 
     h: float
     p: float
     kappa: float
-    n: int
     t: np.ndarray
-    e_total: np.ndarray
-    e_minus: np.ndarray
-    e_plus: np.ndarray
-    xi: np.ndarray
-    bulk: np.ndarray  # int |w|^{p+1}/r^p dr per level
-    y2p: np.ndarray  # (4pi int |u|^{2p} r^2 dr)^{1/2} per level
-    exterior_l2p2: np.ndarray  # 4pi int_{r>1+t} |u|^{2(p-1)} r^2 dr
     radii: dict  # label -> (E, E_minus, E_plus) arrays
-    s_bulk: np.ndarray
+
+    def __getattr__(self, name):
+        # reached only for attributes that were never set
+        if name in TOTALS or name == "s_bulk":
+            monitor = "bins" if name == "s_bulk" else "totals"
+            raise OffGridError(f"{name} was not recorded: the run had Monitors({monitor}=False)")
+        raise AttributeError(name)
 
     @classmethod
     def allocate(cls, steps, h, params, monitors, n):
         zeros = lambda: np.zeros(steps + 1)
-        return cls(
-            h=h,
-            p=params.p,
-            kappa=params.kappa,
-            n=n,
-            t=h * np.arange(steps + 1),
-            e_total=zeros(),
-            e_minus=zeros(),
-            e_plus=zeros(),
-            xi=zeros(),
-            bulk=zeros(),
-            y2p=zeros(),
-            exterior_l2p2=zeros(),
-            radii={label: (zeros(), zeros(), zeros()) for label in monitors.radii},
-            s_bulk=np.zeros(steps + n + 1),
-        )
+        led = cls(h=h, p=params.p, kappa=params.kappa, t=h * np.arange(steps + 1),
+                  radii={label: (zeros(), zeros(), zeros()) for label in monitors.radii})
+        for name in TOTALS if monitors.totals else ():
+            setattr(led, name, zeros())
+        if monitors.bins:
+            led.s_bulk = np.zeros(steps + n + 1)
+        return led
 
     @property
     def t_max(self):
@@ -166,7 +163,7 @@ class EnergyLedger:
 
     def bulk_weighted(self, weight, s_min=1.0):
         """iint over {r+t >= s_min} of weight(r+t) |w|^{p+1}/r^p, from the
-        characteristic bins (no prefactor)."""
+        characteristic bins, recorded only on request (no prefactor)."""
         s_mid = self.h * (np.arange(self.s_bulk.size) + 0.5)
         mask = s_mid >= s_min
         return float(np.dot(weight(s_mid[mask]), self.s_bulk[mask]))
@@ -401,9 +398,10 @@ def weighted_morawetz(traj, kappa=None, weight=None, gamma=None):
     may be supplied together with its gamma; it is validated against the
     hypotheses a(1) = 1, 0 < a'(s) <= gamma*a(s)/s before use.
 
-    The left side is evaluated from kappa-independent accumulators (xi
-    series and characteristic bins), the right side K1 from the initial
-    data, so several weights can be compared on a single run.
+    The left side comes from kappa-independent accumulators, the xi series
+    and the characteristic bins, which the run must have asked for with
+    Monitors(bins=True) (OffGridError otherwise); the right side K1 comes
+    from the initial data, so several weights can be compared on one run.
     """
     led = traj.ledger
     p = traj.params.p
@@ -527,7 +525,7 @@ def pointwise_bounds(w, h, p):
     E1 uses the cell-slope sum h * sum ((w_{i+1}-w_i)/h)^2, for which the
     discrete ratio1 <= 1 holds exactly (telescoping plus Cauchy-Schwarz at
     the nodes, sharp for linear w).  Nodes where a denominator vanishes
-    are skipped.
+    are skipped; a NaN in w makes both ratios NaN.
     """
     w = np.asarray(w, dtype=float)
     r = h * np.arange(w.size)
@@ -539,13 +537,13 @@ def pointwise_bounds(w, h, p):
     e2 = cumtrapz(pot, h)
 
     ratio1 = np.zeros_like(w)
-    mask1 = e1 > 0.0
+    mask1 = ~(e1 <= 0.0)  # keeps NaN, which argmax then returns
     ratio1[mask1] = np.abs(w[mask1]) / np.sqrt(r[mask1] * e1[mask1])
     k1 = int(np.argmax(ratio1))
 
     ratio2 = np.zeros_like(w)
     prod = e1 * e2
-    mask2 = prod > 0.0
+    mask2 = ~(prod <= 0.0)
     expo = (p - 1.0) / (p + 3.0)
     ratio2[mask2] = np.abs(w[mask2]) / (
         2.0 * r[mask2] ** expo * prod[mask2] ** (1.0 / (p + 3.0))

@@ -19,10 +19,10 @@ trapezoid quadrature over the full backward light triangle of every node.
 Its source quadrature is genuinely different from the leapfrog's, which
 makes the pair usable for cross-verification at second order.
 
-leapfrog() generates the levels of the scheme.  evolve() accumulates the
-running diagnostics (channel energies, origin trace, flux lines, triangle
-probes, characteristic-line bins) while it steps, because storing the
-full space-time field is not affordable for production grids.
+leapfrog() generates the levels of the scheme.  evolve() records, while
+it steps, the diagnostics its Monitors ask for (channel energies, origin
+trace, flux lines, triangle probes, characteristic-line bins), because
+storing the full space-time field is not affordable for production grids.
 """
 
 import math
@@ -116,8 +116,12 @@ class EnvelopeSpec:
 
 @dataclass
 class Monitors:
-    """What evolve() should record beyond the global energy series.
+    """What evolve() should record.  evolve() runs only the recorders
+    these fields ask for; reading what a run did not record raises
+    OffGridError.
 
+    totals         the per-level ledger series: E, E_-, E_+, xi, the bulk
+                   integral, y2p and the exterior norm
     radii          channel energies E(t;0,R) for fixed R, plus the moving
                    label "t/4" for the ball of radius t/4
     flux_s         inward characteristic lines r + t = s to record the
@@ -128,6 +132,8 @@ class Monitors:
     triangles_out  outward triangle probes (t0, r0), t0 >= r0
     snapshot_times three-level snapshots at these times
     envelope       EnvelopeSpec or None
+    bins           the characteristic bins (ledger.s_bulk) for
+                   diagnostics.weighted_morawetz; they cost a second power
     xi_variant     "one_sided" (w(h)/h) or "second_order"
     """
 
@@ -140,6 +146,8 @@ class Monitors:
     snapshot_times: tuple = ()
     envelope: EnvelopeSpec | None = None
     xi_variant: str = "one_sided"
+    totals: bool = True
+    bins: bool = False
 
 
 @dataclass
@@ -305,296 +313,284 @@ def leapfrog(pair, params, grid, linear=False):
         w_prev, w, w_next = w, w_next, w_prev
 
 
-def evolve(pair, params, grid, monitors=None, linear=False):
-    """Run the leapfrog scheme to t_max, accumulating diagnostics.
+class _Recorders:
+    """The per-monitor recorders of one evolve() run.
 
-    Returns a Trajectory whose ledger carries per-level series (channel
-    energies, origin trace, bulk integrals, characteristic bins) and
+    Each method records one monitor kind from a level of leapfrog(),
+    (m, w_prev, w, w_next, e, q, f); `active` holds those the run's
+    Monitors ask for, in call order.  They share one workspace, allocated
+    once per run: chan = 2h (w_r + w_t), 2h (w_r - w_t) for the totals,
+    radii, triangles and traces; dens = the inward and outward energy
+    densities / pi and g2 = |w|^{p+1}/r^p (zero in linear runs), on the
+    prefix of nodes that the radii and triangles read.  All are written
+    only on nodes [0, e) of leapfrog's window, whose end never decreases,
+    so their entries past the window stay zero; tmp is scratch.
+    """
+
+    def __init__(self, traj):
+        grid, params, mon, led = traj.grid, traj.params, traj.monitors, traj.ledger
+        h, n, steps, r, p = grid.h, grid.n, grid.steps, grid.r, params.p
+        self.traj, self.led, self.linear = traj, led, traj.linear
+        self.h, self.n, self.steps, self.r, self.p = h, n, steps, r, p
+        self.one = grid_index(1.0, h, "exterior base radius r")
+        self.inv_r = _inverse_power(r, 1.0)
+        self.dt0 = (2.0 * h) * traj.pair.w1  # 2h w_t at level 0
+        self.chan, self.dens = np.zeros((2, n + 1)), np.zeros((2, n + 1))
+        self.g2, self.tmp = np.zeros(n + 1), np.zeros(n + 1)
+        self.formed = (-1, 0)  # level and prefix end of dens and g2
+        tri = mon.triangles or mon.triangles_out
+        self.active = [self.channels] if mon.totals or mon.radii or tri or mon.char_tau else []
+
+        if mon.totals:
+            self.inv_rp1 = _inverse_power(r, p - 1.0)
+            self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
+            if traj.linear:  # the ledger's power and source
+                self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
+            self.active.append(self.totals)
+        if mon.radii:
+            self.radius_idx = {
+                x: grid_index(float(x), h, f"radius {x}") for x in mon.radii if x != "t/4"
+            }
+            self.active.append(self.radii)
+        # (series, label node k, +1 inward / -1 outward, w_r - w_t trace?)
+        self.lines = []
+        for labels, what, sign, trace, out in (
+            (mon.flux_s, "flux label s", 1, False, traj.flux_in),
+            (mon.flux_tau, "flux label tau", -1, False, traj.flux_out),
+            (mon.char_tau, "trace label tau", -1, True, traj.char_traces),
+        ):
+            for x in labels:
+                out[x] = np.full(steps + 1, np.nan)
+                self.lines.append((out[x], grid_index(x, h, f"{what}={x}"), sign, trace))
+        if self.lines:
+            self.active.append(self.line_samples)
+        self.corner_idx = []  # node of each triangle's corner radius r0
+        for kind, probes in (("inward", mon.triangles), ("outward", mon.triangles_out)):
+            for (t0, r0) in probes:
+                t_lo, t_hi = (t0, t0 + r0) if kind == "inward" else (t0 - r0, t0)
+                m0, m1 = grid_index(t_lo, h, "triangle start"), grid_index(t_hi, h, "triangle end")
+                if m0 < 0 or m1 > steps:
+                    raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run")
+                traj.triangle_records.append(TriangleRecord(t0, r0, kind, m0, m1))
+                self.corner_idx.append(grid_index(r0, h, "triangle r0"))
+        if tri:
+            self.active.append(self.triangles)
+        if mon.envelope is not None:
+            spec = mon.envelope
+            traj.envelope = EnvelopeRecord(
+                c=spec.c,
+                beta=params.beta,
+                t=h * np.arange(steps + 1),
+                max_ratio=np.full(steps + 1, np.nan),
+                min_profile=np.full(steps + 1, np.nan),
+                ray_offsets=tuple(spec.ray_offsets),
+                ray_ratio=np.full((len(spec.ray_offsets), steps + 1), np.nan),
+            )
+            self.env_floor = np.zeros(n + 1)
+            self.env_floor[1:] = spec.c * r[1:] ** params.beta
+            self.env_floor3 = 3.0 * self.env_floor
+            self.prof_idx = grid_index(spec.r_min_profile, h, "profile radius")
+            self.ray_idx = [grid_index(off, h, "ray offset") for off in spec.ray_offsets]
+            self.active.append(self.envelope)
+        self.snap_levels = {}
+        for t_snap in mon.snapshot_times:
+            m_snap = grid_index(t_snap, h, "snapshot time")
+            if m_snap > steps:
+                raise OffGridError(f"snapshot time {t_snap} past t_max")
+            self.snap_levels[m_snap] = t_snap
+        if self.snap_levels:
+            self.active.append(self.snapshots)
+        if mon.bins and not traj.linear:
+            # per node: trapezoid weight times the step h, over r^p, and
+            # 2^-(p+1), turning |w_m + w_{m+1}|^{p+1} into the midpoint power
+            self.bin_coef = np.full(n + 1, h * h)
+            self.bin_coef[0] = self.bin_coef[-1] = h * (0.5 * h)
+            self.bin_coef *= _inverse_power(r, p) * 0.5 ** (p + 1.0)
+            self.active.append(self.bins)
+
+    def channels(self, m, w_prev, w, w_next, e, q, f):
+        """chan on [0, e) from undivided differences: 2h w_r in tmp, 2h w_t
+        in chan[1]."""
+        n, tmp, ch = self.n, self.tmp, self.chan[:, :e]
+        c = min(e, n)  # centered differences on nodes 1 .. c-1
+        np.subtract(w[2 : c + 1], w[: c - 1], out=tmp[1:c])
+        tmp[0] = -3.0 * w[0] + 4.0 * w[1] - w[2]
+        if e > n:
+            tmp[n] = 3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]
+        d_t = self.dt0[:e] if m == 0 else np.subtract(w_next[:e], w_prev[:e], out=ch[1])
+        np.add(tmp[:e], d_t, out=ch[0])
+        np.subtract(tmp[:e], d_t, out=ch[1])
+
+    def densities(self, m, w, f, end):
+        """Form dens and g2 of level m on the nodes [0, end), past the
+        prefix that an earlier recorder formed at this level."""
+        lo = self.formed[1] if self.formed[0] == m else 0
+        if end <= lo:
+            return
+        self.formed = (m, end)
+        dp = self.dens[:, lo:end]
+        np.divide(self.chan[:, lo:end], 2.0 * self.h, out=dp)
+        dp *= dp
+        if not self.linear:
+            # |w|^{p+1} / r^{p-1}, then its share 2/(p+1) of the energy
+            pot_dens = np.multiply(f[lo:end], w[lo:end], out=self.tmp[lo:end])
+            np.multiply(pot_dens, self.inv_r[lo:end], out=self.g2[lo:end])
+            pot_dens *= 2.0 / (self.p + 1.0)
+            dp += pot_dens
+
+    def flux(self, w, f, i):
+        """|w|^{p+1} / r^{p-1} at node i, 0 at the origin and if linear."""
+        return 0.0 if i == 0 or self.linear else f[i] * w[i]
+
+    def totals(self, m, w_prev, w, w_next, e, q, f):
+        """E_-, E_+, E, xi, bulk, y2p and the exterior norm of level m, as
+        trapezoid dot products over the window."""
+        h, p, led, tmp, ch = self.h, self.p, self.led, self.tmp, self.chan[:, :e]
+        if self.linear:
+            _source(w, e, p, self.inv_rp1, self.q_lin, self.f_lin)
+            q, f = self.q_lin[:e], self.f_lin
+            pot = 0.0
+        else:
+            pot = (2.0 / (p + 1.0)) * trapz_dot(f[:e], w[:e], h)
+            u = np.multiply(w[:e], self.inv_r[:e], out=tmp[:e])
+            led.bulk[m] = trapz_dot(f[:e], u, h)
+        chan_sq = 1.0 / (4.0 * h * h)  # (w_r +- w_t)^2 per chan^2
+        e_minus = math.pi * (trapz_dot(ch[0], ch[0], h) * chan_sq + pot)
+        e_plus = math.pi * (trapz_dot(ch[1], ch[1], h) * chan_sq + pot)
+        led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
+        if self.traj.monitors.xi_variant == "one_sided":
+            led.xi[m] = w[1] / h
+        else:
+            led.xi[m] = (4.0 * w[1] - w[2]) / (2.0 * h)
+        led.y2p[m] = math.sqrt(4.0 * math.pi * trapz_dot(f[:e], f[:e], h))
+        # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr; the
+        # integral is 0 once fewer than two nodes of the window lie past 1 + t
+        j0 = m + self.one
+        u_p1 = np.multiply(q[j0:], self.r_2mp[j0:e], out=tmp[j0:e])  # |u|^{p-1} r
+        led.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h)
+
+    def radii(self, m, w_prev, w, w_next, e, q, f):
+        """Channel energies on [0, R] for each monitored radius R or t/4."""
+        t4_idx = max(1, min(self.n, int(round(m / 4.0))))
+        at = [(x, t4_idx if x == "t/4" else self.radius_idx[x]) for x in self.led.radii]
+        self.densities(m, w, f, min(e, 1 + max(i for _, i in at)))
+        for label, i in at:
+            em, ep = math.pi * trapz(self.dens[:, : i + 1], self.h)
+            tot, mn, pl = self.led.radii[label]
+            tot[m], mn[m], pl[m] = em + ep, em, ep
+
+    def line_samples(self, m, w_prev, w, w_next, e, q, f):
+        """The flux integrand on the lines r + t = s and r = t - tau, and
+        (w_r - w_t) on the lines of char_tau, at level m."""
+        for arr, k, sign, trace in self.lines:
+            i = sign * (k - m)
+            if trace:
+                if 1 <= i <= self.n - 1:
+                    arr[m] = self.chan[1, i] / (2.0 * self.h)
+            elif 0 <= i <= self.n:
+                arr[m] = self.flux(w, f, i)
+
+    def triangles(self, m, w_prev, w, w_next, e, q, f):
+        """Level m's slice of each live triangle probe's bulk and edge flux,
+        and the channel energy at its corner."""
+        h = self.h
+        live = []  # (record, slanted-edge node, corner level?, corner node)
+        for rec, i0 in zip(self.traj.triangle_records, self.corner_idx):
+            if rec.m_lo <= m <= rec.m_hi:
+                inward = rec.kind == "inward"
+                edge = rec.m_hi - m if inward else m - rec.m_lo
+                live.append((rec, edge, m == (rec.m_lo if inward else rec.m_hi), i0))
+        if not live:
+            return
+        reach = max(max(edge, i0 if corner else 0) for _, edge, corner, i0 in live)
+        self.densities(m, w, f, min(e, 1 + reach))
+        for rec, edge, corner, i0 in live:
+            wt_time = 0.5 if m in (rec.m_lo, rec.m_hi) else 1.0
+            # radial trapezoid times the time trapezoid weight (one h);
+            # the slanted-edge node is also the slice's width
+            rec.bulk += wt_time * h * trapz(self.g2[: edge + 1], h)
+            rec.flux += wt_time * h * self.flux(w, f, edge)
+            if corner:
+                row = 0 if rec.kind == "inward" else 1
+                rec.energy = math.pi * trapz(self.dens[row, : i0 + 1], h)
+
+    def envelope(self, m, w_prev, w, w_next, e, q, f):
+        """Level m's extrema of the envelope and profile ratios, and the
+        ray samples (see EnvelopeSpec)."""
+        env = self.traj.envelope
+        lo = m + self.one
+        hi = self.n - m  # causal wedge: boundary influence travels inward at speed 1
+        if lo > hi:
+            return
+        ratio = np.abs(w[lo : hi + 1], out=self.tmp[: hi + 1 - lo])
+        ratio /= self.env_floor3[lo : hi + 1]
+        k = int(np.argmax(ratio))
+        env.max_ratio[m] = ratio[k]
+        if ratio[k] > env.peak_ratio:
+            env.peak_ratio = float(ratio[k])
+            env.peak_r = self.r[lo + k]
+            env.peak_t = m * self.h
+        if ratio[k] >= 1.0 and math.isnan(env.first_violation_t):
+            env.first_violation_t = m * self.h
+        plo = max(lo, self.prof_idx)
+        if plo <= hi:
+            # |w| / (c r^beta) is three times the ratio, to rounding
+            env.min_profile[m] = 3.0 * ratio[plo - lo :].min()
+        for kray, doff in enumerate(self.ray_idx):
+            j = lo + doff
+            if j <= hi:
+                env.ray_ratio[kray, m] = abs(w[j]) / self.env_floor[j]
+
+    def snapshots(self, m, w_prev, w, w_next, e, q, f):
+        if m in self.snap_levels:
+            self.traj.snapshots.append(Snapshot(
+                t=self.snap_levels[m], w_prev=w_prev.copy(), w_curr=w.copy(),
+                w_next=w_next.copy(), h=self.h))
+
+    def bins(self, m, w_prev, w, w_next, e, q, f):
+        """Add the step m -> m+1 to the characteristic bins, from the
+        midpoint-in-time field; bin k collects mass near r+t=(k+1/2)h."""
+        if m == self.steps:
+            return
+        # |x|^{p+1} as |x|^{p-1} x^2 with x = w_m + w_{m+1}: no temporary,
+        # and for p = 3 .. 6 the multiplications of abs_power's own ladder
+        x = np.add(w[:e], w_next[:e], out=self.tmp[:e])
+        g = abs_power(x, self.p - 1.0, out=self.chan[0, :e])
+        x *= x
+        g *= x
+        g *= self.bin_coef[:e]
+        self.led.s_bulk[m : m + e] += g
+
+
+def evolve(pair, params, grid, monitors=None, linear=False):
+    """Run the leapfrog scheme to t_max, recording what monitors ask for.
+
+    Returns a Trajectory whose ledger carries the per-level series and
     whose records carry the requested probes.  One extra level beyond
     t_max is computed so that centered time derivatives exist at t_max.
 
-    The levels come from leapfrog(), diagnostics and bins included on its
-    light-cone window only.  Each level evaluates one power,
-    q = |w|^{p-1}.  The source f = (q w) / r^{p-1} drives the step, and
-    every diagnostic power is a product of f, q and w:
-    |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2 and
-    |u|^{2(p-1)} r^2 = (q r^{2-p})^2.  Linear runs take that power here,
-    for the ledger only.  The characteristic bins, which sample the
-    midpoint-in-time field, take a second power.
-
-    The window totals (E_-, E_+, bulk, y2p, exterior norm) are trapezoid
-    dot products (numerics.trapz_dot); the densities themselves are formed
-    only on the prefix of nodes that the radii and triangle probes read.
-    Every per-level array is a workspace allocated once per run.
+    Each level of leapfrog() goes, on its light-cone window, through the
+    recorders of the requested monitor kinds only (see _Recorders).
+    Nonlinear levels reuse leapfrog's power q = |w|^{p-1} and source
+    f = (q w) / r^{p-1}: |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2 and
+    |u|^{2(p-1)} r^2 = (q r^{2-p})^2.  Linear runs take that power for the
+    totals only.  The characteristic bins, which sample the
+    midpoint-in-time field, take a second power, so they are recorded
+    only when monitors.bins asks for them.
 
     Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
     from .diagnostics import EnergyLedger  # deferred to avoid an import cycle
 
     mon = monitors or Monitors()
-    h = grid.h
-    n = grid.n
-    steps = grid.steps
-    r = grid.r
-    p = params.p
-
-    inv_rp1 = _inverse_power(r, p - 1.0)
-    inv_rp = _inverse_power(r, p)
-    inv_r = _inverse_power(r, 1.0)
-    r_2mp = r * inv_rp1  # r^{2-p}, 0 at the origin
-    pot_coef = 2.0 / (p + 1.0)
-    chan_sq = 1.0 / (4.0 * h * h)  # (w_r +- w_t)^2 per chan^2
-    # per node: the trapezoid weight times the time step h, over r^p, and
-    # 2^-(p+1), which turns |w_m + w_{m+1}|^{p+1} into the midpoint's power
-    bin_coef = np.full(n + 1, h * h)
-    bin_coef[0] = bin_coef[-1] = h * (0.5 * h)
-    bin_coef *= inv_rp * 0.5 ** (p + 1.0)
-    one_idx = grid_index(1.0, h, "exterior base radius r")
-
-    ledger = EnergyLedger.allocate(steps, h, params, mon, n)
-
-    # fixed monitored radii -> node indices; "t/4" handled per level
-    radius_idx = {}
-    for label in mon.radii:
-        if label == "t/4":
-            continue
-        radius_idx[label] = grid_index(float(label), h, f"radius {label}")
-
-    def line_monitor(labels, what):
-        """A NaN series and the node index of each characteristic label."""
-        series = {x: np.full(steps + 1, np.nan) for x in labels}
-        return series, {x: grid_index(x, h, f"{what}={x}") for x in labels}
-
-    flux_in, flux_in_idx = line_monitor(mon.flux_s, "flux label s")
-    flux_out, flux_out_idx = line_monitor(mon.flux_tau, "flux label tau")
-    char_traces, char_idx = line_monitor(mon.char_tau, "trace label tau")
-
-    triangles = []
-    for (t0, r0) in mon.triangles:
-        m0 = grid_index(t0, h, "triangle t0")
-        m1 = grid_index(t0 + r0, h, "triangle t0+r0")
-        if m1 > steps:
-            raise OffGridError(f"inward triangle ({t0},{r0}) ends past t_max")
-        triangles.append(TriangleRecord(t0, r0, "inward", m0, m1))
-    for (t0, r0) in mon.triangles_out:
-        m1 = grid_index(t0, h, "triangle t0")
-        m0 = grid_index(t0 - r0, h, "triangle t0-r0")
-        if m0 < 0 or m1 > steps:
-            raise OffGridError(f"outward triangle ({t0},{r0}) leaves the run")
-        triangles.append(TriangleRecord(t0, r0, "outward", m0, m1))
-    # node of each triangle's corner radius r0
-    tri_i0 = [grid_index(rec.r0, h, "triangle r0") for rec in triangles]
-
-    snap_levels = {}
-    for t_snap in mon.snapshot_times:
-        m_snap = grid_index(t_snap, h, "snapshot time")
-        if m_snap > steps:
-            raise OffGridError(f"snapshot time {t_snap} past t_max")
-        snap_levels[m_snap] = t_snap
-
-    env = None
-    if mon.envelope is not None:
-        env = EnvelopeRecord(
-            c=mon.envelope.c,
-            beta=params.beta,
-            t=h * np.arange(steps + 1),
-            max_ratio=np.full(steps + 1, np.nan),
-            min_profile=np.full(steps + 1, np.nan),
-            ray_offsets=tuple(mon.envelope.ray_offsets),
-            ray_ratio=np.full((len(mon.envelope.ray_offsets), steps + 1), np.nan),
-        )
-        env_floor = np.zeros(n + 1)
-        env_floor[1:] = mon.envelope.c * r[1:] ** params.beta
-        env_floor3 = 3.0 * env_floor
-        prof_idx = grid_index(mon.envelope.r_min_profile, h, "profile radius")
-        ray_idx = [
-            grid_index(off, h, "ray offset") for off in mon.envelope.ray_offsets
-        ]
-
     if mon.xi_variant not in ("one_sided", "second_order"):
         raise OffGridError(f"unknown xi variant {mon.xi_variant!r}")
-
-    traj = Trajectory(
-        grid=grid,
-        params=params,
-        monitors=mon,
-        ledger=ledger,
-        pair=pair,
-        char_traces=char_traces,
-        flux_in=flux_in,
-        flux_out=flux_out,
-        triangle_records=triangles,
-        envelope=env,
-        linear=linear,
-    )
-
-    # chan, dens and g2 are written only on nodes [0, e) of leapfrog's
-    # window, whose end never decreases, so their entries past the window
-    # stay zero; tmp is scratch
-    q_linear = np.zeros(n + 1) if linear else None  # the ledger's power
-    f_linear = np.zeros(n + 1) if linear else None  # and source
-    dt0 = (2.0 * h) * pair.w1  # 2h w_t at level 0
-    # 2h (w_r + w_t) and 2h (w_r - w_t); the bins' power in row 0
-    chan = np.zeros((2, n + 1))
-    dens = np.zeros((2, n + 1))  # inward, outward energy density / pi
-    g2 = np.zeros(n + 1)  # |w|^{p+1} / r^p; zero in linear runs
-    tmp = np.zeros(n + 1)
-
-    def diagnose(m, w_prev, w, w_next, q, f, e):
-        """Record every per-level series for level m (time t = m*h) from
-        the nodes [0, e), past which every integrand vanishes.  The
-        densities dens and g2 are formed on the nodes [0, pre) that the
-        radii and triangle probes read."""
-        # 2h (w_r +- w_t) from differences: 2h w_r in tmp, 2h w_t in chan[1]
-        c = min(e, n)  # centered differences on nodes 1 .. c-1
-        np.subtract(w[2 : c + 1], w[: c - 1], out=tmp[1:c])
-        tmp[0] = -3.0 * w[0] + 4.0 * w[1] - w[2]
-        if e > n:
-            tmp[n] = 3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]
-        ch = chan[:, :e]
-        d_t = dt0[:e] if m == 0 else np.subtract(w_next[:e], w_prev[:e], out=ch[1])
-        np.add(tmp[:e], d_t, out=ch[0])
-        np.subtract(tmp[:e], d_t, out=ch[1])
-
-        t4_idx = max(1, min(n, int(round(m / 4.0))))
-        radius_at = [
-            (label, t4_idx if label == "t/4" else radius_idx[label])
-            for label in mon.radii
-        ]
-        live = []  # (record, slanted-edge node, corner level?, corner node)
-        for rec, i0 in zip(triangles, tri_i0):
-            if rec.m_lo <= m <= rec.m_hi:
-                inward = rec.kind == "inward"
-                edge = rec.m_hi - m if inward else m - rec.m_lo
-                live.append((rec, edge, m == (rec.m_lo if inward else rec.m_hi), i0))
-        pre = 1 + max(
-            [idx for _, idx in radius_at]
-            + [max(edge, i0 if corner else 0) for _, edge, corner, i0 in live],
-            default=-1,
-        )
-        pre = min(e, pre)
-        if pre > 0:
-            dp = dens[:, :pre]
-            np.divide(ch[:, :pre], 2.0 * h, out=dp)
-            dp *= dp
-            if not linear:
-                # |w|^{p+1} / r^{p-1}, then its share 2/(p+1) of the energy
-                pot_dens = np.multiply(f[:pre], w[:pre], out=tmp[:pre])
-                np.multiply(pot_dens, inv_r[:pre], out=g2[:pre])
-                pot_dens *= pot_coef
-                dp += pot_dens
-
-        pot = 0.0 if linear else pot_coef * trapz_dot(f[:e], w[:e], h)
-        e_minus = math.pi * (trapz_dot(ch[0], ch[0], h) * chan_sq + pot)
-        e_plus = math.pi * (trapz_dot(ch[1], ch[1], h) * chan_sq + pot)
-        ledger.e_minus[m] = e_minus
-        ledger.e_plus[m] = e_plus
-        ledger.e_total[m] = e_minus + e_plus
-
-        if mon.xi_variant == "one_sided":
-            ledger.xi[m] = w[1] / h
-        else:
-            ledger.xi[m] = (4.0 * w[1] - w[2]) / (2.0 * h)
-
-        if not linear:
-            u = np.multiply(w[:e], inv_r[:e], out=tmp[:e])
-            ledger.bulk[m] = trapz_dot(f[:e], u, h)
-        ledger.y2p[m] = math.sqrt(4.0 * math.pi * trapz_dot(f[:e], f[:e], h))
-
-        # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr; the
-        # integral is 0 once fewer than two nodes of the window lie past 1 + t
-        j0 = m + one_idx
-        u_p1 = np.multiply(q[j0:], r_2mp[j0:e], out=tmp[j0:e])  # |u|^{p-1} r
-        ledger.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h)
-
-        for label, idx in radius_at:
-            em, ep = math.pi * trapz(dens[:, : idx + 1], h)
-            tot, mn, pl = ledger.radii[label]
-            tot[m] = em + ep
-            mn[m] = em
-            pl[m] = ep
-
-        def flux(i):
-            """|w|^{p+1} / r^{p-1} at node i, 0 at the origin and if linear."""
-            return 0.0 if i == 0 or linear else f[i] * w[i]
-
-        for s, arr in flux_in.items():
-            i = flux_in_idx[s] - m
-            if 0 <= i <= n:
-                arr[m] = flux(i)
-        for tau, arr in flux_out.items():
-            i = m - flux_out_idx[tau]
-            if 0 <= i <= n:
-                arr[m] = flux(i)
-        for tau, arr in char_traces.items():
-            i = m - char_idx[tau]
-            if 1 <= i <= n - 1:
-                arr[m] = chan[1, i] / (2.0 * h)
-
-        for rec, edge, corner, i0 in live:
-            wt_time = 0.5 if m in (rec.m_lo, rec.m_hi) else 1.0
-            # radial trapezoid times the time trapezoid weight (one h);
-            # the slanted-edge node is also the slice's width
-            rec.bulk += wt_time * h * trapz(g2[: edge + 1], h)
-            rec.flux += wt_time * h * flux(edge)
-            if corner:
-                row = 0 if rec.kind == "inward" else 1
-                rec.energy = math.pi * trapz(dens[row, : i0 + 1], h)
-
-        if env is not None:
-            lo = m + one_idx
-            hi = n - m  # causal wedge: boundary influence travels inward at speed 1
-            if lo <= hi:
-                ratio = np.abs(w[lo : hi + 1], out=tmp[: hi + 1 - lo])
-                ratio /= env_floor3[lo : hi + 1]
-                k = int(np.argmax(ratio))
-                env.max_ratio[m] = ratio[k]
-                if ratio[k] > env.peak_ratio:
-                    env.peak_ratio = float(ratio[k])
-                    env.peak_r = r[lo + k]
-                    env.peak_t = m * h
-                if ratio[k] >= 1.0 and math.isnan(env.first_violation_t):
-                    env.first_violation_t = m * h
-                plo = max(lo, prof_idx)
-                if plo <= hi:
-                    # |w| / (c r^beta) is three times the ratio, to rounding
-                    env.min_profile[m] = 3.0 * ratio[plo - lo :].min()
-                for kray, doff in enumerate(ray_idx):
-                    j = lo + doff
-                    if j <= hi:
-                        env.ray_ratio[kray, m] = abs(w[j]) / env_floor[j]
-
-        if m in snap_levels:
-            traj.snapshots.append(
-                Snapshot(
-                    t=snap_levels[m],
-                    w_prev=w_prev.copy(),
-                    w_curr=w.copy(),
-                    w_next=w_next.copy(),
-                    h=h,
-                )
-            )
-
-    def bin_step(m, w_lo, w_hi, e):
-        """Accumulate the characteristic bins for the step m -> m+1 using
-        the midpoint-in-time field; bin k collects mass near r+t=(k+1/2)h."""
-        # |x|^{p+1} as |x|^{p-1} x^2 with x = w_m + w_{m+1}: no temporary,
-        # and for p = 3 .. 6 the multiplications of abs_power's own ladder
-        x = np.add(w_lo[:e], w_hi[:e], out=tmp[:e])
-        g = abs_power(x, p - 1.0, out=chan[0, :e])
-        x *= x
-        g *= x
-        g *= bin_coef[:e]
-        ledger.s_bulk[m : m + e] += g
-
-    for m, w_prev, w, w_next, e, q, f in leapfrog(pair, params, grid, linear):
-        if linear:
-            _source(w, e, p, inv_rp1, q_linear, f_linear)
-            q, f = q_linear[:e], f_linear
-        diagnose(m, w_prev, w, w_next, q, f, e)
-        if m < steps and not linear:
-            bin_step(m, w, w_next, e)
-
+    ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
+    traj = Trajectory(grid, params, mon, ledger, pair, linear=linear)
+    active = _Recorders(traj).active
+    for level in leapfrog(pair, params, grid, linear):
+        for record in active:
+            record(*level)
     return traj
 
 

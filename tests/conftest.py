@@ -42,6 +42,7 @@ def compact_run():
         radii=(1.0, "t/4"),
         flux_s=(6.0, 8.0, 12.0, 16.0, 20.0, 25.0),
         snapshot_times=(4.0, 8.0, 16.0, 32.0, 50.0),
+        bins=True,
     )
     traj, elapsed = _timed(evolve, family.sample(grid), params, grid, mon)
     return {"traj": traj, "elapsed": elapsed, "support": family.support_radius()}
@@ -57,7 +58,8 @@ def triangle_runs():
     for h in (1.0 / 128.0, 1.0 / 256.0):
         grid = GridSpec.padded(h, 4.0, family.support_radius())
         out[h] = evolve(
-            family.sample(grid), params, grid, Monitors(triangles=((1.0, 2.0),))
+            family.sample(grid), params, grid,
+            Monitors(triangles=((1.0, 2.0),), bins=True),
         )
     return out
 
@@ -69,22 +71,22 @@ def linear_pulse_run():
     params = make_params(3.0, 0.5)
     family = DirectedPulse(0.8, 4.0, 0.5, direction="inward")
     grid = GridSpec.padded(1.0 / 256.0, 12.0, family.support_radius())
-    mon = Monitors(radii=(1.0,), char_tau=(3.5,), snapshot_times=(4.0, 8.0))
+    mon = Monitors(radii=(1.0,), char_tau=(3.5,), snapshot_times=(4.0, 8.0), bins=True)
     traj = evolve(family.sample(grid), params, grid, mon, linear=True)
     return traj
 
 
 @pytest.fixture(scope="session")
 def morawetz_runs():
-    """Small-amplitude bumps at p=3 and p=4 for the weighted-bound sweep
-    (the weight accumulators are kappa-independent, so one run per p
-    serves every kappa)."""
+    """Small-amplitude bumps at p=3 and p=4 for the weighted-bound sweep,
+    with the characteristic bins it reads (the weight accumulators are
+    kappa-independent, so one run per p serves every kappa)."""
     runs = {}
     for p in (3.0, 4.0):
         params = make_params(p, 0.5)
         family = GaussianBump(0.1, 2.0, 0.5)
         grid = GridSpec.padded(1.0 / 64.0, 32.0, family.support_radius())
-        runs[p] = evolve(family.sample(grid), params, grid)
+        runs[p] = evolve(family.sample(grid), params, grid, Monitors(bins=True))
     return runs
 
 

@@ -363,6 +363,22 @@ def test_appendix_subcommand(tmp_path, capsys):
     assert (out / "energy_decay.svg").exists()
 
 
+@pytest.mark.parametrize("t_max", ["2", "3.5"])
+def test_appendix_short_horizon_exits_2_before_any_run(tmp_path, capsys, monkeypatch, t_max):
+    """t_max below the first dyadic time 4 is refused up front: it used to
+    leak numerics.dyadic_times' ValueError after the threshold search."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before t_max was checked")
+
+    monkeypatch.setattr("nlw.appendix.evolve", no_run)
+    code = main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16",
+                 "--t-max", t_max, "--out-dir", str(tmp_path / "ap")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and f"t_max={float(t_max)}" in err
+    assert not (tmp_path / "ap").exists()
+
+
 # --------------------------------------------------------------------------
 # fit subcommand
 # --------------------------------------------------------------------------

@@ -7,8 +7,10 @@ envelope records.  Under the key "reports" it also holds the numbers that
 are computed after the run: the quick appendix report (K, tail norms,
 exterior values, free-wave defects, triangle source integrals), a
 cylinder integral, and the time-zero functionals K1 and E of the triangle
-fixtures' data.  Under the key "duhamel" it holds the SHA-256 of
-``duhamel_solve`` outputs on five small cases (p = 3, 3.5 and 4, a
+fixtures' data.  The quick appendix run records no characteristic bins,
+so its s_bulk and its weighted bound come from a rerun of its main
+``evolve`` with ``bins=True``.  Under the key "duhamel" it holds the
+SHA-256 of ``duhamel_solve`` outputs on five small cases (p = 3, 3.5 and 4, a
 one-step horizon, an outgoing grid).  Snapshot levels and Duhamel
 outputs must stay bit-identical.  Recorded
 values may move only by the rounding of a reordered sum or product, so
@@ -18,11 +20,13 @@ the sum of its absolute values over every entry, which a change at any
 single level would move.
 
 To regenerate after an intended change of the numbers, dump
-``ledger_record`` of the four fixtures, with ``report_record`` under
+``ledger_record`` of the four fixtures (and the appendix rerun), with
+``report_record`` under
 "reports", to the JSON file from a throwaway test and say why in the
 change log.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,6 +42,7 @@ from nlw import (
     cylinder_integral,
     duhamel_solve,
     energy_total,
+    evolve,
     make_params,
     weighted_morawetz,
 )
@@ -66,13 +71,16 @@ def _series(a):
     }
 
 
-def _run_record(traj):
+def _run_record(traj, binned=None):
+    """Record of traj; s_bulk comes from binned, a rerun of traj with the
+    characteristic bins, when traj did not record them."""
     led = traj.ledger
     series = {
         name: _series(getattr(led, name))
         for name in ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p",
-                     "exterior_l2p2", "s_bulk")
+                     "exterior_l2p2")
     }
+    series["s_bulk"] = _series((binned or traj).ledger.s_bulk)
     for label, arrays in led.radii.items():
         for part, arr in zip(("total", "minus", "plus"), arrays):
             series[f"radius {label} {part}"] = _series(arr)
@@ -108,16 +116,18 @@ def _run_record(traj):
     return rec
 
 
-def ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick):
+def ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick,
+                  appendix_binned):
     """JSON-ready record of the four shared fixtures."""
-    runs = {"compact": compact_run["traj"], "linear_pulse": linear_pulse_run,
-            "appendix_quick": appendix_quick["traj"]}
+    out = {"compact": _run_record(compact_run["traj"]),
+           "linear_pulse": _run_record(linear_pulse_run),
+           "appendix_quick": _run_record(appendix_quick["traj"], appendix_binned)}
     for h, traj in triangle_runs.items():
-        runs[f"triangle h=1/{round(1 / h)}"] = traj
-    return {name: _run_record(traj) for name, traj in runs.items()}
+        out[f"triangle h=1/{round(1 / h)}"] = _run_record(traj)
+    return out
 
 
-def report_record(triangle_runs, appendix_quick):
+def report_record(triangle_runs, appendix_quick, appendix_binned):
     """JSON-ready numbers derived from the runs and their initial data."""
     rep = appendix_quick["report"]
     rates = rep["scattering_rates"]
@@ -134,7 +144,7 @@ def report_record(triangle_runs, appendix_quick):
         "appendix free_wave_defect": rates["free_wave_defect"]["values"],
         "appendix triangle integrals": [row["integral"] for row in rep["triangle_bound"]],
         "appendix cylinder": [cyl.value, cyl.tail, cyl.tail_exponent],
-        "appendix morawetz k1": weighted_morawetz(traj).k1,
+        "appendix morawetz k1": weighted_morawetz(appendix_binned).k1,
     }
     for h, run in triangle_runs.items():
         out[f"triangle h=1/{round(1 / h)} morawetz k1"] = weighted_morawetz(run).k1
@@ -180,10 +190,20 @@ def frozen():
 
 
 @pytest.fixture(scope="module")
-def records(frozen, compact_run, triangle_runs, linear_pulse_run, appendix_quick):
+def appendix_binned(appendix_quick):
+    """The quick appendix fixture's main run again, with the bins recorded."""
+    traj = appendix_quick["traj"]
+    mon = dataclasses.replace(traj.monitors, bins=True)
+    return evolve(traj.pair, traj.params, traj.grid, mon)
+
+
+@pytest.fixture(scope="module")
+def records(frozen, compact_run, triangle_runs, linear_pulse_run, appendix_quick,
+            appendix_binned):
     frozen = {name: rec for name, rec in frozen.items()
               if name not in ("reports", "duhamel")}
-    now = ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick)
+    now = ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick,
+                        appendix_binned)
     assert set(now) == set(frozen)
     return frozen, now
 
@@ -232,9 +252,10 @@ def test_triangle_and_envelope_records_match_frozen(records):
                 _close(got["envelope"][key], ref, f"{name}: envelope {key}")
 
 
-def test_report_numbers_match_frozen(frozen, triangle_runs, appendix_quick):
+def test_report_numbers_match_frozen(frozen, triangle_runs, appendix_quick,
+                                     appendix_binned):
     want = frozen["reports"]
-    got = report_record(triangle_runs, appendix_quick)
+    got = report_record(triangle_runs, appendix_quick, appendix_binned)
     assert set(got) == set(want)
     for key, ref in want.items():
         _close(got[key], ref, key)

@@ -4,11 +4,20 @@ hypothesis draws the cases with derandomize=True, so every run of the
 suite tries the same examples.
 """
 
+import copy
+import functools
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlw.cli import Config, run_checks
+from nlw.diagnostics import TOTALS
+from nlw.errors import OffGridError
 from nlw.model import GaussianBump, make_params
-from nlw.solver import GridSpec, Monitors, evolve
+from nlw.numerics import grid_index
+from nlw.solver import EnvelopeSpec, GridSpec, Monitors, evolve
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
@@ -33,3 +42,131 @@ def test_channel_energies_add_up_bitwise(p, amplitude, center, width, inv_h, lin
     assert np.array_equal(led.e_total, led.e_minus + led.e_plus)
     for total, minus, plus in led.radii.values():
         assert np.array_equal(total, minus + plus)
+
+
+ALL_KINDS = dict(
+    radii=(1.0, "t/4"),
+    flux_s=(2.0,),
+    flux_tau=(0.5,),
+    char_tau=(0.5,),
+    triangles=((0.5, 1.0),),
+    triangles_out=((2.0, 1.0),),
+    snapshot_times=(1.0, 3.0),
+    envelope=EnvelopeSpec(c=0.3, r_min_profile=1.5, ray_offsets=(0.0, 0.5)),
+)
+
+
+def _recorded(traj):
+    """Every value a run recorded, as bytes by name."""
+    led = traj.ledger
+    out = {name: getattr(led, name).tobytes()
+           for name in TOTALS + ("s_bulk",) if name in vars(led)}
+    for label, arrays in led.radii.items():
+        out[f"radius {label}"] = np.stack(arrays).tobytes()
+    for kind in ("flux_in", "flux_out", "char_traces"):
+        for label, arr in getattr(traj, kind).items():
+            out[f"{kind} {label}"] = arr.tobytes()
+    for rec in traj.triangle_records:
+        out[f"triangle {rec.kind} {rec.t0}"] = np.array([rec.bulk, rec.flux, rec.energy]).tobytes()
+    env = traj.envelope
+    out["envelope"] = np.concatenate([
+        env.max_ratio, env.min_profile, env.ray_ratio.ravel(),
+        [env.peak_ratio, env.peak_r, env.peak_t, env.first_violation_t]]).tobytes()
+    for snap in traj.snapshots:
+        out[f"snapshot {snap.t}"] = np.stack([snap.w_prev, snap.w_curr, snap.w_next]).tobytes()
+    return out
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from([3.0, 3.5, 4.0, 4.5]),
+    amplitude=st.floats(0.0, 0.8),
+    center=st.floats(1.0, 3.0),
+    width=st.floats(0.2, 0.8),
+    inv_h=st.sampled_from([16, 32]),
+    linear=st.booleans(),
+    totals=st.booleans(),
+    bins=st.booleans(),
+)
+def test_switching_totals_or_bins_moves_nothing_else(
+    p, amplitude, center, width, inv_h, linear, totals, bins
+):
+    """A run with totals and bins switched off or on records, bitwise, what
+    the run with both on records, apart from the series it left out."""
+    params = make_params(p, 0.5)
+    family = GaussianBump(amplitude, center, width)
+    grid = GridSpec.padded(1.0 / inv_h, 3.0, family.support_radius())
+    pair = family.sample(grid)
+    full = _recorded(evolve(pair, params, grid, Monitors(**ALL_KINDS, bins=True), linear=linear))
+    mon = Monitors(**ALL_KINDS, totals=totals, bins=bins)
+    got = _recorded(evolve(pair, params, grid, mon, linear=linear))
+    dropped = set(() if totals else TOTALS) | set(() if bins else ("s_bulk",))
+    assert set(got) == set(full) - dropped
+    for name, value in got.items():
+        assert value == full[name], name
+
+
+@PROPERTY
+@given(
+    h=st.sampled_from([1.0 / 16.0, 1.0 / 128.0, 0.1, 0.3, 0.25]),
+    i=st.integers(0, 100_000),
+    off=st.floats(0.01, 0.99),
+)
+def test_grid_index_round_trip(h, i, off):
+    """Node i's coordinate i*h maps back to i; a point strictly between
+    two nodes is refused."""
+    assert grid_index(i * h, h) == i
+    with pytest.raises(OffGridError):
+        grid_index((i + off) * h, h)
+
+
+@functools.lru_cache(maxsize=1)
+def checked_run():
+    """A padded p = 3.5 run with two triangle probes and two snapshots,
+    on which every verify check passes."""
+    params = make_params(3.5, 0.5)
+    family = GaussianBump(0.4, 1.5, 0.5)
+    grid = GridSpec.padded(1.0 / 64.0, 3.0, family.support_radius())
+    mon = Monitors(triangles=((0.5, 1.0),), triangles_out=((2.0, 1.0),),
+                   snapshot_times=(1.0, 2.0))
+    traj = evolve(family.sample(grid), params, grid, mon)
+    assert all(ok for *_, ok in run_checks(traj, Config({})))
+    return traj
+
+
+# what a NaN is put into, and the verify checks that read it
+NAN_TARGETS = {
+    "e_total": ("additivity", "conservation"),
+    "e_minus": ("additivity", "monotonicity"),
+    "e_plus": ("additivity", "monotonicity"),
+    "xi": ("triangle",),
+    "w0": ("pointwise",),
+    "snapshot": ("pointwise",),
+    "triangle bulk": ("triangle",),
+    "triangle flux": ("triangle",),
+    "triangle energy": ("triangle",),
+}
+
+
+@PROPERTY
+@given(target=st.sampled_from(sorted(NAN_TARGETS)), where=st.integers(0, 10**6))
+def test_no_verify_check_passes_on_a_nan(target, where):
+    """A NaN in any value a verify check reads makes that check fail."""
+    traj = copy.deepcopy(checked_run())
+    led = traj.ledger
+    rec = traj.triangle_records[where % len(traj.triangle_records)]
+    if target in ("e_total", "e_minus", "e_plus"):
+        series = getattr(led, target)
+        series[where % series.size] = math.nan
+    elif target == "xi":  # inside the probe's window
+        led.xi[rec.m_lo + where % (rec.m_hi - rec.m_lo + 1)] = math.nan
+    elif target == "w0":
+        traj.pair.w0[where % traj.pair.w0.size] = math.nan
+    elif target == "snapshot":
+        w = traj.snapshots[where % len(traj.snapshots)].w_curr
+        w[where % w.size] = math.nan
+    else:
+        setattr(rec, target.split()[1], math.nan)
+    checks = {name: ok for name, _, _, ok in run_checks(traj, Config({}))}
+    for name in NAN_TARGETS[target]:
+        assert not checks[name], name

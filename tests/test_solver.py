@@ -305,6 +305,7 @@ WINDOW_MONITORS = Monitors(
     triangles=((0.5, 1.0),),
     triangles_out=((2.0, 1.0),),
     snapshot_times=(1.0, 2.0, 3.0),
+    bins=True,
 )
 
 
