@@ -69,7 +69,7 @@ class EnergyLedger:
         # reached only for attributes that were never set
         if name in TOTALS or name == "s_bulk":
             monitor = "bins" if name == "s_bulk" else "totals"
-            raise OffGridError(f"{name} was not recorded: the run had Monitors({monitor}=False)")
+            raise OffGridError(f"{name} was not recorded: Monitors({monitor}=False)")
         raise AttributeError(name)
 
     @classmethod

@@ -116,9 +116,8 @@ class EnvelopeSpec:
 
 @dataclass
 class Monitors:
-    """What evolve() should record.  evolve() runs only the recorders
-    these fields ask for; reading what a run did not record raises
-    OffGridError.
+    """What evolve() should record; it runs only the recorders asked for
+    here, and reading what a run did not record raises OffGridError.
 
     totals         the per-level ledger series: E, E_-, E_+, xi, the bulk
                    integral, y2p and the exterior norm
@@ -318,13 +317,15 @@ class _Recorders:
 
     Each method records one monitor kind from a level of leapfrog(),
     (m, w_prev, w, w_next, e, q, f); `active` holds those the run's
-    Monitors ask for, in call order.  They share one workspace, allocated
-    once per run: chan = 2h (w_r + w_t), 2h (w_r - w_t) for the totals,
-    radii, triangles and traces; dens = the inward and outward energy
-    densities / pi and g2 = |w|^{p+1}/r^p (zero in linear runs), on the
-    prefix of nodes that the radii and triangles read.  All are written
-    only on nodes [0, e) of leapfrog's window, whose end never decreases,
-    so their entries past the window stay zero; tmp is scratch.
+    Monitors ask for, in call order, as plain functions (bound methods
+    would tie the workspace into a reference cycle).  They share one
+    workspace, allocated once per run: chan = 2h (w_r + w_t),
+    2h (w_r - w_t) for the totals, radii, triangles and traces; dens = the
+    inward and outward energy densities / pi and g2 = |w|^{p+1}/r^p (zero
+    in linear runs), on the prefix of nodes that the radii and triangles
+    read.  All are written only on nodes [0, e) of leapfrog's window,
+    whose end never decreases, so their entries past the window stay
+    zero; tmp is scratch.
     """
 
     def __init__(self, traj):
@@ -339,19 +340,19 @@ class _Recorders:
         self.g2, self.tmp = np.zeros(n + 1), np.zeros(n + 1)
         self.formed = (-1, 0)  # level and prefix end of dens and g2
         tri = mon.triangles or mon.triangles_out
-        self.active = [self.channels] if mon.totals or mon.radii or tri or mon.char_tau else []
+        channels = mon.totals or mon.radii or tri or mon.char_tau
+        self.active = [_Recorders.channels] if channels else []
 
         if mon.totals:
             self.inv_rp1 = _inverse_power(r, p - 1.0)
             self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
             if traj.linear:  # the ledger's power and source
                 self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
-            self.active.append(self.totals)
+            self.active.append(_Recorders.totals)
         if mon.radii:
-            self.radius_idx = {
-                x: grid_index(float(x), h, f"radius {x}") for x in mon.radii if x != "t/4"
-            }
-            self.active.append(self.radii)
+            self.radius_idx = {x: grid_index(float(x), h, f"radius {x}")
+                               for x in mon.radii if x != "t/4"}
+            self.active.append(_Recorders.radii)
         # (series, label node k, +1 inward / -1 outward, w_r - w_t trace?)
         self.lines = []
         for labels, what, sign, trace, out in (
@@ -363,18 +364,19 @@ class _Recorders:
                 out[x] = np.full(steps + 1, np.nan)
                 self.lines.append((out[x], grid_index(x, h, f"{what}={x}"), sign, trace))
         if self.lines:
-            self.active.append(self.line_samples)
+            self.active.append(_Recorders.line_samples)
         self.corner_idx = []  # node of each triangle's corner radius r0
         for kind, probes in (("inward", mon.triangles), ("outward", mon.triangles_out)):
             for (t0, r0) in probes:
                 t_lo, t_hi = (t0, t0 + r0) if kind == "inward" else (t0 - r0, t0)
-                m0, m1 = grid_index(t_lo, h, "triangle start"), grid_index(t_hi, h, "triangle end")
+                m0 = grid_index(t_lo, h, "triangle start")
+                m1 = grid_index(t_hi, h, "triangle end")
                 if m0 < 0 or m1 > steps:
                     raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run")
                 traj.triangle_records.append(TriangleRecord(t0, r0, kind, m0, m1))
                 self.corner_idx.append(grid_index(r0, h, "triangle r0"))
         if tri:
-            self.active.append(self.triangles)
+            self.active.append(_Recorders.triangles)
         if mon.envelope is not None:
             spec = mon.envelope
             traj.envelope = EnvelopeRecord(
@@ -391,7 +393,7 @@ class _Recorders:
             self.env_floor3 = 3.0 * self.env_floor
             self.prof_idx = grid_index(spec.r_min_profile, h, "profile radius")
             self.ray_idx = [grid_index(off, h, "ray offset") for off in spec.ray_offsets]
-            self.active.append(self.envelope)
+            self.active.append(_Recorders.envelope)
         self.snap_levels = {}
         for t_snap in mon.snapshot_times:
             m_snap = grid_index(t_snap, h, "snapshot time")
@@ -399,18 +401,17 @@ class _Recorders:
                 raise OffGridError(f"snapshot time {t_snap} past t_max")
             self.snap_levels[m_snap] = t_snap
         if self.snap_levels:
-            self.active.append(self.snapshots)
+            self.active.append(_Recorders.snapshots)
         if mon.bins and not traj.linear:
             # per node: trapezoid weight times the step h, over r^p, and
             # 2^-(p+1), turning |w_m + w_{m+1}|^{p+1} into the midpoint power
             self.bin_coef = np.full(n + 1, h * h)
             self.bin_coef[0] = self.bin_coef[-1] = h * (0.5 * h)
             self.bin_coef *= _inverse_power(r, p) * 0.5 ** (p + 1.0)
-            self.active.append(self.bins)
+            self.active.append(_Recorders.bins)
 
     def channels(self, m, w_prev, w, w_next, e, q, f):
-        """chan on [0, e) from undivided differences: 2h w_r in tmp, 2h w_t
-        in chan[1]."""
+        """chan on [0, e) from undivided differences: 2h w_r in tmp, 2h w_t in chan[1]."""
         n, tmp, ch = self.n, self.tmp, self.chan[:, :e]
         c = min(e, n)  # centered differences on nodes 1 .. c-1
         np.subtract(w[2 : c + 1], w[: c - 1], out=tmp[1:c])
@@ -543,9 +544,8 @@ class _Recorders:
 
     def snapshots(self, m, w_prev, w, w_next, e, q, f):
         if m in self.snap_levels:
-            self.traj.snapshots.append(Snapshot(
-                t=self.snap_levels[m], w_prev=w_prev.copy(), w_curr=w.copy(),
-                w_next=w_next.copy(), h=self.h))
+            snap = Snapshot(self.snap_levels[m], w_prev.copy(), w.copy(), w_next.copy(), self.h)
+            self.traj.snapshots.append(snap)
 
     def bins(self, m, w_prev, w, w_next, e, q, f):
         """Add the step m -> m+1 to the characteristic bins, from the
@@ -587,10 +587,10 @@ def evolve(pair, params, grid, monitors=None, linear=False):
         raise OffGridError(f"unknown xi variant {mon.xi_variant!r}")
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
     traj = Trajectory(grid, params, mon, ledger, pair, linear=linear)
-    active = _Recorders(traj).active
+    recorders = _Recorders(traj)
     for level in leapfrog(pair, params, grid, linear):
-        for record in active:
-            record(*level)
+        for record in recorders.active:
+            record(recorders, *level)
     return traj
 
 
