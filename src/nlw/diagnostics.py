@@ -51,8 +51,8 @@ class EnergyLedger:
     Unless Monitors.totals is False, allocate() adds the totals: E, E_-
     and E_+ (e_total, e_minus, e_plus), xi, bulk = int |w|^{p+1}/r^p dr,
     y2p = (4pi int |u|^{2p} r^2 dr)^{1/2} and exterior_l2p2 =
-    4pi int_{r>1+t} |u|^{2(p-1)} r^2 dr.  Only if Monitors.bins asks for
-    them it adds the characteristic bins s_bulk: bin k holds the
+    4pi int_{r>1+t} |u|^{2(p-1)} r^2 dr.  It adds the characteristic bins
+    s_bulk only if Monitors.bins asks for them: bin k holds the
     contribution of |w|^{p+1}/r^p from the strip of spacetime with r + t
     in [k*h, (k+1)*h) (midpoint-in-time, trapezoid-in-space), so weighted
     integrals over r+t > s_min reduce to a weighted bin sum.  Reading a
