@@ -31,11 +31,11 @@ from .errors import (
     BlowupError,
     ConfigError,
     DivergentIntegralError,
+    OffGridError,
     OutOfRangeError,
-    TailNotConvergedError,
 )
 from .model import AppendixPowerLaw, k_functional, make_params
-from .numerics import abs_power, dyadic_times, grid_index, trapz
+from .numerics import abs_power, dyadic_times, grid_index, node_at_or_past, trapz
 from .scattering import (
     exterior_cumulative,
     exterior_growth_fit,
@@ -47,40 +47,20 @@ from .scattering import (
 from .solver import EnvelopeSpec, GridSpec, Monitors, evolve, leapfrog
 
 
-def triangle_bound_constant(p, n_quad=4096):
+def triangle_bound_constant(p):
     """The strip-integral constant C_p with iint_{strips} r^{beta-2} =
-    C_p (r')^beta, computed numerically.
+    C_p (r')^beta, in closed form: C_p = 2 / (beta (1 - beta)).
 
-    In characteristic coordinates the strips reduce to a one-dimensional
-    integral with an integrable endpoint singularity x^{beta-1}; the
-    infinite leg is integrated in closed form (no truncation of it
-    converges for beta < 1), the finite leg on a geometric mesh.  The
-    result is independent of the apex radius; evaluating at two apexes
-    guards the implementation.  Returns inf for p = 3, where beta = 0
-    makes the inner-corner contribution logarithmically divergent.
+    In characteristic coordinates the strips reduce to the integral of
+    [2^{1-beta} / (1-beta)] x^{beta-1} over 0 < x < 2 r', which is
+    (2 r')^beta 2^{1-beta} / (beta (1-beta)).  Returns inf for p = 3,
+    where beta = 0 makes the inner-corner contribution logarithmically
+    divergent.
     """
     beta = (p - 3.0) / (p - 1.0)
     if beta <= 0.0:
         return math.inf
-
-    def strip_integral(r_apex):
-        # int_0^{2 r'} [ 2^{1-beta} / (1-beta) ] x^{beta-1} dx  via a
-        # geometric mesh plus the exact stub below x_min
-        x_hi = 2.0 * r_apex
-        x_lo = x_hi * 1e-12
-        x = np.geomspace(x_lo, x_hi, n_quad)
-        y = (2.0 ** (1.0 - beta) / (1.0 - beta)) * x ** (beta - 1.0)
-        total = float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
-        stub = (2.0 ** (1.0 - beta) / (1.0 - beta)) * x_lo**beta / beta
-        return total + stub
-
-    c_a = strip_integral(1.0) / 1.0**beta
-    c_b = strip_integral(3.0) / 3.0**beta
-    if abs(c_a - c_b) > 1e-6 * abs(c_a):
-        raise ArithmeticError(
-            f"strip constant not apex-independent: {c_a} vs {c_b}"
-        )
-    return c_a
+    return 2.0 / (beta * (1.0 - beta))
 
 
 @dataclass(frozen=True)
@@ -176,7 +156,7 @@ def envelope_holds(pair, params, grid, c):
         # origin before the level loop finishes; either way the envelope
         # did not hold
         return False
-    return traj.envelope.peak_ratio < 1.0
+    return traj.envelope.holds
 
 
 def find_envelope_threshold(p, h=1.0 / 32.0, t_max=16.0, lo=0.02, hi=2.0, cap=4.0):
@@ -197,7 +177,7 @@ def find_envelope_threshold(p, h=1.0 / 32.0, t_max=16.0, lo=0.02, hi=2.0, cap=4.
             f"need 0 < lo < hi <= cap, got lo={lo}, hi={hi}, cap={cap}"
         )
     params = make_params(p, 0.5)  # kappa is irrelevant to the envelope
-    r_max = h * math.ceil((2.0 + 2.0 * t_max) / h)
+    r_max = node_at_or_past(2.0 + 2.0 * t_max, h, "r_max")
     grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
 
     def holds(c):
@@ -220,16 +200,7 @@ def find_envelope_threshold(p, h=1.0 / 32.0, t_max=16.0, lo=0.02, hi=2.0, cap=4.
     return lo
 
 
-def run_appendix_example(
-    p,
-    kappa,
-    c=None,
-    h=1.0 / 128.0,
-    t_max=64.0,
-    r_max=None,
-    threshold_h=1.0 / 32.0,
-    threshold_t_max=16.0,
-):
+def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None):
     """Full study of the slow-decay example; returns (report, traj).
 
     The report is a JSON-ready dict with five sections: the envelope
@@ -245,25 +216,29 @@ def run_appendix_example(
     so r_max must be a large multiple of t_max for the logarithmic
     growth to come through cleanly.
 
-    Raises ConfigError, before any run, if t_max is below 4, the first
-    dyadic sample time.
+    Below t_max = 8 no tail norm starts (its fit is null).  Raises
+    ConfigError, before any run, if t_max is below 4, the first dyadic
+    sample time, or if h, t_max and r_max make no grid.
     """
     if not t_max >= 4.0:
         raise ConfigError(f"t_max={t_max} is below 4, the first dyadic sample time")
     params = make_params(p, kappa)
+    try:
+        if r_max is None:
+            r_max = node_at_or_past(4.0 + 16.0 * t_max, h, "r_max")
+        grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
+    except OffGridError as err:
+        raise ConfigError(str(err)) from err
     threshold = None
     if c is None:
-        threshold = find_envelope_threshold(p, h=threshold_h, t_max=threshold_t_max)
+        threshold = find_envelope_threshold(p)
         c = threshold / 2.0
     family = AppendixPowerLaw(c, params)
-    if r_max is None:
-        r_max = h * math.ceil((4.0 + 16.0 * t_max) / h)
-    grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
 
-    snap_times = list(dyadic_times(4.0, t_max))
+    times = dyadic_times(4.0, t_max)
     mon = Monitors(
         radii=(0.25, 1.0, "t/4"),
-        snapshot_times=tuple(snap_times),
+        snapshot_times=tuple(times),
         envelope=EnvelopeSpec(c=c),
         char_tau=(2.0,),
     )
@@ -272,17 +247,9 @@ def run_appendix_example(
 
     env = traj.envelope
     envelope_sec = {
-        "c": c,
+        **env.summary(),
         "threshold": threshold,
-        "peak_ratio": env.peak_ratio,
-        "peak_r": env.peak_r,
-        "peak_t": env.peak_t,
-        # nan means "never"; the report is JSON-ready, so use null
-        "first_violation_t": (
-            None if math.isnan(env.first_violation_t) else env.first_violation_t
-        ),
         "min_profile": float(np.nanmin(env.min_profile)),
-        "holds": bool(env.peak_ratio < 1.0),
     }
 
     try:
@@ -293,45 +260,35 @@ def run_appendix_example(
         k_sec = {"divergent": True, "detail": str(err)}
         k_value = None
 
-    decay_times = dyadic_times(4.0, t_max)
-    e_minus_vals = [float(led.e_minus[led.level(t)]) for t in decay_times]
+    e_minus_vals = [float(led.e_minus[led.level(t)]) for t in times]
     decay_sec = {
-        "times": list(decay_times),
+        "times": list(times),
         "e_minus": e_minus_vals,
         "scaled_by_t_kappa": (
             None
             if k_value is None
-            else [e * t**kappa / k_value for t, e in zip(decay_times, e_minus_vals)]
+            else [e * t**kappa / k_value for t, e in zip(times, e_minus_vals)]
         ),
     }
 
-    fit_times = dyadic_times(4.0, t_max / 2.0)
-    try:
-        tail_reports = [lp_l2p_tail(traj, t0) for t0 in fit_times]
-        tails_converged = True
-    except TailNotConvergedError:
-        # Short runs end before the integrand settles into an integrable
-        # power law.  Fall back to the truncated integrals so the rest of
-        # the report survives; the fitted exponent is then biased steep.
-        tail_reports = [
-            lp_l2p_tail(traj, t0, require_tail=False) for t0 in fit_times
-        ]
-        tails_converged = False
+    # the start times t0 <= t_max / 2; the decade fit does not depend on t0
+    fit_times = times[:-1]
+    tail_reports = [lp_l2p_tail(traj, t0, require_tail=False) for t0 in fit_times]
+    tails_converged = all(rep.fit_exponent <= -1.05 for rep in tail_reports)
     if len(fit_times) >= 3:
         lp_fit = fit_power_law(fit_times, [rep.total for rep in tail_reports])
         lp_exponent, lp_r2 = lp_fit.exponent, lp_fit.r_squared
     else:
         lp_exponent = lp_r2 = None  # too few dyadic start times to fit
-    ext_times = dyadic_times(4.0, t_max)
-    if len(ext_times) >= 3:
-        ext_fit, ext_vals = exterior_growth_fit(traj, ext_times)
+    if len(times) >= 3:
+        ext_fit, ext_vals = exterior_growth_fit(traj, times)
         ext_slope, ext_offset, ext_r2 = (
             ext_fit.slope,
             ext_fit.offset,
             ext_fit.r_squared,
         )
     else:
-        ext_vals = exterior_cumulative(traj, ext_times)
+        ext_vals = exterior_cumulative(traj, times)
         ext_slope = ext_offset = ext_r2 = None  # not enough samples to fit
     defect_ts = [t for t in (8.0, 16.0, 32.0) if 2.0 * t <= t_max]
     defects = [free_wave_defect(traj, t, 2.0 * t) for t in defect_ts]
@@ -360,7 +317,7 @@ def run_appendix_example(
     slab_t = 4.0
     slab_grid = GridSpec(
         h=h,
-        r_max=h * math.ceil((2.0 + 2.0 * slab_t) / h),
+        r_max=node_at_or_past(2.0 + 2.0 * slab_t, h, "r_max"),
         t_max=slab_t,
         boundary="outgoing",
     )

@@ -44,6 +44,7 @@ from .model import (
     Tabulated,
     make_params,
 )
+from .numerics import is_number
 from .scattering import fit_log_growth, fit_power_law
 from .solver import EnvelopeSpec, GridSpec, Monitors, evolve
 from .svgplot import line_plot
@@ -157,7 +158,7 @@ class Config:
         if self._absent(key, default):
             return default
         v = parse_scalar(self.raw[key])
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not is_number(v):
             raise ConfigError(f"{key} must be a number, got {self.raw[key]!r}")
         return float(v)
 
@@ -165,10 +166,9 @@ class Config:
         v = self.number(key, default)
         if v is default:
             return default
-        n = int(round(v))
-        if abs(v - n) > 1e-9:
+        if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
             raise ConfigError(f"{key} must be an integer, got {self.raw[key]!r}")
-        return n
+        return int(round(v))
 
     def string(self, key, default=_MISSING):
         return default if self._absent(key, default) else self.raw[key]
@@ -189,7 +189,7 @@ class Config:
     def number_list(self, key, default=()):
         out = []
         for v in self.scalar_list(key, default):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not is_number(v):
                 raise ConfigError(f"{key} must list numbers, got {v!r}")
             out.append(float(v))
         return tuple(out)
@@ -201,14 +201,7 @@ class Config:
         for item in self.raw[key].split(","):
             a, sep, b = item.strip().partition(":")
             va, vb = parse_scalar(a), parse_scalar(b)
-            ok = (
-                sep
-                and isinstance(va, (int, float))
-                and isinstance(vb, (int, float))
-                and not isinstance(va, bool)
-                and not isinstance(vb, bool)
-            )
-            if not ok:
+            if not (sep and is_number(va) and is_number(vb)):
                 raise ConfigError(f"{key}: expected 't0:r0', got {item.strip()!r}")
             out.append((float(va), float(vb)))
         return tuple(out)
@@ -284,28 +277,21 @@ def build_grid(cfg, family):
 
 
 def build_monitors(cfg):
-    radii = cfg.scalar_list("monitors.radii")
-    for x in radii:
-        if x == "t/4":
-            continue
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"monitors.radii entry {x!r} is not a radius")
     env_c = cfg.number("monitors.envelope_c", None)
-    envelope = EnvelopeSpec(c=env_c) if env_c is not None else None
-    xi_variant = cfg.string("monitors.xi_variant", "one_sided")
-    if xi_variant not in ("one_sided", "second_order"):
-        raise ConfigError(f"monitors.xi_variant {xi_variant!r} not recognized")
-    return Monitors(
-        radii=radii,
-        flux_s=cfg.number_list("monitors.flux_s"),
-        flux_tau=cfg.number_list("monitors.flux_tau"),
-        char_tau=cfg.number_list("monitors.char_tau"),
-        triangles=cfg.pair_list("monitors.triangles"),
-        triangles_out=cfg.pair_list("monitors.triangles_out"),
-        snapshot_times=cfg.number_list("monitors.snapshots"),
-        envelope=envelope,
-        xi_variant=xi_variant,
-    )
+    try:
+        return Monitors(
+            radii=cfg.scalar_list("monitors.radii"),
+            flux_s=cfg.number_list("monitors.flux_s"),
+            flux_tau=cfg.number_list("monitors.flux_tau"),
+            char_tau=cfg.number_list("monitors.char_tau"),
+            triangles=cfg.pair_list("monitors.triangles"),
+            triangles_out=cfg.pair_list("monitors.triangles_out"),
+            snapshot_times=cfg.number_list("monitors.snapshots"),
+            envelope=EnvelopeSpec(c=env_c) if env_c is not None else None,
+            xi_variant=cfg.string("monitors.xi_variant", "one_sided"),
+        )
+    except NlwError as err:
+        raise ConfigError(str(err)) from err
 
 
 def run_problem(cfg):
@@ -423,14 +409,7 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None):
             for rep in reps
         ]
     if traj.envelope is not None:
-        env = traj.envelope
-        doc["envelope"] = {
-            "c": env.c,
-            "peak_ratio": env.peak_ratio,
-            "peak_r": env.peak_r,
-            "peak_t": env.peak_t,
-            "first_violation_t": env.first_violation_t,
-        }
+        doc["envelope"] = traj.envelope.summary()
     if checks is not None:
         doc["checks"] = [
             {"name": name, "value": value, "threshold": threshold, "passed": ok}
@@ -571,9 +550,8 @@ def _parse_axis(spec):
     elif rhs.count(":") == 2:
         lo_s, hi_s, step_s = rhs.split(":")
         lo, hi, step = (parse_scalar(x) for x in (lo_s, hi_s, step_s))
-        for v in (lo, hi, step):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep range {rhs!r} is not numeric")
+        if not all(is_number(v) for v in (lo, hi, step)):
+            raise ConfigError(f"sweep range {rhs!r} is not numeric")
         if step <= 0 or hi < lo:
             raise ConfigError(f"sweep range {rhs!r} must be lo:hi:step, step > 0")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -652,7 +630,7 @@ def cmd_sweep(args):
 
 def _fraction(text):
     v = parse_scalar(text)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not is_number(v):
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
     return float(v)
 

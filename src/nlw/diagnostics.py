@@ -36,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OffGridError, TailNotConvergedError, WeightInvalidError
+from .errors import DegenerateFitError, OffGridError, TailNotConvergedError, WeightInvalidError
 from .model import inward_density, k_functional, potential_density
 from .numerics import abs_power, cumtrapz, derivative, grid_index, trapz
+from .scattering import fit_power_law
 
 
 TOTALS = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")
@@ -111,20 +112,29 @@ class EnergyLedger:
         if float(series[-1]) <= 1e-12 * max(float(series.max()), 1e-300):
             return 0.0, -math.inf
         l_dec = self.decade_level()
-        tt, yy = self.t[l_dec:], series[l_dec:]
-        if tt[0] <= 0.0 or np.any(yy <= 0.0):
+        try:
+            fit = fit_power_law(self.t[l_dec:], series[l_dec:])
+        except DegenerateFitError:
             slope, problem = math.nan, "has non-positive samples"
         else:
-            slope, logc = np.polyfit(np.log(tt), np.log(yy), 1)
+            slope = fit.exponent
             if slope <= -1.05:
-                tail = math.exp(logc) * self.t_max ** (slope + 1.0) / (-slope - 1.0)
-                return float(tail), float(slope)
+                return fit.amplitude * self.t_max ** (slope + 1.0) / (-slope - 1.0), slope
             problem = f"decays like t^{slope:.3f}, which is not integrable"
         if strict:
             raise TailNotConvergedError(
                 f"{what} {problem} over the last decade; extend t_max"
             )
-        return 0.0, float(slope)
+        return 0.0, slope
+
+    def tail_integral(self, series, t0, what, strict=True):
+        """int_{t0}^inf of a per-level series: the trapezoid over [t0,
+        t_max] plus decade_tail's remainder; returns (value, tail, s)."""
+        l0 = self.level(t0)
+        if l0 >= series.size - 1:
+            raise OffGridError(f"t0={t0} leaves no integration window")
+        return (float(trapz(series[l0:], self.h)),
+                *self.decade_tail(series, what, strict=strict))
 
     # -- bookkeeping checks -------------------------------------------------
 
@@ -161,11 +171,11 @@ class EnergyLedger:
         l1, l2 = self.level(t1), self.level(t2)
         return trapz(self.bulk[l1 : l2 + 1], self.h)
 
-    def bulk_weighted(self, weight, s_min=1.0):
-        """iint over {r+t >= s_min} of weight(r+t) |w|^{p+1}/r^p, from the
+    def bulk_weighted(self, weight):
+        """iint over {r+t >= 1} of weight(r+t) |w|^{p+1}/r^p, from the
         characteristic bins, recorded only on request (no prefactor)."""
         s_mid = self.h * (np.arange(self.s_bulk.size) + 0.5)
-        mask = s_mid >= s_min
+        mask = s_mid >= 1.0
         return float(np.dot(weight(s_mid[mask]), self.s_bulk[mask]))
 
 
@@ -178,13 +188,13 @@ class ChannelReport:
     ep_cum: np.ndarray
 
 
-def energy_channels(w, w_t, h, p, potential=True):
+def energy_channels(w, w_t, h, p):
     """Channel energies of a state, with cumulative-in-radius profiles."""
     w = np.asarray(w, dtype=float)
     w_t = np.asarray(w_t, dtype=float)
     r = h * np.arange(w.size)
     wr = derivative(w, h)
-    pot = potential_density(w, r, p) if potential else 0.0
+    pot = potential_density(w, r, p)
     a = wr + w_t
     b = wr - w_t
     em_cum = math.pi * cumtrapz(a * a + pot, h)
@@ -420,7 +430,7 @@ def weighted_morawetz(traj, kappa=None, weight=None, gamma=None):
         raise OffGridError("weighted bound needs t_max >= 1")
     xi_term = led.xi_energy(1.0, led.t_max, weight=weight)
     coef = 2.0 * math.pi * (p - 1.0 - 2.0 * gamma) / (p + 1.0)
-    bulk_term = coef * led.bulk_weighted(weight, s_min=1.0)
+    bulk_term = coef * led.bulk_weighted(weight)
 
     # K1: weight 1 inside the unit ball, a(r) outside
     r = pair.r
@@ -461,20 +471,15 @@ class CylinderReport:
 def cylinder_integral(traj, t0, radius, channel="outward"):
     """int_{t0}^{inf} E_ch(t; 0, radius) dt with a power-law tail estimate.
 
-    The truncated part integrates the recorded series over [t0, t_max],
-    the remainder is EnergyLedger.decade_tail's.  If the fitted decay is
+    EnergyLedger.tail_integral of the recorded series: the part over [t0,
+    t_max] plus decade_tail's remainder.  If the fitted decay is
     not integrable (exponent > -1.05) the truncation dominates and
     TailNotConvergedError is raised.  A series that has already decayed
     to rounding noise gets tail = 0.
     """
-    led = traj.ledger
     series = _radius_series(traj, radius, channel)
-    l0 = led.level(t0)
-    if l0 >= series.size - 1:
-        raise OffGridError(f"t0={t0} leaves no integration window")
-    value = trapz(series[l0:], led.h)
-    tail, slope = led.decade_tail(series, f"E_{channel}(t;0,{radius})")
-    return CylinderReport(t0, radius, channel, float(value), tail, slope)
+    value, tail, slope = traj.ledger.tail_integral(series, t0, f"E_{channel}(t;0,{radius})")
+    return CylinderReport(t0, radius, channel, value, tail, slope)
 
 
 @dataclass

@@ -7,6 +7,8 @@ spacing h.
 """
 
 import functools
+import math
+import numbers
 
 import numpy as np
 
@@ -149,13 +151,32 @@ def dyadic_times(t_lo, t_hi):
     return out
 
 
+def is_number(x):
+    """True for a real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def grid_index(value, h, name="value"):
-    """Node index of a grid-aligned coordinate, or raise OffGridError."""
+    """Node index of a grid-aligned coordinate, or raise OffGridError
+    (also when the coordinate or the spacing is not finite)."""
     from .errors import OffGridError
 
-    idx = int(round(value / h))
+    ratio = value / h
+    if not (math.isfinite(ratio) and math.isfinite(h)):
+        raise OffGridError(f"{name}={value} is not a finite multiple of h={h}")
+    idx = int(round(ratio))
     if abs(idx * h - value) > 1e-9 * max(1.0, abs(value)):
         raise OffGridError(
             f"{name}={value} is not a multiple of the grid spacing h={h}"
         )
     return idx
+
+
+def node_at_or_past(x, h, name="value"):
+    """The first grid coordinate h * ceil(x / h) at or past x; raises
+    OffGridError unless x is finite and h finite and positive."""
+    from .errors import OffGridError
+
+    if not (0.0 < h < math.inf and math.isfinite(x / h)):
+        raise OffGridError(f"no node of spacing h={h} lies at or past {name}={x}")
+    return h * math.ceil(x / h)

@@ -117,11 +117,11 @@ class CharTrace:
     rate_estimate: float
 
 
-def extract_g_plus(traj, tau, spacing=None):
+def extract_g_plus(traj, tau):
     """Estimate g_+(tau) from a monitored outgoing trace.
 
-    Samples the recorded (w_r - w_t) series at distances spacing * 2^j
-    from the vertex, Richardson-extrapolates the last two samples with
+    Samples the recorded (w_r - w_t) series at distances 4h * 2^j from
+    the vertex, Richardson-extrapolates the last two samples with
     the known settling exponent q = (p-2)/(p+1):
 
         g = (y_J - 2^{-q} y_{J-1}) / (1 - 2^{-q}),
@@ -134,13 +134,10 @@ def extract_g_plus(traj, tau, spacing=None):
         raise OffGridError(f"trace label tau={tau} was not monitored during the run")
     series = traj.char_traces[tau]
     h = traj.grid.h
-    if spacing is None:
-        spacing = 4.0 * h
-    d0 = grid_index(spacing, h, "spacing") * h
     tau_idx = grid_index(tau, h, "tau")
 
     levels, dists = [], []
-    d_idx = int(round(d0 / h))
+    d_idx = 4
     while True:
         m = tau_idx + d_idx
         if m >= series.size or d_idx > traj.grid.n - 1:
@@ -152,7 +149,7 @@ def extract_g_plus(traj, tau, spacing=None):
     if len(levels) < MIN_DYADIC_SAMPLES:
         raise ShortSpanError(
             f"only {len(levels)} dyadic samples fit along tau={tau}; "
-            f"need {MIN_DYADIC_SAMPLES} (extend t_max or shrink spacing)"
+            f"need {MIN_DYADIC_SAMPLES} (extend t_max)"
         )
     y = series[levels]
     q = char_settle_rate(traj.params.p)
@@ -161,8 +158,7 @@ def extract_g_plus(traj, tau, spacing=None):
     resid = np.abs(y - g)
     good = resid > 0.0
     if good.sum() >= 3:
-        fit = np.polyfit(np.log(np.asarray(dists)[good]), np.log(resid[good]), 1)
-        rate = float(fit[0])
+        rate = fit_power_law(np.asarray(dists)[good], resid[good]).exponent
     else:
         rate = float("nan")
     return CharTrace(
@@ -236,21 +232,16 @@ class TailNormReport:
 
 def lp_l2p_tail(traj, t0, require_tail=True):
     """N(t0) = int_{t0}^{t_max} (int |u|^{2p} dx)^{1/2} dt plus a power-law
-    tail extrapolation past t_max (same policy as cylinder integrals:
-    the last-decade fit must give an integrable decay).
+    tail extrapolation past t_max (EnergyLedger.tail_integral, as for
+    cylinder integrals: the last-decade fit must give an integrable decay).
 
     With require_tail=False a non-integrable last-decade fit returns the
     truncated integral with tail 0 instead of raising, so short exploratory
     runs can still report the (steep-biased) truncated values.
     """
     led = traj.ledger
-    y = led.y2p
-    l0 = led.level(t0)
-    if l0 >= y.size - 1:
-        raise OffGridError(f"t0={t0} leaves no integration window")
-    value = trapz(y[l0:], led.h)
-    tail, slope = led.decade_tail(y, "the L^{2p} norm", strict=require_tail)
-    return TailNormReport(t0, float(value), tail, slope)
+    value, tail, slope = led.tail_integral(led.y2p, t0, "the L^{2p} norm", strict=require_tail)
+    return TailNormReport(t0, value, tail, slope)
 
 
 def exterior_cumulative(traj, t_samples):

@@ -38,7 +38,9 @@ from .errors import (
     OffGridError,
 )
 from .model import nonlinearity
-from .numerics import abs_power, grid_index, odd_power, trapz, trapz_dot
+from .numerics import (
+    abs_power, grid_index, is_number, node_at_or_past, odd_power, trapz, trapz_dot,
+)
 
 BLOWUP_FACTOR = 1e3
 PICARD_MAX_SWEEPS = 50
@@ -54,8 +56,8 @@ class GridSpec:
     boundary: str = "outgoing"  # "outgoing" or "pad"
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise OffGridError(f"h={self.h} must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise OffGridError(f"h={self.h} must be positive and finite")
         if self.boundary not in ("outgoing", "pad"):
             raise OffGridError(f"unknown boundary treatment {self.boundary!r}")
         # r_max, t_max and the exterior start r = 1 + t must be node-aligned
@@ -81,7 +83,7 @@ class GridSpec:
     def padded(cls, h, t_max, support_radius, margin=1.0):
         """Grid large enough that data inside support_radius never touches
         the outer boundary before t_max (causally padded, boundary pinned)."""
-        r_max = h * math.ceil((support_radius + t_max + margin) / h)
+        r_max = node_at_or_past(support_radius + t_max + margin, h, "padded r_max")
         return cls(h=h, r_max=r_max, t_max=t_max, boundary="pad")
 
 
@@ -117,7 +119,8 @@ class EnvelopeSpec:
 @dataclass
 class Monitors:
     """What evolve() should record; it runs only the recorders asked for
-    here, and reading what a run did not record raises OffGridError.
+    here.  Reading what a run did not record raises OffGridError, and so
+    do an unknown xi_variant and a radius label not "t/4" or R > 0.
 
     totals         the per-level ledger series: E, E_-, E_+, xi, the bulk
                    integral, y2p and the exterior norm
@@ -147,6 +150,13 @@ class Monitors:
     xi_variant: str = "one_sided"
     totals: bool = True
     bins: bool = False
+
+    def __post_init__(self):
+        if self.xi_variant not in ("one_sided", "second_order"):
+            raise OffGridError(f"unknown xi variant {self.xi_variant!r}")
+        for x in self.radii:
+            if x != "t/4" and not (is_number(x) and 0.0 < x < math.inf):
+                raise OffGridError(f"radius label {x!r} is not 't/4' or a positive radius")
 
 
 @dataclass
@@ -187,6 +197,19 @@ class EnvelopeRecord:
     peak_r: float = float("nan")
     peak_t: float = float("nan")
     first_violation_t: float = float("nan")
+
+    @property
+    def holds(self):
+        """The envelope verdict: |w| < 3 c r^beta at every monitored point."""
+        return self.peak_ratio < 1.0
+
+    def summary(self):
+        """JSON-ready verdict with the peak and the first violation (None
+        for never)."""
+        first = self.first_violation_t
+        return {"c": self.c, "peak_ratio": self.peak_ratio, "peak_r": self.peak_r,
+                "peak_t": self.peak_t, "holds": self.holds,
+                "first_violation_t": None if math.isnan(first) else first}
 
 
 @dataclass
@@ -583,8 +606,6 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     from .diagnostics import EnergyLedger  # deferred to avoid an import cycle
 
     mon = monitors or Monitors()
-    if mon.xi_variant not in ("one_sided", "second_order"):
-        raise OffGridError(f"unknown xi variant {mon.xi_variant!r}")
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
     traj = Trajectory(grid, params, mon, ledger, pair, linear=linear)
     recorders = _Recorders(traj)

@@ -65,16 +65,7 @@ def _fmt(v):
     return s
 
 
-def line_plot(
-    path,
-    series,
-    title="",
-    xlabel="",
-    ylabel="",
-    loglog=False,
-    width=640,
-    height=420,
-):
+def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
     """Write a line plot to `path`.
 
     series: iterable of (label, xs, ys).  Non-finite points are dropped;
@@ -102,6 +93,7 @@ def line_plot(
     if y1 <= y0:
         y1 = y0 + 1.0
 
+    width, height = 640, 420
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 

@@ -1,6 +1,8 @@
 """The public names of the package: importable, and each one exercised by
 the tests or the command line interface."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -22,3 +24,20 @@ def test_every_public_name_has_a_caller():
     corpus = "\n".join(p.read_text(encoding="utf-8") for p in sources)
     unused = [name for name in nlw.__all__ if not re.search(rf"\b{name}\b", corpus)]
     assert unused == []
+
+
+def test_every_traced_layer_resolves():
+    """Each entry of perfbench/spans.py's LAYERS names an attribute that
+    nlw still has, so renaming or deleting a traced function fails here
+    and not only in the benchmark's own tests.  The file is parsed, not
+    imported."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["LAYERS"])
+    assert layers.elts
+    for call in layers.elts:
+        span, module, attr = (ast.literal_eval(arg) for arg in call.args[:3])
+        holder = importlib.import_module(module)
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        assert callable(holder), f"{span}: {module}.{attr} is gone"

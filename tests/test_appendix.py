@@ -28,11 +28,11 @@ from oracles import cp_closed, triangle_power_closed, triangle_quad
 
 def test_triangle_bound_constant_closed_form():
     # C_p = 2 / (beta (1 - beta)); frozen spot values guard both sides
-    assert triangle_bound_constant(3.5) == pytest.approx(12.5, rel=1e-5)
-    assert triangle_bound_constant(4.0) == pytest.approx(9.0, rel=1e-5)
-    assert triangle_bound_constant(4.5) == pytest.approx(49.0 / 6.0, rel=1e-5)
+    assert triangle_bound_constant(3.5) == pytest.approx(12.5, rel=1e-14)
+    assert triangle_bound_constant(4.0) == pytest.approx(9.0, rel=1e-14)
+    assert triangle_bound_constant(4.5) == pytest.approx(49.0 / 6.0, rel=1e-14)
     for p in (3.2, 3.8, 4.3, 4.9):
-        assert triangle_bound_constant(p) == pytest.approx(cp_closed(p), rel=1e-5)
+        assert triangle_bound_constant(p) == pytest.approx(cp_closed(p), rel=1e-14)
 
 
 def test_triangle_bound_constant_diverges_at_p3():

@@ -228,6 +228,16 @@ def test_grid_spacing_off_unit_radius_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["grid.h = nan", "monitors.radii = inf"])
+def test_non_finite_grid_input_exits_2(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    text = "\n".join(line if row.startswith(key) else row for row in RUN_CFG.splitlines())
+    cfg = _write(tmp_path, text + "\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_verify_all_zero_data(tmp_path, capsys):
     # E(0) = 0: the drift is absolute, and the light cone of the data is empty
     cfg = _write(tmp_path, RUN_CFG.replace("data.amplitude = 0.4", "data.amplitude = 0"))
@@ -377,6 +387,36 @@ def test_appendix_short_horizon_exits_2_before_any_run(tmp_path, capsys, monkeyp
     assert code == 2
     assert "config error" in err and f"t_max={float(t_max)}" in err
     assert not (tmp_path / "ap").exists()
+
+
+@pytest.mark.parametrize("flag", [["--h", "nan"], ["--h", "0.3"], ["--r-max", "inf"]],
+                         ids=["h=nan", "h=0.3", "r_max=inf"])
+def test_appendix_bad_grid_exits_2_before_any_run(tmp_path, capsys, monkeypatch, flag):
+    """A grid that cannot be built is refused before the threshold search."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before the grid was checked")
+
+    monkeypatch.setattr("nlw.appendix.evolve", no_run)
+    code = main(["appendix", "--p", "4", "--kappa", "0.25", "--t-max", "8", *flag,
+                 "--out-dir", str(tmp_path / "ap")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "ap").exists()
+
+
+@pytest.mark.parametrize("t_max", ["4", "7.5"])
+def test_appendix_below_t_max_8_reports_null_tail_fit(tmp_path, capsys, t_max):
+    """4 <= t_max < 8 leaves no tail-norm start time t0 <= t_max / 2: the
+    study still completes and reports an empty, unfitted tail section."""
+    out = tmp_path / "ap"
+    code = main(["appendix", "--p", "4", "--kappa", "0.25", "--c", "0.5", "--h", "1/16",
+                 "--t-max", t_max, "--out-dir", str(out)])
+    assert code == 0
+    assert "too few dyadic start times" in capsys.readouterr().out
+    lp = json.loads((out / "report.json").read_text())["scattering_rates"]["lp_l2p"]
+    assert lp["times"] == [] and lp["totals"] == []
+    assert lp["exponent"] is None and lp["r_squared"] is None
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ hypothesis draws the cases with derandomize=True, so every run of the
 suite tries the same examples.
 """
 
+import contextlib
 import copy
 import functools
 import math
@@ -12,12 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlw.cli import Config, run_checks
+import oracles
+from nlw.cli import (
+    KNOWN_KEYS, Config, build_grid, build_monitors, build_params, parse_scalar, run_checks,
+)
 from nlw.diagnostics import TOTALS
-from nlw.errors import OffGridError
-from nlw.model import GaussianBump, make_params
+from nlw.errors import ConfigError, OffGridError
+from nlw.model import GaussianBump, RadialPair, make_params
 from nlw.numerics import grid_index
-from nlw.solver import EnvelopeSpec, GridSpec, Monitors, evolve
+from nlw.solver import EnvelopeSpec, GridSpec, Monitors, evolve, leapfrog
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
@@ -170,3 +174,65 @@ def test_no_verify_check_passes_on_a_nan(target, where):
     checks = {name: ok for name, _, _, ok in run_checks(traj, Config({}))}
     for name in NAN_TARGETS[target]:
         assert not checks[name], name
+
+
+VALUES = st.lists(st.floats(-1.0, 1.0), max_size=24)
+
+
+@PROPERTY
+@given(
+    inv_h=st.sampled_from([16, 32, 64]),
+    w0_at=st.integers(1, 24),
+    w0_values=VALUES,
+    w1_at=st.integers(1, 24),
+    w1_values=VALUES,
+    steps=st.integers(1, 40),
+    boundary=st.sampled_from(["pad", "outgoing"]),
+)
+def test_linear_levels_are_discrete_dalembert(
+    inv_h, w0_at, w0_values, w1_at, w1_values, steps, boundary
+):
+    """On compactly supported data with arbitrary node values (w0 and w1
+    on their own supports), every level of a linear run equals the
+    discrete d'Alembert solution wherever the outer boundary cannot have
+    been felt (exact up to rounding)."""
+    h = 1.0 / inv_h
+    n = max(w0_at + len(w0_values), w1_at + len(w1_values)) + steps + 1
+    grid = GridSpec(h=h, r_max=n * h, t_max=steps * h, boundary=boundary)
+    w0, w1 = np.zeros(n + 1), np.zeros(n + 1)
+    w0[w0_at : w0_at + len(w0_values)] = w0_values
+    w1[w1_at : w1_at + len(w1_values)] = w1_values
+    pair = RadialPair(w0=w0, w1=w1, h=h)
+    for m, _, w, *_ in leapfrog(pair, make_params(3.0, 0.5), grid, linear=True):
+        ref = oracles.dalembert_grid(w0, w1, h, m)
+        assert np.abs(w[: ref.size] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), m
+
+
+# config text: free text, and tokens near the edges of what parses
+CONFIG_VALUE = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "1/0", "0/0", "1e308/1e-308",
+                     "1/3", "t/4", "true", "off", "1:2", "1:", ":", "1,2", ",", "1:2:3"]),
+    st.lists(st.sampled_from(["1", "-2.5", "nan", "inf", "t/4", "x", "1:2", ""]),
+             min_size=1, max_size=4).map(",".join),
+)
+
+
+@PROPERTY
+@given(raw=st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), CONFIG_VALUE, max_size=8))
+def test_config_lets_only_config_errors_escape(raw):
+    """parse_scalar takes any token; every typed Config access, and the
+    parameters, grid and monitors built from a config, either succeed or
+    raise ConfigError."""
+    for text in raw.values():
+        parse_scalar(text)
+    cfg = Config(raw)
+    accessors = (cfg.number, cfg.integer, cfg.string, cfg.boolean, cfg.scalar_list,
+                 cfg.number_list, cfg.pair_list)
+    builders = (build_params, build_monitors,
+                lambda c: build_grid(c, GaussianBump(0.5, 2.0, 0.5)))
+    calls = [functools.partial(get, key) for get in accessors for key in sorted(KNOWN_KEYS)]
+    calls += [functools.partial(build, cfg) for build in builders]
+    for call in calls:
+        with contextlib.suppress(ConfigError):
+            call()

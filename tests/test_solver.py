@@ -51,6 +51,17 @@ def test_grid_validation():
         GridSpec(h=0.1, r_max=1.0, t_max=1.0, boundary="absorbing")
     with pytest.raises(OffGridError, match="exterior base radius"):
         GridSpec(h=0.3, r_max=3.0, t_max=0.6)  # r = 1 + t is off the grid
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OffGridError):
+            GridSpec(h=bad, r_max=1.0, t_max=1.0)
+        with pytest.raises(OffGridError):
+            GridSpec(h=0.25, r_max=bad, t_max=1.0)
+        with pytest.raises(OffGridError):
+            GridSpec.padded(bad, 1.0, 1.0)
+        with pytest.raises(OffGridError):
+            GridSpec.padded(0.25, bad, 1.0)
+        with pytest.raises(OffGridError):
+            grid_index(bad, 0.25)
     g = GridSpec.padded(1.0 / 32.0, 10.0, 3.0)
     assert g.boundary == "pad"
     assert g.r_max >= 13.0
@@ -446,6 +457,20 @@ def test_xi_variants_agree_on_smooth_runs():
     peak = np.max(np.abs(xs["one_sided"]))
     assert peak > 0.1  # the pulse actually reaches the origin
     assert diff < 5e-3 * peak
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"xi_variant": "fancy"},
+    {"radii": ("abc",)},
+    {"radii": (1.0, "t/2")},
+    {"radii": (math.inf,)},
+    {"radii": (math.nan,)},
+    {"radii": (0.0,)},
+    {"radii": (True,)},
+], ids=["xi=fancy", "r=abc", "r=t/2", "r=inf", "r=nan", "r=0", "r=True"])
+def test_monitors_reject_bad_labels_at_construction(kwargs):
+    with pytest.raises(OffGridError):
+        Monitors(**kwargs)
 
 
 def test_unknown_xi_variant_rejected():
