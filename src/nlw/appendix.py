@@ -237,10 +237,9 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
 
     times = dyadic_times(4.0, t_max)
     mon = Monitors(
-        radii=(0.25, 1.0, "t/4"),
+        radii=(1.0, "t/4"),
         snapshot_times=tuple(times),
         envelope=EnvelopeSpec(c=c),
-        char_tau=(2.0,),
     )
     traj = evolve(family.sample(grid, leak_tol=None), params, grid, mon)
     led = traj.ledger
