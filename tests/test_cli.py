@@ -487,3 +487,85 @@ def test_fit_non_numeric_cell_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "'val'" in err and "row 2" in err and "oops" in err
     assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# ledger.csv bytes
+# --------------------------------------------------------------------------
+
+def _filled_ledger(levels, radii, seed=0):
+    """A ledger of `levels` levels whose every series holds random values
+    over many decades, with nan, +-inf, -0.0 and subnormals mixed in."""
+    from types import SimpleNamespace
+
+    from nlw.diagnostics import EnergyLedger
+    from nlw.solver import Monitors
+
+    params = SimpleNamespace(p=3.0, kappa=0.5)
+    led = EnergyLedger.allocate(levels - 1, 1.0 / 128.0, params, Monitors(radii=radii), 4)
+    rng = np.random.default_rng(seed)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16,
+               123456789012.5, -1.0 / 3.0]
+    series = [getattr(led, name) for name in
+              ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")]
+    series += [arr for trio in led.radii.values() for arr in trio]
+    for arr in series:
+        arr[:] = rng.standard_normal(levels) * 10.0 ** rng.integers(-30, 30, levels)
+        at = rng.permutation(levels)[: len(special)]
+        arr[at] = special[: at.size]
+    return SimpleNamespace(ledger=led)
+
+
+def _reference_ledger_csv(path, led, stride):
+    """ledger.csv as csv.writer writes it, one formatted cell at a time."""
+    names = ["t", "E_total", "E_minus", "E_plus", "xi", "bulk", "y2p", "exterior_l2p2"]
+    cols, series = list(names), [getattr(led, c.lower()) for c in names]
+    for label, trio in led.radii.items():
+        tag = "t4" if label == "t/4" else f"{float(label):g}"
+        cols += [f"E_total_r{tag}", f"E_minus_r{tag}", f"E_plus_r{tag}"]
+        series += list(trio)
+    levels = list(range(0, led.t.size, stride))
+    if levels[-1] != led.t.size - 1:
+        levels.append(led.t.size - 1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for m in levels:
+            writer.writerow([f"{arr[m]:.12g}" for arr in series])
+    return len(levels)
+
+
+@pytest.mark.parametrize("levels,radii,stride", [
+    (6401, (1.0, 2.0, "t/4"), 1),
+    (6401, (1.0, 2.0, "t/4"), 7),  # 6400 = 7 * 914 + 2: the last level is added
+    (5, (), 1),
+    (5, (0.5,), 3),
+    (1, ("t/4",), 4),
+], ids=["6401x17-stride1", "6401x17-stride7", "5x8", "5x11-stride3", "1x11"])
+def test_ledger_csv_bytes_match_csv_writer(tmp_path, levels, radii, stride):
+    from nlw.cli import write_ledger_csv
+
+    traj = _filled_ledger(levels, radii)
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    rows = _reference_ledger_csv(ref, traj.ledger, stride)
+    assert write_ledger_csv(out, traj, stride) == rows
+    assert out.read_bytes() == ref.read_bytes()
+    if stride == 1 and levels > 10:
+        cells = set(out.read_bytes().decode().replace("\r\n", ",").split(","))
+        assert {"nan", "inf", "-inf", "-0", "4.94065645841e-324"} <= cells
+
+
+def test_ledger_csv_writer_peak_allocation(tmp_path):
+    """Writing a 6,401 x 17 ledger never holds the formatted file in memory."""
+    import tracemalloc
+
+    from nlw.cli import write_ledger_csv
+
+    traj = _filled_ledger(6401, (1.0, 2.0, "t/4"))
+    tracemalloc.start()
+    try:
+        write_ledger_csv(tmp_path / "ledger.csv", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
