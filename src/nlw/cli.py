@@ -50,6 +50,7 @@ from .solver import EnvelopeSpec, GridSpec, Monitors, evolve
 from .svgplot import line_plot
 
 SCHEMA_VERSION = "1"
+_CSV_BLOCK = 256  # ledger rows formatted per write
 
 KNOWN_KEYS = frozenset(
     {
@@ -325,6 +326,9 @@ def _radius_tag(label):
 
 
 def write_ledger_csv(path, traj, stride=1):
+    """Write every stride-th level (and the last) of the ledger as CSV, in
+    blocks of _CSV_BLOCK rows: the bytes csv.writer gives for the cells
+    f"{x:.12g}", without holding the formatted file in memory."""
     led = traj.ledger
     stride = max(1, int(stride))
     cols = ["t", "E_total", "E_minus", "E_plus", "xi", "bulk", "y2p", "exterior_l2p2"]
@@ -333,15 +337,16 @@ def write_ledger_csv(path, traj, stride=1):
         tag = _radius_tag(label)
         cols += [f"E_total_r{tag}", f"E_minus_r{tag}", f"E_plus_r{tag}"]
         series += [tot, mn, pl]
-    levels = list(range(0, led.t.size, stride))
+    levels = np.arange(0, led.t.size, stride)
     if levels[-1] != led.t.size - 1:
-        levels.append(led.t.size - 1)
+        levels = np.append(levels, led.t.size - 1)
+    row = ",".join(["%.12g"] * len(cols)) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for m in levels:
-            writer.writerow([f"{arr[m]:.12g}" for arr in series])
-    return len(levels)
+        csv.writer(fh).writerow(cols)
+        for lo in range(0, levels.size, _CSV_BLOCK):
+            block = np.stack([arr[levels[lo : lo + _CSV_BLOCK]] for arr in series], axis=1)
+            fh.write("".join([row % tuple(cells) for cells in block.tolist()]))
+    return levels.size
 
 
 def write_snapshots_npz(path, traj):

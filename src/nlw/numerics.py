@@ -32,14 +32,18 @@ def trapz_dot(a, b, h):
     without forming the product.  The dot runs in chunks of _DOT_CHUNK
     entries, which OpenBLAS keeps on one thread: past that size it splits
     a dot across threads, and on arrays this core has just written the
-    other thread's fetch costs several times the dot itself.
+    other thread's fetch costs several times the dot itself.  An array of
+    one chunk takes one np.dot call (the same bits: 0.0 + x is x).
     """
     size = len(a)
     if size < 2:
         return 0.0
-    total = 0.0
-    for i in range(0, size, _DOT_CHUNK):
-        total += float(np.dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK]))
+    if size <= _DOT_CHUNK:
+        total = float(np.dot(a, b))
+    else:
+        total = 0.0
+        for i in range(0, size, _DOT_CHUNK):
+            total += float(np.dot(a[i : i + _DOT_CHUNK], b[i : i + _DOT_CHUNK]))
     return h * (total - 0.5 * (float(a[0] * b[0]) + float(a[-1] * b[-1])))
 
 

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .model import nonlinearity
 from .numerics import (
-    abs_power, grid_index, is_number, node_at_or_past, odd_power, trapz, trapz_dot,
+    abs_power, grid_index, is_number, node_at_or_past, odd_power, trapz_dot,
 )
 
 BLOWUP_FACTOR = 1e3
@@ -343,12 +343,11 @@ class _Recorders:
     Monitors ask for, in call order, as plain functions (bound methods
     would tie the workspace into a reference cycle).  They share one
     workspace, allocated once per run: chan = 2h (w_r + w_t),
-    2h (w_r - w_t) for the totals, radii, triangles and traces; dens = the
-    inward and outward energy densities / pi and g2 = |w|^{p+1}/r^p (zero
-    in linear runs), on the prefix of nodes that the radii and triangles
-    read.  All are written only on nodes [0, e) of leapfrog's window,
-    whose end never decreases, so their entries past the window stay
-    zero; tmp is scratch.
+    2h (w_r - w_t), written only on nodes [0, e) of leapfrog's window,
+    whose end never decreases, so its entries past the window stay zero;
+    tmp is scratch.  energies() is the one channel-energy rule: the
+    totals, the radii and the triangle corners all take E_-+ on a node
+    prefix from it, as trapezoid dot products.
     """
 
     def __init__(self, traj):
@@ -359,9 +358,7 @@ class _Recorders:
         self.one = grid_index(1.0, h, "exterior base radius r")
         self.inv_r = _inverse_power(r, 1.0)
         self.dt0 = (2.0 * h) * traj.pair.w1  # 2h w_t at level 0
-        self.chan, self.dens = np.zeros((2, n + 1)), np.zeros((2, n + 1))
-        self.g2, self.tmp = np.zeros(n + 1), np.zeros(n + 1)
-        self.formed = (-1, 0)  # level and prefix end of dens and g2
+        self.chan, self.tmp = np.zeros((2, n + 1)), np.zeros(n + 1)
         tri = mon.triangles or mon.triangles_out
         channels = mon.totals or mon.radii or tri or mon.char_tau
         self.active = [_Recorders.channels] if channels else []
@@ -375,6 +372,9 @@ class _Recorders:
         if mon.radii:
             self.radius_idx = {x: grid_index(float(x), h, f"radius {x}")
                                for x in mon.radii if x != "t/4"}
+            for x, i in self.radius_idx.items():
+                if i > n:
+                    raise OffGridError(f"radius {x} lies past r_max={grid.r_max}")
             self.active.append(_Recorders.radii)
         # (series, label node k, +1 inward / -1 outward, w_r - w_t trace?)
         self.lines = []
@@ -445,22 +445,15 @@ class _Recorders:
         np.add(tmp[:e], d_t, out=ch[0])
         np.subtract(tmp[:e], d_t, out=ch[1])
 
-    def densities(self, m, w, f, end):
-        """Form dens and g2 of level m on the nodes [0, end), past the
-        prefix that an earlier recorder formed at this level."""
-        lo = self.formed[1] if self.formed[0] == m else 0
-        if end <= lo:
-            return
-        self.formed = (m, end)
-        dp = self.dens[:, lo:end]
-        np.divide(self.chan[:, lo:end], 2.0 * self.h, out=dp)
-        dp *= dp
-        if not self.linear:
-            # |w|^{p+1} / r^{p-1}, then its share 2/(p+1) of the energy
-            pot_dens = np.multiply(f[lo:end], w[lo:end], out=self.tmp[lo:end])
-            np.multiply(pot_dens, self.inv_r[lo:end], out=self.g2[lo:end])
-            pot_dens *= 2.0 / (self.p + 1.0)
-            dp += pot_dens
+    def energies(self, w, f, end):
+        """(E_-, E_+) of the level on the nodes [0, end): pi times the
+        trapezoid integrals of chan^2/(4h^2) plus the potential share
+        (2/(p+1)) f w = (2/(p+1)) |w|^{p+1}/r^{p-1} (none if linear)."""
+        h, p, ch = self.h, self.p, self.chan[:, :end]
+        pot = 0.0 if self.linear else (2.0 / (p + 1.0)) * trapz_dot(f[:end], w[:end], h)
+        chan_sq = 1.0 / (4.0 * h * h)  # (w_r +- w_t)^2 per chan^2
+        return (math.pi * (trapz_dot(ch[0], ch[0], h) * chan_sq + pot),
+                math.pi * (trapz_dot(ch[1], ch[1], h) * chan_sq + pot))
 
     def flux(self, w, f, i):
         """|w|^{p+1} / r^{p-1} at node i, 0 at the origin and if linear."""
@@ -469,18 +462,14 @@ class _Recorders:
     def totals(self, m, w_prev, w, w_next, e, q, f):
         """E_-, E_+, E, xi, bulk, y2p and the exterior norm of level m, as
         trapezoid dot products over the window."""
-        h, p, led, tmp, ch = self.h, self.p, self.led, self.tmp, self.chan[:, :e]
+        h, led, tmp = self.h, self.led, self.tmp
+        e_minus, e_plus = self.energies(w, f, e)
         if self.linear:
-            _source(w, e, p, self.inv_rp1, self.q_lin, self.f_lin)
+            _source(w, e, self.p, self.inv_rp1, self.q_lin, self.f_lin)
             q, f = self.q_lin[:e], self.f_lin
-            pot = 0.0
         else:
-            pot = (2.0 / (p + 1.0)) * trapz_dot(f[:e], w[:e], h)
             u = np.multiply(w[:e], self.inv_r[:e], out=tmp[:e])
             led.bulk[m] = trapz_dot(f[:e], u, h)
-        chan_sq = 1.0 / (4.0 * h * h)  # (w_r +- w_t)^2 per chan^2
-        e_minus = math.pi * (trapz_dot(ch[0], ch[0], h) * chan_sq + pot)
-        e_plus = math.pi * (trapz_dot(ch[1], ch[1], h) * chan_sq + pot)
         led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
         if self.traj.monitors.xi_variant == "one_sided":
             led.xi[m] = w[1] / h
@@ -496,11 +485,9 @@ class _Recorders:
     def radii(self, m, w_prev, w, w_next, e, q, f):
         """Channel energies on [0, R] for each monitored radius R or t/4."""
         t4_idx = max(1, min(self.n, int(round(m / 4.0))))
-        at = [(x, t4_idx if x == "t/4" else self.radius_idx[x]) for x in self.led.radii]
-        self.densities(m, w, f, min(e, 1 + max(i for _, i in at)))
-        for label, i in at:
-            em, ep = math.pi * trapz(self.dens[:, : i + 1], self.h)
-            tot, mn, pl = self.led.radii[label]
+        for label, (tot, mn, pl) in self.led.radii.items():
+            i = t4_idx if label == "t/4" else self.radius_idx[label]
+            em, ep = self.energies(w, f, min(e, i + 1))
             tot[m], mn[m], pl[m] = em + ep, em, ep
 
     def line_samples(self, m, w_prev, w, w_next, e, q, f):
@@ -526,17 +513,20 @@ class _Recorders:
                 live.append((rec, edge, m == (rec.m_lo if inward else rec.m_hi), i0))
         if not live:
             return
-        reach = max(max(edge, i0 if corner else 0) for _, edge, corner, i0 in live)
-        self.densities(m, w, f, min(e, 1 + reach))
+        if not self.linear:  # w / r on the slices' reach, for f w / r = |w|^{p+1}/r^p
+            reach = min(e, 1 + max(edge for _, edge, _, _ in live))
+            u = np.multiply(w[:reach], self.inv_r[:reach], out=self.tmp[:reach])
         for rec, edge, corner, i0 in live:
             wt_time = 0.5 if m in (rec.m_lo, rec.m_hi) else 1.0
             # radial trapezoid times the time trapezoid weight (one h);
             # the slanted-edge node is also the slice's width
-            rec.bulk += wt_time * h * trapz(self.g2[: edge + 1], h)
+            if not self.linear:
+                end = min(reach, edge + 1)
+                rec.bulk += wt_time * h * trapz_dot(f[:end], u[:end], h)
             rec.flux += wt_time * h * self.flux(w, f, edge)
             if corner:
-                row = 0 if rec.kind == "inward" else 1
-                rec.energy = math.pi * trapz(self.dens[row, : i0 + 1], h)
+                e_minus, e_plus = self.energies(w, f, min(e, i0 + 1))
+                rec.energy = e_minus if rec.kind == "inward" else e_plus
 
     def envelope(self, m, w_prev, w, w_next, e, q, f):
         """Level m's extrema of the envelope and profile ratios, and the

@@ -292,6 +292,13 @@ def test_runtime_lab_error_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_radius_past_r_max_exits_3(tmp_path, capsys):
+    cfg = _write(tmp_path, RUN_CFG.replace("monitors.radii = 1.0,t/4", "monitors.radii = 1.0,100"))
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "radius 100" in err and "r_max" in err and "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------

@@ -481,6 +481,52 @@ def test_unknown_xi_variant_rejected():
         evolve(pair, params, grid, Monitors(xi_variant="fancy"))
 
 
+def test_radius_past_r_max_is_rejected():
+    params = make_params(3.0, 0.5)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 2.0, fam.support_radius())
+    with pytest.raises(OffGridError, match=rf"radius 100.0 lies past r_max={grid.r_max}"):
+        evolve(fam.sample(grid), params, grid, Monitors(radii=(1.0, 100.0)))
+    traj = evolve(fam.sample(grid), params, grid, Monitors(radii=(grid.r_max,)))
+    assert traj.ledger.radii[grid.r_max][0].max() > 0.0
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_radius_r_max_records_the_totals_bitwise(linear):
+    """One channel-energy rule: the ball r <= r_max is the whole window."""
+    params = make_params(3.5, 0.5)
+    fam = GaussianBump(0.5, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 4.0, fam.support_radius())
+    led = evolve(fam.sample(grid), params, grid, Monitors(radii=(grid.r_max,)),
+                 linear=linear).ledger
+    total, minus, plus = led.radii[grid.r_max]
+    assert total.tobytes() == led.e_total.tobytes()
+    assert minus.tobytes() == led.e_minus.tobytes()
+    assert plus.tobytes() == led.e_plus.tobytes()
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_trapz_dot_calls_per_level(monkeypatch, linear):
+    """The per-level prefix integrals are trapz_dot calls, counted exactly:
+    E_- and E_+ take two, plus one for the potential if nonlinear."""
+    calls = []
+    real = nlw.solver.trapz_dot
+    monkeypatch.setattr(nlw.solver, "trapz_dot", lambda *a: calls.append(1) or real(*a))
+    params = make_params(3.0, 0.5)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    h = 1.0 / 32.0
+    grid = GridSpec.padded(h, 4.0, fam.support_radius())
+    # probes of r0 = 1 and 2, live on r0/h + 1 = 33 and 65 levels
+    mon = Monitors(radii=(0.5, 1.0, "t/4"), triangles=((0.5, 1.0),), triangles_out=((3.0, 2.0),))
+    evolve(fam.sample(grid), params, grid, mon, linear=linear)
+    energies = 2 if linear else 3
+    # totals: the energies, y2p, the exterior norm and, if nonlinear, bulk
+    totals = energies + (2 if linear else 3)
+    per_level = totals + 3 * energies
+    bulk_slices = 0 if linear else 33 + 65
+    assert len(calls) == (grid.steps + 1) * per_level + bulk_slices + 2 * energies
+
+
 def _leapfrog_levels(pair, params, grid, linear, times):
     """Copies of the (w_prev, w, w_next) leapfrog yields at the given times."""
     out = {}
