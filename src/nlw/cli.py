@@ -326,9 +326,8 @@ def _radius_tag(label):
 
 
 def write_ledger_csv(path, traj, stride=1):
-    """Write every stride-th level (and the last) of the ledger as CSV, in
-    blocks of _CSV_BLOCK rows: the bytes csv.writer gives for the cells
-    f"{x:.12g}", without holding the formatted file in memory."""
+    """Every stride-th level and the last of the ledger as csv.writer writes
+    the cells f"{x:.12g}", formatted _CSV_BLOCK rows at a time."""
     led = traj.ledger
     stride = max(1, int(stride))
     cols = ["t", "E_total", "E_minus", "E_plus", "xi", "bulk", "y2p", "exterior_l2p2"]

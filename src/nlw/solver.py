@@ -346,8 +346,8 @@ class _Recorders:
     2h (w_r - w_t), written only on nodes [0, e) of leapfrog's window,
     whose end never decreases, so its entries past the window stay zero;
     tmp is scratch.  energies() is the one channel-energy rule: the
-    totals, the radii and the triangle corners all take E_-+ on a node
-    prefix from it, as trapezoid dot products.
+    totals, the radii and the triangle corners all take E_- and E_+ on
+    a node prefix from it, as trapezoid dot products.
     """
 
     def __init__(self, traj):
@@ -513,16 +513,15 @@ class _Recorders:
                 live.append((rec, edge, m == (rec.m_lo if inward else rec.m_hi), i0))
         if not live:
             return
-        if not self.linear:  # w / r on the slices' reach, for f w / r = |w|^{p+1}/r^p
+        if not self.linear:  # f w / r = |w|^{p+1}/r^p on the slices' reach
             reach = min(e, 1 + max(edge for _, edge, _, _ in live))
-            u = np.multiply(w[:reach], self.inv_r[:reach], out=self.tmp[:reach])
+            f_r, u = f[:reach], np.multiply(w[:reach], self.inv_r[:reach], out=self.tmp[:reach])
         for rec, edge, corner, i0 in live:
             wt_time = 0.5 if m in (rec.m_lo, rec.m_hi) else 1.0
             # radial trapezoid times the time trapezoid weight (one h);
             # the slanted-edge node is also the slice's width
             if not self.linear:
-                end = min(reach, edge + 1)
-                rec.bulk += wt_time * h * trapz_dot(f[:end], u[:end], h)
+                rec.bulk += wt_time * h * trapz_dot(f_r[: edge + 1], u[: edge + 1], h)
             rec.flux += wt_time * h * self.flux(w, f, edge)
             if corner:
                 e_minus, e_plus = self.energies(w, f, min(e, i0 + 1))
@@ -583,7 +582,8 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     t_max is computed so that centered time derivatives exist at t_max.
 
     Each level of leapfrog() goes, on its light-cone window, through the
-    recorders of the requested monitor kinds only (see _Recorders).
+    recorders of the requested monitor kinds only (see _Recorders, whose
+    energies() gives every channel energy, on a prefix of the window).
     Nonlinear levels reuse leapfrog's power q = |w|^{p-1} and source
     f = (q w) / r^{p-1}: |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2 and
     |u|^{2(p-1)} r^2 = (q r^{2-p})^2.  Linear runs take that power for the
@@ -591,7 +591,8 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     midpoint-in-time field, take a second power, so they are recorded
     only when monitors.bins asks for them.
 
-    Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
+    Raises OffGridError for monitors off the run (radii past r_max too)
+    and BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
     from .diagnostics import EnergyLedger  # deferred to avoid an import cycle
 

@@ -182,17 +182,10 @@ def test_trapz_dot_is_the_trapezoid_of_the_product(size):
     else:
         ref = trapz(a * b, 0.01)
         assert got == pytest.approx(ref, rel=1e-13, abs=1e-13 * trapz(np.abs(a * b), 0.01))
+        # bitwise the sum 0.0 + dot(chunk) + ... of 10,000-entry chunks,
+        # also where one np.dot call covers the array
+        total = 0.0
+        for i in range(0, size, 10_000):
+            total += float(np.dot(a[i : i + 10_000], b[i : i + 10_000]))
+        assert got == 0.01 * (total - 0.5 * (float(a[0] * b[0]) + float(a[-1] * b[-1])))
 
-
-@pytest.mark.parametrize("size", [2, 3, 257, 9_999, 10_000, 10_001, 25_003])
-def test_trapz_dot_is_bitwise_the_chunked_sum(size):
-    """One np.dot call below the chunk size gives the bits of the chunked
-    sum 0.0 + dot(chunk) + ...; above it, the chunks are the same."""
-    rng = np.random.default_rng(size)
-    a = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
-    b = rng.standard_normal(size) + 2.0
-    total = 0.0
-    for i in range(0, size, 10_000):
-        total += float(np.dot(a[i : i + 10_000], b[i : i + 10_000]))
-    ref = 0.01 * (total - 0.5 * (float(a[0] * b[0]) + float(a[-1] * b[-1])))
-    assert trapz_dot(a, b, 0.01) == ref
