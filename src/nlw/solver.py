@@ -394,10 +394,11 @@ class _Recorders:
                 t_lo, t_hi = (t0, t0 + r0) if kind == "inward" else (t0 - r0, t0)
                 m0 = grid_index(t_lo, h, "triangle start")
                 m1 = grid_index(t_hi, h, "triangle end")
-                if m0 < 0 or m1 > steps:
-                    raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run")
+                i0 = grid_index(r0, h, "triangle r0")
+                if m0 < 0 or m1 > steps or i0 > n:
+                    raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run or the grid")
                 traj.triangle_records.append(TriangleRecord(t0, r0, kind, m0, m1))
-                self.corner_idx.append(grid_index(r0, h, "triangle r0"))
+                self.corner_idx.append(i0)
         if tri:
             self.active.append(_Recorders.triangles)
         if mon.envelope is not None:

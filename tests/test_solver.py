@@ -491,6 +491,20 @@ def test_radius_past_r_max_is_rejected():
     assert traj.ledger.radii[grid.r_max][0].max() > 0.0
 
 
+
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("kind", ["triangles", "triangles_out"])
+def test_triangle_past_r_max_is_rejected(kind, linear):
+    """A corner radius r0 past r_max on an outgoing grid long enough for
+    the probe: nonlinear runs used to leak IndexError, linear ones to
+    record the whole grid's channel energy as the corner energy."""
+    params = make_params(3.0, 0.5)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    grid = GridSpec(h=1.0 / 16.0, r_max=6.0, t_max=8.0, boundary="outgoing")
+    probe = (1.0, 6.5) if kind == "triangles" else (7.0, 6.5)
+    with pytest.raises(OffGridError, match=r"triangle \(.*\) leaves the run or the grid"):
+        evolve(fam.sample(grid), params, grid, Monitors(**{kind: (probe,)}), linear=linear)
+
 @pytest.mark.parametrize("linear", [False, True])
 def test_radius_r_max_records_the_totals_bitwise(linear):
     """One channel-energy rule: the ball r <= r_max is the whole window."""
