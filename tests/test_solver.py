@@ -495,9 +495,9 @@ def test_radius_past_r_max_is_rejected():
 @pytest.mark.parametrize("linear", [False, True])
 @pytest.mark.parametrize("kind", ["triangles", "triangles_out"])
 def test_triangle_past_r_max_is_rejected(kind, linear):
-    """A corner radius r0 past r_max on an outgoing grid long enough for
-    the probe: nonlinear runs used to leak IndexError, linear ones to
-    record the whole grid's channel energy as the corner energy."""
+    """A corner radius r0 past r_max, on an outgoing grid long enough for
+    the probe, is rejected before any step: nothing indexes past the grid
+    and no corner energy is clipped to the grid's."""
     params = make_params(3.0, 0.5)
     fam = GaussianBump(0.4, 2.0, 0.4)
     grid = GridSpec(h=1.0 / 16.0, r_max=6.0, t_max=8.0, boundary="outgoing")
