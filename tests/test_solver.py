@@ -474,11 +474,9 @@ def test_monitors_reject_bad_labels_at_construction(kwargs):
 
 
 def test_unknown_xi_variant_rejected():
-    params = make_params(3.0, 0.5)
-    grid = GridSpec(h=0.25, r_max=4.0, t_max=1.0, boundary="pad")
-    pair = RadialPair(np.zeros(17), np.zeros(17), h=0.25)
-    with pytest.raises(Exception):
-        evolve(pair, params, grid, Monitors(xi_variant="fancy"))
+    """Rejected where the monitors are built, before any evolve()."""
+    with pytest.raises(OffGridError, match="unknown xi variant 'fancy'"):
+        Monitors(xi_variant="fancy")
 
 
 def test_radius_past_r_max_is_rejected():
