@@ -209,24 +209,25 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     the triangle source bound.  c=None picks half the empirically found
     envelope threshold.  The main run records no characteristic bins.
 
-    r_max=None sizes the grid at 16*t_max + 4.  The causal wedge only
-    needs 1 + 2*t_max, but the exterior norm is truncation-sensitive:
-    cutting the slowly decaying tail at r_max turns its shell integral
-    1/(1+t) - 1/r_max into a linear-in-T deficit of the cumulative norm,
-    so r_max must be a large multiple of t_max for the logarithmic
-    growth to come through cleanly.
+    r_max=None sizes the grid at 2*t_max + 4.  The data carry their exact
+    exterior r^beta Phi(t/r) (a FarField), so every integral of the report
+    is taken on the grid to the clean edge and closed past it exactly: no
+    number depends on r_max.  The far_field section states the rule and
+    each closure's share of its integral.
 
     Below t_max = 8 no tail norm starts (its fit is null).  Raises
     ConfigError, before any run, if t_max is below 4, the first dyadic
-    sample time, or if h, t_max and r_max make no grid.
+    sample time, if h, t_max and r_max make no grid, or if r_max is at
+    most 2*t_max + 1 + h (GridSpec.check_far_field).
     """
     if not t_max >= 4.0:
         raise ConfigError(f"t_max={t_max} is below 4, the first dyadic sample time")
     params = make_params(p, kappa)
     try:
         if r_max is None:
-            r_max = node_at_or_past(4.0 + 16.0 * t_max, h, "r_max")
+            r_max = node_at_or_past(4.0 + 2.0 * t_max, h, "r_max")
         grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
+        grid.check_far_field()
     except OffGridError as err:
         raise ConfigError(str(err)) from err
     threshold = None
@@ -254,10 +255,10 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     try:
         kr = k_functional(traj.pair, params)
         k_sec = {"divergent": False, "k1": kr.k1, "k": kr.k}
-        k_value = kr.k
+        k_value, k_share = kr.k, kr.tail / kr.k1
     except DivergentIntegralError as err:
         k_sec = {"divergent": True, "detail": str(err)}
-        k_value = None
+        k_value = k_share = None
 
     e_minus_vals = [float(led.e_minus[led.level(t)]) for t in times]
     decay_sec = {
@@ -335,10 +336,22 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
             }
         )
 
+    at = [led.level(t) for t in times]
+    closed = {"e_minus": led.e_minus, "e_plus": led.e_plus, "y2p": led.y2p**2,
+              "exterior": led.exterior_l2p2}
+    shares = {k: (traj.far_tails[k][at] / v[at]).tolist() for k, v in closed.items()}
+    far_sec = {
+        "clean_edge": "level m is exact on nodes <= n - m - 1 (w_t reads level m + 1); each "
+                      "integral stops there and is closed past it by w = r^beta Phi(t/r)",
+        "times": list(times),
+        "closure_share": {**shares, "k": k_share,
+                          "free_wave_defect": [d.closure for d in defects]},
+    }
     report = {
         "p": p,
         "kappa": kappa,
         "grid": {"h": h, "r_max": grid.r_max, "t_max": t_max},
+        "far_field": far_sec,
         "envelope": envelope_sec,
         "channel_mass": k_sec,
         "energy_decay": decay_sec,

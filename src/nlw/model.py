@@ -26,6 +26,7 @@ from .errors import (
     BoundaryLeakError,
     DivergentIntegralError,
     InitialDataError,
+    OffGridError,
     OutOfRangeError,
 )
 from .numerics import abs_power, derivative, odd_power, trapz
@@ -91,17 +92,131 @@ def potential_density(w, r, p):
     return out
 
 
+FAR_DS = 1.0 / 2048.0  # RK4 step and table spacing of the far-field profile
+
+
+class FarField:
+    """The exact exterior of power-law data c r^beta at rest on r >= 1.
+
+    Equation and data are invariant under w -> lam^-beta w(lam r, lam t),
+    so on r > 1 + t the solution is w = r^beta Phi(s), s = t/r, with
+
+        (1 - s^2) Phi'' + 2(beta-1) s Phi' - beta(beta-1) Phi + |Phi|^{p-1} Phi = 0,
+
+    Phi(0) = c, Phi'(0) = 0, regular for s < 1.  The first lookup tabulates
+    Phi, Phi' by RK4 up to the largest s asked for (read by cubic Hermite
+    interpolation).  Each closed ledger density is r^d psi(t/r), so its
+    integral past R is R^{d+1} Psi(t/R), Psi(x) = x^{d+1} int_0^x s^{-d-2}
+    psi ds, tabulated per kind: psi(0) exactly, the rest by the product
+    trapezoid rule, as s^{-d-2} may be singular at 0.
+    """
+
+    def __init__(self, c, p):
+        self.c, self.p, self.beta = float(c), float(p), (p - 3.0) / (p - 1.0)
+        self.s, self.tables = None, {}
+        b, pi = self.beta, math.pi  # kind -> (degree d, ledger prefactor)
+        self.kinds = dict(e_minus=(2 * b - 2, pi), e_plus=(2 * b - 2, pi), bulk=(2 * b - 3, 1.0),
+                          y2p=(2 * b - 4, 4 * pi), exterior=(-2.0, 4 * pi))
+
+    def _ensure(self, s_max):
+        ds, steps = FAR_DS, math.ceil(s_max / FAR_DS)
+        if not steps * ds < 1.0:
+            raise OffGridError(f"far-field lookup at t/r = {s_max:.6g}: Phi is singular at 1")
+        if self.s is not None and self.s[-1] >= s_max:
+            return
+        b1, b2, pm1 = self.beta * (self.beta - 1.0), 2.0 * self.beta - 2.0, self.p - 1.0
+
+        def acc(s, y, v):
+            return (b1 * y - abs(y) ** pm1 * y - b2 * s * v) / (1.0 - s * s)
+
+        y, v, table = self.c, 0.0, [(self.c, 0.0)]
+        for k in range(steps):
+            s = k * ds
+            a1 = acc(s, y, v)
+            a2 = acc(s + 0.5 * ds, y + 0.5 * ds * v, v + 0.5 * ds * a1)
+            a3 = acc(s + 0.5 * ds, y + 0.5 * ds * (v + 0.5 * ds * a1), v + 0.5 * ds * a2)
+            a4 = acc(s + ds, y + ds * (v + 0.5 * ds * a2), v + ds * a3)
+            y += ds * (v + ds * (a1 + a2 + a3) / 6.0)
+            v += ds * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+            table.append((y, v))
+        self.s, (self.phi, self.dphi) = ds * np.arange(steps + 1), np.array(table).T
+        self.tables = {}
+
+    def profile(self, s):
+        """(Phi(s), Phi'(s))."""
+        s = np.asarray(s, dtype=float)
+        self._ensure(float(s.max(initial=0.0)))
+        k = np.minimum((s / FAR_DS).astype(int), self.s.size - 2)
+        x = s / FAR_DS - k
+        y0, d0, d1 = self.phi[k], self.dphi[k], self.dphi[k + 1]
+        dy = (self.phi[k + 1] - y0) / FAR_DS
+        return (y0 + FAR_DS * (x * x * (3 - 2 * x) * dy + x * (1 - x) * ((1 - x) * d0 - x * d1)),
+                6 * x * (1 - x) * dy + (1 - x) * (1 - 3 * x) * d0 + x * (3 * x - 2) * d1)
+
+    def channels(self, r, t):
+        """(w_r + w_t, w_r - w_t) at radii r > 1 + t."""
+        s = t / r
+        phi, dphi = self.profile(s)
+        base, scale = self.beta * phi - s * dphi, r ** (self.beta - 1.0)
+        return scale * (base + dphi), scale * (base - dphi)
+
+    def tail(self, kind, r, t):
+        """The ledger integral of `kind` past radius r at time t (r > 1 + t),
+        prefactor included: E_-, E_+, bulk, y2p^2 or the exterior norm."""
+        (d, pref), p = self.kinds[kind], self.p
+        x = t / r
+        self._ensure(float(np.max(x, initial=0.0)))
+        if kind not in self.tables:  # on quarter steps of the Phi table
+            ds, a = FAR_DS / 4.0, -d - 2.0
+            s = ds * np.arange(4 * self.s.size - 3)
+            absphi = np.abs(self.profile(s)[0])
+            if kind in ("e_minus", "e_plus"):
+                chan = self.channels(1.0, s)[kind == "e_plus"]  # r = 1, t = s
+                u = chan * chan + (2.0 / (p + 1.0)) * absphi ** (p + 1.0)
+            else:
+                u = absphi ** {"bulk": p + 1.0, "y2p": 2.0 * p, "exterior": 2.0 * p - 2.0}[kind]
+            psi0, u = u[0], u - u[0]
+            m0, m1 = np.diff(s ** (a + 1.0)) / (a + 1.0), np.diff(s ** (a + 2.0)) / (a + 2.0)
+            rest = np.cumsum(u[:-1] * m0 + np.diff(u) / ds * (m1 - s[:-1] * m0))
+            self.tables[kind] = s, psi0 / (-d - 1.0) + np.append(0.0, s[1:] ** (d + 1.0) * rest)
+        return pref * r ** (d + 1.0) * np.interp(x, *self.tables[kind])
+
+    def defect_tail(self, r, t1, t2):
+        """int_r^inf (D+^2 + D-^2)/2 dr' (Gauss-Legendre in r/r'): the free
+        wave from the state at t1 carries w_r + w_t in from r' + tau and
+        w_r - w_t out from r' - tau (tau = t2 - t1), so D+ = A+(r', t2) -
+        A+(r' + tau, t1) and D- = A-(r', t2) - A-(r' - tau, t1)."""
+        x, wts = np.polynomial.legendre.leggauss(64)
+        x, tau = 0.5 * (x + 1.0), t2 - t1
+        now_in, now_out = self.channels(r / x, t2)
+        dp = now_in - self.channels(r / x + tau, t1)[0]
+        dm = now_out - self.channels(r / x - tau, t1)[1]
+        return float(np.dot(wts, (dp * dp + dm * dm) * r / (x * x))) / 4.0
+
+    def k_tail(self, r, kappa):
+        """K1's part past r >= 1, in closed form; DivergentIntegralError
+        unless kappa < (5-p)/(p-1), where it is finite."""
+        c, b, p = self.c, self.beta, self.p
+        if not kappa < 1.0 - 2.0 * b:
+            raise DivergentIntegralError(f"weighted channel mass diverges: kappa={kappa} >= "
+                                         f"(5-p)/(p-1) = {1.0 - 2.0 * b:.6g} (p={p})")
+        return (math.pi * c * c * (b * b + 2.0 * c ** (p - 1.0) / (p + 1.0))
+                * r ** (2.0 * b - 1.0 + kappa) / (1.0 - 2.0 * b - kappa))
+
+
 @dataclass
 class RadialPair:
     """Sampled initial data (w0, w1) on a uniform radial grid.
 
     w0[0] and w1[0] must vanish exactly: the reduction pins w(0,t) = 0 for
     all times, so both the value and the velocity vanish at the origin.
+    far_field is the data's exact exterior (FarField), if they have one.
     """
 
     w0: np.ndarray
     w1: np.ndarray
     h: float
+    far_field: FarField | None = None
 
     def __post_init__(self):
         self.w0 = np.asarray(self.w0, dtype=float)
@@ -223,8 +338,8 @@ class AppendixPowerLaw(InitialData):
 
     The tail is the whole point of this family, so the boundary leak check
     is skipped: on a truncated grid the exterior field necessarily carries
-    weight at r_max, and the diagnostics that probe the tail restrict to
-    the causal wedge r <= r_max - t where truncation is invisible.
+    weight at r_max.  sample() attaches the exact exterior (a FarField),
+    which closes every integral of the run past the clean wedge.
     """
 
     check_leak = False
@@ -271,6 +386,11 @@ class AppendixPowerLaw(InitialData):
 
     def support_radius(self):
         return None
+
+    def sample(self, grid, leak_tol=0.05):
+        pair = super().sample(grid, leak_tol)
+        pair.far_field = FarField(self.c, self.p)
+        return pair
 
 
 class Tabulated(InitialData):
@@ -388,7 +508,7 @@ class KReport:
 
     k1: float
     k: float
-    decades: tuple  # per-decade contributions over [1, r_max], diagnostics
+    tail: float = 0.0  # the part of k1 past r_max (data with a far field)
 
 
 def inward_density(pair, p):
@@ -399,40 +519,16 @@ def inward_density(pair, p):
 
 
 def k_functional(pair, params):
-    """Compute the weighted channel mass, guarding against divergence.
+    """Compute the weighted channel mass.
 
-    For slowly decaying tails the weighted integrand can fail to be
-    integrable; a truncated grid then produces a number that only reflects
-    r_max.  The guard splits [1, r_max] into complete decades and raises
-    DivergentIntegralError if the last complete decade contributes at
-    least as much as the one before it (ratio >= 0.999) while being
-    non-negligible.  At least two complete decades are required for the
-    comparison; smaller grids skip the guard.
+    Data with a far field add the integral past r_max in closed form
+    (FarField.k_tail), which raises DivergentIntegralError unless
+    kappa < (5-p)/(p-1); other data are taken on the grid as they stand.
     """
-    h = pair.h
-    p = params.p
-    kappa = params.kappa
-    r = pair.r
-    weight = np.maximum(1.0, r**kappa)
-    g = weight * inward_density(pair, p)
-    k1 = math.pi * trapz(g, h)
-
-    decades = []
-    lo = 1.0
-    while lo * 10.0 <= r[-1] * (1.0 + 1e-12):
-        i0 = int(round(lo / h))
-        i1 = min(int(round(lo * 10.0 / h)), r.size - 1)
-        decades.append(math.pi * trapz(g[i0 : i1 + 1], h))
-        lo *= 10.0
-    if len(decades) >= 2:
-        prev, last = decades[-2], decades[-1]
-        if last > 1e-12 * max(k1, 1e-300) and last >= 0.999 * prev:
-            raise DivergentIntegralError(
-                f"weighted channel integrand does not settle: last two "
-                f"decade contributions {prev:.6g} -> {last:.6g} "
-                f"(kappa={kappa}, p={p})"
-            )
-    return KReport(k1=k1, k=4.0 * k1, decades=tuple(decades))
+    weight = np.maximum(1.0, pair.r**params.kappa)
+    k1 = math.pi * trapz(weight * inward_density(pair, params.p), pair.h)
+    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(pair.r[-1], params.kappa)
+    return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)
 
 
 def conformal_charge_w(w, w_t, t, h, p):

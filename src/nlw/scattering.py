@@ -176,6 +176,7 @@ class DefectReport:
     t2: float
     defect: float  # kinetic energy norm of (nonlinear - free) at t2
     relative: float  # defect / sqrt(E(t1))
+    closure: float = 0.0  # share of defect^2 from past the clean edge
 
 
 def free_wave_defect(traj, t1, t2):
@@ -184,7 +185,8 @@ def free_wave_defect(traj, t1, t2):
 
         defect = ( 2*pi int (d_r^2 + d_t^2) dr )^{1/2},  d = w - w_free.
 
-    Both snapshots must have been recorded during the run.
+    Both snapshots must have been recorded during the run.  With a far
+    field, FarField.defect_tail closes it past the clean edge at t2.
     """
     snap1 = traj.snapshot_at(t1)
     snap2 = traj.snapshot_at(t2)
@@ -211,10 +213,15 @@ def free_wave_defect(traj, t1, t2):
     d = snap2.w_curr - w_free
     dt = snap2.w_t - wt_free
     dr = derivative(d, h)
-    defect = math.sqrt(2.0 * math.pi * trapz(dr * dr + dt * dt, h))
+    far = None if traj.linear else traj.pair.far_field
+    end = traj.grid.n + 1 if far is None else traj.grid.n - grid_index(t2, h, "t2")
+    grid_part = trapz((dr * dr + dt * dt)[:end], h)
+    tail = 0.0 if far is None else far.defect_tail((end - 1) * h, t1, t2)
+    defect = math.sqrt(2.0 * math.pi * (grid_part + tail))
     e1 = float(traj.ledger.e_total[traj.ledger.level(t1)])
     return DefectReport(
-        t1=t1, t2=t2, defect=defect, relative=defect / math.sqrt(max(e1, 1e-300))
+        t1=t1, t2=t2, defect=defect, relative=defect / math.sqrt(max(e1, 1e-300)),
+        closure=tail / (grid_part + tail) if tail else 0.0,
     )
 
 

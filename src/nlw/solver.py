@@ -79,6 +79,11 @@ class GridSpec:
     def r(self):
         return self.h * np.arange(self.n + 1)
 
+    def check_far_field(self):
+        """OffGridError unless every level's clean edge r_max - t - h lies past 1 + t."""
+        if self.n < 2 * self.steps + grid_index(1.0, self.h) + 2:
+            raise OffGridError(f"r_max={self.r_max} must exceed 2 t_max + 1 + h for a far field")
+
     @classmethod
     def padded(cls, h, t_max, support_radius, margin=1.0):
         """Grid large enough that data inside support_radius never touches
@@ -137,6 +142,10 @@ class Monitors:
     bins           the characteristic bins (ledger.s_bulk) for
                    diagnostics.weighted_morawetz; they cost a second power
     xi_variant     "one_sided" (w(h)/h) or "second_order"
+
+    With a far field (power-law data) the totals, radii and triangle
+    corners are closed past the clean edge (see _Recorders); the bins, line
+    samples and triangle bulk slices are not, and no report reads them.
     """
 
     radii: tuple = ()
@@ -228,6 +237,7 @@ class Trajectory:
     triangle_records: list = field(default_factory=list)
     envelope: EnvelopeRecord | None = None
     linear: bool = False
+    far_tails: dict = field(default_factory=dict)  # per-level closures of the totals
 
     def snapshot_at(self, t):
         for snap in self.snapshots:
@@ -348,6 +358,11 @@ class _Recorders:
     tmp is scratch.  energies() is the one channel-energy rule: the
     totals, the radii and the triangle corners all take E_- and E_+ on
     a node prefix from it, as trapezoid dot products.
+
+    A nonlinear run of data with a far field stops at the clean edge, as
+    level m is exact on the nodes <= n - m - 1 (w_t reads level m + 1):
+    the totals add FarField.tail past its radius (traj.far_tails), a
+    radius or corner past it the exact integral up to its radius.
     """
 
     def __init__(self, traj):
@@ -362,8 +377,16 @@ class _Recorders:
         tri = mon.triangles or mon.triangles_out
         channels = mon.totals or mon.radii or tri or mon.char_tau
         self.active = [_Recorders.channels] if channels else []
+        self.far, self.tails = (None if traj.linear else traj.pair.far_field), None
+        if self.far is not None and channels:
+            grid.check_far_field()
 
         if mon.totals:
+            if self.far is not None:
+                lv = np.arange(steps + 1)
+                traj.far_tails = {k: self.far.tail(k, h * (n - lv - 1), h * lv)
+                                  for k in self.far.kinds}
+                self.tails = list(zip(*(a.tolist() for a in traj.far_tails.values())))
             self.inv_rp1 = _inverse_power(r, p - 1.0)
             self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
             if traj.linear:  # the ledger's power and source
@@ -446,15 +469,25 @@ class _Recorders:
         np.add(tmp[:e], d_t, out=ch[0])
         np.subtract(tmp[:e], d_t, out=ch[1])
 
-    def energies(self, w, f, end):
-        """(E_-, E_+) of the level on the nodes [0, end): pi times the
-        trapezoid integrals of chan^2/(4h^2) plus the potential share
+    def energies(self, w, f, end, tails=(0.0, 0.0)):
+        """(E_-, E_+) of the level on the nodes [0, end), plus tails: pi times
+        the trapezoid integrals of chan^2/(4h^2) plus the potential share
         (2/(p+1)) f w = (2/(p+1)) |w|^{p+1}/r^{p-1} (none if linear)."""
         h, p, ch = self.h, self.p, self.chan[:, :end]
         pot = 0.0 if self.linear else (2.0 / (p + 1.0)) * trapz_dot(f[:end], w[:end], h)
         chan_sq = 1.0 / (4.0 * h * h)  # (w_r +- w_t)^2 per chan^2
-        return (math.pi * (trapz_dot(ch[0], ch[0], h) * chan_sq + pot),
-                math.pi * (trapz_dot(ch[1], ch[1], h) * chan_sq + pot))
+        return (math.pi * (trapz_dot(ch[0], ch[0], h) * chan_sq + pot) + tails[0],
+                math.pi * (trapz_dot(ch[1], ch[1], h) * chan_sq + pot) + tails[1])
+
+    def energies_to(self, m, w, f, e, i):
+        """(E_-, E_+) on [0, r_i], closed past the clean edge."""
+        edge = self.n - m - 1
+        if self.far is None or i <= edge:
+            return self.energies(w, f, min(e, i + 1))
+        t, far = m * self.h, self.far
+        tails = [float(far.tail(k, edge * self.h, t) - far.tail(k, i * self.h, t))
+                 for k in ("e_minus", "e_plus")]
+        return self.energies(w, f, edge + 1, tails)
 
     def flux(self, w, f, i):
         """|w|^{p+1} / r^{p-1} at node i, 0 at the origin and if linear."""
@@ -464,31 +497,32 @@ class _Recorders:
         """E_-, E_+, E, xi, bulk, y2p and the exterior norm of level m, as
         trapezoid dot products over the window."""
         h, led, tmp = self.h, self.led, self.tmp
-        e_minus, e_plus = self.energies(w, f, e)
+        end, tails = (e, (0.0,) * 5) if self.tails is None else (self.n - m, self.tails[m])
+        e_minus, e_plus = self.energies(w, f, end, tails)
         if self.linear:
             _source(w, e, self.p, self.inv_rp1, self.q_lin, self.f_lin)
             q, f = self.q_lin[:e], self.f_lin
         else:
-            u = np.multiply(w[:e], self.inv_r[:e], out=tmp[:e])
-            led.bulk[m] = trapz_dot(f[:e], u, h)
+            u = np.multiply(w[:end], self.inv_r[:end], out=tmp[:end])
+            led.bulk[m] = trapz_dot(f[:end], u, h) + tails[2]
         led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
         if self.traj.monitors.xi_variant == "one_sided":
             led.xi[m] = w[1] / h
         else:
             led.xi[m] = (4.0 * w[1] - w[2]) / (2.0 * h)
-        led.y2p[m] = math.sqrt(4.0 * math.pi * trapz_dot(f[:e], f[:e], h))
+        led.y2p[m] = math.sqrt(4.0 * math.pi * trapz_dot(f[:end], f[:end], h) + tails[3])
         # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr; the
         # integral is 0 once fewer than two nodes of the window lie past 1 + t
         j0 = m + self.one
-        u_p1 = np.multiply(q[j0:], self.r_2mp[j0:e], out=tmp[j0:e])  # |u|^{p-1} r
-        led.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h)
+        u_p1 = np.multiply(q[j0:end], self.r_2mp[j0:end], out=tmp[j0:end])  # |u|^{p-1} r
+        led.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h) + tails[4]
 
     def radii(self, m, w_prev, w, w_next, e, q, f):
         """Channel energies on [0, R] for each monitored radius R or t/4."""
         t4_idx = max(1, min(self.n, int(round(m / 4.0))))
         for label, (tot, mn, pl) in self.led.radii.items():
             i = t4_idx if label == "t/4" else self.radius_idx[label]
-            em, ep = self.energies(w, f, min(e, i + 1))
+            em, ep = self.energies_to(m, w, f, e, i)
             tot[m], mn[m], pl[m] = em + ep, em, ep
 
     def line_samples(self, m, w_prev, w, w_next, e, q, f):
@@ -525,7 +559,7 @@ class _Recorders:
                 rec.bulk += wt_time * h * trapz_dot(f_r[: edge + 1], u[: edge + 1], h)
             rec.flux += wt_time * h * self.flux(w, f, edge)
             if corner:
-                e_minus, e_plus = self.energies(w, f, min(e, i0 + 1))
+                e_minus, e_plus = self.energies_to(m, w, f, e, i0)
                 rec.energy = e_minus if rec.kind == "inward" else e_plus
 
     def envelope(self, m, w_prev, w, w_next, e, q, f):

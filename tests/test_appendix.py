@@ -288,6 +288,49 @@ def test_report_sections(appendix_quick):
     json.dumps(report)  # the CLI writes this verbatim
 
 
+def _report_scalars(report):
+    """Every number of a report that an integral past the clean edge feeds."""
+    rates = report["scattering_rates"]
+    lp, ext = rates["lp_l2p"], rates["exterior_growth"]
+    out = {"k": report["channel_mass"]["k"], "lp exponent": lp["exponent"],
+           "lp r^2": lp["r_squared"], "ext slope": ext["slope"],
+           "ext offset": ext["offset"], "ext r^2": ext["r_squared"]}
+    for name, values in (("e_minus", report["energy_decay"]["e_minus"]),
+                         ("lp total", lp["totals"]), ("ext value", ext["values"]),
+                         ("defect", rates["free_wave_defect"]["values"])):
+        out.update({f"{name} {k}": v for k, v in enumerate(values)})
+    return out
+
+
+def test_report_does_not_depend_on_r_max():
+    """The far-field closure leaves every reported integral, and the fits
+    on them, within 1 % between r_max = 2 t_max + 4 and 16 t_max + 4."""
+    c = 3.36376953125 / 2.0
+    small, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 16.0, t_max=32.0)
+    large, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 16.0, t_max=32.0, r_max=516.0)
+    assert small["grid"]["r_max"] == 68.0
+    got, want = _report_scalars(small), _report_scalars(large)
+    assert len(got) == 19
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-2), key
+    shares = small["far_field"]["closure_share"]
+    assert set(shares) == {"e_minus", "e_plus", "y2p", "exterior", "k", "free_wave_defect"}
+    assert 0.0 < shares["k"] < 1.0 and all(0.0 < v < 1.0 for v in shares["e_minus"])
+    assert len(shares["free_wave_defect"]) == 2
+
+
+def test_threshold_search_builds_no_far_field_table(monkeypatch):
+    """The envelope-only probes close no integral: no Phi table, and the
+    threshold is bitwise the one found before the far field existed."""
+    from nlw.model import FarField
+
+    def no_table(*args):
+        raise AssertionError("a threshold probe tabulated the far field")
+
+    monkeypatch.setattr(FarField, "_ensure", no_table)
+    assert find_envelope_threshold(4.0) == 3.36376953125
+
+
 def test_report_divergent_channel_mass():
     """kappa above (5-p)/(p-1) makes the weighted mass diverge; the report
     must degrade gracefully rather than fail: no scaled decay column, and

@@ -412,6 +412,23 @@ def test_appendix_bad_grid_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "ap").exists()
 
 
+def test_appendix_r_max_inside_the_far_field_edge_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    """r_max = 32 <= 2 t_max + 1 + h would put the clean edge at t_max
+    inside r = 1 + t, where the far field does not hold: refused before the
+    threshold search."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before r_max was checked")
+
+    monkeypatch.setattr("nlw.appendix.evolve", no_run)
+    code = main(["appendix", "--p", "4", "--kappa", "0.25", "--t-max", "16", "--r-max", "32",
+                 "--out-dir", str(tmp_path / "ap")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "r_max=32.0 must exceed 2 t_max + 1 + h" in err
+    assert not (tmp_path / "ap").exists()
+
+
 @pytest.mark.parametrize("t_max", ["4", "7.5"])
 def test_appendix_below_t_max_8_reports_null_tail_fit(tmp_path, capsys, t_max):
     """4 <= t_max < 8 leaves no tail-norm start time t0 <= t_max / 2: the

@@ -15,6 +15,7 @@ from nlw.errors import (
 )
 from nlw.model import (
     AppendixPowerLaw,
+    FarField,
     GaussianBump,
     DirectedPulse,
     ModelParams,
@@ -310,6 +311,104 @@ def test_k_functional_against_quadrature():
     ref, _ = scipy.integrate.quad(dens, 1e-9, 200.0, limit=600, points=[1.0])
     ref *= math.pi
     assert abs(rep.k1 - ref) < 2e-3 * ref
+
+
+# the flagship amplitude: half the envelope threshold at p = 4
+FLAGSHIP_C = 3.36376953125 / 2.0
+
+
+def test_far_field_profile_against_solve_ivp_and_the_grid():
+    """Phi from the RK4 table against scipy's DOP853 to 1e-10, and against
+    the discrete field r^-beta w at s = t/r = 1/4 and 1/2 (h = 1/32)."""
+    from scipy.integrate import solve_ivp
+
+    p, c = 4.0, FLAGSHIP_C
+    params = make_params(p, 0.25)
+    beta = params.beta
+
+    def rhs(s, y):
+        acc = beta * (beta - 1.0) * y[0] - abs(y[0]) ** (p - 1.0) * y[0]
+        return [y[1], (acc - 2.0 * (beta - 1.0) * s * y[1]) / (1.0 - s * s)]
+
+    s = np.concatenate([[0.0], np.linspace(0.0123, 0.9, 60)])
+    ref = solve_ivp(rhs, (0.0, 0.9), [c, 0.0], t_eval=s, method="DOP853",
+                    rtol=1e-13, atol=1e-13)
+    phi, dphi = FarField(c, p).profile(s)
+    assert np.max(np.abs(phi - ref.y[0])) < 1e-10
+    assert np.max(np.abs(dphi - ref.y[1])) < 1e-7
+
+    h, t = 1.0 / 32.0, 8.0
+    grid = GridSpec(h=h, r_max=48.0, t_max=t, boundary="outgoing")
+    pair = AppendixPowerLaw(c, params).sample(grid, leak_tol=None)
+    from nlw.solver import Monitors, evolve
+
+    w = evolve(pair, params, grid, Monitors(totals=False, snapshot_times=(t,))).snapshots[0].w_curr
+    for s_val in (0.25, 0.5):
+        r = t / s_val
+        discrete = w[round(r / h)] / r**beta
+        assert abs(discrete - pair.far_field.profile(s_val)[0]) < 1e-5
+
+
+def test_far_field_tails_against_quadrature():
+    """Each closed integral past (R, t) against scipy's quad of its
+    density, with Phi from a DOP853 dense solution, up to t/R = 64/68 (the
+    flagship's last level), where the table's error grows to 2.5e-7."""
+    from scipy.integrate import quad, solve_ivp
+
+    p, c = 4.0, FLAGSHIP_C
+    beta = (p - 3.0) / (p - 1.0)
+
+    def rhs(s, y):
+        acc = beta * (beta - 1.0) * y[0] - abs(y[0]) ** (p - 1.0) * y[0]
+        return [y[1], (acc - 2.0 * (beta - 1.0) * s * y[1]) / (1.0 - s * s)]
+
+    sol = solve_ivp(rhs, (0.0, 0.95), [c, 0.0], method="DOP853", rtol=1e-13, atol=1e-13,
+                    dense_output=True).sol
+
+    def density(kind, r, t):
+        phi, dphi = sol(t / r)
+        if kind in ("e_minus", "e_plus"):
+            sign = 1.0 if kind == "e_minus" else -1.0
+            chan = r ** (beta - 1.0) * (beta * phi - (t / r) * dphi + sign * dphi)
+            return math.pi * (chan**2 + 0.4 * abs(r**beta * phi) ** 5 / r**3)
+        # |w|^5/r^4, 4 pi |w|^8/r^6 and 4 pi (|w|^3/r)^2 / r^2 for w = r^beta phi
+        d, power, pref = {"bulk": (2 * beta - 3, 5.0, 1.0), "y2p": (2 * beta - 4, 8.0, 4 * math.pi),
+                          "exterior": (-2.0, 6.0, 4 * math.pi)}[kind]
+        return pref * r**d * abs(phi) ** power
+
+    far = FarField(c, p)
+    for r, t in ((20.0, 8.0), (12.0, 10.0), (68.0, 64.0), (68.0, 0.0)):
+        for kind in ("e_minus", "e_plus", "bulk", "y2p", "exterior"):
+            # r' = r / x on x in (0, 1]
+            ref, _ = quad(lambda x: density(kind, r / x, t) * r / x**2, 0.0, 1.0,
+                          epsabs=0.0, epsrel=1e-12, limit=200)
+            assert far.tail(kind, r, t) == pytest.approx(ref, rel=1e-6), (kind, r, t)
+
+
+def test_k_functional_far_field_closed_form():
+    """K of power-law data = grid part to r_max + the closed-form tail
+    pi c^2 (beta^2 + 2 c^(p-1)/(p+1)) R^(2 beta - 1 + kappa) / (1 - 2 beta - kappa),
+    which makes it independent of r_max: K1 = 233.48 at the flagship's
+    amplitude (h = 1/32), whatever the grid."""
+    p, kappa, c, h = 4.0, 0.25, FLAGSHIP_C, 1.0 / 32.0
+    params = make_params(p, kappa)
+    beta = params.beta
+    fam = AppendixPowerLaw(c, params)
+    reps = {}
+    for r_max in (132.0, 1028.0):
+        pair = fam.sample(GridSpec(h=h, r_max=r_max, t_max=1.0), leak_tol=None)
+        reps[r_max] = rep = k_functional(pair, params)
+        expo = 2.0 * beta - 1.0 + kappa
+        closed = math.pi * c * c * (beta**2 + 2.0 * c ** (p - 1.0) / (p + 1.0)) * r_max**expo / -expo
+        assert rep.tail == pytest.approx(closed, rel=1e-12)
+        assert rep.k1 - rep.tail == pytest.approx(
+            math.pi * np.trapezoid(np.maximum(1.0, pair.r**kappa) * inward_density(pair, p), dx=h),
+            rel=1e-12)
+        assert rep.k == pytest.approx(4.0 * rep.k1, rel=1e-15)
+    assert reps[132.0].k1 == pytest.approx(233.4786, rel=2e-5)  # measured at re-anchor 2
+    assert reps[132.0].k1 == pytest.approx(reps[1028.0].k1, rel=1e-8)
+    with pytest.raises(DivergentIntegralError, match="kappa=0.34"):
+        FarField(c, p).k_tail(132.0, 0.34)
 
 
 # --------------------------------------------------------------------------

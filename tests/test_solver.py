@@ -479,6 +479,59 @@ def test_unknown_xi_variant_rejected():
         Monitors(xi_variant="fancy")
 
 
+def _channels(m, w_prev, w, w_next, w1, h):
+    """2h (w_r + w_t), 2h (w_r - w_t) of a level, as evolve() forms them."""
+    d_r = np.empty_like(w)
+    d_r[1:-1] = w[2:] - w[:-2]
+    d_r[0] = -3.0 * w[0] + 4.0 * w[1] - w[2]
+    d_r[-1] = 3.0 * w[-1] - 4.0 * w[-2] + w[-3]
+    d_t = 2.0 * h * w1 if m == 0 else w_next - w_prev
+    return np.stack([d_r + d_t, d_r - d_t])
+
+
+def test_far_field_clean_edge():
+    """Runs of power-law data with r_max = 2T + 4 and 4T + 4 have
+    bitwise-equal channels exactly on the nodes <= n - m - 1 of the small
+    grid at level m; the small run's closed totals take their grid part on
+    those nodes, and a radius past its edge matches the large run's."""
+    params, h, t_max = make_params(4.0, 0.25), 1.0 / 16.0, 8.0
+    fam = AppendixPowerLaw(1.5, params)
+    radius = 2.0 * t_max + 2.0
+    runs = []
+    for r_max in (2.0 * t_max + 4.0, 4.0 * t_max + 4.0):
+        grid = GridSpec(h=h, r_max=r_max, t_max=t_max)
+        pair = fam.sample(grid, leak_tol=None)
+        levels = [(_channels(m, wp, w, wn, pair.w1, h), f[:e] * w[:e])
+                  for m, wp, w, wn, e, q, f in leapfrog(pair, params, grid)]
+        runs.append((grid.n, levels, evolve(pair, params, grid, Monitors(radii=(radius,)))))
+    (n, small, traj), (_, large, big_traj) = runs
+    led = traj.ledger
+    for m, ((chan, fw), (chan_big, fw_big)) in enumerate(zip(small, large)):
+        edge = n - m - 1
+        assert np.array_equal(chan[:, : edge + 1], chan_big[:, : edge + 1]), m
+        assert np.any(chan[:, edge + 1] != chan_big[:, edge + 1]), m
+        pot = 0.4 * trapz(fw_big[: edge + 1], h)
+        for name, tail in traj.far_tails.items():  # closed from the edge's radius on
+            assert tail[m] == pytest.approx(traj.pair.far_field.tail(name, edge * h, m * h),
+                                            rel=1e-14), (m, name)
+        for k, name in enumerate(("e_minus", "e_plus")):
+            grid_part = math.pi * (trapz(chan_big[k, : edge + 1] ** 2, h) / (4 * h * h) + pot)
+            assert getattr(led, name)[m] - traj.far_tails[name][m] == pytest.approx(
+                grid_part, rel=1e-12), (m, name)
+    # E(t; 0, R): closed past the small run's edge, on the grid in the large run
+    np.testing.assert_allclose(led.radii[radius][0], big_traj.ledger.radii[radius][0], rtol=2e-4)
+    assert led.conservation_drift() < 4e-3  # 1.9e-3: O(h^2), no loss past r_max
+
+
+def test_far_field_needs_the_clean_edge_past_1_plus_t():
+    params = make_params(4.0, 0.25)
+    grid = GridSpec(h=1.0 / 16.0, r_max=17.0, t_max=8.0)
+    pair = AppendixPowerLaw(1.0, params).sample(grid, leak_tol=None)
+    with pytest.raises(OffGridError, match="must exceed 2 t_max"):
+        evolve(pair, params, grid)
+    evolve(pair, params, grid, Monitors(totals=False))  # nothing to close
+
+
 def test_radius_past_r_max_is_rejected():
     params = make_params(3.0, 0.5)
     fam = GaussianBump(0.4, 2.0, 0.4)
@@ -600,10 +653,12 @@ def test_leapfrog_rejects_data_off_the_grid():
         evolve(pair, params, grid)
 
 
-def _ledger_loop(pair, params, grid, radii, linear):
+def _ledger_loop(pair, params, grid, radii, linear, tails=None):
     """evolve()'s per-level totals and radius energies recomputed from the
     leapfrog levels with full-grid densities and numerics.trapz, the way
-    evolve() formed them before it took its totals as dot products."""
+    evolve() formed them before it took its totals as dot products.  With
+    tails (a far-field run's per-level closures) the totals stop at the
+    clean edge, node n - m - 1, and add them."""
     h, n, p = grid.h, grid.n, params.p
     r = grid.r
     inv_rp1 = np.concatenate([[0.0], 1.0 / r[1:] ** (p - 1.0)])
@@ -624,13 +679,16 @@ def _ledger_loop(pair, params, grid, radii, linear):
         pot = 0.0 if linear else (2.0 / (p + 1.0)) * (f * w)
         ea = (wr + wt) ** 2 + pot
         eb = (wr - wt) ** 2 + pot
-        out["e_minus"][m] = math.pi * trapz(ea, h)
-        out["e_plus"][m] = math.pi * trapz(eb, h)
-        out["bulk"][m] = 0.0 if linear else trapz(f * w * inv_r, h)
-        out["y2p"][m] = math.sqrt(4.0 * math.pi * trapz(f * f, h))
+        end, tail = n + 1, dict.fromkeys(("e_minus", "e_plus", "bulk", "y2p", "exterior"), 0.0)
+        if tails is not None:
+            end, tail = n - m, {k: v[m] for k, v in tails.items()}
+        out["e_minus"][m] = math.pi * trapz(ea[:end], h) + tail["e_minus"]
+        out["e_plus"][m] = math.pi * trapz(eb[:end], h) + tail["e_plus"]
+        out["bulk"][m] = 0.0 if linear else trapz((f * w * inv_r)[:end], h) + tail["bulk"]
+        out["y2p"][m] = math.sqrt(4.0 * math.pi * trapz((f * f)[:end], h) + tail["y2p"])
         j0 = m + one
-        ext = (q[j0:] * inv_rp1[j0:]) ** 2 * r[j0:] ** 2
-        out["exterior_l2p2"][m] = 4.0 * math.pi * trapz(ext, h)
+        ext = (q[j0:end] * inv_rp1[j0:end]) ** 2 * r[j0:end] ** 2
+        out["exterior_l2p2"][m] = 4.0 * math.pi * trapz(ext, h) + tail["exterior"]
         for label in radii:
             if label == "t/4":
                 idx = max(1, min(n, int(round(m / 4.0))))
@@ -662,8 +720,10 @@ def test_ledger_matches_level_by_level_reference(case):
     grid = make_grid(fam)
     pair = fam.sample(grid, leak_tol=None) if isinstance(fam, AppendixPowerLaw) else fam.sample(grid)
     radii = (1.0, 2.0, "t/4")
-    led = evolve(pair, params, grid, Monitors(radii=radii), linear=linear).ledger
-    ref = _ledger_loop(pair, params, grid, radii, linear)
+    traj = evolve(pair, params, grid, Monitors(radii=radii), linear=linear)
+    led = traj.ledger
+    assert bool(traj.far_tails) == (pair.far_field is not None)
+    ref = _ledger_loop(pair, params, grid, radii, linear, traj.far_tails or None)
     for name in ("e_minus", "e_plus", "bulk", "y2p", "exterior_l2p2"):
         np.testing.assert_allclose(getattr(led, name), ref[name], rtol=1e-13, atol=1e-300,
                                    err_msg=name)
