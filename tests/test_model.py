@@ -409,7 +409,7 @@ def test_k_functional_far_field_closed_form():
             math.pi * np.trapezoid(np.maximum(1.0, pair.r**kappa) * inward_density(pair, p), dx=h),
             rel=1e-12)
         assert rep.k == pytest.approx(4.0 * rep.k1, rel=1e-15)
-    assert reps[132.0].k1 == pytest.approx(233.4786, rel=2e-5)  # measured at re-anchor 2
+    assert reps[132.0].k1 == pytest.approx(233.4786, rel=2e-5)  # ROADMAP item 2's value
     assert reps[132.0].k1 == pytest.approx(reps[1028.0].k1, rel=1e-8)
     with pytest.raises(DivergentIntegralError, match="kappa=0.34"):
         FarField(c, p).k_tail(132.0, 0.34)
