@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nlw import DirectedPulse, GridSpec
 from nlw.cli import Config, load_config, main, parse_scalar, run_checks, run_problem
 from nlw.errors import ConfigError
 
@@ -168,6 +169,74 @@ def test_run_tabulated_family(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["energy"]["initial"] > 0.0
     assert not (out / "snapshots.npz").exists()
+
+
+PULSE_CFG = """\
+params.p = 3
+grid.h = 1/32
+grid.t_max = 1
+grid.margin = 2
+grid.boundary = outgoing
+data.family = pulse
+data.amplitude = 0.3
+data.center = 3
+data.width = 0.5
+data.direction = outward
+"""
+
+
+def test_run_pulse_on_a_padded_grid_with_a_boundary_override(tmp_path):
+    cfg = _write(tmp_path, PULSE_CFG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    padded = GridSpec.padded(1.0 / 32.0, 1.0, DirectedPulse(0.3, 3.0, 0.5).support_radius(),
+                             margin=2.0)
+    assert summary["grid"] == {"h": 1.0 / 32.0, "r_max": padded.r_max, "t_max": 1.0,
+                               "boundary": "outgoing"}
+    assert summary["data"]["direction"] == "outward"
+    assert summary["energy"]["initial"] > 0.0
+
+
+POWER_LAW_CFG = """\
+params.p = 4
+params.kappa = 0.25
+grid.h = 1/16
+grid.t_max = 8
+grid.r_max = 21
+data.family = power_law
+data.c = 0.5
+monitors.envelope_c = 0.5
+output.plots = true
+"""
+
+
+def test_run_power_law_with_an_envelope_monitor(tmp_path):
+    cfg = _write(tmp_path, POWER_LAW_CFG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["grid"] == {"h": 1.0 / 16.0, "r_max": 21.0, "t_max": 8.0,
+                               "boundary": "outgoing"}
+    assert summary["envelope"]["c"] == 0.5 and summary["envelope"]["holds"] is True
+    assert (out / "energy.svg").exists() and (out / "envelope.svg").exists()
+
+
+@pytest.mark.parametrize("leak_tol,code", [(None, 3), ("none", 0)])
+def test_leak_tol_none_admits_data_at_an_explicit_r_max(tmp_path, capsys, leak_tol, code):
+    """A bump cut off at r_max = 2 fails the boundary leak check, unless
+    data.leak_tol = none switches it off."""
+    text = RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 1\ngrid.r_max = 2").replace(
+        "monitors.snapshots = 1,2", "monitors.snapshots = 1")
+    if leak_tol is not None:
+        text += f"data.leak_tol = {leak_tol}\n"
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--out-dir", str(out)]) == code
+    if code:
+        assert "boundary weight fraction" in capsys.readouterr().err
+    else:
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["grid"]["r_max"] == 2.0 and summary["grid"]["boundary"] == "outgoing"
 
 
 def test_verify_passes(tmp_path, capsys):
