@@ -35,11 +35,10 @@ from .errors import (
     OutOfRangeError,
 )
 from .model import AppendixPowerLaw, k_functional, make_params
-from .numerics import abs_power, dyadic_times, grid_index, node_at_or_past, trapz
+from .numerics import abs_power, dyadic_times, fit_power_law, grid_index, node_at_or_past, trapz
 from .scattering import (
     exterior_cumulative,
     exterior_growth_fit,
-    fit_power_law,
     free_wave_defect,
     lp_l2p_tail,
     predicted_tail_exponent,

@@ -44,8 +44,7 @@ from .model import (
     Tabulated,
     make_params,
 )
-from .numerics import is_number
-from .scattering import fit_log_growth, fit_power_law
+from .numerics import fit_log_growth, fit_power_law, is_number
 from .solver import EnvelopeSpec, GridSpec, Monitors, evolve
 from .svgplot import line_plot
 

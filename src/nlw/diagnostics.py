@@ -38,8 +38,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, OffGridError, TailNotConvergedError, WeightInvalidError
 from .model import inward_density, k_functional, potential_density
-from .numerics import abs_power, cumtrapz, derivative, grid_index, trapz
-from .scattering import fit_power_law
+from .numerics import abs_power, cumtrapz, derivative, fit_power_law, grid_index, trapz
 
 
 TOTALS = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")

@@ -1,16 +1,21 @@
-"""Shared quadrature and differencing kernels.
+"""Shared quadrature, differencing and fitting kernels.
 
 Every discrete integral and derivative in the package goes through this
 module so that the discretization order is uniform (second order) and a
 change here propagates everywhere.  All routines assume a uniform grid
-spacing h.
+spacing h.  The least-squares fits that turn a series into a rate (a
+power law on log-log values, a logarithmic growth) live here too, so
+the ledger, the scattering observables and the CLI share one rule.
 """
 
 import functools
 import math
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DegenerateFitError, OffGridError
 
 _TINY = np.finfo(float).tiny
 _DOT_CHUNK = 10_000
@@ -163,8 +168,6 @@ def is_number(x):
 def grid_index(value, h, name="value"):
     """Node index of a grid-aligned coordinate, or raise OffGridError
     (also when the coordinate or the spacing is not finite)."""
-    from .errors import OffGridError
-
     ratio = value / h
     if not (math.isfinite(ratio) and math.isfinite(h)):
         raise OffGridError(f"{name}={value} is not a finite multiple of h={h}")
@@ -179,8 +182,67 @@ def grid_index(value, h, name="value"):
 def node_at_or_past(x, h, name="value"):
     """The first grid coordinate h * ceil(x / h) at or past x; raises
     OffGridError unless x is finite and h finite and positive."""
-    from .errors import OffGridError
-
     if not (0.0 < h < math.inf and math.isfinite(x / h)):
         raise OffGridError(f"no node of spacing h={h} lies at or past {name}={x}")
     return h * math.ceil(x / h)
+
+
+def _r_squared(resid, y):
+    """Coefficient of determination of a least-squares fit with a constant
+    term; 1 for (numerically) constant y, which such a fit matches."""
+    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
+    return 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 1e-30 else 1.0
+
+
+@dataclass
+class FitResult:
+    exponent: float
+    amplitude: float
+    r_squared: float
+    window: tuple
+    n_points: int
+
+
+def fit_power_law(t, y):
+    """Least-squares fit y ~ amplitude * t^exponent on log-log values.
+
+    Raises DegenerateFitError when fewer than 3 points are given or any
+    sample is non-positive (a sign the quantity has decayed into rounding
+    noise or the window is wrong).
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if t.size < 3:
+        raise DegenerateFitError(f"power-law fit needs >= 3 points, got {t.size}")
+    if np.any(t <= 0.0) or np.any(y <= 0.0):
+        raise DegenerateFitError("power-law fit needs positive samples")
+    lt, ly = np.log(t), np.log(y)
+    slope, intercept = np.polyfit(lt, ly, 1)
+    return FitResult(
+        exponent=float(slope),
+        amplitude=float(math.exp(intercept)),
+        r_squared=_r_squared(ly - (slope * lt + intercept), ly),
+        window=(float(t[0]), float(t[-1])),
+        n_points=int(t.size),
+    )
+
+
+@dataclass
+class LogGrowthFit:
+    offset: float
+    slope: float
+    r_squared: float
+
+
+def fit_log_growth(t, v):
+    """Fit v ~ offset + slope * log(1 + t), for logarithmically growing
+    exterior masses."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if t.size < 3:
+        raise DegenerateFitError(f"log-growth fit needs >= 3 points, got {t.size}")
+    x = np.log1p(t)
+    design = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    r2 = _r_squared(v - design @ coef, v)
+    return LogGrowthFit(offset=float(coef[0]), slope=float(coef[1]), r_squared=r2)

@@ -1,6 +1,6 @@
 """Scattering-side observables: outgoing profiles, free-wave defects,
-space-time tail norms, and the power-law fits that turn a decaying series
-into a rate.
+space-time tail norms, and their rates (from numerics' power-law and
+log-growth fits).
 
 Rate conventions.  Along an outward line r = t - tau the outgoing
 derivative (w_r - w_t)(t-tau, t) settles to a limit g_+(tau) at the rate
@@ -22,13 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFitError,
-    OffGridError,
-    ShortSpanError,
-)
+from .errors import OffGridError, ShortSpanError
 from .model import RadialPair
-from .numerics import derivative, grid_index, trapz
+from .numerics import derivative, fit_log_growth, fit_power_law, grid_index, trapz
 from .solver import GridSpec, leapfrog
 
 MIN_DYADIC_SAMPLES = 8
@@ -42,67 +38,6 @@ def predicted_tail_exponent(params):
 def char_settle_rate(p):
     """Exponent (p-2)/(p+1) at which outgoing derivatives settle."""
     return (p - 2.0) / (p + 1.0)
-
-
-def _r_squared(resid, y):
-    """Coefficient of determination of a least-squares fit with a constant
-    term; 1 for (numerically) constant y, which such a fit matches."""
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
-    return 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 1e-30 else 1.0
-
-
-@dataclass
-class FitResult:
-    exponent: float
-    amplitude: float
-    r_squared: float
-    window: tuple
-    n_points: int
-
-
-def fit_power_law(t, y):
-    """Least-squares fit y ~ amplitude * t^exponent on log-log values.
-
-    Raises DegenerateFitError when fewer than 3 points are given or any
-    sample is non-positive (a sign the quantity has decayed into rounding
-    noise or the window is wrong).
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.size < 3:
-        raise DegenerateFitError(f"power-law fit needs >= 3 points, got {t.size}")
-    if np.any(t <= 0.0) or np.any(y <= 0.0):
-        raise DegenerateFitError("power-law fit needs positive samples")
-    lt, ly = np.log(t), np.log(y)
-    slope, intercept = np.polyfit(lt, ly, 1)
-    return FitResult(
-        exponent=float(slope),
-        amplitude=float(math.exp(intercept)),
-        r_squared=_r_squared(ly - (slope * lt + intercept), ly),
-        window=(float(t[0]), float(t[-1])),
-        n_points=int(t.size),
-    )
-
-
-@dataclass
-class LogGrowthFit:
-    offset: float
-    slope: float
-    r_squared: float
-
-
-def fit_log_growth(t, v):
-    """Fit v ~ offset + slope * log(1 + t), for logarithmically growing
-    exterior masses."""
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if t.size < 3:
-        raise DegenerateFitError(f"log-growth fit needs >= 3 points, got {t.size}")
-    x = np.log1p(t)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    r2 = _r_squared(v - design @ coef, v)
-    return LogGrowthFit(offset=float(coef[0]), slope=float(coef[1]), r_squared=r2)
 
 
 @dataclass
@@ -214,9 +149,9 @@ def free_wave_defect(traj, t1, t2):
     dt = snap2.w_t - wt_free
     dr = derivative(d, h)
     far = None if traj.linear else traj.pair.far_field
-    end = traj.grid.n + 1 if far is None else traj.grid.n - grid_index(t2, h, "t2")
-    grid_part = trapz((dr * dr + dt * dt)[:end], h)
-    tail = 0.0 if far is None else far.defect_tail((end - 1) * h, t1, t2)
+    edge = traj.grid.n if far is None else traj.grid.clean_edge(grid_index(t2, h, "t2"))
+    grid_part = trapz((dr * dr + dt * dt)[: edge + 1], h)
+    tail = 0.0 if far is None else far.defect_tail(edge * h, t1, t2)
     defect = math.sqrt(2.0 * math.pi * (grid_part + tail))
     e1 = float(traj.ledger.e_total[traj.ledger.level(t1)])
     return DefectReport(

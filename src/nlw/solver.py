@@ -37,6 +37,7 @@ from .errors import (
     NoContractionError,
     OffGridError,
 )
+from .diagnostics import EnergyLedger
 from .model import nonlinearity
 from .numerics import (
     abs_power, grid_index, is_number, node_at_or_past, odd_power, trapz_dot,
@@ -79,9 +80,15 @@ class GridSpec:
     def r(self):
         return self.h * np.arange(self.n + 1)
 
+    def clean_edge(self, m):
+        """The last node, n - m - 1, on which level m (an int or an array of
+        levels) is exact: the outer boundary's influence moves inward one
+        node per level, and the channels' w_t reads level m + 1."""
+        return self.n - m - 1
+
     def check_far_field(self):
-        """OffGridError unless every level's clean edge r_max - t - h lies past 1 + t."""
-        if self.n < 2 * self.steps + grid_index(1.0, self.h) + 2:
+        """OffGridError unless every level's clean edge lies past 1 + t."""
+        if self.clean_edge(self.steps) <= self.steps + grid_index(1.0, self.h):
             raise OffGridError(f"r_max={self.r_max} must exceed 2 t_max + 1 + h for a far field")
 
     @classmethod
@@ -228,7 +235,7 @@ class Trajectory:
     grid: GridSpec
     params: object
     monitors: Monitors
-    ledger: object  # diagnostics.EnergyLedger
+    ledger: EnergyLedger
     pair: object = None  # RadialPair the run started from
     snapshots: list = field(default_factory=list)
     char_traces: dict = field(default_factory=dict)
@@ -359,16 +366,16 @@ class _Recorders:
     totals, the radii and the triangle corners all take E_- and E_+ on
     a node prefix from it, as trapezoid dot products.
 
-    A nonlinear run of data with a far field stops at the clean edge, as
-    level m is exact on the nodes <= n - m - 1 (w_t reads level m + 1):
-    the totals add FarField.tail past its radius (traj.far_tails), a
-    radius or corner past it the exact integral up to its radius.
+    A nonlinear run of data with a far field stops at the clean edge
+    (GridSpec.clean_edge): the totals add FarField.tail past its radius
+    (traj.far_tails), a radius or corner past it the exact integral up to
+    its radius.
     """
 
     def __init__(self, traj):
         grid, params, mon, led = traj.grid, traj.params, traj.monitors, traj.ledger
         h, n, steps, r, p = grid.h, grid.n, grid.steps, grid.r, params.p
-        self.traj, self.led, self.linear = traj, led, traj.linear
+        self.traj, self.led, self.linear, self.edge = traj, led, traj.linear, grid.clean_edge
         self.h, self.n, self.steps, self.r, self.p = h, n, steps, r, p
         self.one = grid_index(1.0, h, "exterior base radius r")
         self.inv_r = _inverse_power(r, 1.0)
@@ -384,7 +391,7 @@ class _Recorders:
         if mon.totals:
             if self.far is not None:
                 lv = np.arange(steps + 1)
-                traj.far_tails = {k: self.far.tail(k, h * (n - lv - 1), h * lv)
+                traj.far_tails = {k: self.far.tail(k, h * grid.clean_edge(lv), h * lv)
                                   for k in self.far.kinds}
                 self.tails = list(zip(*(a.tolist() for a in traj.far_tails.values())))
             self.inv_rp1 = _inverse_power(r, p - 1.0)
@@ -481,7 +488,7 @@ class _Recorders:
 
     def energies_to(self, m, w, f, e, i):
         """(E_-, E_+) on [0, r_i], closed past the clean edge."""
-        edge = self.n - m - 1
+        edge = self.edge(m)
         if self.far is None or i <= edge:
             return self.energies(w, f, min(e, i + 1))
         t, far = m * self.h, self.far
@@ -497,7 +504,7 @@ class _Recorders:
         """E_-, E_+, E, xi, bulk, y2p and the exterior norm of level m, as
         trapezoid dot products over the window."""
         h, led, tmp = self.h, self.led, self.tmp
-        end, tails = (e, (0.0,) * 5) if self.tails is None else (self.n - m, self.tails[m])
+        end, tails = (e, (0.0,) * 5) if self.tails is None else (self.edge(m) + 1, self.tails[m])
         e_minus, e_plus = self.energies(w, f, end, tails)
         if self.linear:
             _source(w, e, self.p, self.inv_rp1, self.q_lin, self.f_lin)
@@ -629,8 +636,6 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     Raises OffGridError for monitors off the run (radii past r_max too)
     and BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
-    from .diagnostics import EnergyLedger  # deferred to avoid an import cycle
-
     mon = monitors or Monitors()
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
     traj = Trajectory(grid, params, mon, ledger, pair, linear=linear)

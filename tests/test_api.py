@@ -41,3 +41,15 @@ def test_every_traced_layer_resolves():
         for part in attr.split("."):
             holder = getattr(holder, part, None)
         assert callable(holder), f"{span}: {module}.{attr} is gone"
+
+
+def test_no_module_imports_inside_a_function():
+    """Every import in src/nlw sits at module top, so the package's import
+    graph is the one its module headers show, and it has no cycle to hide."""
+    nested = []
+    for path in sorted((ROOT / "src" / "nlw").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
