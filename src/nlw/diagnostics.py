@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, OffGridError, TailNotConvergedError, WeightInvalidError
-from .model import inward_density, k_functional, potential_density
-from .numerics import abs_power, cumtrapz, derivative, fit_power_law, grid_index, trapz
+from .model import _channel_mass, channel_densities, k_functional, make_params
+from .numerics import abs_power, cumtrapz, fit_power_law, grid_index, trapz
 
 
 TOTALS = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")
@@ -189,15 +189,9 @@ class ChannelReport:
 
 def energy_channels(w, w_t, h, p):
     """Channel energies of a state, with cumulative-in-radius profiles."""
-    w = np.asarray(w, dtype=float)
-    w_t = np.asarray(w_t, dtype=float)
-    r = h * np.arange(w.size)
-    wr = derivative(w, h)
-    pot = potential_density(w, r, p)
-    a = wr + w_t
-    b = wr - w_t
-    em_cum = math.pi * cumtrapz(a * a + pot, h)
-    ep_cum = math.pi * cumtrapz(b * b + pot, h)
+    inward, outward = channel_densities(w, np.asarray(w_t, dtype=float), h, p)
+    em_cum = math.pi * cumtrapz(inward, h)
+    ep_cum = math.pi * cumtrapz(outward, h)
     return ChannelReport(
         e_total=float(em_cum[-1] + ep_cum[-1]),
         e_minus=float(em_cum[-1]),
@@ -411,17 +405,26 @@ def weighted_morawetz(traj, kappa=None, weight=None, gamma=None):
     and the characteristic bins, which the run must have asked for with
     Monitors(bins=True) (OffGridError otherwise); the right side K1 comes
     from the initial data, so several weights can be compared on one run.
+    K1 of the power weight is model.k_functional's, closed past r_max on
+    data with a far field (DivergentIntegralError unless kappa <
+    (5-p)/(p-1)).  A custom weight has no closed tail, so on such data it
+    raises OffGridError.  The bins are not closed past the clean edge: on
+    far-field data the left side covers the grid's wedge only.
     """
     led = traj.ledger
     p = traj.params.p
     pair = traj.pair
-    if weight is None:
+    power = weight is None
+    if power:
         if kappa is None:
             kappa = traj.params.kappa
         gamma = kappa
         weight = lambda s: s**kappa
     elif gamma is None:
         raise WeightInvalidError("a custom weight needs an explicit gamma")
+    elif pair.far_field is not None:
+        raise OffGridError("a custom weight has no closed K1 past r_max; these data "
+                           "have a far field")
     s_max = led.t_max + traj.grid.r_max
     _validate_weight(weight, gamma, s_max)
 
@@ -431,12 +434,7 @@ def weighted_morawetz(traj, kappa=None, weight=None, gamma=None):
     coef = 2.0 * math.pi * (p - 1.0 - 2.0 * gamma) / (p + 1.0)
     bulk_term = coef * led.bulk_weighted(weight)
 
-    # K1: weight 1 inside the unit ball, a(r) outside
-    r = pair.r
-    wfull = np.ones_like(r)
-    outside = r >= 1.0
-    wfull[outside] = weight(r[outside])
-    k1 = math.pi * trapz(wfull * inward_density(pair, p), pair.h)
+    k1 = k_functional(pair, make_params(p, kappa)).k1 if power else _channel_mass(pair, p, weight)
     return MorawetzReport(gamma=gamma, xi_term=xi_term, bulk_term=bulk_term, k1=k1)
 
 

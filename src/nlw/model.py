@@ -237,10 +237,9 @@ class InitialData:
     Subclasses implement w-side profiles w0(r) and, unless the data start
     at rest, w1(r) (vectorized), and report a support radius (None for
     unbounded tails).  sample() evaluates on a grid and runs the boundary
-    leak check unless the family opts out.
+    leak check, except on data that carry their exact exterior (a
+    FarField, from far_field()): their weight at r_max is no leak.
     """
-
-    check_leak = True
 
     def w0(self, r):
         raise NotImplementedError
@@ -251,23 +250,25 @@ class InitialData:
     def support_radius(self):
         return None
 
+    def far_field(self):
+        """The data's exact exterior past any r_max (a FarField), or None."""
+        return None
+
     def sample(self, grid, leak_tol=0.05):
         r = grid.r
         w0 = np.asarray(self.w0(r), dtype=float)
         w1 = np.asarray(self.w1(r), dtype=float)
         w0[0] = 0.0
         w1[0] = 0.0
-        pair = RadialPair(w0=w0, w1=w1, h=grid.h)
-        if self.check_leak and leak_tol is not None:
+        pair = RadialPair(w0=w0, w1=w1, h=grid.h, far_field=self.far_field())
+        if leak_tol is not None and pair.far_field is None:
             check_boundary_leak(pair, leak_tol)
         return pair
 
 
-class GaussianBump(InitialData):
-    """Gaussian bump in the 3D field u, started at rest.
-
-    u0(r) = amplitude * exp(-((r - center) / width)^2),  u1 = 0.
-    """
+class _Gaussian(InitialData):
+    """The profile amplitude * exp(-((r - center) / width)^2) of the
+    Gaussian families."""
 
     def __init__(self, amplitude, center, width):
         if width <= 0:
@@ -276,19 +277,28 @@ class GaussianBump(InitialData):
         self.center = float(center)
         self.width = float(width)
 
-    def u0(self, r):
+    def profile(self, r):
         x = (np.asarray(r, dtype=float) - self.center) / self.width
         return self.amplitude * np.exp(-x * x)
-
-    def w0(self, r):
-        return np.asarray(r, dtype=float) * self.u0(r)
 
     def support_radius(self):
         # radius beyond which the profile is below 1e-14 of its peak
         return self.center + self.width * math.sqrt(math.log(1e14))
 
 
-class DirectedPulse(InitialData):
+class GaussianBump(_Gaussian):
+    """Gaussian bump in the 3D field u, started at rest.
+
+    u0(r) = amplitude * exp(-((r - center) / width)^2),  u1 = 0.
+    """
+
+    u0 = _Gaussian.profile
+
+    def w0(self, r):
+        return np.asarray(r, dtype=float) * self.u0(r)
+
+
+class DirectedPulse(_Gaussian):
     """Gaussian pulse of the reduced field w with directed initial velocity.
 
     w0(r) = amplitude * exp(-((r - center) / width)^2);
@@ -298,19 +308,13 @@ class DirectedPulse(InitialData):
     w(0) = 0 is consistent to rounding.
     """
 
+    w0 = _Gaussian.profile
+
     def __init__(self, amplitude, center, width, direction="inward"):
         if direction not in ("inward", "outward"):
             raise OutOfRangeError(f"direction={direction!r}")
-        if width <= 0:
-            raise OutOfRangeError(f"width={width} must be positive")
-        self.amplitude = float(amplitude)
-        self.center = float(center)
-        self.width = float(width)
+        super().__init__(amplitude, center, width)
         self.direction = direction
-
-    def w0(self, r):
-        x = (np.asarray(r, dtype=float) - self.center) / self.width
-        return self.amplitude * np.exp(-x * x)
 
     def w1(self, r):
         r = np.asarray(r, dtype=float)
@@ -318,8 +322,6 @@ class DirectedPulse(InitialData):
         dw0 = self.w0(r) * (-2.0 * x / self.width)
         return dw0 if self.direction == "inward" else -dw0
 
-    def support_radius(self):
-        return self.center + self.width * math.sqrt(math.log(1e14))
 
 
 class AppendixPowerLaw(InitialData):
@@ -336,13 +338,12 @@ class AppendixPowerLaw(InitialData):
     field is constant a0.  The glued profile is C^2 everywhere and smooth
     off the two seams.
 
-    The tail is the whole point of this family, so the boundary leak check
-    is skipped: on a truncated grid the exterior field necessarily carries
-    weight at r_max.  sample() attaches the exact exterior (a FarField),
-    which closes every integral of the run past the clean wedge.
+    The tail is the whole point of this family: on a truncated grid the
+    exterior field necessarily carries weight at r_max.  Its far_field()
+    is the exact exterior, which sample() attaches instead of running the
+    boundary leak check, and which closes every integral of the run past
+    the clean wedge.
     """
-
-    check_leak = False
 
     def __init__(self, c, params, blend=0.5):
         if c <= 0:
@@ -384,13 +385,8 @@ class AppendixPowerLaw(InitialData):
         out[tail] = self.c * r[tail] ** beta
         return out
 
-    def support_radius(self):
-        return None
-
-    def sample(self, grid, leak_tol=0.05):
-        pair = super().sample(grid, leak_tol)
-        pair.far_field = FarField(self.c, self.p)
-        return pair
+    def far_field(self):
+        return FarField(self.c, self.p)
 
 
 class Tabulated(InitialData):
@@ -403,24 +399,21 @@ class Tabulated(InitialData):
         if self._w0.shape != self._w1.shape:
             raise InitialDataError("w0 and w1 must have the same shape")
 
+    def w0(self, r):
+        """The table, zero-padded to the nodes r (of the table's spacing)."""
+        return np.append(self._w0, np.zeros(r.size - self._w0.size))
+
+    def w1(self, r):
+        return np.append(self._w1, np.zeros(r.size - self._w1.size))
+
     def sample(self, grid, leak_tol=0.05):
         if abs(grid.h - self.h) > 1e-12 * self.h:
             raise InitialDataError(
                 f"tabulated spacing h={self.h} does not match grid h={grid.h}"
             )
-        n = grid.n
-        if self._w0.size > n + 1:
+        if self._w0.size > grid.n + 1:
             raise InitialDataError("tabulated data extends beyond the grid")
-        w0 = np.zeros(n + 1)
-        w1 = np.zeros(n + 1)
-        w0[: self._w0.size] = self._w0
-        w1[: self._w1.size] = self._w1
-        w0[0] = 0.0
-        w1[0] = 0.0
-        pair = RadialPair(w0=w0, w1=w1, h=grid.h)
-        if leak_tol is not None:
-            check_boundary_leak(pair, leak_tol)
-        return pair
+        return super().sample(grid, leak_tol)
 
     def support_radius(self):
         nz = np.nonzero((self._w0 != 0.0) | (self._w1 != 0.0))[0]
@@ -468,17 +461,27 @@ def lift_initial_data(u0, u1, h, leak_tol=0.05):
     return pair
 
 
+def channel_densities(w, w_t, h, p):
+    """The inward and outward channel densities of a state (w, w_t),
+    |w_r + w_t|^2 + P and |w_r - w_t|^2 + P with the potential density
+    P = (2/(p+1)) |w|^{p+1}/r^{p-1}: pi times their integrals are E_-
+    and E_+."""
+    w = np.asarray(w, dtype=float)
+    wr = derivative(w, h)
+    pot = potential_density(w, h * np.arange(w.size), p)
+    a, b = wr + w_t, wr - w_t
+    return a * a + pot, b * b + pot
+
+
 def energy_total(pair, params):
     """Conserved energy of the data, in the half-line normalization.
 
-    E = 2*pi * int [ w_r^2 + w_t^2 + (2/(p+1)) |w|^{p+1}/r^{p-1} ] dr,
+    E = E_- + E_+ = 2*pi * int [ w_r^2 + w_t^2 + (2/(p+1)) |w|^{p+1}/r^{p-1} ] dr,
     which equals the full 3D energy of u up to the truncation boundary
     term (see check_boundary_leak).
     """
-    h = pair.h
-    wr = derivative(pair.w0, h)
-    pot = potential_density(pair.w0, pair.r, params.p)
-    return 2.0 * math.pi * trapz(wr * wr + pair.w1**2 + pot, h)
+    inward, outward = channel_densities(pair.w0, pair.w1, pair.h, params.p)
+    return math.pi * trapz(inward + outward, pair.h)
 
 
 def u_side_energy(u0, u1, h, p):
@@ -511,23 +514,29 @@ class KReport:
     tail: float = 0.0  # the part of k1 past r_max (data with a far field)
 
 
-def inward_density(pair, p):
-    """|w0' + w1|^2 + (2/(p+1)) |w0|^{p+1}/r^{p-1}: pi times its integral
-    is the inward channel energy E_-(0) of the data."""
-    wr = derivative(pair.w0, pair.h)
-    return (wr + pair.w1) ** 2 + potential_density(pair.w0, pair.r, p)
+def _channel_mass(pair, p, weight):
+    """pi * int a(r) [ |w0' + w1|^2 + (2/(p+1)) |w0|^{p+1}/r^{p-1} ] dr on
+    the grid, with a = 1 inside the unit ball and a = weight(r) outside:
+    the a-weighted inward channel mass of the data up to r_max."""
+    r = pair.r
+    a = np.ones_like(r)
+    outside = r >= 1.0
+    a[outside] = weight(r[outside])
+    return math.pi * trapz(a * channel_densities(pair.w0, pair.w1, pair.h, p)[0], pair.h)
 
 
 def k_functional(pair, params):
-    """Compute the weighted channel mass.
+    """Compute the weighted channel mass K1 (weight max(1, r^kappa)).
 
-    Data with a far field add the integral past r_max in closed form
-    (FarField.k_tail), which raises DivergentIntegralError unless
-    kappa < (5-p)/(p-1); other data are taken on the grid as they stand.
+    This is the one home of K1: diagnostics.weighted_morawetz takes its
+    right side from here.  Data with a far field add the integral past
+    r_max in closed form (FarField.k_tail), which raises
+    DivergentIntegralError unless kappa < (5-p)/(p-1); other data are
+    taken on the grid as they stand.
     """
-    weight = np.maximum(1.0, pair.r**params.kappa)
-    k1 = math.pi * trapz(weight * inward_density(pair, params.p), pair.h)
-    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(pair.r[-1], params.kappa)
+    kappa = params.kappa
+    k1 = _channel_mass(pair, params.p, lambda s: s**kappa)
+    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(pair.r[-1], kappa)
     return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)
 
 

@@ -6,6 +6,7 @@ acceptance runtime budgets.  Everything here is deterministic: fixed
 grids, fixed data, fixed seeds.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -113,6 +114,14 @@ def appendix_quick():
     that need the persistent power-law tail but not production accuracy."""
     report, traj = run_appendix_example(4.0, 0.25, h=1.0 / 32.0, t_max=32.0)
     return {"report": report, "traj": traj}
+
+
+@pytest.fixture(scope="session")
+def appendix_binned(appendix_quick):
+    """The quick appendix fixture's main run again, with the bins recorded."""
+    traj = appendix_quick["traj"]
+    mon = dataclasses.replace(traj.monitors, bins=True)
+    return evolve(traj.pair, traj.params, traj.grid, mon)
 
 
 @pytest.fixture()

@@ -22,7 +22,7 @@ from nlw.errors import (
     TailNotConvergedError,
     WeightInvalidError,
 )
-from nlw.model import GaussianBump, make_params
+from nlw.model import GaussianBump, k_functional, make_params
 from nlw.solver import GridSpec, Monitors, evolve
 
 
@@ -274,6 +274,16 @@ def test_morawetz_critical_weight_is_accepted(morawetz_runs):
     traj = morawetz_runs[4.0]
     rep = weighted_morawetz(traj, weight=lambda s: s ** 0.3, gamma=0.3)
     assert rep.bound_ratio <= 1.0
+
+
+def test_morawetz_k1_is_closed_past_r_max_on_far_field_data(appendix_binned):
+    """On power-law data the bound's K1 is k_functional's, far-field tail
+    included (233.48 at the quick study's c, against 82.37 on its grid of
+    r_max 68); a custom weight has no closed tail, so it is refused."""
+    traj = appendix_binned
+    assert weighted_morawetz(traj).k1 == k_functional(traj.pair, traj.params).k1
+    with pytest.raises(OffGridError, match="custom weight has no closed K1"):
+        weighted_morawetz(traj, weight=lambda s: s ** 0.2, gamma=0.2)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,6 @@ To regenerate after an intended change of the numbers, dump
 change log.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -42,7 +41,6 @@ from nlw import (
     cylinder_integral,
     duhamel_solve,
     energy_total,
-    evolve,
     make_params,
     weighted_morawetz,
 )
@@ -187,14 +185,6 @@ def duhamel_record():
 def frozen():
     with FROZEN.open(encoding="utf-8") as fh:
         return json.load(fh)
-
-
-@pytest.fixture(scope="module")
-def appendix_binned(appendix_quick):
-    """The quick appendix fixture's main run again, with the bins recorded."""
-    traj = appendix_quick["traj"]
-    mon = dataclasses.replace(traj.monitors, bins=True)
-    return evolve(traj.pair, traj.params, traj.grid, mon)
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from nlw.model import (
     check_boundary_leak,
     conformal_charge_w,
     energy_total,
-    inward_density,
+    channel_densities,
     k_functional,
     lift_initial_data,
     make_params,
@@ -134,7 +134,9 @@ def test_power_law_tail_is_exact():
     r = np.array([1.0, 1.5, 4.0, 133.0])
     np.testing.assert_array_equal(fam.w0(r), 0.7 * r ** params.beta)
     assert np.all(fam.w1(r) == 0.0)
-    assert fam.check_leak is False
+    # no boundary leak check: the attached far field carries the weight at r_max
+    pair = fam.sample(GridSpec(h=1.0 / 16.0, r_max=4.0, t_max=1.0))
+    assert pair.far_field.c == 0.7 and pair.far_field.p == 4.0
 
 
 def test_power_law_blend_is_smooth():
@@ -262,7 +264,8 @@ def test_inward_density_integrates_to_inward_channel():
     pair = fam.sample(GridSpec.padded(h, 1.0, fam.support_radius()))
     p = 4.0
     e_minus = energy_channels(pair.w0, pair.w1, h, p).e_minus
-    assert math.pi * np.trapezoid(inward_density(pair, p), dx=h) == pytest.approx(
+    inward = channel_densities(pair.w0, pair.w1, h, p)[0]
+    assert math.pi * np.trapezoid(inward, dx=h) == pytest.approx(
         e_minus, rel=1e-12
     )
 
@@ -406,7 +409,8 @@ def test_k_functional_far_field_closed_form():
         closed = math.pi * c * c * (beta**2 + 2.0 * c ** (p - 1.0) / (p + 1.0)) * r_max**expo / -expo
         assert rep.tail == pytest.approx(closed, rel=1e-12)
         assert rep.k1 - rep.tail == pytest.approx(
-            math.pi * np.trapezoid(np.maximum(1.0, pair.r**kappa) * inward_density(pair, p), dx=h),
+            math.pi * np.trapezoid(np.maximum(1.0, pair.r**kappa)
+                                   * channel_densities(pair.w0, pair.w1, h, p)[0], dx=h),
             rel=1e-12)
         assert rep.k == pytest.approx(4.0 * rep.k1, rel=1e-15)
     assert reps[132.0].k1 == pytest.approx(233.4786, rel=2e-5)  # ROADMAP item 2's value
