@@ -142,6 +142,14 @@ def source_triangle_check(slab, grid, params, c, region):
     return TriangleBoundReport(region=region, integral=value, bound=bound)
 
 
+def _wedge_grid(h, t_max, pad, r_max=None):
+    """An outgoing grid to t_max for power-law data, of radius r_max or by
+    default the first node at or past pad + 2 t_max."""
+    if r_max is None:
+        r_max = node_at_or_past(pad + 2.0 * t_max, h, "r_max")
+    return GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
+
+
 def envelope_holds(pair, params, grid, c):
     """Whether the run from pair keeps |w| < 3 c r^beta on the causal wedge
     [1 + t, r_max - t] at every level through t_max: the peak ratio of
@@ -176,11 +184,10 @@ def find_envelope_threshold(p, h=1.0 / 32.0, t_max=16.0, lo=0.02, hi=2.0, cap=4.
             f"need 0 < lo < hi <= cap, got lo={lo}, hi={hi}, cap={cap}"
         )
     params = make_params(p, 0.5)  # kappa is irrelevant to the envelope
-    r_max = node_at_or_past(2.0 + 2.0 * t_max, h, "r_max")
-    grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
+    grid = _wedge_grid(h, t_max, 2.0)
 
     def holds(c):
-        pair = AppendixPowerLaw(c, params).sample(grid, leak_tol=None)
+        pair = AppendixPowerLaw(c, params).sample(grid)
         return envelope_holds(pair, params, grid, c)
 
     if not holds(lo):
@@ -223,9 +230,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         raise ConfigError(f"t_max={t_max} is below 4, the first dyadic sample time")
     params = make_params(p, kappa)
     try:
-        if r_max is None:
-            r_max = node_at_or_past(4.0 + 2.0 * t_max, h, "r_max")
-        grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
+        grid = _wedge_grid(h, t_max, 4.0, r_max)
         grid.check_far_field()
     except OffGridError as err:
         raise ConfigError(str(err)) from err
@@ -241,7 +246,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         snapshot_times=tuple(times),
         envelope=EnvelopeSpec(c=c),
     )
-    traj = evolve(family.sample(grid, leak_tol=None), params, grid, mon)
+    traj = evolve(family.sample(grid), params, grid, mon)
     led = traj.ledger
 
     env = traj.envelope
@@ -313,14 +318,8 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     }
 
     # short dense slab for the triangle source bound
-    slab_t = 4.0
-    slab_grid = GridSpec(
-        h=h,
-        r_max=node_at_or_past(2.0 + 2.0 * slab_t, h, "r_max"),
-        t_max=slab_t,
-        boundary="outgoing",
-    )
-    slab = full_slab(family.sample(slab_grid, leak_tol=None), params, slab_grid)
+    slab_grid = _wedge_grid(h, 4.0, 2.0)
+    slab = full_slab(family.sample(slab_grid), params, slab_grid)
     triangle_sec = []
     for t_apex in (1.0, 2.0, 4.0):
         region = TriangleRegion(r_apex=1.0 + t_apex, t_apex=t_apex)

@@ -44,7 +44,7 @@ from .model import (
     Tabulated,
     make_params,
 )
-from .numerics import fit_log_growth, fit_power_law, is_number
+from .numerics import fit_log_growth, fit_power_law, is_number, node_at_or_past
 from .solver import EnvelopeSpec, GridSpec, Monitors, evolve
 from .svgplot import line_plot
 
@@ -250,28 +250,26 @@ def build_family(cfg, params):
 
 
 def build_grid(cfg, family):
+    """The run's grid: radius grid.r_max, or by default padded past the
+    data's support (boundary "pad" unless grid.boundary says otherwise).
+    A nonlinear run of data with a far field needs its clean edge past
+    1 + t at every level (GridSpec.check_far_field)."""
     h = cfg.number("grid.h")
     t_max = cfg.number("grid.t_max")
     r_max = cfg.number("grid.r_max", None)
-    boundary = cfg.string("grid.boundary", None)
+    padded = r_max is None
     try:
-        if r_max is None:
+        if padded:
             support = family.support_radius()
             if support is None:
-                raise ConfigError(
-                    "the data family has an unbounded tail; set grid.r_max"
-                )
-            grid = GridSpec.padded(
-                h, t_max, support, margin=cfg.number("grid.margin", 1.0)
-            )
-            if boundary is not None and boundary != grid.boundary:
-                grid = GridSpec(
-                    h=h, r_max=grid.r_max, t_max=t_max, boundary=boundary
-                )
-            return grid
-        return GridSpec(
-            h=h, r_max=r_max, t_max=t_max, boundary=boundary or "outgoing"
-        )
+                raise ConfigError("the data family has an unbounded tail; set grid.r_max")
+            margin = cfg.number("grid.margin", 1.0)
+            r_max = node_at_or_past(support + t_max + margin, h, "padded r_max")
+        grid = GridSpec(h=h, r_max=r_max, t_max=t_max,
+                        boundary=cfg.string("grid.boundary", "pad" if padded else "outgoing"))
+        if family.far_field() is not None and not cfg.boolean("run.linear", False):
+            grid.check_far_field()
+        return grid
     except NlwError as err:
         raise ConfigError(str(err)) from err
 

@@ -222,6 +222,20 @@ def test_run_power_law_with_an_envelope_monitor(tmp_path):
     assert (out / "energy.svg").exists() and (out / "envelope.svg").exists()
 
 
+def test_run_power_law_r_max_inside_the_far_field_edge_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    """r_max = 17 <= 2 t_max + 1 + h puts the clean edge at t_max inside
+    r = 1 + t: a config error, as in nlw appendix, found before stepping."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before r_max was checked")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    cfg = _write(tmp_path, POWER_LAW_CFG.replace("grid.r_max = 21", "grid.r_max = 17"))
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "r_max=17.0 must exceed 2 t_max + 1 + h" in err
+
+
 @pytest.mark.parametrize("leak_tol,code", [(None, 3), ("none", 0)])
 def test_leak_tol_none_admits_data_at_an_explicit_r_max(tmp_path, capsys, leak_tol, code):
     """A bump cut off at r_max = 2 fails the boundary leak check, unless
