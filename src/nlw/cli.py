@@ -250,10 +250,8 @@ def build_family(cfg, params):
 
 
 def build_grid(cfg, family):
-    """The run's grid: radius grid.r_max, or by default padded past the
-    data's support (boundary "pad" unless grid.boundary says otherwise).
-    A nonlinear run of data with a far field needs its clean edge past
-    1 + t at every level (GridSpec.check_far_field)."""
+    """grid.r_max, or by default padded past the data's support; nonlinear
+    runs of data with a far field need GridSpec.check_far_field."""
     h = cfg.number("grid.h")
     t_max = cfg.number("grid.t_max")
     r_max = cfg.number("grid.r_max", None)

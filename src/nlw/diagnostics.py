@@ -189,7 +189,7 @@ class ChannelReport:
 
 def energy_channels(w, w_t, h, p):
     """Channel energies of a state, with cumulative-in-radius profiles."""
-    inward, outward = channel_densities(w, np.asarray(w_t, dtype=float), h, p)
+    inward, outward = channel_densities(w, w_t, h, p)
     em_cum = math.pi * cumtrapz(inward, h)
     ep_cum = math.pi * cumtrapz(outward, h)
     return ChannelReport(
@@ -423,8 +423,7 @@ def weighted_morawetz(traj, kappa=None, weight=None, gamma=None):
     elif gamma is None:
         raise WeightInvalidError("a custom weight needs an explicit gamma")
     elif pair.far_field is not None:
-        raise OffGridError("a custom weight has no closed K1 past r_max; these data "
-                           "have a far field")
+        raise OffGridError("a custom weight has no closed K1 past r_max on far-field data")
     s_max = led.t_max + traj.grid.r_max
     _validate_weight(weight, gamma, s_max)
 

@@ -267,8 +267,7 @@ class InitialData:
 
 
 class _Gaussian(InitialData):
-    """The profile amplitude * exp(-((r - center) / width)^2) of the
-    Gaussian families."""
+    """The Gaussian families' profile amplitude * exp(-((r - center) / width)^2)."""
 
     def __init__(self, amplitude, center, width):
         if width <= 0:
@@ -321,7 +320,6 @@ class DirectedPulse(_Gaussian):
         x = (r - self.center) / self.width
         dw0 = self.w0(r) * (-2.0 * x / self.width)
         return dw0 if self.direction == "inward" else -dw0
-
 
 
 class AppendixPowerLaw(InitialData):
@@ -430,7 +428,7 @@ def check_boundary_leak(pair, tol=0.05):
     This check compares that term against the kinetic bulk
     int r^2 (u_r^2 + u_t^2) dr and raises BoundaryLeakError when the
     fraction exceeds tol, which signals that the grid is too small for the
-    data (or that the caller should opt out, as the power-law family does).
+    data (or that the caller should opt out, as data with a far field do).
     """
     r = pair.r
     h = pair.h
@@ -462,10 +460,8 @@ def lift_initial_data(u0, u1, h, leak_tol=0.05):
 
 
 def channel_densities(w, w_t, h, p):
-    """The inward and outward channel densities of a state (w, w_t),
-    |w_r + w_t|^2 + P and |w_r - w_t|^2 + P with the potential density
-    P = (2/(p+1)) |w|^{p+1}/r^{p-1}: pi times their integrals are E_-
-    and E_+."""
+    """|w_r + w_t|^2 + P and |w_r - w_t|^2 + P, P = (2/(p+1)) |w|^{p+1}/r^{p-1}:
+    pi times their integrals are the channel energies E_- and E_+ of (w, w_t)."""
     w = np.asarray(w, dtype=float)
     wr = derivative(w, h)
     pot = potential_density(w, h * np.arange(w.size), p)
@@ -515,9 +511,8 @@ class KReport:
 
 
 def _channel_mass(pair, p, weight):
-    """pi * int a(r) [ |w0' + w1|^2 + (2/(p+1)) |w0|^{p+1}/r^{p-1} ] dr on
-    the grid, with a = 1 inside the unit ball and a = weight(r) outside:
-    the a-weighted inward channel mass of the data up to r_max."""
+    """pi * int a(r) [ |w0' + w1|^2 + (2/(p+1)) |w0|^{p+1}/r^{p-1} ] dr up to
+    r_max, with a = 1 inside the unit ball and a = weight(r) outside."""
     r = pair.r
     a = np.ones_like(r)
     outside = r >= 1.0
@@ -526,17 +521,15 @@ def _channel_mass(pair, p, weight):
 
 
 def k_functional(pair, params):
-    """Compute the weighted channel mass K1 (weight max(1, r^kappa)).
+    """Compute the weighted channel mass, also the right side of
+    diagnostics.weighted_morawetz for its power weight.
 
-    This is the one home of K1: diagnostics.weighted_morawetz takes its
-    right side from here.  Data with a far field add the integral past
-    r_max in closed form (FarField.k_tail), which raises
-    DivergentIntegralError unless kappa < (5-p)/(p-1); other data are
-    taken on the grid as they stand.
+    Data with a far field add the integral past r_max in closed form
+    (FarField.k_tail), which raises DivergentIntegralError unless
+    kappa < (5-p)/(p-1); other data are taken on the grid as they stand.
     """
-    kappa = params.kappa
-    k1 = _channel_mass(pair, params.p, lambda s: s**kappa)
-    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(pair.r[-1], kappa)
+    k1 = _channel_mass(pair, params.p, lambda s: s**params.kappa)
+    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(pair.r[-1], params.kappa)
     return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)
 
 

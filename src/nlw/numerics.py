@@ -3,9 +3,8 @@
 Every discrete integral and derivative in the package goes through this
 module so that the discretization order is uniform (second order) and a
 change here propagates everywhere.  All routines assume a uniform grid
-spacing h.  The least-squares fits that turn a series into a rate (a
-power law on log-log values, a logarithmic growth) live here too, so
-the ledger, the scattering observables and the CLI share one rule.
+spacing h.  So do the least-squares fits that turn a series into a rate
+(power law, logarithmic growth), shared by diagnostics, scattering and cli.
 """
 
 import functools

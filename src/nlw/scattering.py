@@ -18,14 +18,14 @@ sample times.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import OffGridError, ShortSpanError
 from .model import RadialPair
 from .numerics import derivative, fit_log_growth, fit_power_law, grid_index, trapz
-from .solver import GridSpec, leapfrog
+from .solver import leapfrog
 
 MIN_DYADIC_SAMPLES = 8
 
@@ -132,12 +132,7 @@ def free_wave_defect(traj, t1, t2):
 
     # leapfrog pins w(0) = 0, so the snapshot is data as it stands
     pair = RadialPair(w0=snap1.w_curr, w1=snap1.w_t, h=h)
-    span_grid = GridSpec(
-        h=h,
-        r_max=traj.grid.r_max,
-        t_max=steps * h,
-        boundary=traj.grid.boundary,
-    )
+    span_grid = replace(traj.grid, t_max=steps * h)
     # the levels of the last step, which the loop leaves bound
     for _, w_free_prev, w_free, w_free_next, *_ in leapfrog(
         pair, traj.params, span_grid, linear=True

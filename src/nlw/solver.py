@@ -81,9 +81,8 @@ class GridSpec:
         return self.h * np.arange(self.n + 1)
 
     def clean_edge(self, m):
-        """The last node, n - m - 1, on which level m (an int or an array of
-        levels) is exact: the outer boundary's influence moves inward one
-        node per level, and the channels' w_t reads level m + 1."""
+        """Last node n - m - 1 of level m (int or array) that the boundary has
+        not reached: it moves in a node per level, and w_t reads level m + 1."""
         return self.n - m - 1
 
     def check_far_field(self):
