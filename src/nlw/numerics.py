@@ -3,8 +3,8 @@
 Every discrete integral and derivative in the package goes through this
 module so that the discretization order is uniform (second order) and a
 change here propagates everywhere.  All routines assume a uniform grid
-spacing h.  So do the least-squares fits that turn a series into a rate
-(power law, logarithmic growth), shared by diagnostics, scattering and cli.
+spacing h.  The least-squares fits that turn a series into a rate (power
+law, logarithmic growth) live here too, for diagnostics, scattering, cli.
 """
 
 import functools
