@@ -111,8 +111,11 @@ def flagship_coarse(flagship):
 @pytest.fixture(scope="session")
 def appendix_quick():
     """Cheap slow-decay run (coarse grid, short horizon) for diagnostics
-    that need the persistent power-law tail but not production accuracy."""
-    report, traj = run_appendix_example(4.0, 0.25, h=1.0 / 32.0, t_max=32.0)
+    that need the persistent power-law tail but not production accuracy.
+    Its amplitude is given, so the frozen report numbers do not move with
+    the study's default c."""
+    report, traj = run_appendix_example(4.0, 0.25, c=3.36376953125 / 2.0, h=1.0 / 32.0,
+                                        t_max=32.0)
     return {"report": report, "traj": traj}
 
 

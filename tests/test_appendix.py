@@ -252,8 +252,8 @@ def test_report_sections(appendix_quick):
     env = report["envelope"]
     assert env["holds"] is True
     assert env["peak_ratio"] < 1.0
-    assert env["threshold"] is not None
-    assert env["c"] == pytest.approx(env["threshold"] / 2.0)
+    assert env["threshold"] is None  # c was given
+    assert env["c"] == 3.36376953125 / 2.0
     assert env["first_violation_t"] is None
     assert 0.0 < env["min_profile"] <= env["peak_ratio"] + 1.0
 
