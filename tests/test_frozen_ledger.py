@@ -2,8 +2,8 @@
 
 tests/data/frozen_ledger.json holds, for the compact, triangle,
 linear-pulse and quick appendix fixtures as computed by nlw 0.1.0, the
-SHA-256 of every snapshot level and the ledger, flux, trace, triangle and
-envelope records.  Under the key "reports" it also holds the numbers that
+SHA-256 of every snapshot level and the ledger, flux, trace and triangle
+records.  Under the key "reports" it also holds the numbers that
 are computed after the run: the quick appendix report (K, tail norms,
 exterior values, free-wave defects, triangle source integrals), a
 cylinder integral, and the time-zero functionals K1 and E of the triangle
@@ -97,19 +97,7 @@ def _run_record(traj, binned=None):
              "bulk": t.bulk, "flux": t.flux, "energy": t.energy}
             for t in traj.triangle_records
         ],
-        "envelope": None,
     }
-    env = traj.envelope
-    if env is not None:
-        series["envelope max_ratio"] = _series(env.max_ratio)
-        series["envelope min_profile"] = _series(env.min_profile)
-        for k, off in enumerate(env.ray_offsets):
-            series[f"envelope ray {off}"] = _series(env.ray_ratio[k])
-        rec["envelope"] = {
-            name: float(getattr(env, name))
-            for name in ("c", "beta", "peak_ratio", "peak_r", "peak_t",
-                         "first_violation_t")
-        }
     rec["series"] = series
     return rec
 
@@ -226,7 +214,7 @@ def test_ledger_series_match_frozen(records):
             _close(cur["abs_sum"], ref["abs_sum"], f"{name}: {key} abs sum")
 
 
-def test_triangle_and_envelope_records_match_frozen(records):
+def test_triangle_records_match_frozen(records):
     frozen, now = records
     for name in frozen:
         want, got = frozen[name], now[name]
@@ -236,10 +224,6 @@ def test_triangle_and_envelope_records_match_frozen(records):
                 assert t_got[key] == t_want[key], f"{name}: triangle {key}"
             for key in ("bulk", "flux", "energy"):
                 _close(t_got[key], t_want[key], f"{name}: triangle {key}")
-        assert (got["envelope"] is None) == (want["envelope"] is None), name
-        if want["envelope"] is not None:
-            for key, ref in want["envelope"].items():
-                _close(got["envelope"][key], ref, f"{name}: envelope {key}")
 
 
 def test_report_numbers_match_frozen(frozen, triangle_runs, appendix_quick,
