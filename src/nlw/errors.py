@@ -24,7 +24,7 @@ class OutOfRangeError(NlwError):
     """A model parameter lies outside its admissible range."""
 
 
-class BoundaryLeakError(NlwError):
+class BoundaryLeakError(InitialDataError):
     """Initial data carries too much weight at the outer grid boundary."""
 
 

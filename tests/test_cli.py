@@ -236,10 +236,10 @@ def test_run_power_law_r_max_inside_the_far_field_edge_exits_2_before_any_run(
     assert "config error" in err and "r_max=17.0 must exceed 2 t_max + 1 + h" in err
 
 
-@pytest.mark.parametrize("leak_tol,code", [(None, 3), ("none", 0)])
+@pytest.mark.parametrize("leak_tol,code", [(None, 2), ("none", 0)])
 def test_leak_tol_none_admits_data_at_an_explicit_r_max(tmp_path, capsys, leak_tol, code):
-    """A bump cut off at r_max = 2 fails the boundary leak check, unless
-    data.leak_tol = none switches it off."""
+    """A bump cut off at r_max = 2 fails the boundary leak check, a config
+    error (exit 2), unless data.leak_tol = none switches it off."""
     text = RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 1\ngrid.r_max = 2").replace(
         "monitors.snapshots = 1,2", "monitors.snapshots = 1")
     if leak_tol is not None:
