@@ -45,7 +45,7 @@ from .model import (
     make_params,
 )
 from .numerics import fit_log_growth, fit_power_law, is_number, node_at_or_past
-from .solver import EnvelopeSpec, GridSpec, Monitors, evolve
+from .solver import GridSpec, Monitors, evolve
 from .svgplot import line_plot
 
 SCHEMA_VERSION = "1"
@@ -273,7 +273,6 @@ def build_grid(cfg, family):
 
 
 def build_monitors(cfg):
-    env_c = cfg.number("monitors.envelope_c", None)
     try:
         return Monitors(
             radii=cfg.scalar_list("monitors.radii"),
@@ -283,7 +282,6 @@ def build_monitors(cfg):
             triangles=cfg.pair_list("monitors.triangles"),
             triangles_out=cfg.pair_list("monitors.triangles_out"),
             snapshot_times=cfg.number_list("monitors.snapshots"),
-            envelope=EnvelopeSpec(c=env_c) if env_c is not None else None,
             xi_variant=cfg.string("monitors.xi_variant", "one_sided"),
         )
     except NlwError as err:
@@ -297,6 +295,10 @@ def run_problem(cfg):
     grid = build_grid(cfg, family)
     monitors = build_monitors(cfg)
     linear = cfg.boolean("run.linear", False)
+    if cfg.number("monitors.envelope_c", None) is not None and (
+            linear or family.far_field() is None):
+        raise ConfigError("monitors.envelope_c needs a nonlinear run of data with a far "
+                          "field (data.family = power_law)")
     leak_raw = cfg.raw.get("data.leak_tol", "")
     if leak_raw.strip().lower() in ("none", "off"):
         leak_tol = None
@@ -371,7 +373,7 @@ def _jsonable(obj):
     return obj
 
 
-def summarize(traj, data_desc=None, checks=None, elapsed=None):
+def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
     """JSON-ready run summary; deterministic except the timing block."""
     led = traj.ledger
     up, down = led.monotonicity_margins()
@@ -407,8 +409,8 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None):
             {**asdict(rep), "residual": rep.residual, "residual_frac": rep.residual_frac}
             for rep in reps
         ]
-    if traj.envelope is not None:
-        doc["envelope"] = traj.envelope.summary()
+    if envelope is not None:
+        doc["envelope"] = envelope.summary()
     if checks is not None:
         doc["checks"] = [
             {"name": name, "value": value, "threshold": threshold, "passed": ok}
@@ -425,7 +427,7 @@ def write_json(path, doc):
         fh.write("\n")
 
 
-def write_run_plots(out_dir, traj):
+def write_run_plots(out_dir, traj, envelope=None):
     led = traj.ledger
     paths = []
     energy_path = os.path.join(out_dir, "energy.svg")
@@ -441,13 +443,13 @@ def write_run_plots(out_dir, traj):
         ylabel="energy",
     )
     paths.append(energy_path)
-    if traj.envelope is not None:
+    if envelope is not None:
         env_path = os.path.join(out_dir, "envelope.svg")
         line_plot(
             env_path,
             [
-                ("sup ratio", traj.envelope.t, traj.envelope.max_ratio),
-                ("profile floor", traj.envelope.t, traj.envelope.min_profile),
+                ("sup ratio", envelope.t, envelope.max_ratio),
+                ("profile floor", envelope.t, envelope.min_profile),
             ],
             title="envelope ratios",
             xlabel="t",
@@ -500,10 +502,12 @@ def _write_outputs(out_dir, cfg, traj, elapsed, desc, checks=None):
     rows = write_ledger_csv(os.path.join(out_dir, "ledger.csv"), traj, stride)
     if cfg.boolean("output.snapshots", True):
         write_snapshots_npz(os.path.join(out_dir, "snapshots.npz"), traj)
-    doc = summarize(traj, data_desc=desc, checks=checks, elapsed=elapsed)
+    c_env = cfg.number("monitors.envelope_c", None)
+    env = None if c_env is None else traj.pair.far_field.envelope(c_env, traj.ledger.t)
+    doc = summarize(traj, data_desc=desc, checks=checks, elapsed=elapsed, envelope=env)
     write_json(os.path.join(out_dir, "summary.json"), doc)
     if cfg.boolean("output.plots", False):
-        write_run_plots(out_dir, traj)
+        write_run_plots(out_dir, traj, env)
     return rows
 
 
@@ -635,27 +639,16 @@ def _fraction(text):
 
 
 def cmd_appendix(args):
-    report, traj = run_appendix_example(
-        p=args.p,
-        kappa=args.kappa,
-        c=args.c,
-        h=args.h,
-        t_max=args.t_max,
-        r_max=args.r_max,
-    )
+    report, traj = run_appendix_example(p=args.p, kappa=args.kappa, c=args.c, h=args.h,
+                                        t_max=args.t_max, r_max=args.r_max)
     os.makedirs(args.out_dir, exist_ok=True)
-    env = traj.envelope
+    env = traj.pair.far_field.envelope(report["envelope"]["c"], traj.ledger.t)
     ray_series = [("sup ratio (3c envelope)", env.t, env.max_ratio)]
-    for k, off in enumerate(env.ray_offsets):
-        ray_series.append((f"|w|/(c r^b) on r=1+t+{off:g}", env.t, env.ray_ratio[k]))
+    for off, ratio in env.rays.items():
+        ray_series.append((f"|w|/(c r^b) on r=1+t+{off:g}", env.t, ratio))
     env_path = os.path.join(args.out_dir, "envelope_rays.svg")
-    line_plot(
-        env_path,
-        ray_series,
-        title="exterior envelope and ray profiles",
-        xlabel="t",
-        ylabel="ratio",
-    )
+    line_plot(env_path, ray_series, title="exterior envelope and ray profiles", xlabel="t",
+              ylabel="ratio")
     led = traj.ledger
     decay_path = os.path.join(args.out_dir, "energy_decay.svg")
     line_plot(
@@ -792,7 +785,8 @@ def build_parser():
     p_ap.add_argument("--kappa", type=_fraction, required=True)
     p_ap.add_argument(
         "--c", type=_fraction, default=None,
-        help="tail amplitude; default: half the empirical envelope threshold",
+        help="tail amplitude; default 2, half the envelope threshold found "
+        "from the exact exterior (its cap, 4)",
     )
     p_ap.add_argument("--h", type=_fraction, default=1.0 / 128.0)
     p_ap.add_argument("--t-max", type=_fraction, default=64.0)

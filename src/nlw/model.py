@@ -95,6 +95,35 @@ def potential_density(w, r, p):
 FAR_DS = 1.0 / 2048.0  # RK4 step and table spacing of the far-field profile
 
 
+@dataclass
+class EnvelopeRecord:
+    """The envelope verdict per level (FarField.envelope): ratios to c r^beta."""
+
+    c: float
+    t: np.ndarray
+    max_ratio: np.ndarray  # sup |w| / (3 c r^beta) on r >= 1 + t
+    min_profile: np.ndarray  # inf |w| / (c r^beta) on r >= max(1 + t, r_floor)
+    rays: dict  # offset -> |w| / (c r^beta) on r = 1 + t + offset
+    peak_ratio: float
+    peak_s: float  # where the peak is, s = t/r; first reached at r = 1 + t
+    first_violation_t: float | None  # first level whose ratio reaches 1
+    profile_zero_s: float | None  # first zero of Phi in the floor's range
+
+    @property
+    def holds(self):
+        """The envelope verdict: |w| < 3 c r^beta at every level."""
+        return self.peak_ratio < 1.0
+
+    def summary(self):
+        """JSON-ready verdict, peak, first violation and profile floor."""
+        s = self.peak_s
+        return {"c": self.c, "peak_ratio": self.peak_ratio, "peak_r": 1.0 / (1.0 - s),
+                "peak_t": s / (1.0 - s), "holds": self.holds,
+                "first_violation_t": self.first_violation_t,
+                "min_profile": float(self.min_profile.min()),
+                "profile_zero_s": self.profile_zero_s}
+
+
 class FarField:
     """The exact exterior of power-law data c r^beta at rest on r >= 1.
 
@@ -103,8 +132,8 @@ class FarField:
 
         (1 - s^2) Phi'' + 2(beta-1) s Phi' - beta(beta-1) Phi + |Phi|^{p-1} Phi = 0,
 
-    Phi(0) = c, Phi'(0) = 0, regular for s < 1.  The first lookup tabulates
-    Phi, Phi' by RK4 up to the largest s asked for (read by cubic Hermite
+    Phi(0) = c, Phi'(0) = 0, regular for s < 1.  A lookup tabulates Phi, Phi'
+    by RK4 up to the largest s asked for yet (read by cubic Hermite
     interpolation).  Each closed ledger density is r^d psi(t/r), so its
     integral past R is R^{d+1} Psi(t/R), Psi(x) = x^{d+1} int_0^x s^{-d-2}
     psi ds, tabulated per kind: psi(0) exactly, the rest by the product
@@ -129,8 +158,11 @@ class FarField:
         def acc(s, y, v):
             return (b1 * y - abs(y) ** pm1 * y - b2 * s * v) / (1.0 - s * s)
 
-        y, v, table = self.c, 0.0, [(self.c, 0.0)]
-        for k in range(steps):
+        # a longer table continues the shorter one: the same steps, the same bits
+        table = [(self.c, 0.0)] if self.s is None else list(zip(self.phi.tolist(),
+                                                                 self.dphi.tolist()))
+        y, v = table[-1]
+        for k in range(len(table) - 1, steps):
             s = k * ds
             a1 = acc(s, y, v)
             a2 = acc(s + 0.5 * ds, y + 0.5 * ds * v, v + 0.5 * ds * a1)
@@ -152,6 +184,51 @@ class FarField:
         dy = (self.phi[k + 1] - y0) / FAR_DS
         return (y0 + FAR_DS * (x * x * (3 - 2 * x) * dy + x * (1 - x) * ((1 - x) * d0 - x * d1)),
                 6 * x * (1 - x) * dy + (1 - x) * (1 - 3 * x) * d0 + x * (3 * x - 2) * d1)
+
+    def _crossings(self):
+        """(zeros, critical points): each s between table nodes where the
+        interpolated Phi, or Phi', changes sign, by bisection."""
+        ks = [np.flatnonzero(y[:-1] * y[1:] < 0.0) for y in (self.phi, self.dphi)]
+        k, which = np.concatenate(ks), np.repeat([0, 1], [ks[0].size, ks[1].size])
+        lo, hi = self.s[k], self.s[k + 1]
+        neg = np.choose(which, (self.phi[k], self.dphi[k])) < 0.0
+        for _ in range(44):  # from FAR_DS = 2^-11 down to the rounding of s
+            mid = 0.5 * (lo + hi)
+            left = (np.choose(which, self.profile(mid)) < 0.0) == neg
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        return lo[: ks[0].size], lo[ks[0].size :]
+
+    def envelope(self, c_env, t, r_floor=4.0, rays=(0.0, 2.0, 4.0)):
+        """The envelope |w| < 3 c_env r^beta on r >= 1 + t at the ascending
+        level times t, up to r = inf.  There w / r^beta = Phi(s), s = t/r in
+        [0, t/(1+t)], so a level's sup ratio is the sup of |Phi|/(3 c_env)
+        over that range, its profile floor the inf of |Phi|/c_env on
+        r >= max(1 + t, r_floor), and its rays |Phi|/c_env on r = 1 + t + off.
+        Sup and inf are exact for the interpolated Phi: they take the table
+        nodes, the zeros and critical points between them and each level's end."""
+        t = np.asarray(t, dtype=float)
+        s_env, s_floor = t / (1.0 + t), t / np.maximum(1.0 + t, r_floor)
+        self._ensure(s_env[-1])
+        zeros, crit = self._crossings()
+        cand = np.concatenate([self.s, crit, zeros])
+        order = np.argsort(cand, kind="stable")
+        cand = cand[order]
+        val = np.abs(np.concatenate([self.phi, self.profile(crit)[0], 0.0 * zeros]))[order]
+
+        def running(acc, s):  # acc of |Phi| over [0, s]
+            i = np.searchsorted(cand, s, "right") - 1
+            return acc(acc.accumulate(val)[i], np.abs(self.profile(s)[0]))
+
+        sup = running(np.maximum, s_env) / (3.0 * c_env)
+        j = int(np.argmax(val[: np.searchsorted(cand, s_env[-1], "right")]))
+        bad, zeros = t[sup >= 1.0], zeros[zeros <= s_floor[-1]]
+        return EnvelopeRecord(
+            c=float(c_env), t=t, max_ratio=sup, min_profile=running(np.minimum, s_floor) / c_env,
+            rays={off: np.abs(self.profile(t / (1.0 + t + off))[0]) / c_env for off in rays},
+            peak_ratio=float(sup[-1]),
+            peak_s=float(cand[j] if val[j] / (3.0 * c_env) >= sup[-1] else s_env[-1]),
+            first_violation_t=float(bad[0]) if bad.size else None,
+            profile_zero_s=float(zeros[0]) if zeros.size else None)
 
     def channels(self, r, t):
         """(w_r + w_t, w_r - w_t) at radii r > 1 + t."""

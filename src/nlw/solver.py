@@ -115,19 +115,6 @@ class Snapshot:
 
 
 @dataclass
-class EnvelopeSpec:
-    """Pointwise envelope monitor for power-law data: track
-    |w| / (3 c r^beta) over the undisturbed exterior r >= 1 + t and the
-    profile floor |w| / (c r^beta) over r >= max(1 + t, r_min_profile),
-    both restricted to the causal wedge r <= r_max - t.  ray_offsets adds
-    per-level samples of |w| / (c r^beta) along the rays r = 1 + t + off."""
-
-    c: float
-    r_min_profile: float = 4.0
-    ray_offsets: tuple = (0.0, 2.0, 4.0)
-
-
-@dataclass
 class Monitors:
     """What evolve() should record; it runs only the recorders asked for
     here.  Reading what a run did not record raises OffGridError, and so
@@ -144,7 +131,6 @@ class Monitors:
     triangles      inward triangle probes (t0, r0)
     triangles_out  outward triangle probes (t0, r0), t0 >= r0
     snapshot_times three-level snapshots at these times
-    envelope       EnvelopeSpec or None
     bins           the characteristic bins (ledger.s_bulk) for
                    diagnostics.weighted_morawetz; they cost a second power
     xi_variant     "one_sided" (w(h)/h) or "second_order"
@@ -161,7 +147,6 @@ class Monitors:
     triangles: tuple = ()
     triangles_out: tuple = ()
     snapshot_times: tuple = ()
-    envelope: EnvelopeSpec | None = None
     xi_variant: str = "one_sided"
     totals: bool = True
     bins: bool = False
@@ -198,36 +183,6 @@ class TriangleRecord:
 
 
 @dataclass
-class EnvelopeRecord:
-    """Per-level extrema of the envelope and profile ratios."""
-
-    c: float
-    beta: float
-    t: np.ndarray
-    max_ratio: np.ndarray  # sup |w| / (3 c r^beta), nan when region empty
-    min_profile: np.ndarray  # inf |w| / (c r^beta), nan when region empty
-    ray_offsets: tuple = ()
-    ray_ratio: np.ndarray | None = None  # |w|/(c r^beta) along r = 1+t+off
-    peak_ratio: float = 0.0
-    peak_r: float = float("nan")
-    peak_t: float = float("nan")
-    first_violation_t: float = float("nan")
-
-    @property
-    def holds(self):
-        """The envelope verdict: |w| < 3 c r^beta at every monitored point."""
-        return self.peak_ratio < 1.0
-
-    def summary(self):
-        """JSON-ready verdict with the peak and the first violation (None
-        for never)."""
-        first = self.first_violation_t
-        return {"c": self.c, "peak_ratio": self.peak_ratio, "peak_r": self.peak_r,
-                "peak_t": self.peak_t, "holds": self.holds,
-                "first_violation_t": None if math.isnan(first) else first}
-
-
-@dataclass
 class Trajectory:
     """Everything evolve() recorded about one run."""
 
@@ -241,7 +196,6 @@ class Trajectory:
     flux_in: dict = field(default_factory=dict)
     flux_out: dict = field(default_factory=dict)
     triangle_records: list = field(default_factory=list)
-    envelope: EnvelopeRecord | None = None
     linear: bool = False
     far_tails: dict = field(default_factory=dict)  # per-level closures of the totals
 
@@ -430,23 +384,6 @@ class _Recorders:
                 self.corner_idx.append(i0)
         if tri:
             self.active.append(_Recorders.triangles)
-        if mon.envelope is not None:
-            spec = mon.envelope
-            traj.envelope = EnvelopeRecord(
-                c=spec.c,
-                beta=params.beta,
-                t=h * np.arange(steps + 1),
-                max_ratio=np.full(steps + 1, np.nan),
-                min_profile=np.full(steps + 1, np.nan),
-                ray_offsets=tuple(spec.ray_offsets),
-                ray_ratio=np.full((len(spec.ray_offsets), steps + 1), np.nan),
-            )
-            self.env_floor = np.zeros(n + 1)
-            self.env_floor[1:] = spec.c * r[1:] ** params.beta
-            self.env_floor3 = 3.0 * self.env_floor
-            self.prof_idx = grid_index(spec.r_min_profile, h, "profile radius")
-            self.ray_idx = [grid_index(off, h, "ray offset") for off in spec.ray_offsets]
-            self.active.append(_Recorders.envelope)
         self.snap_levels = {}
         for t_snap in mon.snapshot_times:
             m_snap = grid_index(t_snap, h, "snapshot time")
@@ -567,33 +504,6 @@ class _Recorders:
             if corner:
                 e_minus, e_plus = self.energies_to(m, w, f, e, i0)
                 rec.energy = e_minus if rec.kind == "inward" else e_plus
-
-    def envelope(self, m, w_prev, w, w_next, e, q, f):
-        """Level m's extrema of the envelope and profile ratios, and the
-        ray samples (see EnvelopeSpec)."""
-        env = self.traj.envelope
-        lo = m + self.one
-        hi = self.n - m  # causal wedge: boundary influence travels inward at speed 1
-        if lo > hi:
-            return
-        ratio = np.abs(w[lo : hi + 1], out=self.tmp[: hi + 1 - lo])
-        ratio /= self.env_floor3[lo : hi + 1]
-        k = int(np.argmax(ratio))
-        env.max_ratio[m] = ratio[k]
-        if ratio[k] > env.peak_ratio:
-            env.peak_ratio = float(ratio[k])
-            env.peak_r = self.r[lo + k]
-            env.peak_t = m * self.h
-        if ratio[k] >= 1.0 and math.isnan(env.first_violation_t):
-            env.first_violation_t = m * self.h
-        plo = max(lo, self.prof_idx)
-        if plo <= hi:
-            # |w| / (c r^beta) is three times the ratio, to rounding
-            env.min_profile[m] = 3.0 * ratio[plo - lo :].min()
-        for kray, doff in enumerate(self.ray_idx):
-            j = lo + doff
-            if j <= hi:
-                env.ray_ratio[kray, m] = abs(w[j]) / self.env_floor[j]
 
     def snapshots(self, m, w_prev, w, w_next, e, q, f):
         if m in self.snap_levels:

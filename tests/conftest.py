@@ -94,8 +94,8 @@ def morawetz_runs():
 @pytest.fixture(scope="session")
 def flagship():
     """The full slow-decay study at production resolution: p=4,
-    kappa=0.25, h=1/128, t_max=64, amplitude auto-set to half the
-    envelope-failure threshold."""
+    kappa=0.25, h=1/128, t_max=64, at the default amplitude c = 2, half
+    the envelope threshold that the far field gives (the search's cap)."""
     (report, traj), elapsed = _timed(run_appendix_example, 4.0, 0.25)
     return {"report": report, "traj": traj, "elapsed": elapsed}
 

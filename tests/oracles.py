@@ -15,7 +15,8 @@ Conventions mirrored from the library (half-line reduction w = r u):
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import minimize_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +234,34 @@ def naive_pointwise_ratios(w, h, p, stride=7):
                 abs(w[j]) / (2.0 * r ** expo * prod ** (1.0 / (p + 3.0))),
             )
     return best1, best2
+
+
+# ---------------------------------------------------------------------------
+# self-similar exterior of the power-law data
+# ---------------------------------------------------------------------------
+
+def far_profile(c, p, s_max):
+    """Phi on [0, s_max] by scipy's DOP853, as a dense solution s -> (Phi,
+    Phi'): the power-law data c r^beta at rest evolve as r^beta Phi(t/r) on
+    r > 1 + t, with (1 - s^2) Phi'' + 2(beta-1) s Phi' - beta(beta-1) Phi
+    + |Phi|^{p-1} Phi = 0, Phi(0) = c, Phi'(0) = 0."""
+    beta = (p - 3.0) / (p - 1.0)
+
+    def rhs(s, y):
+        acc = beta * (beta - 1.0) * y[0] - abs(y[0]) ** (p - 1.0) * y[0]
+        return [y[1], (acc - 2.0 * (beta - 1.0) * s * y[1]) / (1.0 - s * s)]
+
+    return solve_ivp(rhs, (0.0, s_max), [c, 0.0], method="DOP853", rtol=1e-13,
+                     atol=1e-13, dense_output=True).sol
+
+
+def sup_abs(f, a, b, samples=20001):
+    """(max |f| on [a, b], where): the largest of dense samples, refined by
+    a bounded Brent search between its neighbours."""
+    s = np.linspace(a, b, samples)
+    v = np.abs(f(s))
+    k = int(np.argmax(v))
+    lo, hi = s[max(k - 1, 0)], s[min(k + 1, samples - 1)]
+    res = minimize_scalar(lambda x: -abs(float(f(x))), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-13})
+    return max((float(v[k]), float(s[k])), (float(-res.fun), float(res.x)))

@@ -1,12 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nlw import appendix, solver
 from nlw.appendix import (
     TriangleRegion,
-    envelope_holds,
     find_envelope_threshold,
     full_slab,
     run_appendix_example,
@@ -14,12 +15,12 @@ from nlw.appendix import (
     triangle_bound_constant,
     triangle_integral,
 )
-from nlw.errors import BlowupError, OutOfRangeError
-from nlw.model import AppendixPowerLaw, GaussianBump, make_params
+from nlw.errors import OutOfRangeError
+from nlw.model import AppendixPowerLaw, FarField, GaussianBump, make_params
 from nlw.numerics import grid_index
 from nlw.solver import GridSpec, Monitors, evolve, leapfrog
 
-from oracles import cp_closed, triangle_power_closed, triangle_quad
+from oracles import cp_closed, far_profile, sup_abs, triangle_power_closed, triangle_quad
 
 
 # --------------------------------------------------------------------------
@@ -167,13 +168,38 @@ def test_source_triangle_check_vacuous_at_p3():
 # --------------------------------------------------------------------------
 
 def test_envelope_threshold_brackets():
-    thr = find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0)
+    thr = find_envelope_threshold(4.0, t_max=8.0)
     assert 0.02 < thr <= 4.0
 
 
-def test_envelope_threshold_unreachable_floor():
+def _verdict_edge(edge):
+    """A stand-in for FarField whose envelope holds exactly for c < edge,
+    to drive the search's doubling and bisection: the exact verdict holds
+    at every amplitude the search probes."""
+    class Edge:
+        def __init__(self, c, p):
+            self.c = c
+
+        def envelope(self, c_env, t):
+            return SimpleNamespace(holds=self.c < edge)
+
+    return Edge
+
+
+def test_envelope_threshold_unreachable_floor(monkeypatch):
+    monkeypatch.setattr(appendix, "FarField", _verdict_edge(1.0))
     with pytest.raises(OutOfRangeError):
-        find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0, lo=3.9, hi=3.95)
+        find_envelope_threshold(4.0, t_max=8.0, lo=3.9, hi=3.95)
+
+
+@pytest.mark.parametrize("edge, width", [(1.234, 1.98), (3.0, 2.0)])
+def test_envelope_threshold_doubles_then_bisects(monkeypatch, edge, width):
+    """With the verdict failing from edge on, the search ends on the
+    holding side of it, within its bracket's width over 2^12: [0.02, 2]
+    for edge = 1.234, and [2, 4] after one doubling for edge = 3."""
+    monkeypatch.setattr(appendix, "FarField", _verdict_edge(edge))
+    thr = find_envelope_threshold(4.0, t_max=8.0)
+    assert edge - width / 4096.0 <= thr < edge
 
 
 @pytest.mark.parametrize(
@@ -183,62 +209,73 @@ def test_envelope_threshold_rejects_a_bad_bracket(lo, hi, cap):
     """A bracket outside 0 < lo < hi <= cap is refused up front; with
     hi = 8 > cap = 1 the search used to return 3.096, above its cap."""
     with pytest.raises(OutOfRangeError):
-        find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0, lo=lo, hi=hi, cap=cap)
+        find_envelope_threshold(4.0, t_max=8.0, lo=lo, hi=hi, cap=cap)
 
 
 def test_envelope_threshold_stays_at_or_below_cap():
-    # the envelope holds at c = 1 here (threshold about 3.1), so the
-    # doubling search stops at the cap itself
-    assert find_envelope_threshold(4.0, h=1.0 / 16.0, t_max=8.0, hi=0.5, cap=1.0) == 1.0
+    # the envelope holds at c = 1, so the doubling search stops at the cap
+    assert find_envelope_threshold(4.0, t_max=8.0, hi=0.5, cap=1.0) == 1.0
 
 
-@pytest.mark.parametrize(
-    "p, want",
-    [(3.0, 4.201171875), (3.5, 3.55126953125), (4.0, 3.09716796875), (4.5, 2.76904296875)],
-)
-def test_envelope_threshold_pinned(p, want):
-    """The search's result, bit for bit, at h = 1/16 and t_max = 8 (values
-    of nlw 0.1.0).  cap = 16 lets p = 3 end by bisection, not at the cap."""
-    assert find_envelope_threshold(p, h=1.0 / 16.0, t_max=8.0, cap=16.0) == want
+@pytest.mark.parametrize("p", [3.0, 3.5, 4.0, 4.5])
+def test_envelope_search_pinned_against_dop853(p):
+    """The search's three probes (c = 0.02, 2, 4 at t_max = 16) against an
+    independent DOP853 Phi: the peak ratio max |Phi| / (3c) over s <= 16/17
+    to 1e-8, and where it peaks; all hold, so the search ends at its cap."""
+    assert find_envelope_threshold(p) == 4.0
+    for c in (0.02, 2.0, 4.0):
+        env = FarField(c, p).envelope(c, [16.0])
+        sol = far_profile(c, p, 16.0 / 17.0)
+        peak, s_peak = sup_abs(lambda s: sol(s)[0], 0.0, 16.0 / 17.0)
+        assert env.holds and env.peak_ratio == pytest.approx(peak / (3.0 * c), abs=1e-8), c
+        assert env.peak_s == pytest.approx(s_peak, abs=1e-4), c
 
 
-def _envelope_only_holds(pair, params, grid, c):
-    """The probe decision from the leapfrog levels alone: "fails" at the
-    first level whose envelope ratio |w| / (3 c r^beta) over the wedge
-    [1 + t, r_max - t] reaches 1, "blows up" on a blow-up; no ledger."""
+def test_envelope_verdict_at_the_old_flagship_amplitude():
+    """At c = 1.681884765625 through t = 64 the verdict from Phi is within
+    1e-5 of the h = 1/128 grid's peak ratio 0.3381881, and the profile
+    floor is 0 from Phi's zero at s = 0.7478 on; the peak is at the edge of
+    the last level, (r, t) = (65, 64)."""
+    c = 1.681884765625
+    env = FarField(c, 4.0).envelope(c, np.arange(8193) / 128.0)
+    assert env.peak_ratio == pytest.approx(0.3381881, abs=1e-5)
+    summary = env.summary()
+    assert (summary["peak_r"], summary["peak_t"]) == (pytest.approx(65.0), pytest.approx(64.0))
+    assert env.min_profile[-1] == 0.0 and env.profile_zero_s == pytest.approx(0.7478, abs=1e-4)
+    assert np.all(np.diff(env.max_ratio) >= 0.0) and np.all(np.diff(env.min_profile) <= 0.0)
+
+
+def _wedge_peak_ratio(pair, params, grid, c):
+    """The grid's envelope peak from the leapfrog levels: the largest
+    |w| / (3 c r^beta) over the causal wedge [1 + t, r_max - t]."""
     floor3 = np.zeros(grid.n + 1)
     floor3[1:] = 3.0 * (c * grid.r[1:] ** params.beta)
     one = grid_index(1.0, grid.h)
-    try:
-        for m, _, w, *_ in leapfrog(pair, params, grid):
-            lo, hi = m + one, grid.n - m
-            if lo <= hi and np.max(np.abs(w[lo : hi + 1]) / floor3[lo : hi + 1]) >= 1.0:
-                return "fails"
-    except BlowupError:
-        return "blows up"
-    return "holds"
+    peak = 0.0
+    for m, _, w, *_ in leapfrog(pair, params, grid):
+        lo, hi = m + one, grid.n - m
+        if lo <= hi:
+            peak = max(peak, float(np.max(np.abs(w[lo : hi + 1]) / floor3[lo : hi + 1])))
+    return peak
 
 
-@pytest.mark.parametrize("p", [3.5, 4.0])
-def test_envelope_probe_decides_as_the_envelope_only_check(p):
-    """envelope_holds (the threshold search's probe) against an early-exit
-    check of the envelope ratio alone, on power-law data of amplitude a
-    probed at c: a = c over the whole range (holds, then blows up), and
-    a = 3 probed at c < a / 2.5, where the ratio starts near 1 and may
-    reach it mid-run or at once."""
+@pytest.mark.parametrize("c", [1.0, 2.0, 3.3])
+def test_grid_envelope_peak_converges_to_the_far_field_verdict(c):
+    """The exterior solver stays checked: on the old probe grid (p = 4,
+    T = 16, r_max = 34) the wedge's peak ratio reaches the Phi verdict at
+    second order, the gap falling fourfold from h = 1/32 to 1/64 (1.8e-5
+    and 1.2e-4 at h = 1/32 for c = 2 and 3.3); at c = 1 both peak at t = 0,
+    on the data."""
+    p, t_max = 4.0, 16.0
     params = make_params(p, 0.5)
-    h, t_max = 1.0 / 16.0, 8.0
-    grid = GridSpec(h=h, r_max=h * math.ceil((2.0 + 2.0 * t_max) / h), t_max=t_max,
-                    boundary="outgoing")
-    cases = [(a, a) for a in (0.5, 2.0, 3.0, 3.5, 3.6, 4.0, 8.0, 16.0)]
-    cases += [(3.0, 3.0 / k) for k in (2.5, 2.7, 2.8, 2.9, 2.95, 3.0, 3.2)]
-    seen = set()
-    for a, c in cases:
-        pair = AppendixPowerLaw(a, params).sample(grid, leak_tol=None)
-        verdict = _envelope_only_holds(pair, params, grid, c)
-        seen.add(verdict)
-        assert envelope_holds(pair, params, grid, c) == (verdict == "holds"), (a, c)
-    assert seen == {"holds", "fails", "blows up"}
+    want = FarField(c, p).envelope(c, [t_max]).peak_ratio
+    gaps = []
+    for h in (1.0 / 32.0, 1.0 / 64.0):
+        grid = GridSpec(h=h, r_max=2.0 + 2.0 * t_max, t_max=t_max, boundary="outgoing")
+        pair = AppendixPowerLaw(c, params).sample(grid)
+        gaps.append(abs(_wedge_peak_ratio(pair, params, grid, c) - want))
+    assert gaps[0] < 2e-4
+    assert gaps[1] < 1e-12 or 3.9 < gaps[0] / gaps[1] < 4.1, gaps
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +292,13 @@ def test_report_sections(appendix_quick):
     assert env["threshold"] is None  # c was given
     assert env["c"] == 3.36376953125 / 2.0
     assert env["first_violation_t"] is None
-    assert 0.0 < env["min_profile"] <= env["peak_ratio"] + 1.0
+    # Phi changes sign once on the exterior, so the profile floor is 0
+    assert env["min_profile"] == 0.0
+    assert env["profile_zero_s"] == pytest.approx(0.7478, abs=1e-4)
+    # the verdict is the exact sup of the interpolated Phi over s <= 32/33
+    far = appendix_quick["traj"].pair.far_field
+    peak, _ = sup_abs(lambda s: far.profile(s)[0], 0.0, 32.0 / 33.0)
+    assert env["peak_ratio"] == pytest.approx(peak / (3.0 * env["c"]), abs=1e-12)
 
     k_sec = report["channel_mass"]
     assert k_sec["divergent"] is False
@@ -319,16 +362,19 @@ def test_report_does_not_depend_on_r_max():
     assert len(shares["free_wave_defect"]) == 2
 
 
-def test_threshold_search_builds_no_far_field_table(monkeypatch):
-    """The envelope-only probes close no integral: no Phi table, and the
-    threshold is bitwise the one found before the far field existed."""
-    from nlw.model import FarField
+def test_default_study_steps_one_evolve(monkeypatch):
+    """The default amplitude comes from the far field, not from PDE probes:
+    the whole study steps a single evolve, at c = 2, half the search's cap."""
+    calls = []
 
-    def no_table(*args):
-        raise AssertionError("a threshold probe tabulated the far field")
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solver.evolve(*args, **kwargs)
 
-    monkeypatch.setattr(FarField, "_ensure", no_table)
-    assert find_envelope_threshold(4.0) == 3.36376953125
+    monkeypatch.setattr(appendix, "evolve", counted)
+    report, _ = run_appendix_example(4.0, 0.25, h=1.0 / 16.0, t_max=8.0)
+    assert len(calls) == 1
+    assert report["envelope"]["c"] == 2.0 and report["envelope"]["threshold"] == 4.0
 
 
 def test_report_divergent_channel_mass():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlw import DirectedPulse, GridSpec
+from nlw.model import FarField
 from nlw.cli import Config, load_config, main, parse_scalar, run_checks, run_problem
 from nlw.errors import ConfigError
 
@@ -219,7 +220,28 @@ def test_run_power_law_with_an_envelope_monitor(tmp_path):
     assert summary["grid"] == {"h": 1.0 / 16.0, "r_max": 21.0, "t_max": 8.0,
                                "boundary": "outgoing"}
     assert summary["envelope"]["c"] == 0.5 and summary["envelope"]["holds"] is True
+    env = FarField(0.5, 4.0).envelope(0.5, np.arange(129) / 16.0)
+    assert summary["envelope"]["peak_ratio"] == env.peak_ratio
     assert (out / "energy.svg").exists() and (out / "envelope.svg").exists()
+
+
+GAUSSIAN_DATA = "data.family = gaussian\ndata.amplitude = 0.5\ndata.center = 4\ndata.width = 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    POWER_LAW_CFG + "run.linear = true\n",
+    POWER_LAW_CFG.replace("data.family = power_law\ndata.c = 0.5\n", GAUSSIAN_DATA),
+], ids=["linear", "gaussian"])
+def test_envelope_monitor_without_an_exact_exterior_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, text):
+    """The envelope verdict is read off the far field of a nonlinear run;
+    a linear run or data without a far field cannot give it."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before the envelope monitor was checked")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    assert main(["run", _write(tmp_path, text), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "monitors.envelope_c needs" in capsys.readouterr().err
 
 
 def test_run_power_law_r_max_inside_the_far_field_edge_exits_2_before_any_run(

@@ -21,7 +21,7 @@ from nlw.diagnostics import TOTALS
 from nlw.errors import ConfigError, OffGridError
 from nlw.model import GaussianBump, RadialPair, make_params
 from nlw.numerics import grid_index
-from nlw.solver import EnvelopeSpec, GridSpec, Monitors, evolve, leapfrog
+from nlw.solver import GridSpec, Monitors, evolve, leapfrog
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 
@@ -56,7 +56,6 @@ ALL_KINDS = dict(
     triangles=((0.5, 1.0),),
     triangles_out=((2.0, 1.0),),
     snapshot_times=(1.0, 3.0),
-    envelope=EnvelopeSpec(c=0.3, r_min_profile=1.5, ray_offsets=(0.0, 0.5)),
 )
 
 
@@ -72,10 +71,6 @@ def _recorded(traj):
             out[f"{kind} {label}"] = arr.tobytes()
     for rec in traj.triangle_records:
         out[f"triangle {rec.kind} {rec.t0}"] = np.array([rec.bulk, rec.flux, rec.energy]).tobytes()
-    env = traj.envelope
-    out["envelope"] = np.concatenate([
-        env.max_ratio, env.min_profile, env.ray_ratio.ravel(),
-        [env.peak_ratio, env.peak_r, env.peak_t, env.first_violation_t]]).tobytes()
     for snap in traj.snapshots:
         out[f"snapshot {snap.t}"] = np.stack([snap.w_prev, snap.w_curr, snap.w_next]).tobytes()
     return out
