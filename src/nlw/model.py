@@ -105,7 +105,8 @@ class EnvelopeRecord:
     min_profile: np.ndarray  # inf |w| / (c r^beta) on r >= max(1 + t, r_floor)
     rays: dict  # offset -> |w| / (c r^beta) on r = 1 + t + offset
     peak_ratio: float
-    peak_s: float  # where the peak is, s = t/r; first reached at r = 1 + t
+    peak_s: float  # where the peak is, s = t/r, first reached at r = 1 + peak_t
+    peak_t: float
     first_violation_t: float | None  # first level whose ratio reaches 1
     profile_zero_s: float | None  # first zero of Phi in the floor's range
 
@@ -116,9 +117,8 @@ class EnvelopeRecord:
 
     def summary(self):
         """JSON-ready verdict, peak, first violation and profile floor."""
-        s = self.peak_s
-        return {"c": self.c, "peak_ratio": self.peak_ratio, "peak_r": 1.0 / (1.0 - s),
-                "peak_t": s / (1.0 - s), "holds": self.holds,
+        return {"c": self.c, "peak_ratio": self.peak_ratio, "peak_r": 1.0 + self.peak_t,
+                "peak_t": self.peak_t, "holds": self.holds,
                 "first_violation_t": self.first_violation_t,
                 "min_profile": float(self.min_profile.min()),
                 "profile_zero_s": self.profile_zero_s}
@@ -221,12 +221,13 @@ class FarField:
 
         sup = running(np.maximum, s_env) / (3.0 * c_env)
         j = int(np.argmax(val[: np.searchsorted(cand, s_env[-1], "right")]))
+        peak_s = cand[j] if val[j] / (3.0 * c_env) >= sup[-1] else s_env[-1]  # or the end
         bad, zeros = t[sup >= 1.0], zeros[zeros <= s_floor[-1]]
         return EnvelopeRecord(
             c=float(c_env), t=t, max_ratio=sup, min_profile=running(np.minimum, s_floor) / c_env,
             rays={off: np.abs(self.profile(t / (1.0 + t + off))[0]) / c_env for off in rays},
-            peak_ratio=float(sup[-1]),
-            peak_s=float(cand[j] if val[j] / (3.0 * c_env) >= sup[-1] else s_env[-1]),
+            peak_ratio=float(sup[-1]), peak_s=float(peak_s),
+            peak_t=float(t[-1] if peak_s == s_env[-1] else peak_s / (1.0 - peak_s)),
             first_violation_t=float(bad[0]) if bad.size else None,
             profile_zero_s=float(zeros[0]) if zeros.size else None)
 
