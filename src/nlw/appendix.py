@@ -258,7 +258,11 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         lp_exponent = lp_r2 = None  # too few dyadic start times to fit
     if len(times) >= 3:
         ext_fit, ext_vals = exterior_growth_fit(traj, times)
-        ext_slope, ext_offset, ext_r2 = ext_fit.slope, ext_fit.offset, ext_fit.r_squared
+        ext_slope, ext_offset, ext_r2 = (
+            ext_fit.slope,
+            ext_fit.offset,
+            ext_fit.r_squared,
+        )
     else:
         ext_vals = exterior_cumulative(traj, times)
         ext_slope = ext_offset = ext_r2 = None  # not enough samples to fit

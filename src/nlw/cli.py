@@ -639,16 +639,27 @@ def _fraction(text):
 
 
 def cmd_appendix(args):
-    report, traj = run_appendix_example(p=args.p, kappa=args.kappa, c=args.c, h=args.h,
-                                        t_max=args.t_max, r_max=args.r_max)
+    report, traj = run_appendix_example(
+        p=args.p,
+        kappa=args.kappa,
+        c=args.c,
+        h=args.h,
+        t_max=args.t_max,
+        r_max=args.r_max,
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     env = traj.pair.far_field.envelope(report["envelope"]["c"], traj.ledger.t)
     ray_series = [("sup ratio (3c envelope)", env.t, env.max_ratio)]
     for off, ratio in env.rays.items():
         ray_series.append((f"|w|/(c r^b) on r=1+t+{off:g}", env.t, ratio))
     env_path = os.path.join(args.out_dir, "envelope_rays.svg")
-    line_plot(env_path, ray_series, title="exterior envelope and ray profiles", xlabel="t",
-              ylabel="ratio")
+    line_plot(
+        env_path,
+        ray_series,
+        title="exterior envelope and ray profiles",
+        xlabel="t",
+        ylabel="ratio",
+    )
     led = traj.ledger
     decay_path = os.path.join(args.out_dir, "energy_decay.svg")
     line_plot(

@@ -102,7 +102,7 @@ class EnvelopeRecord:
     c: float
     t: np.ndarray
     max_ratio: np.ndarray  # sup |w| / (3 c r^beta) on r >= 1 + t
-    min_profile: np.ndarray  # inf |w| / (c r^beta) on r >= max(1 + t, r_floor)
+    min_profile: np.ndarray  # inf |w| / (c r^beta) on r >= max(1 + t, 4)
     rays: dict  # offset -> |w| / (c r^beta) on r = 1 + t + offset
     peak_ratio: float
     peak_s: float  # where the peak is, s = t/r, first reached at r = 1 + peak_t
@@ -198,16 +198,17 @@ class FarField:
             lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         return lo[: ks[0].size], lo[ks[0].size :]
 
-    def envelope(self, c_env, t, r_floor=4.0, rays=(0.0, 2.0, 4.0)):
+    def envelope(self, c_env, t):
         """The envelope |w| < 3 c_env r^beta on r >= 1 + t at the ascending
         level times t, up to r = inf.  There w / r^beta = Phi(s), s = t/r in
         [0, t/(1+t)], so a level's sup ratio is the sup of |Phi|/(3 c_env)
         over that range, its profile floor the inf of |Phi|/c_env on
-        r >= max(1 + t, r_floor), and its rays |Phi|/c_env on r = 1 + t + off.
-        Sup and inf are exact for the interpolated Phi: they take the table
-        nodes, the zeros and critical points between them and each level's end."""
+        r >= max(1 + t, 4), and its rays |Phi|/c_env on r = 1 + t + off for
+        off = 0, 2 and 4.  Sup and inf are exact for the interpolated Phi:
+        they take the table nodes, the zeros and critical points between
+        them and each level's end."""
         t = np.asarray(t, dtype=float)
-        s_env, s_floor = t / (1.0 + t), t / np.maximum(1.0 + t, r_floor)
+        s_env, s_floor = t / (1.0 + t), t / np.maximum(1.0 + t, 4.0)
         self._ensure(s_env[-1])
         zeros, crit = self._crossings()
         cand = np.concatenate([self.s, crit, zeros])
@@ -221,11 +222,12 @@ class FarField:
 
         sup = running(np.maximum, s_env) / (3.0 * c_env)
         j = int(np.argmax(val[: np.searchsorted(cand, s_env[-1], "right")]))
-        peak_s = cand[j] if val[j] / (3.0 * c_env) >= sup[-1] else s_env[-1]  # or the end
+        peak_s = cand[j] if val[j] / (3.0 * c_env) >= sup[-1] else s_env[-1]
         bad, zeros = t[sup >= 1.0], zeros[zeros <= s_floor[-1]]
         return EnvelopeRecord(
             c=float(c_env), t=t, max_ratio=sup, min_profile=running(np.minimum, s_floor) / c_env,
-            rays={off: np.abs(self.profile(t / (1.0 + t + off))[0]) / c_env for off in rays},
+            rays={off: np.abs(self.profile(t / (1.0 + t + off))[0]) / c_env
+                  for off in (0.0, 2.0, 4.0)},
             peak_ratio=float(sup[-1]), peak_s=float(peak_s),
             peak_t=float(t[-1] if peak_s == s_env[-1] else peak_s / (1.0 - peak_s)),
             first_violation_t=float(bad[0]) if bad.size else None,
