@@ -6,8 +6,8 @@ make it scatter even though its conformal-type norms diverge:
 
   * envelope: |w(r,t)| stays below 3 c r^beta on the undisturbed exterior
     r >= 1 + t, where w = r^beta Phi(t/r) exactly (model.FarField); the
-    profile |w| / (c r^beta) is not bounded below there, as Phi changes
-    sign (at s = t/r ~ 0.62 for p = 4, c = 2);
+    profile |w| / (c r^beta) has no positive floor there, since Phi changes
+    sign (at s = t/r ~ 0.62 for p = 4, c = 2) and w vanishes on that ray;
   * the source term of the integral equation over a backward light
     triangle with apex (r', t'), t' < r', obeys the closed-form bound
 
@@ -135,7 +135,11 @@ def source_triangle_check(slab, grid, params, c, region):
     (the bound constant is infinite at p = 3, making the check vacuous:
     ratio 0)."""
     value = triangle_integral(slab, grid, params, region)
-    bound = (3.0 * c) ** params.p * triangle_bound_constant(params.p) * region.r_apex**params.beta
+    cp = triangle_bound_constant(params.p)
+    if math.isinf(cp):
+        bound = math.inf
+    else:
+        bound = (3.0 * c) ** params.p * cp * region.r_apex**params.beta
     return TriangleBoundReport(region=region, integral=value, bound=bound)
 
 
@@ -302,7 +306,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
                 "t_apex": region.t_apex,
                 "integral": rep.integral,
                 "bound": rep.bound,
-                "ratio": rep.ratio,
+                "ratio": 0.0 if math.isinf(rep.bound) else rep.ratio,
             }
         )
 
