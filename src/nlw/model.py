@@ -192,7 +192,9 @@ class FarField:
         k, which = np.concatenate(ks), np.repeat([0, 1], [ks[0].size, ks[1].size])
         lo, hi = self.s[k], self.s[k + 1]
         neg = np.choose(which, (self.phi[k], self.dphi[k])) < 0.0
-        for _ in range(44):  # from FAR_DS = 2^-11 down to the rounding of s
+        # s to 2^-41: a zero's |Phi| is then below 1e-12 and a critical
+        # value moves with the square of the error
+        for _ in range(30):
             mid = 0.5 * (lo + hi)
             left = (np.choose(which, self.profile(mid)) < 0.0) == neg
             lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
