@@ -216,7 +216,8 @@ class FarField:
         cand = np.concatenate([self.s, crit, zeros])
         order = np.argsort(cand, kind="stable")
         cand = cand[order]
-        val = np.abs(np.concatenate([self.phi, self.profile(crit)[0], 0.0 * zeros]))[order]
+        val = np.concatenate([np.abs(self.phi), np.abs(self.profile(crit)[0]),
+                              np.zeros_like(zeros)])[order]
 
         def running(acc, s):  # acc of |Phi| over [0, s]
             i = np.searchsorted(cand, s, "right") - 1
