@@ -151,43 +151,22 @@ def _wedge_grid(h, t_max, pad, r_max=None):
     return GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
 
 
-def find_envelope_threshold(p, t_max=16.0, lo=0.02, hi=2.0, cap=4.0):
-    """Largest amplitude c (up to bisection resolution) for which the
-    envelope |w| < 3 c r^beta holds on r >= 1 + t through t_max.  Returns
-    the safe (holding) endpoint, at most cap: the search doubles hi while
-    the envelope holds there, then bisects [lo, hi] twelve times.
+ENVELOPE_CAP = 4.0  # the largest amplitude find_envelope_threshold vouches for
+ENVELOPE_HORIZON = 16.0  # the level time its verdict is read at
 
-    Each probe c reads the verdict off the far field of the power-law data
-    of amplitude c (FarField.envelope), which covers r >= 1 + t to r = inf;
-    no PDE runs.  |Phi| stays well below 3c (measured for c up to 64 and
-    p from 3 to 4.5), so the search ends at the cap.
 
-    Raises OutOfRangeError unless 0 < lo < hi <= cap, or if the envelope
-    fails even at lo.
+def find_envelope_threshold(p):
+    """ENVELOPE_CAP = 4, once FarField.envelope shows the envelope
+    |w| < 3 c r^beta holding at c = 4 on r >= 1 + t (to r = inf) through
+    t = ENVELOPE_HORIZON; no PDE runs.  Below the cap there is nothing to
+    search: |Phi| stays well below 3c (measured for c up to 64 and p from
+    3 to 4.5).  Raises OutOfRangeError if the envelope fails at the cap.
     """
-    if not 0.0 < lo < hi <= cap:
-        raise OutOfRangeError(
-            f"need 0 < lo < hi <= cap, got lo={lo}, hi={hi}, cap={cap}"
-        )
     p = make_params(p, 0.5).p  # kappa is irrelevant to the envelope
-
-    def holds(c):
-        return FarField(c, p).envelope(c, [t_max]).holds
-
-    if not holds(lo):
-        raise OutOfRangeError(f"envelope fails even at c={lo}; no threshold found")
-    while holds(hi):
-        if hi >= cap:
-            return cap
-        lo = hi
-        hi = min(2.0 * hi, cap)
-    for _ in range(12):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    c = ENVELOPE_CAP
+    if not FarField(c, p).envelope(c, [ENVELOPE_HORIZON]).holds:
+        raise OutOfRangeError(f"envelope fails at the cap c={c}; no threshold found")
+    return c
 
 
 def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None):
@@ -197,9 +176,9 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     verdict, the weighted channel mass (or its divergence), the decay of
     the inward energy against t^{-kappa}, the scattering-rate fits, and
     the triangle source bound.  c=None picks half the envelope threshold,
-    c = 2 (find_envelope_threshold's cap).  The envelope verdict comes from
-    the data's far field on r >= 1 + t (FarField.envelope), not from the
-    grid.  The main run records no characteristic bins.
+    c = 2 (find_envelope_threshold).  The envelope verdict comes from the
+    data's far field on r >= 1 + t (FarField.envelope), not from the grid.
+    The main run records no characteristic bins.
 
     r_max=None sizes the grid at 2*t_max + 4.  The data carry their exact
     exterior r^beta Phi(t/r) (a FarField), so every integral of the report

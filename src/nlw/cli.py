@@ -77,7 +77,6 @@ KNOWN_KEYS = frozenset(
         "monitors.triangles_out",
         "monitors.snapshots",
         "monitors.envelope_c",
-        "monitors.xi_variant",
         "run.linear",
         "output.stride",
         "output.snapshots",
@@ -250,8 +249,8 @@ def build_family(cfg, params):
 
 
 def build_grid(cfg, family):
-    """grid.r_max, or by default padded past the data's support; nonlinear
-    runs of data with a far field need GridSpec.check_far_field."""
+    """grid.r_max, or by default padded past the data's support; data with
+    a far field need a nonlinear run (evolve) and GridSpec.check_far_field."""
     h = cfg.number("grid.h")
     t_max = cfg.number("grid.t_max")
     r_max = cfg.number("grid.r_max", None)
@@ -265,7 +264,9 @@ def build_grid(cfg, family):
             r_max = node_at_or_past(support + t_max + margin, h, "padded r_max")
         grid = GridSpec(h=h, r_max=r_max, t_max=t_max,
                         boundary=cfg.string("grid.boundary", "pad" if padded else "outgoing"))
-        if family.far_field() is not None and not cfg.boolean("run.linear", False):
+        if family.far_field() is not None:
+            if cfg.boolean("run.linear", False):
+                raise ConfigError("a linear run of far-field data closes nothing past r_max")
             grid.check_far_field()
         return grid
     except NlwError as err:
@@ -282,7 +283,6 @@ def build_monitors(cfg):
             triangles=cfg.pair_list("monitors.triangles"),
             triangles_out=cfg.pair_list("monitors.triangles_out"),
             snapshot_times=cfg.number_list("monitors.snapshots"),
-            xi_variant=cfg.string("monitors.xi_variant", "one_sided"),
         )
     except NlwError as err:
         raise ConfigError(str(err)) from err
@@ -295,10 +295,9 @@ def run_problem(cfg):
     grid = build_grid(cfg, family)
     monitors = build_monitors(cfg)
     linear = cfg.boolean("run.linear", False)
-    if cfg.number("monitors.envelope_c", None) is not None and (
-            linear or family.far_field() is None):
-        raise ConfigError("monitors.envelope_c needs a nonlinear run of data with a far "
-                          "field (data.family = power_law)")
+    if cfg.number("monitors.envelope_c", None) is not None and family.far_field() is None:
+        raise ConfigError("monitors.envelope_c needs data with a far field "
+                          "(data.family = power_law)")
     leak_raw = cfg.raw.get("data.leak_tol", "")
     if leak_raw.strip().lower() in ("none", "off"):
         leak_tol = None
@@ -796,8 +795,8 @@ def build_parser():
     p_ap.add_argument("--kappa", type=_fraction, required=True)
     p_ap.add_argument(
         "--c", type=_fraction, default=None,
-        help="tail amplitude; default 2, half the envelope threshold found "
-        "from the exact exterior (its cap, 4)",
+        help="tail amplitude; default 2, half the envelope threshold 4, at "
+        "which the exact exterior's envelope is checked",
     )
     p_ap.add_argument("--h", type=_fraction, default=1.0 / 128.0)
     p_ap.add_argument("--t-max", type=_fraction, default=64.0)

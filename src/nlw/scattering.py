@@ -143,7 +143,7 @@ def free_wave_defect(traj, t1, t2):
     d = snap2.w_curr - w_free
     dt = snap2.w_t - wt_free
     dr = derivative(d, h)
-    far = None if traj.linear else traj.pair.far_field
+    far = traj.pair.far_field
     edge = traj.grid.n if far is None else traj.grid.clean_edge(grid_index(t2, h, "t2"))
     grid_part = trapz((dr * dr + dt * dt)[: edge + 1], h)
     tail = 0.0 if far is None else far.defect_tail(edge * h, t1, t2)

@@ -116,12 +116,11 @@ class Snapshot:
 
 @dataclass
 class Monitors:
-    """What evolve() should record; it runs only the recorders asked for
-    here.  Reading what a run did not record raises OffGridError, and so
-    do an unknown xi_variant and a radius label not "t/4" or R > 0.
+    """What evolve() should record besides the totals, which every run
+    records (EnergyLedger); it runs only the recorders asked for here.
+    Reading what a run did not record raises OffGridError, and so does a
+    radius label not "t/4" or R > 0.
 
-    totals         the per-level ledger series: E, E_-, E_+, xi, the bulk
-                   integral, y2p and the exterior norm
     radii          channel energies E(t;0,R) for fixed R, plus the moving
                    label "t/4" for the ball of radius t/4
     flux_s         inward characteristic lines r + t = s to record the
@@ -133,7 +132,6 @@ class Monitors:
     snapshot_times three-level snapshots at these times
     bins           the characteristic bins (ledger.s_bulk) for
                    diagnostics.weighted_morawetz; they cost a second power
-    xi_variant     "one_sided" (w(h)/h) or "second_order"
 
     With a far field (power-law data) the totals, radii and triangle
     corners are closed past the clean edge (see _Recorders); the bins, line
@@ -147,13 +145,9 @@ class Monitors:
     triangles: tuple = ()
     triangles_out: tuple = ()
     snapshot_times: tuple = ()
-    xi_variant: str = "one_sided"
-    totals: bool = True
     bins: bool = False
 
     def __post_init__(self):
-        if self.xi_variant not in ("one_sided", "second_order"):
-            raise OffGridError(f"unknown xi variant {self.xi_variant!r}")
         for x in self.radii:
             if x != "t/4" and not (is_number(x) and 0.0 < x < math.inf):
                 raise OffGridError(f"radius label {x!r} is not 't/4' or a positive radius")
@@ -319,7 +313,7 @@ class _Recorders:
     totals, the radii and the triangle corners all take E_- and E_+ on
     a node prefix from it, as trapezoid dot products.
 
-    A nonlinear run of data with a far field stops at the clean edge
+    A run of data with a far field stops at the clean edge
     (GridSpec.clean_edge): the totals add FarField.tail past its radius
     (traj.far_tails), a radius or corner past it the exact integral up to
     its radius.
@@ -334,24 +328,18 @@ class _Recorders:
         self.inv_r = _inverse_power(r, 1.0)
         self.dt0 = (2.0 * h) * traj.pair.w1  # 2h w_t at level 0
         self.chan, self.tmp = np.zeros((2, n + 1)), np.zeros(n + 1)
-        tri = mon.triangles or mon.triangles_out
-        channels = mon.totals or mon.radii or tri or mon.char_tau
-        self.active = [_Recorders.channels] if channels else []
-        self.far, self.tails = (None if traj.linear else traj.pair.far_field), None
-        if self.far is not None and channels:
+        self.active = [_Recorders.channels, _Recorders.totals]
+        self.far, self.tails = traj.pair.far_field, None
+        if self.far is not None:
             grid.check_far_field()
-
-        if mon.totals:
-            if self.far is not None:
-                lv = np.arange(steps + 1)
-                traj.far_tails = {k: self.far.tail(k, h * grid.clean_edge(lv), h * lv)
-                                  for k in self.far.kinds}
-                self.tails = list(zip(*(a.tolist() for a in traj.far_tails.values())))
-            self.inv_rp1 = _inverse_power(r, p - 1.0)
-            self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
-            if traj.linear:  # the ledger's power and source
-                self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
-            self.active.append(_Recorders.totals)
+            lv = np.arange(steps + 1)
+            traj.far_tails = {k: self.far.tail(k, h * grid.clean_edge(lv), h * lv)
+                              for k in self.far.kinds}
+            self.tails = list(zip(*(a.tolist() for a in traj.far_tails.values())))
+        self.inv_rp1 = _inverse_power(r, p - 1.0)
+        self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
+        if traj.linear:  # the ledger's power and source
+            self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
         if mon.radii:
             self.radius_idx = {x: grid_index(float(x), h, f"radius {x}")
                                for x in mon.radii if x != "t/4"}
@@ -382,7 +370,7 @@ class _Recorders:
                     raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run or the grid")
                 traj.triangle_records.append(TriangleRecord(t0, r0, kind, m0, m1))
                 self.corner_idx.append(i0)
-        if tri:
+        if mon.triangles or mon.triangles_out:
             self.active.append(_Recorders.triangles)
         self.snap_levels = {}
         for t_snap in mon.snapshot_times:
@@ -449,10 +437,9 @@ class _Recorders:
             u = np.multiply(w[:end], self.inv_r[:end], out=tmp[:end])
             led.bulk[m] = trapz_dot(f[:end], u, h) + tails[2]
         led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
-        if self.traj.monitors.xi_variant == "one_sided":
-            led.xi[m] = w[1] / h
-        else:
-            led.xi[m] = (4.0 * w[1] - w[2]) / (2.0 * h)
+        # w = r u is odd in r, so w(h)/h is already second order: its error
+        # h^2 w_rrr(0) / 6 is half that of (4 w(h) - w(2h)) / (2h)
+        led.xi[m] = w[1] / h
         led.y2p[m] = math.sqrt(4.0 * math.pi * trapz_dot(f[:end], f[:end], h) + tails[3])
         # exterior r > 1 + t part of 4*pi int |u|^{2(p-1)} r^2 dr; the
         # integral is 0 once fewer than two nodes of the window lie past 1 + t
@@ -542,9 +529,14 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     midpoint-in-time field, take a second power, so they are recorded
     only when monitors.bins asks for them.
 
-    Raises OffGridError for monitors off the run (radii past r_max too)
-    and BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
+    Raises ConfigError, before any step, for a linear run of data with a
+    far field (their exterior solves the nonlinear equation, so nothing
+    would close the run past r_max), OffGridError for monitors off the run
+    (radii past r_max too) and BlowupError if the sup norm exceeds
+    1e3 * (sup|w0| + 1).
     """
+    if linear and pair.far_field is not None:
+        raise ConfigError("a linear run of far-field data closes nothing past r_max")
     mon = monitors or Monitors()
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
     traj = Trajectory(grid, params, mon, ledger, pair, linear=linear)

@@ -95,7 +95,8 @@ def morawetz_runs():
 def flagship():
     """The full slow-decay study at production resolution: p=4,
     kappa=0.25, h=1/128, t_max=64, at the default amplitude c = 2, half
-    the envelope threshold that the far field gives (the search's cap)."""
+    the envelope threshold 4 (ENVELOPE_CAP), where the far field's
+    envelope is checked."""
     (report, traj), elapsed = _timed(run_appendix_example, 4.0, 0.25)
     return {"report": report, "traj": traj, "elapsed": elapsed}
 

@@ -228,20 +228,23 @@ def test_run_power_law_with_an_envelope_monitor(tmp_path):
 GAUSSIAN_DATA = "data.family = gaussian\ndata.amplitude = 0.5\ndata.center = 4\ndata.width = 1\n"
 
 
-@pytest.mark.parametrize("text", [
-    POWER_LAW_CFG + "run.linear = true\n",
-    POWER_LAW_CFG.replace("data.family = power_law\ndata.c = 0.5\n", GAUSSIAN_DATA),
+@pytest.mark.parametrize("text, message", [
+    (POWER_LAW_CFG + "run.linear = true\n",
+     "a linear run of far-field data closes nothing past r_max"),
+    (POWER_LAW_CFG.replace("data.family = power_law\ndata.c = 0.5\n", GAUSSIAN_DATA),
+     "monitors.envelope_c needs data with a far field"),
 ], ids=["linear", "gaussian"])
 def test_envelope_monitor_without_an_exact_exterior_exits_2_before_any_run(
-        tmp_path, capsys, monkeypatch, text):
+        tmp_path, capsys, monkeypatch, text, message):
     """The envelope verdict is read off the far field of a nonlinear run;
-    a linear run or data without a far field cannot give it."""
+    data without a far field cannot give it, and far-field data cannot run
+    linearly at all (their exterior solves the nonlinear equation)."""
     def no_run(*args, **kwargs):
         raise AssertionError("evolve ran before the envelope monitor was checked")
 
     monkeypatch.setattr("nlw.cli.evolve", no_run)
     assert main(["run", _write(tmp_path, text), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "monitors.envelope_c needs" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_run_power_law_r_max_inside_the_far_field_edge_exits_2_before_any_run(

@@ -352,7 +352,7 @@ def test_far_field_profile_against_solve_ivp_and_the_grid():
     pair = AppendixPowerLaw(c, params).sample(grid, leak_tol=None)
     from nlw.solver import Monitors, evolve
 
-    w = evolve(pair, params, grid, Monitors(totals=False, snapshot_times=(t,))).snapshots[0].w_curr
+    w = evolve(pair, params, grid, Monitors(snapshot_times=(t,))).snapshots[0].w_curr
     for s_val in (0.25, 0.5):
         r = t / s_val
         discrete = w[round(r / h)] / r**beta

@@ -84,23 +84,18 @@ def _recorded(traj):
     width=st.floats(0.2, 0.8),
     inv_h=st.sampled_from([16, 32]),
     linear=st.booleans(),
-    totals=st.booleans(),
     bins=st.booleans(),
 )
-def test_switching_totals_or_bins_moves_nothing_else(
-    p, amplitude, center, width, inv_h, linear, totals, bins
-):
-    """A run with totals and bins switched off or on records, bitwise, what
-    the run with both on records, apart from the series it left out."""
+def test_switching_bins_moves_nothing_else(p, amplitude, center, width, inv_h, linear, bins):
+    """A run with the bins switched off or on records, bitwise, what the
+    run with them on records, apart from the bins if it left them out."""
     params = make_params(p, 0.5)
     family = GaussianBump(amplitude, center, width)
     grid = GridSpec.padded(1.0 / inv_h, 3.0, family.support_radius())
     pair = family.sample(grid)
     full = _recorded(evolve(pair, params, grid, Monitors(**ALL_KINDS, bins=True), linear=linear))
-    mon = Monitors(**ALL_KINDS, totals=totals, bins=bins)
-    got = _recorded(evolve(pair, params, grid, mon, linear=linear))
-    dropped = set(() if totals else TOTALS) | set(() if bins else ("s_bulk",))
-    assert set(got) == set(full) - dropped
+    got = _recorded(evolve(pair, params, grid, Monitors(**ALL_KINDS, bins=bins), linear=linear))
+    assert set(got) == set(full) - set(() if bins else ("s_bulk",))
     for name, value in got.items():
         assert value == full[name], name
 

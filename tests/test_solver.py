@@ -442,41 +442,34 @@ def test_evolve_is_deterministic():
     np.testing.assert_array_equal(a.ledger.xi, b.ledger.xi)
 
 
-def test_xi_variants_agree_on_smooth_runs():
-    params = make_params(3.0, 0.5)
-    fam = DirectedPulse(0.5, 3.0, 0.5, direction="inward")
-    h = 1.0 / 128.0
-    grid = GridSpec.padded(h, 6.0, fam.support_radius())
-    xs = {}
-    for variant in ("one_sided", "second_order"):
-        traj = evolve(
-            fam.sample(grid), params, grid, Monitors(xi_variant=variant)
-        )
-        xs[variant] = traj.ledger.xi.copy()
-    diff = np.max(np.abs(xs["one_sided"] - xs["second_order"]))
-    peak = np.max(np.abs(xs["one_sided"]))
-    assert peak > 0.1  # the pulse actually reaches the origin
-    assert diff < 5e-3 * peak
+def test_xi_converges_at_second_order():
+    """xi = w(h)/h on a linear run at rest equals the exact d'Alembert slope
+    w_r(0, t) = w0'(t) to second order: w is odd in r, so the one-sided
+    quotient's error is h^2 w_rrr(0)/6.  Sup errors 7.8e-3, 2.0e-3, 4.9e-4."""
+    a, center, width = 0.5, 3.0, 0.5
+    fam = GaussianBump(a, center, width)
+    errors = []
+    for inv_h in (32, 64, 128):
+        grid = GridSpec.padded(1.0 / inv_h, 6.0, fam.support_radius())
+        led = evolve(fam.sample(grid), make_params(3.0, 0.5), grid, linear=True).ledger
+        x = (led.t - center) / width
+        slope = a * np.exp(-x * x) * (1.0 - 2.0 * led.t * x / width)
+        errors.append(np.max(np.abs(led.xi - slope)))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert errors[0] < 1e-2 and np.all(orders >= 1.9), (errors, orders)
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"xi_variant": "fancy"},
     {"radii": ("abc",)},
     {"radii": (1.0, "t/2")},
     {"radii": (math.inf,)},
     {"radii": (math.nan,)},
     {"radii": (0.0,)},
     {"radii": (True,)},
-], ids=["xi=fancy", "r=abc", "r=t/2", "r=inf", "r=nan", "r=0", "r=True"])
+], ids=["r=abc", "r=t/2", "r=inf", "r=nan", "r=0", "r=True"])
 def test_monitors_reject_bad_labels_at_construction(kwargs):
     with pytest.raises(OffGridError):
         Monitors(**kwargs)
-
-
-def test_unknown_xi_variant_rejected():
-    """Rejected where the monitors are built, before any evolve()."""
-    with pytest.raises(OffGridError, match="unknown xi variant 'fancy'"):
-        Monitors(xi_variant="fancy")
 
 
 def _channels(m, w_prev, w, w_next, w1, h):
@@ -529,7 +522,20 @@ def test_far_field_needs_the_clean_edge_past_1_plus_t():
     pair = AppendixPowerLaw(1.0, params).sample(grid, leak_tol=None)
     with pytest.raises(OffGridError, match="must exceed 2 t_max"):
         evolve(pair, params, grid)
-    evolve(pair, params, grid, Monitors(totals=False))  # nothing to close
+
+
+def test_linear_run_of_far_field_data_is_refused_before_any_level(monkeypatch):
+    """The exact exterior r^beta Phi(t/r) solves the nonlinear equation, so
+    a linear run of power-law data would close nothing past r_max."""
+    def no_levels(*args, **kwargs):
+        raise AssertionError("leapfrog ran before the linear far-field run was refused")
+
+    monkeypatch.setattr(nlw.solver, "leapfrog", no_levels)
+    params = make_params(4.0, 0.25)
+    grid = GridSpec(h=1.0 / 16.0, r_max=21.0, t_max=8.0)
+    pair = AppendixPowerLaw(0.5, params).sample(grid, leak_tol=None)
+    with pytest.raises(ConfigError, match="closes nothing past r_max"):
+        evolve(pair, params, grid, linear=True)
 
 
 def test_radius_past_r_max_is_rejected():
