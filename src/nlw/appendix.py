@@ -164,7 +164,7 @@ def find_envelope_threshold(p):
     """
     p = make_params(p, 0.5).p  # kappa is irrelevant to the envelope
     c = ENVELOPE_CAP
-    if not FarField(c, p).envelope(c, [ENVELOPE_HORIZON]).holds:
+    if not FarField(c, p).envelope([ENVELOPE_HORIZON]).holds:
         raise OutOfRangeError(f"envelope fails at the cap c={c}; no threshold found")
     return c
 
@@ -209,7 +209,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times))
     traj = evolve(family.sample(grid), params, grid, mon)
     led = traj.ledger
-    envelope_sec = {**traj.pair.far_field.envelope(c, led.t).summary(), "threshold": threshold}
+    envelope_sec = {**traj.pair.far_field.envelope(led.t).summary(), "threshold": threshold}
 
     try:
         kr = k_functional(traj.pair, params)

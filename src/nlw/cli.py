@@ -35,8 +35,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .appendix import run_appendix_example
-from .diagnostics import pointwise_bounds, triangle_residual
-from .errors import ConfigError, InitialDataError, NlwError
+from .diagnostics import flux_inward, flux_outward, pointwise_bounds, triangle_residual
+from .errors import ConfigError, InitialDataError, NlwError, OffGridError, ShortSpanError
 from .model import (
     AppendixPowerLaw,
     DirectedPulse,
@@ -44,7 +44,8 @@ from .model import (
     Tabulated,
     make_params,
 )
-from .numerics import fit_log_growth, fit_power_law, is_number, node_at_or_past
+from .numerics import fit_log_growth, fit_power_law, is_number
+from .scattering import extract_g_plus
 from .solver import GridSpec, Monitors, evolve
 from .svgplot import line_plot
 
@@ -58,17 +59,13 @@ KNOWN_KEYS = frozenset(
         "grid.h",
         "grid.t_max",
         "grid.r_max",
-        "grid.boundary",
-        "grid.margin",
         "data.family",
         "data.amplitude",
         "data.center",
         "data.width",
         "data.direction",
         "data.c",
-        "data.blend",
         "data.path",
-        "data.leak_tol",
         "monitors.radii",
         "monitors.flux_s",
         "monitors.flux_tau",
@@ -76,16 +73,9 @@ KNOWN_KEYS = frozenset(
         "monitors.triangles",
         "monitors.triangles_out",
         "monitors.snapshots",
-        "monitors.envelope_c",
         "run.linear",
         "output.stride",
-        "output.snapshots",
         "output.plots",
-        "checks.conservation",
-        "checks.additivity",
-        "checks.monotonicity",
-        "checks.pointwise",
-        "checks.triangle",
     }
 )
 
@@ -233,9 +223,7 @@ def build_family(cfg, params):
                 cfg.string("data.direction", "inward"),
             )
         if kind == "power_law":
-            return AppendixPowerLaw(
-                cfg.number("data.c"), params, blend=cfg.number("data.blend", 0.5)
-            )
+            return AppendixPowerLaw(cfg.number("data.c"), params)
         if kind == "file":
             path = cfg.string("data.path")
             try:
@@ -249,21 +237,20 @@ def build_family(cfg, params):
 
 
 def build_grid(cfg, family):
-    """grid.r_max, or by default padded past the data's support; data with
-    a far field need a nonlinear run (evolve) and GridSpec.check_far_field."""
+    """grid.r_max with an outgoing boundary, or by default GridSpec.padded
+    past the data's support; data with a far field need a nonlinear run
+    (evolve) and GridSpec.check_far_field."""
     h = cfg.number("grid.h")
     t_max = cfg.number("grid.t_max")
     r_max = cfg.number("grid.r_max", None)
-    padded = r_max is None
     try:
-        if padded:
+        if r_max is None:
             support = family.support_radius()
             if support is None:
                 raise ConfigError("the data family has an unbounded tail; set grid.r_max")
-            margin = cfg.number("grid.margin", 1.0)
-            r_max = node_at_or_past(support + t_max + margin, h, "padded r_max")
-        grid = GridSpec(h=h, r_max=r_max, t_max=t_max,
-                        boundary=cfg.string("grid.boundary", "pad" if padded else "outgoing"))
+            grid = GridSpec.padded(h, t_max, support)
+        else:
+            grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
         if family.far_field() is not None:
             if cfg.boolean("run.linear", False):
                 raise ConfigError("a linear run of far-field data closes nothing past r_max")
@@ -295,15 +282,7 @@ def run_problem(cfg):
     grid = build_grid(cfg, family)
     monitors = build_monitors(cfg)
     linear = cfg.boolean("run.linear", False)
-    if cfg.number("monitors.envelope_c", None) is not None and family.far_field() is None:
-        raise ConfigError("monitors.envelope_c needs data with a far field "
-                          "(data.family = power_law)")
-    leak_raw = cfg.raw.get("data.leak_tol", "")
-    if leak_raw.strip().lower() in ("none", "off"):
-        leak_tol = None
-    else:
-        leak_tol = cfg.number("data.leak_tol", 0.05)
-    pair = family.sample(grid, leak_tol=leak_tol)
+    pair = family.sample(grid)
     desc = {
         key.split(".", 1)[1]: parse_scalar(value)
         for key, value in cfg.raw.items()
@@ -372,6 +351,20 @@ def _jsonable(obj):
     return obj
 
 
+def _g_plus(traj, tau):
+    trace = extract_g_plus(traj, tau)
+    return {"g_plus": trace.g_plus, "rate": trace.rate_estimate}
+
+
+def _line_reading(read, traj, label):
+    """A monitored line's reading, or None where its default window or its
+    dyadic samples do not fit the run."""
+    try:
+        return read(traj, label)
+    except (OffGridError, ShortSpanError):
+        return None
+
+
 def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
     """JSON-ready run summary; deterministic except the timing block."""
     led = traj.ledger
@@ -408,6 +401,15 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
             {**asdict(rep), "residual": rep.residual, "residual_frac": rep.residual_frac}
             for rep in reps
         ]
+    lines = {
+        name: {label: _line_reading(read, traj, label) for label in series}
+        for name, series, read in (("flux_inward", traj.flux_in, flux_inward),
+                                   ("flux_outward", traj.flux_out, flux_outward),
+                                   ("g_plus", traj.char_traces, _g_plus))
+        if series
+    }
+    if lines:
+        doc["lines"] = lines
     if envelope is not None:
         doc["envelope"] = envelope.summary()
     if checks is not None:
@@ -466,7 +468,7 @@ def _worst(values):
     return float(np.max(np.asarray(values, dtype=float)))
 
 
-def run_checks(traj, cfg):
+def run_checks(traj):
     """List of (name, value, threshold, passed); value <= threshold passes."""
     led = traj.ledger
     e0 = max(abs(float(led.e_total[0])), 1e-300)
@@ -485,11 +487,7 @@ def run_checks(traj, cfg):
             for rec in traj.triangle_records
         ])
         values["triangle"] = (worst, 0.01)
-    checks = []
-    for name, (val, default) in values.items():
-        tol = cfg.number(f"checks.{name}", default)
-        checks.append((name, val, tol, val <= tol))
-    return checks
+    return [(name, val, tol, val <= tol) for name, (val, tol) in values.items()]
 
 
 # -- subcommands -------------------------------------------------------------
@@ -499,10 +497,9 @@ def _write_outputs(out_dir, cfg, traj, elapsed, desc, checks=None):
     os.makedirs(out_dir, exist_ok=True)
     stride = cfg.integer("output.stride", 1)
     rows = write_ledger_csv(os.path.join(out_dir, "ledger.csv"), traj, stride)
-    if cfg.boolean("output.snapshots", True):
-        write_snapshots_npz(os.path.join(out_dir, "snapshots.npz"), traj)
-    c_env = cfg.number("monitors.envelope_c", None)
-    env = None if c_env is None else traj.pair.far_field.envelope(c_env, traj.ledger.t)
+    write_snapshots_npz(os.path.join(out_dir, "snapshots.npz"), traj)
+    far = traj.pair.far_field
+    env = None if far is None else far.envelope(traj.ledger.t)
     doc = summarize(traj, data_desc=desc, checks=checks, elapsed=elapsed, envelope=env)
     write_json(os.path.join(out_dir, "summary.json"), doc)
     if cfg.boolean("output.plots", False):
@@ -528,7 +525,7 @@ def cmd_run(args):
 def cmd_verify(args):
     cfg = Config(load_config(args.config))
     traj, elapsed, desc = run_problem(cfg)
-    checks = run_checks(traj, cfg)
+    checks = run_checks(traj)
     _write_outputs(args.out_dir, cfg, traj, elapsed, desc, checks=checks)
     failed = 0
     for name, value, threshold, ok in checks:
@@ -647,7 +644,7 @@ def cmd_appendix(args):
         r_max=args.r_max,
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    env = traj.pair.far_field.envelope(report["envelope"]["c"], traj.ledger.t)
+    env = traj.pair.far_field.envelope(traj.ledger.t)
     ray_series = [("sup ratio (3c envelope)", env.t, env.max_ratio)]
     for off, ratio in env.rays.items():
         ray_series.append((f"|w|/(c r^b) on r=1+t+{off:g}", env.t, ratio))

@@ -93,6 +93,7 @@ def potential_density(w, r, p):
 
 
 FAR_DS = 1.0 / 2048.0  # RK4 step and table spacing of the far-field profile
+BLEND = 0.5  # width of AppendixPowerLaw's quintic seam inside the unit ball
 
 
 @dataclass
@@ -200,16 +201,16 @@ class FarField:
             lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         return lo[: ks[0].size], lo[ks[0].size :]
 
-    def envelope(self, c_env, t):
-        """The envelope |w| < 3 c_env r^beta on r >= 1 + t at the ascending
-        level times t, up to r = inf.  There w / r^beta = Phi(s), s = t/r in
-        [0, t/(1+t)], so a level's sup ratio is the sup of |Phi|/(3 c_env)
-        over that range, its profile floor the inf of |Phi|/c_env on
-        r >= max(1 + t, 4), and its rays |Phi|/c_env on r = 1 + t + off for
+    def envelope(self, t):
+        """The envelope |w| < 3 c r^beta, at the data's own c, on r >= 1 + t
+        at the ascending level times t, up to r = inf.  There w / r^beta =
+        Phi(s), s = t/r in [0, t/(1+t)], so a level's sup ratio is the sup of
+        |Phi|/(3c) over that range, its profile floor the inf of |Phi|/c on
+        r >= max(1 + t, 4), and its rays |Phi|/c on r = 1 + t + off for
         off = 0, 2 and 4.  Sup and inf are exact for the interpolated Phi:
         they take the table nodes, the zeros and critical points between
         them and each level's end."""
-        t = np.asarray(t, dtype=float)
+        t, c = np.asarray(t, dtype=float), self.c
         s_env, s_floor = t / (1.0 + t), t / np.maximum(1.0 + t, 4.0)
         self._ensure(s_env[-1])
         zeros, crit = self._crossings()
@@ -223,13 +224,13 @@ class FarField:
             i = np.searchsorted(cand, s, "right") - 1
             return acc(acc.accumulate(val)[i], np.abs(self.profile(s)[0]))
 
-        sup = running(np.maximum, s_env) / (3.0 * c_env)
+        sup = running(np.maximum, s_env) / (3.0 * c)
         j = int(np.argmax(val[: np.searchsorted(cand, s_env[-1], "right")]))
-        peak_s = cand[j] if val[j] / (3.0 * c_env) >= sup[-1] else s_env[-1]
+        peak_s = cand[j] if val[j] / (3.0 * c) >= sup[-1] else s_env[-1]
         bad, zeros = t[sup >= 1.0], zeros[zeros <= s_floor[-1]]
         return EnvelopeRecord(
-            c=float(c_env), t=t, max_ratio=sup, min_profile=running(np.minimum, s_floor) / c_env,
-            rays={off: np.abs(self.profile(t / (1.0 + t + off))[0]) / c_env
+            c=c, t=t, max_ratio=sup, min_profile=running(np.minimum, s_floor) / c,
+            rays={off: np.abs(self.profile(t / (1.0 + t + off))[0]) / c
                   for off in (0.0, 2.0, 4.0)},
             peak_ratio=float(sup[-1]), peak_s=float(peak_s),
             peak_t=float(t[-1] if peak_s == s_env[-1] else peak_s / (1.0 - peak_s)),
@@ -412,9 +413,9 @@ class AppendixPowerLaw(InitialData):
 
         u0(r) = c * r^{-2/(p-1)}  for r >= 1,   u1 = 0,
 
-    so the reduced field is w0 = c * r^beta there.  On [1 - blend, 1] the
+    so the reduced field is w0 = c * r^beta there.  On [1 - BLEND, 1] the
     profile is glued by the quintic q(r) = a0 + a4 (r-x0)^4 + a5 (r-x0)^5
-    (x0 = 1 - blend) whose value, slope and curvature match the power law
+    (x0 = 1 - BLEND) whose value, slope and curvature match the power law
     at r = 1 and whose first three derivatives vanish at x0; below x0 the
     field is constant a0.  The glued profile is C^2 everywhere and smooth
     off the two seams.
@@ -426,16 +427,13 @@ class AppendixPowerLaw(InitialData):
     the clean wedge.
     """
 
-    def __init__(self, c, params, blend=0.5):
+    def __init__(self, c, params):
         if c <= 0:
             raise OutOfRangeError(f"c={c} must be positive")
-        if not (0.0 < blend < 1.0):
-            raise OutOfRangeError(f"blend={blend} outside (0, 1)")
         self.c = float(c)
         self.p = float(params.p)
-        self.blend = float(blend)
         a = 2.0 / (self.p - 1.0)  # u0 ~ r^{-a}
-        d = self.blend
+        d = BLEND
         # match value/slope/curvature of c*r^{-a} at r=1 with the quintic
         c1 = -a * self.c
         c2 = a * (a + 1.0) * self.c

@@ -77,7 +77,7 @@ def extract_g_plus(traj, tau):
         m = tau_idx + d_idx
         if m >= series.size or d_idx > traj.grid.n - 1:
             break
-        if not math.isnan(series[m]):
+        if m >= 0 and not math.isnan(series[m]):  # no level before t = 0
             levels.append(m)
             dists.append(d_idx * h)
         d_idx *= 2

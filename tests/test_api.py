@@ -58,24 +58,19 @@ def test_no_module_imports_inside_a_function():
 
 def test_every_known_config_key_has_a_reader():
     """Each cli.KNOWN_KEYS entry is the first argument of some call in
-    cli.py outside the set itself; a checks.* key is read through the
-    f"checks.{name}" call, with its name a string in cli.py.  So a key
-    whose reader is deleted cannot linger as an accepted, ignored setting."""
+    cli.py.  So a key whose reader is deleted cannot linger as an
+    accepted, ignored setting."""
     tree = ast.parse((ROOT / "src" / "nlw" / "cli.py").read_text(encoding="utf-8"))
-    known = next(node for node in tree.body if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets] == ["KNOWN_KEYS"])
-    inside = {id(node) for node in ast.walk(known)}
-    strings, read = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and id(node) not in inside:
-            strings.add(node.value)
-        if isinstance(node, ast.Call) and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant):
-                read.add(first.value)
-            elif isinstance(first, ast.JoinedStr) and isinstance(first.values[0], ast.Constant):
-                read.add(first.values[0].value + "*")
-    unread = [key for key in sorted(KNOWN_KEYS) if key not in read and not (
-        key.startswith("checks.") and "checks.*" in read and key[len("checks."):] in strings)]
-    assert unread == []
+    read = {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.args
+            and isinstance(node.args[0], ast.Constant)}
+    assert sorted(KNOWN_KEYS - read) == []
+
+
+def test_readme_key_reference_names_every_known_key():
+    """README's config key table lists exactly cli.KNOWN_KEYS."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| `([\w.]+)` \|", section, flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == KNOWN_KEYS

@@ -174,7 +174,7 @@ class _FailingFarField:
     def __init__(self, c, p):
         pass
 
-    def envelope(self, c_env, t):
+    def envelope(self, t):
         return SimpleNamespace(holds=False)
 
 
@@ -191,7 +191,7 @@ def test_envelope_search_pinned_against_dop853(p):
     to 1e-8, and where it peaks; all hold, so the threshold is the cap."""
     assert find_envelope_threshold(p) == 4.0
     for c in (0.02, 2.0, 4.0):
-        env = FarField(c, p).envelope(c, [16.0])
+        env = FarField(c, p).envelope([16.0])
         sol = far_profile(c, p, 16.0 / 17.0)
         peak, s_peak = sup_abs(lambda s: sol(s)[0], 0.0, 16.0 / 17.0)
         assert env.holds and env.peak_ratio == pytest.approx(peak / (3.0 * c), abs=1e-8), c
@@ -204,7 +204,7 @@ def test_envelope_verdict_at_the_old_flagship_amplitude():
     floor is 0 from Phi's zero at s = 0.7478 on; the peak is at the edge of
     the last level, (r, t) = (65, 64)."""
     c = 1.681884765625
-    env = FarField(c, 4.0).envelope(c, np.arange(8193) / 128.0)
+    env = FarField(c, 4.0).envelope(np.arange(8193) / 128.0)
     assert env.peak_ratio == pytest.approx(0.3381881, abs=1e-5)
     summary = env.summary()
     assert (summary["peak_r"], summary["peak_t"]) == (pytest.approx(65.0), pytest.approx(64.0))
@@ -235,7 +235,7 @@ def test_grid_envelope_peak_converges_to_the_far_field_verdict(c):
     on the data."""
     p, t_max = 4.0, 16.0
     params = make_params(p, 0.5)
-    want = FarField(c, p).envelope(c, [t_max]).peak_ratio
+    want = FarField(c, p).envelope([t_max]).peak_ratio
     gaps = []
     for h in (1.0 / 32.0, 1.0 / 64.0):
         grid = GridSpec(h=h, r_max=2.0 + 2.0 * t_max, t_max=t_max, boundary="outgoing")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlw import DirectedPulse, GridSpec
+from nlw import DirectedPulse, GridSpec, extract_g_plus, flux_inward, flux_outward
 from nlw.model import FarField
 from nlw.cli import Config, load_config, main, parse_scalar, run_checks, run_problem
 from nlw.errors import ConfigError
@@ -141,6 +141,7 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert summary["energy"]["conservation_drift"] < 1e-3
     assert summary["data"]["family"] == "gaussian"
     assert summary["linear"] is False
+    assert "envelope" not in summary and "lines" not in summary  # no far field, no lines
 
     with np.load(out / "snapshots.npz") as z:
         assert list(z["t"]) == [1.0, 2.0]
@@ -162,8 +163,7 @@ def test_run_tabulated_family(tmp_path):
         "grid.h = 1/16\n"
         "grid.t_max = 1\n"
         "data.family = file\n"
-        f"data.path = {data}\n"
-        "output.snapshots = false\n",
+        f"data.path = {data}\n",
     )
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
@@ -176,8 +176,6 @@ PULSE_CFG = """\
 params.p = 3
 grid.h = 1/32
 grid.t_max = 1
-grid.margin = 2
-grid.boundary = outgoing
 data.family = pulse
 data.amplitude = 0.3
 data.center = 3
@@ -186,15 +184,18 @@ data.direction = outward
 """
 
 
-def test_run_pulse_on_a_padded_grid_with_a_boundary_override(tmp_path):
+def test_run_pulse_on_a_padded_grid(tmp_path):
+    """Without grid.r_max the grid is padded a margin of 1 past the data's
+    support and the light cone, and its boundary is pinned ("pad")."""
     cfg = _write(tmp_path, PULSE_CFG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    padded = GridSpec.padded(1.0 / 32.0, 1.0, DirectedPulse(0.3, 3.0, 0.5).support_radius(),
-                             margin=2.0)
-    assert summary["grid"] == {"h": 1.0 / 32.0, "r_max": padded.r_max, "t_max": 1.0,
-                               "boundary": "outgoing"}
+    support = DirectedPulse(0.3, 3.0, 0.5).support_radius()
+    r_max = math.ceil((support + 1.0 + 1.0) * 32.0) / 32.0
+    assert GridSpec.padded(1.0 / 32.0, 1.0, support).r_max == r_max
+    assert summary["grid"] == {"h": 1.0 / 32.0, "r_max": r_max, "t_max": 1.0,
+                               "boundary": "pad"}
     assert summary["data"]["direction"] == "outward"
     assert summary["energy"]["initial"] > 0.0
 
@@ -207,12 +208,12 @@ grid.t_max = 8
 grid.r_max = 21
 data.family = power_law
 data.c = 0.5
-monitors.envelope_c = 0.5
 output.plots = true
 """
 
 
 def test_run_power_law_with_an_envelope_monitor(tmp_path):
+    """A far-field run reports its envelope at the data's own c."""
     cfg = _write(tmp_path, POWER_LAW_CFG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
@@ -220,31 +221,21 @@ def test_run_power_law_with_an_envelope_monitor(tmp_path):
     assert summary["grid"] == {"h": 1.0 / 16.0, "r_max": 21.0, "t_max": 8.0,
                                "boundary": "outgoing"}
     assert summary["envelope"]["c"] == 0.5 and summary["envelope"]["holds"] is True
-    env = FarField(0.5, 4.0).envelope(0.5, np.arange(129) / 16.0)
+    env = FarField(0.5, 4.0).envelope(np.arange(129) / 16.0)
     assert summary["envelope"]["peak_ratio"] == env.peak_ratio
     assert (out / "energy.svg").exists() and (out / "envelope.svg").exists()
 
 
-GAUSSIAN_DATA = "data.family = gaussian\ndata.amplitude = 0.5\ndata.center = 4\ndata.width = 1\n"
-
-
-@pytest.mark.parametrize("text, message", [
-    (POWER_LAW_CFG + "run.linear = true\n",
-     "a linear run of far-field data closes nothing past r_max"),
-    (POWER_LAW_CFG.replace("data.family = power_law\ndata.c = 0.5\n", GAUSSIAN_DATA),
-     "monitors.envelope_c needs data with a far field"),
-], ids=["linear", "gaussian"])
-def test_envelope_monitor_without_an_exact_exterior_exits_2_before_any_run(
-        tmp_path, capsys, monkeypatch, text, message):
-    """The envelope verdict is read off the far field of a nonlinear run;
-    data without a far field cannot give it, and far-field data cannot run
-    linearly at all (their exterior solves the nonlinear equation)."""
+def test_linear_run_of_far_field_data_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    """Far-field data cannot run linearly: their exterior solves the
+    nonlinear equation."""
     def no_run(*args, **kwargs):
-        raise AssertionError("evolve ran before the envelope monitor was checked")
+        raise AssertionError("evolve ran before the linear far-field run was refused")
 
     monkeypatch.setattr("nlw.cli.evolve", no_run)
-    assert main(["run", _write(tmp_path, text), "--out-dir", str(tmp_path / "out")]) == 2
-    assert message in capsys.readouterr().err
+    cfg = _write(tmp_path, POWER_LAW_CFG + "run.linear = true\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "a linear run of far-field data closes nothing past r_max" in capsys.readouterr().err
 
 
 def test_run_power_law_r_max_inside_the_far_field_edge_exits_2_before_any_run(
@@ -261,21 +252,13 @@ def test_run_power_law_r_max_inside_the_far_field_edge_exits_2_before_any_run(
     assert "config error" in err and "r_max=17.0 must exceed 2 t_max + 1 + h" in err
 
 
-@pytest.mark.parametrize("leak_tol,code", [(None, 2), ("none", 0)])
-def test_leak_tol_none_admits_data_at_an_explicit_r_max(tmp_path, capsys, leak_tol, code):
+def test_data_cut_off_at_an_explicit_r_max_fail_the_leak_check_exit_2(tmp_path, capsys):
     """A bump cut off at r_max = 2 fails the boundary leak check, a config
-    error (exit 2), unless data.leak_tol = none switches it off."""
+    error (exit 2)."""
     text = RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 1\ngrid.r_max = 2").replace(
         "monitors.snapshots = 1,2", "monitors.snapshots = 1")
-    if leak_tol is not None:
-        text += f"data.leak_tol = {leak_tol}\n"
-    out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, text), "--out-dir", str(out)]) == code
-    if code:
-        assert "boundary weight fraction" in capsys.readouterr().err
-    else:
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["grid"]["r_max"] == 2.0 and summary["grid"]["boundary"] == "outgoing"
+    assert main(["run", _write(tmp_path, text), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "boundary weight fraction" in capsys.readouterr().err
 
 
 def test_verify_passes(tmp_path, capsys):
@@ -295,11 +278,38 @@ def test_verify_passes(tmp_path, capsys):
 
 
 def test_verify_reports_failure(tmp_path, capsys):
-    cfg = _write(tmp_path, RUN_CFG + "checks.conservation = 0\n")
+    """At h = 1/16 the energy drifts 2.5e-3, past the 1e-4 threshold."""
+    cfg = _write(tmp_path, RUN_CFG.replace("grid.h = 1/64", "grid.h = 1/16"))
     assert main(["verify", cfg, "--out-dir", str(tmp_path / "out")]) == 1
     stdout = capsys.readouterr().out
     assert "[conservation] FAIL" in stdout
     assert "1 check(s) failed" in stdout
+
+
+LINES_CFG = RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 10") + """\
+monitors.flux_s = 2,30
+monitors.flux_tau = 1
+monitors.char_tau = 1,9
+"""
+
+
+def test_summary_reports_every_monitored_line(tmp_path):
+    """summary.json's lines block gives each monitored flux over its default
+    window and each trace's g_+ with its rate, keyed by label; a line the
+    run never crosses (s = 30 > r_max + t_max) and a trace with too few
+    dyadic samples (tau = 9) read null."""
+    path = _write(tmp_path, LINES_CFG)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 0
+    lines = json.loads((out / "summary.json").read_text())["lines"]
+    traj, _, _ = run_problem(Config(load_config(path)))
+    trace = extract_g_plus(traj, 1.0)
+    assert lines == {
+        "flux_inward": {"2.0": flux_inward(traj, 2.0), "30.0": None},
+        "flux_outward": {"1.0": flux_outward(traj, 1.0)},
+        "g_plus": {"1.0": {"g_plus": trace.g_plus, "rate": trace.rate_estimate}, "9.0": None},
+    }
+    assert lines["flux_inward"]["2.0"] > 0.0 and lines["flux_outward"]["1.0"] > 0.0
 
 
 # --------------------------------------------------------------------------
@@ -310,6 +320,24 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, RUN_CFG + "params.q = 1\n")
     assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert "params.q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "grid.boundary = outgoing", "grid.margin = 2", "data.blend = 0.5", "data.leak_tol = none",
+    "monitors.envelope_c = 0.5", "output.snapshots = false", "checks.conservation = 0",
+    "checks.additivity = 1", "checks.monotonicity = 1", "checks.pointwise = 1",
+    "checks.triangle = 1",
+])
+def test_removed_key_exits_2_before_any_run(tmp_path, capsys, monkeypatch, line):
+    """Settings the run now fixes or derives (boundary, margin, blend, leak
+    check, envelope c, NPZ output, check thresholds) are unknown keys."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran with an unknown key")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    cfg = _write(tmp_path, RUN_CFG + line + "\n")
+    assert main(["verify", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "unknown config keys: " + line.split(" = ")[0] in capsys.readouterr().err
 
 
 def test_out_of_range_exponent_exits_2(tmp_path, capsys):
@@ -371,10 +399,10 @@ def test_verify_all_zero_data_with_triangle_probe(tmp_path, capsys):
 def test_checks_fail_on_nan(tmp_path):
     cfg = Config(load_config(_write(tmp_path, RUN_CFG + "monitors.triangles = 0.5:1\n")))
     traj, _, _ = run_problem(cfg)
-    assert all(ok for *_, ok in run_checks(traj, cfg))
+    assert all(ok for *_, ok in run_checks(traj))
     traj.ledger.e_plus[3] = math.nan
     traj.triangle_records[0].energy = math.nan
-    checks = {name: (value, ok) for name, value, _, ok in run_checks(traj, cfg)}
+    checks = {name: (value, ok) for name, value, _, ok in run_checks(traj)}
     for name in ("monotonicity", "triangle"):
         value, ok = checks[name]
         assert math.isnan(value) and not ok, name

@@ -124,7 +124,7 @@ def checked_run():
     mon = Monitors(triangles=((0.5, 1.0),), triangles_out=((2.0, 1.0),),
                    snapshot_times=(1.0, 2.0))
     traj = evolve(family.sample(grid), params, grid, mon)
-    assert all(ok for *_, ok in run_checks(traj, Config({})))
+    assert all(ok for *_, ok in run_checks(traj))
     return traj
 
 
@@ -161,7 +161,7 @@ def test_no_verify_check_passes_on_a_nan(target, where):
         w[where % w.size] = math.nan
     else:
         setattr(rec, target.split()[1], math.nan)
-    checks = {name: ok for name, _, _, ok in run_checks(traj, Config({}))}
+    checks = {name: ok for name, _, _, ok in run_checks(traj)}
     for name in NAN_TARGETS[target]:
         assert not checks[name], name
 

@@ -186,6 +186,17 @@ def test_extract_g_plus_needs_enough_span():
         extract_g_plus(traj, 2.0)  # never monitored
 
 
+def test_extract_g_plus_skips_levels_before_t0_on_a_negative_tau():
+    """On r = t + 1/8 (tau = -1/8) the first dyadic distance 4h = 1/16 falls
+    before t = 0: the samples start at distance 8h, the line's start."""
+    params = make_params(3.0, 0.5)
+    fam = DirectedPulse(0.8, 4.0, 0.5, direction="inward")
+    grid = GridSpec.padded(1.0 / 64.0, 16.0, fam.support_radius())
+    traj = evolve(fam.sample(grid), params, grid, Monitors(char_tau=(-0.125,)), linear=True)
+    trace = extract_g_plus(traj, -0.125)
+    assert list(trace.distances) == [0.125 * 2**j for j in range(8)]
+
+
 # --------------------------------------------------------------------------
 # free-wave defect
 # --------------------------------------------------------------------------
