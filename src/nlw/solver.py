@@ -15,8 +15,9 @@ transport ("outgoing", exact for right-moving waves at unit CFL).
 
 duhamel_solve integrates the same problem as a fixed point of the
 integral (Duhamel) form of the equation, discretized with composite
-trapezoid quadrature over the full backward light triangle of every node.
-Its source quadrature is genuinely different from the leapfrog's, which
+trapezoid quadrature over the full backward light triangle of every node
+and marched level by level with an exact recurrence of the triangle sums,
+O(n m) per Picard sweep to level m.  Its source quadrature is genuinely different from the leapfrog's, which
 makes the pair usable for cross-verification at second order.
 
 leapfrog() generates the levels of the scheme.  evolve() records, while
@@ -547,36 +548,32 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     return traj
 
 
-def _diagonals(a, col, sign, shape):
-    """Read-only view v[jt, j, y] = a[j, col + sign*(jt - j) + y].
-
-    Each v[jt] is a shifted diagonal band of a: one step down a row moves
-    one column against sign.  The caller keeps every index of shape
-    inside a.
-    """
-    s0, s1 = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a[0, col:], shape=shape, strides=(sign * s1, s0 - sign * s1, s1),
-        writeable=False,
-    )
-
-
 def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX_SWEEPS):
     """Solve the integral (Duhamel) form of the equation by Picard
     iteration and return the field at t_target.
 
     Every node value is the odd-extension d'Alembert average of the data
     plus the integral of the source over the full backward light triangle,
-    discretized with composite trapezoid quadrature in both directions
-    (computed with per-level prefix sums).  The quadrature shares nothing
-    with the leapfrog's diamond-midpoint rule beyond the grid itself.
+    discretized with composite trapezoid quadrature in both directions.
+    The quadrature shares nothing with the leapfrog's diamond-midpoint
+    rule beyond the grid itself.
 
-    A sweep evaluates the source once per time level, then sums each
-    target level's light triangle over all earlier source levels at once:
-    the prefix-sum and source values it needs are shifted diagonals of the
-    per-level tables, read through strided views, and the rows are added
-    in source-level order, so every node sees the same operations in the
-    same order as a level-by-level loop.
+    A sweep marches the triangle integrals I up the target levels.  The
+    radial trapezoid sum S(y, d) of one source level over [y - d, y + d]
+    obeys S(y, d+1) = S(y-1, d) + S(y+1, d) - S(y, d-1) exactly, end
+    weights included (S(y, 0) = 0), so with G the source and c_0 = 1/2,
+    c_j = 1 the time trapezoid weights,
+
+        I(j+1, y) = I(j, y-1) + I(j, y+1) - I(j-1, y)
+                    + (h^2/2) c_j (G(j, y-1)/2 + G(j, y) + G(j, y+1)/2).
+
+    I is carried on y = -1 .. n+2m+1: odd through the origin like G, and
+    G is zero past the iterate's last node n+m, so the never-written top
+    node is exactly 0 on all m levels.  The march is the unit-CFL
+    d'Alembert stencil, which carries rounding without growth: the result
+    differs from summing each triangle directly only by reordering, a few
+    ulp per level.  The source is evaluated once per level 0..m; the top
+    level's is not needed, but keeps the count at one per level.
 
     Values are exact (to quadrature order) wherever the backward triangle
     stays inside the grid: data are zero-extended beyond r_max, so for
@@ -629,41 +626,34 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
 
     u = lin.copy()
     new = np.empty_like(lin)
-    ge = np.zeros((m + 1, ny + 2 * m + 1))
-    pg = np.zeros((m + 1, ny + 2 * m + 2))
-    # source level j reaches target level jt over [y - d, y + d], d = jt - j
-    band = (m + 1, m, ny + 1)
-    pg_hi = _diagonals(pg, off + 1, 1, band)  # pg[j, y + d + off + 1]
-    pg_lo = _diagonals(pg, off, -1, band)  # pg[j, y - d + off]
-    ge_hi = _diagonals(ge, off, 1, band)  # ge[j, y + d + off]
-    ge_lo = _diagonals(ge, off, -1, band)  # ge[j, y - d + off]
     work = np.empty_like(lin)
-    half_sum = np.empty((m, ny + 1))
-    acc = np.empty(ny + 1)
+    # G and I of levels j-1, j, j+1 on y = -1 .. ny+m+1, at index y + 1
+    g = np.zeros(ny + m + 3)
+    i_prev, i_cur, i_next = np.zeros((3, ny + m + 3))
+    stencil = np.empty(ny + m + 1)
     prev_diff = math.inf
     grew = 0
     for sweep in range(max_sweeps):
         # overflow in a diverging iterate is an expected intermediate state;
         # the guards below turn it into NoContractionError
         with np.errstate(over="ignore", invalid="ignore"):
+            i_prev.fill(0.0)
+            i_cur.fill(0.0)
             for j in range(m + 1):
-                g = ge[j, off : off + ny + 1]
-                np.multiply(odd_power(u[j], p), r_pow, out=g)
-                np.negative(g[m:0:-1], out=ge[j, :off])
-                np.cumsum(ge[j], out=pg[j, 1:])
-            np.copyto(new, lin)
-            for jt in range(1, m + 1):
-                # inner[j] = h*(pg_hi - pg_lo - 0.5*(ge_lo + ge_hi)), j < jt
-                inner, gsum = work[:jt], half_sum[:jt]
-                np.subtract(pg_hi[jt, :jt], pg_lo[jt, :jt], out=inner)
-                np.add(ge_lo[jt, :jt], ge_hi[jt, :jt], out=gsum)
-                gsum *= 0.5
-                inner -= gsum
-                inner *= h
-                inner[0] *= 0.5
-                np.add.reduce(inner, axis=0, out=acc, initial=0.0)
-                acc *= 0.5 * h
-                new[jt] -= acc
+                np.multiply(odd_power(u[j], p), r_pow, out=g[1 : ny + 2])
+                g[0] = -g[2]
+                np.subtract(lin[j], i_cur[1 : ny + 2], out=new[j])
+                if j == m:
+                    break
+                np.add(g[:-2], g[2:], out=stencil)
+                stencil *= 0.5
+                stencil += g[1:-1]
+                stencil *= (0.25 if j == 0 else 0.5) * h * h
+                np.add(i_cur[:-2], i_cur[2:], out=i_next[1:-1])
+                i_next[1:-1] -= i_prev[1:-1]
+                i_next[1:-1] += stencil
+                i_next[0] = -i_next[2]
+                i_prev, i_cur, i_next = i_cur, i_next, i_prev
             np.subtract(new, u, out=work)
             diff = float(np.abs(work, out=work).max())
         u, new = new, u

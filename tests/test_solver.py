@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import nlw.solver
+from test_frozen_ledger import _duhamel_cases
 from nlw.errors import (
     BlowupError,
     ConfigError,
@@ -29,6 +30,9 @@ from nlw.solver import (
     evolve,
     leapfrog,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def _bump_23(r):
@@ -184,67 +188,32 @@ def test_duhamel_rejects_sweep_cap_below_one():
             duhamel_solve(pair, params, grid, 1.0, max_sweeps=cap)
 
 
-def _duhamel_loop(pair, p, h, n, m, tol=1e-10):
-    """Level-by-level reference for duhamel_solve: four gathers per
-    (target, source) level pair, with the same element operations in the
-    same order, so the two must agree bit for bit."""
-    off, ny = m, n + m
-    w0e = np.zeros(ny + 2 * m + 1)
-    w1e = np.zeros_like(w0e)
-    w0e[off : off + n + 1] = pair.w0
-    w1e[off : off + n + 1] = pair.w1
-    w0e[:off] = -pair.w0[m:0:-1]
-    w1e[:off] = -pair.w1[m:0:-1]
-    p1 = np.concatenate(([0.0], np.cumsum(w1e)))
-    y = np.arange(ny + 1)
-    lin = np.empty((m + 1, ny + 1))
-    for j in range(m + 1):
-        lo, hi = y - j + off, y + j + off
-        lin[j] = 0.5 * (w0e[lo] + w0e[hi])
-        if j > 0:
-            lin[j] += 0.5 * h * (p1[hi + 1] - p1[lo] - 0.5 * (w1e[lo] + w1e[hi]))
-    r_pow = np.zeros(ny + 1)
-    r_pow[1:] = 1.0 / nlw.solver.abs_power(h * y[1:], p - 1.0)
-    u = lin
-    for _ in range(nlw.solver.PICARD_MAX_SWEEPS):
-        ge = np.zeros((m + 1, ny + 2 * m + 1))
-        pg = np.zeros((m + 1, ny + 2 * m + 2))
-        for j in range(m + 1):
-            g = nlw.solver.odd_power(u[j], p) * r_pow
-            ge[j, off : off + ny + 1] = g
-            ge[j, :off] = -g[m:0:-1]
-            np.cumsum(ge[j], out=pg[j, 1:])
-        new = lin.copy()
-        for jt in range(1, m + 1):
-            acc = np.zeros(ny + 1)
-            for j in range(jt):
-                lo, hi = y - (jt - j) + off, y + (jt - j) + off
-                inner = h * (pg[j, hi + 1] - pg[j, lo] - 0.5 * (ge[j, lo] + ge[j, hi]))
-                acc += inner if j > 0 else 0.5 * inner
-            new[jt] -= 0.5 * h * acc
-        diff = np.abs(new - u).max()
-        u = new
-        if diff <= tol:
-            return u[m, : n + 1]
-    raise AssertionError("reference Picard iteration did not converge")
-
-
-@pytest.mark.parametrize(
-    "p, fam, grid, t",
-    [
-        (3.0, DirectedPulse(0.6, 2.0, 0.4, "inward"),
+def _direct_cases():
+    """(name, pair, params, grid, t_target) of the direct-sum comparisons:
+    three of their own, then the frozen oracle solves."""
+    own = [
+        ("p=3 inward pulse h=1/16 t=2", 3.0, DirectedPulse(0.6, 2.0, 0.4, "inward"),
          GridSpec(h=1.0 / 16.0, r_max=3.0, t_max=2.0), 2.0),
-        (3.5, DirectedPulse(0.4, 1.5, 0.3, "outward"),
+        ("p=3.5 outward pulse h=1/10 t=1", 3.5, DirectedPulse(0.4, 1.5, 0.3, "outward"),
          GridSpec(h=0.1, r_max=4.0, t_max=1.0), 1.0),
-        (4.0, GaussianBump(0.5, 2.0, 0.5),
+        ("p=4 bump h=1/16 t=h", 4.0, GaussianBump(0.5, 2.0, 0.5),
          GridSpec.padded(1.0 / 16.0, 1.0, 4.0), 1.0 / 16.0),
-    ],
-)
-def test_duhamel_matches_level_by_level_reference_bitwise(p, fam, grid, t):
-    pair = fam.sample(grid)
-    got = duhamel_solve(pair, make_params(p, 0.01), grid, t)
-    ref = _duhamel_loop(pair, p, grid.h, grid.n, grid_index(t, grid.h))
-    assert got.tobytes() == ref.tobytes()
+    ]
+    cases = [(name, fam.sample(grid), make_params(p, 0.01), grid, t)
+             for name, p, fam, grid, t in own] + _duhamel_cases()
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("pair, params, grid, t", _direct_cases())
+def test_duhamel_matches_direct_triangle_sums(pair, params, grid, t):
+    """The level march only reorders the direct triangle sums: each level
+    adds a few ulp, which the exact d'Alembert stencil carries without
+    growth, so the two agree to m eps sup|w| on m levels (measured: at
+    most 0.09 of it)."""
+    m = grid_index(t, grid.h)
+    got = duhamel_solve(pair, params, grid, t)
+    ref = oracles.duhamel_loop(pair.w0, pair.w1, params.p, grid.h, m)
+    assert np.max(np.abs(got - ref)) <= m * EPS * np.max(np.abs(ref))
 
 
 def test_duhamel_takes_one_source_power_per_level_per_sweep(monkeypatch):
