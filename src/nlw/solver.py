@@ -413,8 +413,7 @@ class _Recorders:
 
     def energies_to(self, m, w, f, e, i):
         """(E_-, E_+) on [0, r_i], closed past the clean edge."""
-        edge = self.edge(m)
-        if self.far is None or i <= edge:
+        if self.far is None or i <= (edge := self.edge(m)):
             return self.energies(w, f, min(e, i + 1))
         t, far = m * self.h, self.far
         tails = [float(far.tail(k, edge * self.h, t) - far.tail(k, i * self.h, t))
