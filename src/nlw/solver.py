@@ -17,8 +17,9 @@ duhamel_solve integrates the same problem as a fixed point of the
 integral (Duhamel) form of the equation, discretized with composite
 trapezoid quadrature over the full backward light triangle of every node
 and marched level by level with an exact recurrence of the triangle sums,
-O(n m) per Picard sweep to level m.  Its source quadrature is genuinely different from the leapfrog's, which
-makes the pair usable for cross-verification at second order.
+O(n m) per Picard sweep to level m.  Its source quadrature is genuinely
+different from the leapfrog's, which makes the pair usable for
+cross-verification at second order.
 
 leapfrog() generates the levels of the scheme.  evolve() records, while
 it steps, the diagnostics its Monitors ask for (channel energies, origin
@@ -626,7 +627,7 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
     u = lin.copy()
     new = np.empty_like(lin)
     work = np.empty_like(lin)
-    # G and I of levels j-1, j, j+1 on y = -1 .. ny+m+1, at index y + 1
+    # G of level j and I of levels j-1, j, j+1 on y = -1 .. ny+m+1, at index y + 1
     g = np.zeros(ny + m + 3)
     i_prev, i_cur, i_next = np.zeros((3, ny + m + 3))
     stencil = np.empty(ny + m + 1)

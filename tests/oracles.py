@@ -138,14 +138,14 @@ def gaussian_u_callables(amplitude, center, width):
 # backward light triangles
 # ---------------------------------------------------------------------------
 
-def duhamel_loop(w0, w1, p, h, m, tol=1e-10, max_sweeps=50):
+def duhamel_loop(w0, w1, p, h, m):
     """Picard iterate of the trapezoid Duhamel form at level m, summing
     every (target, source) level pair's light triangle directly.
 
     The field lives on y = 0 .. n + m for data w0, w1 on n + 1 nodes:
     data odd through 0 and zero past node n, source |w|^{p-1} w / r^{p-1}
     the same.  Each sweep rebuilds every level from the previous iterate;
-    it stops once the sup-norm update is at most tol.  The trapezoid sum
+    it stops once the sup-norm update is at most 1e-10 (within 50 sweeps).  The trapezoid sum
     of a source level over [y - d, y + d] comes from prefix sums minus
     half the two end values, and the time trapezoid halves source level 0.
     """
@@ -168,7 +168,7 @@ def duhamel_loop(w0, w1, p, h, m, tol=1e-10, max_sweeps=50):
     r_pow = np.zeros(ny + 1)
     r_pow[1:] = (h * y[1:]) ** (1.0 - p)
     u = lin
-    for _ in range(max_sweeps):
+    for _ in range(50):
         ge = np.zeros((m + 1, ny + 2 * m + 1))
         pg = np.zeros((m + 1, ny + 2 * m + 2))
         for j in range(m + 1):
@@ -186,7 +186,7 @@ def duhamel_loop(w0, w1, p, h, m, tol=1e-10, max_sweeps=50):
             new[jt] -= 0.5 * h * acc
         diff = np.abs(new - u).max()
         u = new
-        if diff <= tol:
+        if diff <= 1e-10:
             return u[m, : n + 1]
     raise AssertionError("reference Picard iteration did not converge")
 

@@ -21,9 +21,12 @@ single level would move.
 
 To regenerate after an intended change of the numbers, dump
 ``ledger_record`` of the four fixtures (and the appendix rerun), with
-``report_record`` under
-"reports", to the JSON file from a throwaway test and say why in the
-change log.
+``report_record`` under "reports" and ``duhamel_record`` under
+"duhamel", to the JSON file from a throwaway test and say why in the
+change log.  The Duhamel digests were last regenerated when the oracle
+began marching its triangle sums level by level, a reordering that
+``tests/test_solver.py`` bounds against the direct sums of
+``oracles.duhamel_loop``.
 """
 
 import hashlib

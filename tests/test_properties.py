@@ -198,7 +198,6 @@ def test_linear_levels_are_discrete_dalembert(
         assert np.abs(w[: ref.size] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), m
 
 
-
 @PROPERTY
 @given(
     p=st.floats(3.0, 5.0, exclude_max=True),

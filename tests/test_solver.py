@@ -32,9 +32,6 @@ from nlw.solver import (
 )
 
 
-EPS = np.finfo(float).eps
-
-
 def _bump_23(r):
     """C^2 bump supported exactly on [2, 3]."""
     x = 2.0 * (np.asarray(r, dtype=float) - 2.5)
@@ -213,7 +210,7 @@ def test_duhamel_matches_direct_triangle_sums(pair, params, grid, t):
     m = grid_index(t, grid.h)
     got = duhamel_solve(pair, params, grid, t)
     ref = oracles.duhamel_loop(pair.w0, pair.w1, params.p, grid.h, m)
-    assert np.max(np.abs(got - ref)) <= m * EPS * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= m * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 def test_duhamel_takes_one_source_power_per_level_per_sweep(monkeypatch):
