@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, OffGridError, TailNotConvergedError, WeightInvalidError
-from .model import _channel_mass, channel_densities, k_functional, make_params, potential_density
+from .errors import DegenerateFitError, OffGridError, TailNotConvergedError
+from .model import channel_densities, k_functional, make_params, potential_density
 # abs_power is not called here; the benchmark's tracer test reads it from this module
 from .numerics import abs_power, cumtrapz, fit_power_law, grid_index, trapz
 
@@ -367,74 +367,33 @@ class MorawetzReport:
         return self.lhs / self.k1
 
 
-def _validate_weight(weight, gamma, s_max):
-    """Check a(1)=1, a increasing, and the growth hypothesis in its
-    integrated form: a'(s) <= gamma a(s)/s integrates to
-    a(s2)/a(s1) <= (s2/s1)^gamma, which is checked between neighboring
-    sample points.  The integrated form is exact for every weight that
-    satisfies the pointwise hypothesis (no discretization slack needed),
-    in particular for the critical power weight a = s^gamma itself;
-    violations smaller than the sample spacing can slip through, which
-    is acceptable for a guard."""
-    if not (0.0 < gamma < 1.0):
-        raise WeightInvalidError(f"gamma={gamma} outside (0, 1)")
-    if abs(weight(np.array([1.0]))[0] - 1.0) > 1e-9:
-        raise WeightInvalidError("weight must satisfy a(1) = 1")
-    s = np.geomspace(1.0, max(s_max, 1.0 + 1e-6), 4097)
-    a = weight(s)
-    if np.any(a <= 0.0):
-        raise WeightInvalidError("weight must be positive")
-    dlog_a = np.diff(np.log(a))
-    if np.any(dlog_a <= 0.0):
-        raise WeightInvalidError("weight must be strictly increasing")
-    if np.any(dlog_a > gamma * np.diff(np.log(s)) + 1e-9):
-        raise WeightInvalidError(
-            f"weight grows faster than gamma*a(s)/s with gamma={gamma}"
-        )
-
-
-def weighted_morawetz(traj, kappa=None, weight=None, gamma=None):
+def weighted_morawetz(traj, kappa=None):
     """Combined weighted bound on a run; bound_ratio <= 1 is the check.
 
-    With no arguments the power weight a(s) = s^kappa, gamma = kappa, is
-    used with the run's own kappa.  A custom weight callable (vectorized)
-    may be supplied together with its gamma; it is validated against the
-    hypotheses a(1) = 1, 0 < a'(s) <= gamma*a(s)/s before use.
-
+    The weight is the paper's a(s) = s^kappa, gamma = kappa, at the run's
+    own kappa unless another is given (OutOfRangeError outside (0, 1)).
     The left side comes from kappa-independent accumulators, the xi series
     and the characteristic bins, which the run must have asked for with
-    Monitors(bins=True) (OffGridError otherwise); the right side K1 comes
-    from the initial data, so several weights can be compared on one run.
-    K1 of the power weight is model.k_functional's, closed past r_max on
+    Monitors(bins=True) (OffGridError otherwise), so several kappa can be
+    compared on one run.  K1 is model.k_functional's, closed past r_max on
     data with a far field (DivergentIntegralError unless kappa <
-    (5-p)/(p-1)).  A custom weight has no closed tail, so on such data it
-    raises OffGridError.  The bins are not closed past the clean edge: on
-    far-field data the left side covers the grid's wedge only.
+    (5-p)/(p-1)); the bins are not, so there the left side covers the
+    grid's wedge only.
     """
     led = traj.ledger
     p = traj.params.p
-    pair = traj.pair
-    power = weight is None
-    if power:
-        if kappa is None:
-            kappa = traj.params.kappa
-        gamma = kappa
-        weight = lambda s: s**kappa
-    elif gamma is None:
-        raise WeightInvalidError("a custom weight needs an explicit gamma")
-    elif pair.far_field is not None:
-        raise OffGridError("a custom weight has no closed K1 past r_max on far-field data")
-    s_max = led.t_max + traj.grid.r_max
-    _validate_weight(weight, gamma, s_max)
+    params = make_params(p, traj.params.kappa if kappa is None else kappa)
+    kappa = params.kappa
+    weight = lambda s: s**kappa
 
     if led.t_max < 1.0:
         raise OffGridError("weighted bound needs t_max >= 1")
     xi_term = led.xi_energy(1.0, led.t_max, weight=weight)
-    coef = 2.0 * math.pi * (p - 1.0 - 2.0 * gamma) / (p + 1.0)
+    coef = 2.0 * math.pi * (p - 1.0 - 2.0 * kappa) / (p + 1.0)
     bulk_term = coef * led.bulk_weighted(weight)
 
-    k1 = k_functional(pair, make_params(p, kappa)).k1 if power else _channel_mass(pair, p, weight)
-    return MorawetzReport(gamma=gamma, xi_term=xi_term, bulk_term=bulk_term, k1=k1)
+    k1 = k_functional(traj.pair, params).k1
+    return MorawetzReport(gamma=kappa, xi_term=xi_term, bulk_term=bulk_term, k1=k1)
 
 
 def _radius_series(traj, radius, channel):

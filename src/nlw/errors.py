@@ -48,10 +48,6 @@ class TailNotConvergedError(NlwError):
     """A truncated integral is still dominated by its unresolved tail."""
 
 
-class WeightInvalidError(NlwError):
-    """A Morawetz weight violates its normalization or growth hypotheses."""
-
-
 class ShortSpanError(NlwError):
     """Too few dyadic samples fit inside the available time span."""
 

@@ -33,6 +33,7 @@ from .numerics import abs_power, derivative, odd_power, trapz
 
 P_MIN = 3.0
 P_MAX = 5.0  # exclusive
+LEAK_TOL = 0.05  # largest boundary fraction check_boundary_leak accepts
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,7 @@ class InitialData:
     Subclasses implement w-side profiles w0(r) and, unless the data start
     at rest, w1(r) (vectorized), and report a support radius (None for
     unbounded tails).  sample() evaluates on a grid and runs the boundary
-    leak check, except on data that carry their exact exterior (a
+    leak check at LEAK_TOL, except on data that carry their exact exterior (a
     FarField, from far_field()): their weight at r_max is no leak.
     """
 
@@ -338,15 +339,15 @@ class InitialData:
         """The data's exact exterior past any r_max (a FarField), or None."""
         return None
 
-    def sample(self, grid, leak_tol=0.05):
+    def sample(self, grid):
         r = grid.r
         w0 = np.asarray(self.w0(r), dtype=float)
         w1 = np.asarray(self.w1(r), dtype=float)
         w0[0] = 0.0
         w1[0] = 0.0
         pair = RadialPair(w0=w0, w1=w1, h=grid.h, far_field=self.far_field())
-        if leak_tol is not None and pair.far_field is None:
-            check_boundary_leak(pair, leak_tol)
+        if pair.far_field is None:
+            check_boundary_leak(pair)
         return pair
 
 
@@ -485,14 +486,14 @@ class Tabulated(InitialData):
     def w1(self, r):
         return np.append(self._w1, np.zeros(r.size - self._w1.size))
 
-    def sample(self, grid, leak_tol=0.05):
+    def sample(self, grid):
         if abs(grid.h - self.h) > 1e-12 * self.h:
             raise InitialDataError(
                 f"tabulated spacing h={self.h} does not match grid h={grid.h}"
             )
         if self._w0.size > grid.n + 1:
             raise InitialDataError("tabulated data extends beyond the grid")
-        return super().sample(grid, leak_tol)
+        return super().sample(grid)
 
     def support_radius(self):
         nz = np.nonzero((self._w0 != 0.0) | (self._w1 != 0.0))[0]
@@ -501,15 +502,16 @@ class Tabulated(InitialData):
         return self.h * (nz[-1] + 1)
 
 
-def check_boundary_leak(pair, tol=0.05):
+def check_boundary_leak(pair):
     """Reject data whose outer boundary value is not negligible.
 
     The half-line and 3D energies differ by the boundary term
     2*pi*r_max*u(r_max)^2 of the integration by parts that relates them.
     This check compares that term against the kinetic bulk
     int r^2 (u_r^2 + u_t^2) dr and raises BoundaryLeakError when the
-    fraction exceeds tol, which signals that the grid is too small for the
-    data (or that the caller should opt out, as data with a far field do).
+    fraction exceeds LEAK_TOL, which signals that the grid is too small for
+    the data.  Data with a far field are exempt: InitialData.sample skips
+    the check for them.
     """
     r = pair.r
     h = pair.h
@@ -521,22 +523,22 @@ def check_boundary_leak(pair, tol=0.05):
     bulk = trapz(r * r * ur * ur, h) + trapz(pair.w1**2, h)
     boundary = r[-1] * u[-1] ** 2
     frac = boundary / max(bulk, 1e-300)
-    if frac > tol:
+    if frac > LEAK_TOL:
         raise BoundaryLeakError(
-            f"boundary weight fraction {frac:.3g} exceeds tol={tol}; "
+            f"boundary weight fraction {frac:.3g} exceeds tol={LEAK_TOL}; "
             f"enlarge r_max or pad the data"
         )
     return frac
 
 
-def lift_initial_data(u0, u1, h, leak_tol=0.05):
-    """Lift sampled 3D radial data (u0, u1) to the reduced pair (r*u0, r*u1)."""
+def lift_initial_data(u0, u1, h):
+    """Lift sampled 3D radial data (u0, u1) to the reduced pair (r*u0, r*u1),
+    which must pass check_boundary_leak."""
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     r = h * np.arange(u0.size)
     pair = RadialPair(w0=r * u0, w1=r * u1, h=h)
-    if leak_tol is not None:
-        check_boundary_leak(pair, leak_tol)
+    check_boundary_leak(pair)
     return pair
 
 
@@ -591,26 +593,20 @@ class KReport:
     tail: float = 0.0  # the part of k1 past r_max (data with a far field)
 
 
-def _channel_mass(pair, p, weight):
-    """pi * int a(r) [ |w0' + w1|^2 + (2/(p+1)) |w0|^{p+1}/r^{p-1} ] dr up to
-    r_max, with a = 1 inside the unit ball and a = weight(r) outside."""
-    r = pair.r
-    a = np.ones_like(r)
-    outside = r >= 1.0
-    a[outside] = weight(r[outside])
-    return math.pi * trapz(a * channel_densities(pair.w0, pair.w1, pair.h, p)[0], pair.h)
-
-
 def k_functional(pair, params):
-    """Compute the weighted channel mass, also the right side of
-    diagnostics.weighted_morawetz for its power weight.
+    """Compute the weighted channel mass (KReport), also the right side of
+    diagnostics.weighted_morawetz.
 
     Data with a far field add the integral past r_max in closed form
     (FarField.k_tail), which raises DivergentIntegralError unless
     kappa < (5-p)/(p-1); other data are taken on the grid as they stand.
     """
-    k1 = _channel_mass(pair, params.p, lambda s: s**params.kappa)
-    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(pair.r[-1], params.kappa)
+    r = pair.r
+    a = np.ones_like(r)
+    outside = r >= 1.0
+    a[outside] = r[outside] ** params.kappa
+    k1 = math.pi * trapz(a * channel_densities(pair.w0, pair.w1, pair.h, params.p)[0], pair.h)
+    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(r[-1], params.kappa)
     return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)
 
 

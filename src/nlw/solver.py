@@ -29,6 +29,7 @@ storing the full space-time field is not affordable for production grids.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .numerics import (
 )
 
 BLOWUP_FACTOR = 1e3
+PICARD_TOL = 1e-10
 PICARD_MAX_SWEEPS = 50
 
 
@@ -68,12 +70,12 @@ class GridSpec:
         grid_index(self.t_max, self.h, "t_max")
         grid_index(1.0, self.h, "exterior base radius r")
 
-    @property
+    @cached_property
     def n(self):
         """Index of the outermost node."""
         return grid_index(self.r_max, self.h, "r_max")
 
-    @property
+    @cached_property
     def steps(self):
         """Number of time steps to reach t_max."""
         return grid_index(self.t_max, self.h, "t_max")
@@ -93,10 +95,11 @@ class GridSpec:
             raise OffGridError(f"r_max={self.r_max} must exceed 2 t_max + 1 + h for a far field")
 
     @classmethod
-    def padded(cls, h, t_max, support_radius, margin=1.0):
+    def padded(cls, h, t_max, support_radius):
         """Grid large enough that data inside support_radius never touches
-        the outer boundary before t_max (causally padded, boundary pinned)."""
-        r_max = node_at_or_past(support_radius + t_max + margin, h, "padded r_max")
+        the outer boundary before t_max (causally padded, boundary pinned):
+        r_max is the first node at or past support_radius + t_max + 1."""
+        r_max = node_at_or_past(support_radius + t_max + 1.0, h, "padded r_max")
         return cls(h=h, r_max=r_max, t_max=t_max, boundary="pad")
 
 
@@ -548,7 +551,7 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     return traj
 
 
-def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX_SWEEPS):
+def duhamel_solve(pair, params, grid, t_target):
     """Solve the integral (Duhamel) form of the equation by Picard
     iteration and return the field at t_target.
 
@@ -573,18 +576,18 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
     d'Alembert stencil, which carries rounding without growth: the result
     differs from summing each triangle directly only by reordering, a few
     ulp per level.  The source is evaluated once per level 0..m; the top
-    level's is not needed, but keeps the count at one per level.
+    level's is not needed, but keeps the count at one per level.  Each
+    level is overwritten once its source is taken, so a sweep is the plain
+    Picard map held in two tables, the iterate and the linear part.
 
     Values are exact (to quadrature order) wherever the backward triangle
     stays inside the grid: data are zero-extended beyond r_max, so for
     data supported in r <= r_max - t_target the whole level is clean.
 
-    Raises OffGridError for a negative or off-grid t_target, ConfigError
-    for max_sweeps < 1, and NoContractionError if the sweep cap is hit
-    before the sup-norm update falls below tol.
+    Raises OffGridError for a negative or off-grid t_target, and
+    NoContractionError if PICARD_MAX_SWEEPS sweeps pass before the
+    sup-norm update falls below PICARD_TOL.
     """
-    if max_sweeps < 1:
-        raise ConfigError(f"max_sweeps={max_sweeps} must be at least 1")
     if t_target < 0:
         raise OffGridError(f"t_target={t_target} must not be negative")
     h = grid.h
@@ -625,24 +628,29 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
     r_pow[1:] = 1.0 / abs_power(h * y[1:], p - 1.0)
 
     u = lin.copy()
-    new = np.empty_like(lin)
-    work = np.empty_like(lin)
+    row = np.empty(ny + 1)
+    work = np.empty(ny + 1)
+    update = np.empty(ny + 1)  # per node, the sweep's largest |new - old|
     # G of level j and I of levels j-1, j, j+1 on y = -1 .. ny+m+1, at index y + 1
     g = np.zeros(ny + m + 3)
     i_prev, i_cur, i_next = np.zeros((3, ny + m + 3))
     stencil = np.empty(ny + m + 1)
     prev_diff = math.inf
     grew = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(PICARD_MAX_SWEEPS):
         # overflow in a diverging iterate is an expected intermediate state;
         # the guards below turn it into NoContractionError
         with np.errstate(over="ignore", invalid="ignore"):
             i_prev.fill(0.0)
             i_cur.fill(0.0)
+            update.fill(0.0)
             for j in range(m + 1):
                 np.multiply(odd_power(u[j], p), r_pow, out=g[1 : ny + 2])
                 g[0] = -g[2]
-                np.subtract(lin[j], i_cur[1 : ny + 2], out=new[j])
+                np.subtract(lin[j], i_cur[1 : ny + 2], out=row)
+                np.subtract(row, u[j], out=work)
+                np.maximum(update, np.abs(work, out=work), out=update)
+                u[j] = row
                 if j == m:
                     break
                 np.add(g[:-2], g[2:], out=stencil)
@@ -654,10 +662,8 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
                 i_next[1:-1] += stencil
                 i_next[0] = -i_next[2]
                 i_prev, i_cur, i_next = i_cur, i_next, i_prev
-            np.subtract(new, u, out=work)
-            diff = float(np.abs(work, out=work).max())
-        u, new = new, u
-        if diff <= tol:
+            diff = float(update.max())
+        if diff <= PICARD_TOL:
             return u[m, : n + 1].copy()
         if not math.isfinite(diff):
             raise NoContractionError(
@@ -676,5 +682,5 @@ def duhamel_solve(pair, params, grid, t_target, tol=1e-10, max_sweeps=PICARD_MAX
         prev_diff = diff
     raise NoContractionError(
         f"Picard iteration stalled at residual {diff:.3g} after "
-        f"{max_sweeps} sweeps (t_target={t_target}); shrink the horizon"
+        f"{PICARD_MAX_SWEEPS} sweeps (t_target={t_target}); shrink the horizon"
     )

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import nlw
+from nlw import errors
 from nlw.cli import KNOWN_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +43,25 @@ def test_every_traced_layer_resolves():
         for part in attr.split("."):
             holder = getattr(holder, part, None)
         assert callable(holder), f"{span}: {module}.{attr} is gone"
+
+
+def test_every_exception_class_is_raised():
+    """Each class in nlw.errors is raised by some raise statement in
+    src/nlw, or is a base of one that is, so a class cannot outlive the
+    code that raised it."""
+    raised = set()
+    for path in sorted((ROOT / "src" / "nlw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    raised = [getattr(errors, name) for name in raised if hasattr(errors, name)]
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    assert classes
+    idle = [cls.__name__ for cls in classes
+            if not any(issubclass(r, cls) for r in raised)]
+    assert idle == []
 
 
 def test_no_module_imports_inside_a_function():

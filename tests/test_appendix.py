@@ -140,7 +140,7 @@ def test_source_triangle_check_subcritical_amplitude():
     grid = GridSpec(
         h=h, r_max=h * math.ceil(6.0 / h), t_max=2.0, boundary="outgoing"
     )
-    slab = full_slab(family.sample(grid, leak_tol=None), params, grid)
+    slab = full_slab(family.sample(grid), params, grid)
     rep = source_triangle_check(slab, grid, params, c, TriangleRegion(2.0, 1.0))
     assert rep.integral > 0.0
     assert rep.ratio < 1.0
@@ -157,7 +157,7 @@ def test_source_triangle_check_vacuous_at_p3():
     grid = GridSpec(
         h=h, r_max=h * math.ceil(6.0 / h), t_max=2.0, boundary="outgoing"
     )
-    slab = full_slab(family.sample(grid, leak_tol=None), params, grid)
+    slab = full_slab(family.sample(grid), params, grid)
     rep = source_triangle_check(slab, grid, params, c, TriangleRegion(2.0, 1.0))
     assert rep.bound == math.inf
     assert rep.ratio == 0.0

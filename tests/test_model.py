@@ -166,8 +166,6 @@ def test_sample_pins_origin_and_leak_check():
     tight = GridSpec(h=1.0 / 32.0, r_max=6.0, t_max=1.0, boundary="pad")
     with pytest.raises(BoundaryLeakError):
         fam.sample(tight)
-    # the opt-out works
-    fam.sample(tight, leak_tol=None)
 
 
 def test_radial_pair_requires_pinned_origin():
@@ -280,7 +278,7 @@ def test_k_functional_divergence_guard():
         from nlw.solver import GridSpec
 
         grid = GridSpec(h=h, r_max=400.0, t_max=1.0, boundary="outgoing")
-        pair = fam.sample(grid, leak_tol=None)
+        pair = fam.sample(grid)
         if ok:
             rep = k_functional(pair, params)
             assert rep.k1 > 0.0
@@ -300,7 +298,7 @@ def test_k_functional_against_quadrature():
     from nlw.solver import GridSpec
 
     grid = GridSpec(h=h, r_max=200.0, t_max=1.0, boundary="outgoing")
-    pair = fam.sample(grid, leak_tol=None)
+    pair = fam.sample(grid)
     rep = k_functional(pair, params)
 
     beta = params.beta
@@ -349,7 +347,7 @@ def test_far_field_profile_against_solve_ivp_and_the_grid():
 
     h, t = 1.0 / 32.0, 8.0
     grid = GridSpec(h=h, r_max=48.0, t_max=t, boundary="outgoing")
-    pair = AppendixPowerLaw(c, params).sample(grid, leak_tol=None)
+    pair = AppendixPowerLaw(c, params).sample(grid)
     from nlw.solver import Monitors, evolve
 
     w = evolve(pair, params, grid, Monitors(snapshot_times=(t,))).snapshots[0].w_curr
@@ -406,7 +404,7 @@ def test_k_functional_far_field_closed_form():
     fam = AppendixPowerLaw(c, params)
     reps = {}
     for r_max in (132.0, 1028.0):
-        pair = fam.sample(GridSpec(h=h, r_max=r_max, t_max=1.0), leak_tol=None)
+        pair = fam.sample(GridSpec(h=h, r_max=r_max, t_max=1.0))
         reps[r_max] = rep = k_functional(pair, params)
         expo = 2.0 * beta - 1.0 + kappa
         closed = math.pi * c * c * (beta**2 + 2.0 * c ** (p - 1.0) / (p + 1.0)) * r_max**expo / -expo

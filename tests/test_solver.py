@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from nlw.model import (
     energy_total,
     make_params,
 )
-from nlw.numerics import derivative, grid_index, trapz
+from nlw.numerics import derivative, grid_index, node_at_or_past, trapz
 from nlw.solver import (
     GridSpec,
     Monitors,
@@ -67,6 +69,15 @@ def test_grid_validation():
     assert g.boundary == "pad"
     assert g.r_max >= 13.0
     assert g.r[1] - g.r[0] == pytest.approx(g.h)
+
+
+def test_grid_sizes_are_computed_once_and_replace_recomputes_them():
+    g = GridSpec(h=1.0 / 32.0, r_max=8.0, t_max=2.0)
+    assert (g.n, g.steps) == (256, 64)
+    assert {"n", "steps"} <= vars(g).keys()
+    h = dataclasses.replace(g, r_max=4.0, t_max=1.0)
+    assert (h.n, h.steps) == (128, 32)
+    assert (g.n, g.steps) == (256, 64)
 
 
 # --------------------------------------------------------------------------
@@ -178,13 +189,6 @@ def test_duhamel_rejects_negative_time():
     assert np.array_equal(duhamel_solve(pair, params, grid, 0.0), pair.w0)
 
 
-def test_duhamel_rejects_sweep_cap_below_one():
-    pair, params, grid = _small_duhamel_case()
-    for cap in (0, -2):
-        with pytest.raises(ConfigError):
-            duhamel_solve(pair, params, grid, 1.0, max_sweeps=cap)
-
-
 def _direct_cases():
     """(name, pair, params, grid, t_target) of the direct-sum comparisons:
     three of their own, then the frozen oracle solves."""
@@ -215,24 +219,43 @@ def test_duhamel_matches_direct_triangle_sums(pair, params, grid, t):
 
 def test_duhamel_takes_one_source_power_per_level_per_sweep(monkeypatch):
     pair, params, grid = _small_duhamel_case()
+    cap = nlw.solver.PICARD_MAX_SWEEPS
 
-    def converges(cap):
+    def converges(sweeps):
+        monkeypatch.setattr(nlw.solver, "PICARD_MAX_SWEEPS", sweeps)
         try:
-            duhamel_solve(pair, params, grid, 1.0, max_sweeps=cap)
+            duhamel_solve(pair, params, grid, 1.0)
         except NoContractionError:
             return False
         return True
 
     # the number of sweeps is the smallest cap the iteration converges under
-    sweeps = next(
-        cap for cap in range(1, nlw.solver.PICARD_MAX_SWEEPS + 1) if converges(cap)
-    )
+    sweeps = next(s for s in range(1, cap + 1) if converges(s))
     assert sweeps >= 2
+    monkeypatch.setattr(nlw.solver, "PICARD_MAX_SWEEPS", cap)
     calls = []
     real = nlw.solver.odd_power
     monkeypatch.setattr(nlw.solver, "odd_power", lambda *a: calls.append(1) or real(*a))
     duhamel_solve(pair, params, grid, 1.0)
     assert len(calls) == (grid.steps + 1) * sweeps
+
+
+def test_duhamel_holds_two_tables():
+    """A sweep updates the iterate in place, so one solve holds the iterate
+    and the linear part, each (m + 1) x (n + m + 1) floats, besides rows;
+    keeping the next iterate and the update as tables too took four."""
+    params = make_params(4.0, 0.25)
+    fam = GaussianBump(0.5, 2.0, 0.5)
+    grid = GridSpec.padded(1.0 / 128.0, 1.0, fam.support_radius())
+    pair = fam.sample(grid)
+    m = grid.steps
+    tracemalloc.start()
+    try:
+        duhamel_solve(pair, params, grid, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (m + 1) * (grid.n + m + 1) * 8
 
 
 # --------------------------------------------------------------------------
@@ -297,8 +320,7 @@ def _assert_window_exact(family, boundary):
     params = make_params(3.5, 0.5)
     h, t_max = 1.0 / 256.0, 3.0
     grids = [
-        GridSpec(h=h, r_max=GridSpec.padded(h, t_max, family.support_radius(),
-                                            margin=margin).r_max,
+        GridSpec(h=h, r_max=node_at_or_past(family.support_radius() + t_max + margin, h),
                  t_max=t_max, boundary=boundary)
         for margin in (1.0, 2.0 * t_max + 2.0)
     ]
@@ -459,7 +481,7 @@ def test_far_field_clean_edge():
     runs = []
     for r_max in (2.0 * t_max + 4.0, 4.0 * t_max + 4.0):
         grid = GridSpec(h=h, r_max=r_max, t_max=t_max)
-        pair = fam.sample(grid, leak_tol=None)
+        pair = fam.sample(grid)
         levels = [(_channels(m, wp, w, wn, pair.w1, h), f[:e] * w[:e])
                   for m, wp, w, wn, e, q, f in leapfrog(pair, params, grid)]
         runs.append((grid.n, levels, evolve(pair, params, grid, Monitors(radii=(radius,)))))
@@ -485,7 +507,7 @@ def test_far_field_clean_edge():
 def test_far_field_needs_the_clean_edge_past_1_plus_t():
     params = make_params(4.0, 0.25)
     grid = GridSpec(h=1.0 / 16.0, r_max=17.0, t_max=8.0)
-    pair = AppendixPowerLaw(1.0, params).sample(grid, leak_tol=None)
+    pair = AppendixPowerLaw(1.0, params).sample(grid)
     with pytest.raises(OffGridError, match="must exceed 2 t_max"):
         evolve(pair, params, grid)
 
@@ -499,7 +521,7 @@ def test_linear_run_of_far_field_data_is_refused_before_any_level(monkeypatch):
     monkeypatch.setattr(nlw.solver, "leapfrog", no_levels)
     params = make_params(4.0, 0.25)
     grid = GridSpec(h=1.0 / 16.0, r_max=21.0, t_max=8.0)
-    pair = AppendixPowerLaw(0.5, params).sample(grid, leak_tol=None)
+    pair = AppendixPowerLaw(0.5, params).sample(grid)
     with pytest.raises(ConfigError, match="closes nothing past r_max"):
         evolve(pair, params, grid, linear=True)
 
@@ -690,7 +712,7 @@ def test_ledger_matches_level_by_level_reference(case):
     p, fam, make_grid, linear = LEDGER_CASES[case]
     params = make_params(p, 0.25)
     grid = make_grid(fam)
-    pair = fam.sample(grid, leak_tol=None) if isinstance(fam, AppendixPowerLaw) else fam.sample(grid)
+    pair = fam.sample(grid)
     radii = (1.0, 2.0, "t/4")
     traj = evolve(pair, params, grid, Monitors(radii=radii), linear=linear)
     led = traj.ledger
