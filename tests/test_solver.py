@@ -75,8 +75,8 @@ def test_grid_sizes_are_computed_once_and_replace_recomputes_them():
     g = GridSpec(h=1.0 / 32.0, r_max=8.0, t_max=2.0)
     assert (g.n, g.steps) == (256, 64)
     assert {"n", "steps"} <= vars(g).keys()
-    h = dataclasses.replace(g, r_max=4.0, t_max=1.0)
-    assert (h.n, h.steps) == (128, 32)
+    small = dataclasses.replace(g, r_max=4.0, t_max=1.0)
+    assert (small.n, small.steps) == (128, 32)
     assert (g.n, g.steps) == (256, 64)
 
 
@@ -241,9 +241,9 @@ def test_duhamel_takes_one_source_power_per_level_per_sweep(monkeypatch):
 
 
 def test_duhamel_holds_two_tables():
-    """A sweep updates the iterate in place, so one solve holds the iterate
-    and the linear part, each (m + 1) x (n + m + 1) floats, besides rows;
-    keeping the next iterate and the update as tables too took four."""
+    """A sweep updates the iterate in place, so one solve holds two
+    (m + 1) x (n + m + 1) tables, the iterate and the linear part, and
+    single rows besides."""
     params = make_params(4.0, 0.25)
     fam = GaussianBump(0.5, 2.0, 0.5)
     grid = GridSpec.padded(1.0 / 128.0, 1.0, fam.support_radius())
