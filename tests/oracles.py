@@ -139,15 +139,19 @@ def gaussian_u_callables(amplitude, center, width):
 # ---------------------------------------------------------------------------
 
 def duhamel_loop(w0, w1, p, h, m):
-    """Picard iterate of the trapezoid Duhamel form at level m, summing
-    every (target, source) level pair's light triangle directly.
+    """Fixed point of the trapezoid Duhamel form at level m, by Jacobi
+    (Picard) sweeps that sum every (target, source) level pair's light
+    triangle directly.
 
     The field lives on y = 0 .. n + m for data w0, w1 on n + 1 nodes:
     data odd through 0 and zero past node n, source |w|^{p-1} w / r^{p-1}
-    the same.  Each sweep rebuilds every level from the previous iterate;
-    it stops once the sup-norm update is at most 1e-10 (within 50 sweeps).  The trapezoid sum
-    of a source level over [y - d, y + d] comes from prefix sums minus
-    half the two end values, and the time trapezoid halves source level 0.
+    the same.  Each sweep rebuilds every level from the previous iterate.
+    Level j reads the sources of levels below j only, so sweep k fixes
+    level k to its last bit and sweep m + 1 changes nothing: the loop
+    stops at an update of exactly 0 and raises AssertionError if m + 2
+    sweeps do not reach it.  The trapezoid sum of a source level over
+    [y - d, y + d] comes from prefix sums minus half the two end values,
+    and the time trapezoid halves source level 0.
     """
     n = len(w0) - 1
     off, ny = m, n + m
@@ -168,7 +172,7 @@ def duhamel_loop(w0, w1, p, h, m):
     r_pow = np.zeros(ny + 1)
     r_pow[1:] = (h * y[1:]) ** (1.0 - p)
     u = lin
-    for _ in range(50):
+    for _ in range(m + 2):
         ge = np.zeros((m + 1, ny + 2 * m + 1))
         pg = np.zeros((m + 1, ny + 2 * m + 2))
         for j in range(m + 1):
@@ -186,9 +190,9 @@ def duhamel_loop(w0, w1, p, h, m):
             new[jt] -= 0.5 * h * acc
         diff = np.abs(new - u).max()
         u = new
-        if diff <= 1e-10:
+        if diff == 0.0:
             return u[m, : n + 1]
-    raise AssertionError("reference Picard iteration did not converge")
+    raise AssertionError("reference Picard iteration did not reach its fixed point")
 
 
 def cp_closed(p):
