@@ -24,9 +24,10 @@ To regenerate after an intended change of the numbers, dump
 ``report_record`` under "reports" and ``duhamel_record`` under
 "duhamel", to the JSON file from a throwaway test and say why in the
 change log.  The Duhamel digests were last regenerated when the oracle
-began marching its triangle sums level by level, a reordering that
-``tests/test_solver.py`` bounds against the direct sums of
-``oracles.duhamel_loop``.
+began taking each level's source from its new row (Gauss-Seidel sweeps),
+which solves the discrete system exactly instead of to an update of
+1e-10; ``tests/test_solver.py`` bounds it against the direct sums of
+``oracles.duhamel_loop`` at its fixed point.
 """
 
 import hashlib
