@@ -281,6 +281,10 @@ def run_problem(cfg):
     family = build_family(cfg, params)
     grid = build_grid(cfg, family)
     monitors = build_monitors(cfg)
+    try:  # a flux or trace line that never crosses the run is a config error
+        monitors.line_nodes(grid)
+    except NlwError as err:
+        raise ConfigError(str(err)) from err
     linear = cfg.boolean("run.linear", False)
     pair = family.sample(grid)
     desc = {

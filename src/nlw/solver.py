@@ -160,6 +160,26 @@ class Monitors:
             if x != "t/4" and not (is_number(x) and 0.0 < x < math.inf):
                 raise OffGridError(f"radius label {x!r} is not 't/4' or a positive radius")
 
+    def line_nodes(self, grid):
+        """(field, label, k, sign, lo, hi) of each flux and trace line: at
+        level m it lies on node sign (k - m), sampled where lo <= that <= hi.
+        Raises OffGridError for a label off the grid spacing, or for a line
+        that no level 0 .. steps puts on a sampled node."""
+        out = []
+        for name, what, sign, lo, hi in (
+            ("flux_s", "flux label s", 1, 0, grid.n),
+            ("flux_tau", "flux label tau", -1, 0, grid.n),
+            ("char_tau", "trace label tau", -1, 1, grid.n - 1),
+        ):
+            for x in getattr(self, name):
+                k = grid_index(x, grid.h, f"{what}={x}")
+                ends = (sign * k, sign * (k - grid.steps))  # its nodes at levels 0 and steps
+                if max(ends) < lo or min(ends) > hi:
+                    raise OffGridError(f"the line of {what}={x} never crosses the run "
+                                       f"(r_max={grid.r_max}, t_max={grid.t_max})")
+                out.append((name, x, k, sign, lo, hi))
+        return out
+
 
 @dataclass
 class TriangleRecord:
@@ -355,16 +375,13 @@ class _Recorders:
                 if i > n:
                     raise OffGridError(f"radius {x} lies past r_max={grid.r_max}")
             self.active.append(_Recorders.radii)
-        # (series, label node k, +1 inward / -1 outward, w_r - w_t trace?)
+        # (series, label node k, +1 inward / -1 outward, trace?, lo, hi)
+        series = {"flux_s": traj.flux_in, "flux_tau": traj.flux_out,
+                  "char_tau": traj.char_traces}
         self.lines = []
-        for labels, what, sign, trace, out in (
-            (mon.flux_s, "flux label s", 1, False, traj.flux_in),
-            (mon.flux_tau, "flux label tau", -1, False, traj.flux_out),
-            (mon.char_tau, "trace label tau", -1, True, traj.char_traces),
-        ):
-            for x in labels:
-                out[x] = np.full(steps + 1, np.nan)
-                self.lines.append((out[x], grid_index(x, h, f"{what}={x}"), sign, trace))
+        for name, x, k, sign, lo, hi in mon.line_nodes(grid):
+            series[name][x] = np.full(steps + 1, np.nan)
+            self.lines.append((series[name][x], k, sign, name == "char_tau", lo, hi))
         if self.lines:
             self.active.append(_Recorders.line_samples)
         self.corner_idx = []  # node of each triangle's corner radius r0
@@ -465,13 +482,10 @@ class _Recorders:
     def line_samples(self, m, w_prev, w, w_next, e, q, f):
         """The flux integrand on the lines r + t = s and r = t - tau, and
         (w_r - w_t) on the lines of char_tau, at level m."""
-        for arr, k, sign, trace in self.lines:
+        for arr, k, sign, trace, lo, hi in self.lines:
             i = sign * (k - m)
-            if trace:
-                if 1 <= i <= self.n - 1:
-                    arr[m] = self.chan[1, i] / (2.0 * self.h)
-            elif 0 <= i <= self.n:
-                arr[m] = self.flux(w, f, i)
+            if lo <= i <= hi:
+                arr[m] = self.chan[1, i] / (2.0 * self.h) if trace else self.flux(w, f, i)
 
     def triangles(self, m, w_prev, w, w_next, e, q, f):
         """Level m's slice of each live triangle probe's bulk and edge flux,
@@ -538,8 +552,9 @@ def evolve(pair, params, grid, monitors=None, linear=False):
 
     Raises ConfigError, before any step, for a linear run of data with a
     far field (their exterior solves the nonlinear equation, so nothing
-    would close the run past r_max), OffGridError for monitors off the run
-    (radii past r_max too) and BlowupError if the sup norm exceeds
+    would close the run past r_max), OffGridError, also before any step,
+    for monitors off the run (radii past r_max and flux or trace lines
+    that never cross the run too) and BlowupError if the sup norm exceeds
     1e3 * (sup|w0| + 1).
     """
     if linear and pair.far_field is not None:

@@ -287,7 +287,7 @@ def test_verify_reports_failure(tmp_path, capsys):
 
 
 LINES_CFG = RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 10") + """\
-monitors.flux_s = 2,30
+monitors.flux_s = 2
 monitors.flux_tau = 1
 monitors.char_tau = 1,9
 """
@@ -295,9 +295,8 @@ monitors.char_tau = 1,9
 
 def test_summary_reports_every_monitored_line(tmp_path):
     """summary.json's lines block gives each monitored flux over its default
-    window and each trace's g_+ with its rate, keyed by label; a line the
-    run never crosses (s = 30 > r_max + t_max) and a trace with too few
-    dyadic samples (tau = 9) read null."""
+    window and each trace's g_+ with its rate, keyed by label; a trace with
+    too few dyadic samples (tau = 9) reads null."""
     path = _write(tmp_path, LINES_CFG)
     out = tmp_path / "out"
     assert main(["run", path, "--out-dir", str(out)]) == 0
@@ -305,11 +304,31 @@ def test_summary_reports_every_monitored_line(tmp_path):
     traj, _, _ = run_problem(Config(load_config(path)))
     trace = extract_g_plus(traj, 1.0)
     assert lines == {
-        "flux_inward": {"2.0": flux_inward(traj, 2.0), "30.0": None},
+        "flux_inward": {"2.0": flux_inward(traj, 2.0)},
         "flux_outward": {"1.0": flux_outward(traj, 1.0)},
         "g_plus": {"1.0": {"g_plus": trace.g_plus, "rate": trace.rate_estimate}, "9.0": None},
     }
     assert lines["flux_inward"]["2.0"] > 0.0 and lines["flux_outward"]["1.0"] > 0.0
+
+
+@pytest.mark.parametrize("line", [
+    "monitors.flux_s = 2,30", "monitors.flux_tau = -16", "monitors.char_tau = 10",
+])
+def test_line_that_never_crosses_the_run_exits_2_before_any_run(tmp_path, capsys,
+                                                                monkeypatch, line):
+    """A flux or trace line that no level of the run reaches (s = 30 past
+    r_max + t_max, an outward line tau = -16 that left before t = 0, a
+    trace starting at t_max) is a config error, found before stepping."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before the line labels were checked")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    text = LINES_CFG.replace("monitors.flux_s = 2\n", "").replace(
+        "monitors.flux_tau = 1\n", "").replace("monitors.char_tau = 1,9\n", "")
+    cfg = _write(tmp_path, text + line + "\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "never crosses the run" in err
 
 
 # --------------------------------------------------------------------------
