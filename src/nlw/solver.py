@@ -593,19 +593,14 @@ def duhamel_solve(pair, params, grid, t_target):
     node is exactly 0 on all m levels.  The march is the unit-CFL
     d'Alembert stencil, which carries rounding without growth: the result
     differs from summing each triangle directly only by reordering, a few
-    ulp per level.
-
-    Level j's row reads the sources of levels below j only, so the
-    system is strictly lower triangular in time.  A sweep writes level j's
-    row into the iterate and then takes its source from that row (the
+    ulp per level.  Level j's row reads the sources of levels below j
+    only, and a sweep takes each level's source from its new row (the
     Gauss-Seidel order of the Picard map), so the first sweep is forward
-    substitution and solves the system to rounding.  The second sweep
-    recomputes the same bits, its update is exactly 0, and the solve
-    returns: two sweeps, whatever the amplitude, where the Jacobi order
-    needed one per level of contraction and diverged past it.  The source
-    is evaluated once per level 0..m; the top level's is not needed, but
-    keeps the count at one per level.  The iterate is updated in place,
-    so a solve holds two tables, the iterate and the linear part.
+    substitution, the second recomputes its bits with an update of exactly
+    0, and every solve with finite levels takes two sweeps.  The source is
+    evaluated once per level 0..m (the top level's keeps the count at one
+    per level), and the iterate is updated in place, so a solve holds two
+    tables, the iterate and the linear part.
 
     Values are exact (to quadrature order) wherever the backward triangle
     stays inside the grid: data are zero-extended beyond r_max, so for
