@@ -188,22 +188,23 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
 
     Below t_max = 8 no tail norm starts (its fit is null).  Raises
     ConfigError, before any run, if t_max is below 4, the first dyadic
-    sample time, if h, t_max and r_max make no grid, or if r_max is at
-    most 2*t_max + 1 + h (GridSpec.check_far_field).
+    sample time, if p, kappa or c are out of range (make_params,
+    AppendixPowerLaw), if h, t_max and r_max make no grid, or if r_max is
+    at most 2*t_max + 1 + h (GridSpec.check_far_field).
     """
     if not t_max >= 4.0:
         raise ConfigError(f"t_max={t_max} is below 4, the first dyadic sample time")
-    params = make_params(p, kappa)
     try:
+        params = make_params(p, kappa)
+        family = None if c is None else AppendixPowerLaw(c, params)
         grid = _wedge_grid(h, t_max, 4.0, r_max)
         grid.check_far_field()
-    except OffGridError as err:
+    except (OffGridError, OutOfRangeError) as err:
         raise ConfigError(str(err)) from err
     threshold = None
-    if c is None:
+    if family is None:
         threshold = find_envelope_threshold(p)
-        c = threshold / 2.0
-    family = AppendixPowerLaw(c, params)
+        family = AppendixPowerLaw(threshold / 2.0, params)
 
     times = dyadic_times(4.0, t_max)
     mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times))
@@ -278,7 +279,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     triangle_sec = []
     for t_apex in (1.0, 2.0, 4.0):
         region = TriangleRegion(r_apex=1.0 + t_apex, t_apex=t_apex)
-        rep = source_triangle_check(slab, slab_grid, params, c, region)
+        rep = source_triangle_check(slab, slab_grid, params, family.c, region)
         triangle_sec.append(
             {
                 "r_apex": region.r_apex,

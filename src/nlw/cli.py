@@ -149,13 +149,15 @@ class Config:
         v = parse_scalar(self.raw[key])
         if not is_number(v):
             raise ConfigError(f"{key} must be a number, got {self.raw[key]!r}")
+        if not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite, got {self.raw[key]!r}")
         return float(v)
 
     def integer(self, key, default=_MISSING):
         v = self.number(key, default)
         if v is default:
             return default
-        if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
+        if abs(v - round(v)) > 1e-9:
             raise ConfigError(f"{key} must be an integer, got {self.raw[key]!r}")
         return int(round(v))
 
@@ -178,8 +180,8 @@ class Config:
     def number_list(self, key, default=()):
         out = []
         for v in self.scalar_list(key, default):
-            if not is_number(v):
-                raise ConfigError(f"{key} must list numbers, got {v!r}")
+            if not (is_number(v) and math.isfinite(v)):
+                raise ConfigError(f"{key} must list finite numbers, got {v!r}")
             out.append(float(v))
         return tuple(out)
 
@@ -190,7 +192,7 @@ class Config:
         for item in self.raw[key].split(","):
             a, sep, b = item.strip().partition(":")
             va, vb = parse_scalar(a), parse_scalar(b)
-            if not (sep and is_number(va) and is_number(vb)):
+            if not (sep and all(is_number(v) and math.isfinite(v) for v in (va, vb))):
                 raise ConfigError(f"{key}: expected 't0:r0', got {item.strip()!r}")
             out.append((float(va), float(vb)))
         return tuple(out)
@@ -285,6 +287,8 @@ def run_problem(cfg):
         monitors.line_nodes(grid)
     except NlwError as err:
         raise ConfigError(str(err)) from err
+    if cfg.integer("output.stride", 1) < 1:
+        raise ConfigError(f"output.stride must be at least 1, got {cfg.raw['output.stride']!r}")
     linear = cfg.boolean("run.linear", False)
     pair = family.sample(grid)
     desc = {
@@ -594,9 +598,7 @@ def cmd_sweep(args):
     for value in values:
         sub = os.path.join(args.out_dir, f"{key}={value.replace('/', '_')}")
         jobs.append((raw, key, value, sub))
-    workers = os.environ.get("NLW_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(jobs)))
+    workers = min(os.cpu_count() or 1, len(jobs))
     if workers == 1:
         results = [_sweep_worker(*job) for job in jobs]
     else:

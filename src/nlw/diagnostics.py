@@ -19,16 +19,17 @@ and the outward twin on {r>0, t<t0, t-r > t0-r0}.  The module recomputes
 each term from quantities the solver accumulated and reports the residual,
 which must vanish at the discretization order.
 
-The combined weighted bound: for a weight a with a(1)=1 and
-0 < a'(s) <= gamma*a(s)/s (0 < gamma < 1),
+The combined weighted bound, checked for the weight a(s) = s^kappa
+(0 < kappa < 1, so a(1) = 1 and a'(s) = kappa*a(s)/s):
 
-  pi*int_1^inf a(t) xi^2 dt
-    + (2pi(p-1-2gamma)/(p+1)) * iint_{r+t>1} a(r+t)|w|^{p+1}/r^p dr dt
+  pi*int_1^inf t^kappa xi^2 dt
+    + (2pi(p-1-2kappa)/(p+1)) * iint_{r+t>1} (r+t)^kappa |w|^{p+1}/r^p dr dt
     <= K1,
 
-with K1 the a-weighted incoming channel mass of the data (weight 1 inside
-the unit ball).  Truncating the left side in time only lowers it, so the
-check bound_ratio <= 1 is one-sided safe on a finite run.
+with K1 the weighted incoming channel mass of the data, weight
+max(1, r^kappa) (model.k_functional).  Truncating the left side in time
+only lowers it, so the check bound_ratio <= 1 is one-sided safe on a
+finite run.
 """
 
 import math
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, OffGridError, TailNotConvergedError
-from .model import channel_densities, k_functional, make_params, potential_density
+from .model import k_functional, make_params, potential_density
 # abs_power is not called here; the benchmark's tracer test reads it from this module
 from .numerics import abs_power, cumtrapz, fit_power_law, grid_index, trapz
 
@@ -176,29 +177,6 @@ class EnergyLedger:
         s_mid = self.h * (np.arange(self.s_bulk.size) + 0.5)
         mask = s_mid >= 1.0
         return float(np.dot(weight(s_mid[mask]), self.s_bulk[mask]))
-
-
-@dataclass
-class ChannelReport:
-    e_total: float
-    e_minus: float
-    e_plus: float
-    em_cum: np.ndarray  # pi-scaled inward energy in [0, r], per node
-    ep_cum: np.ndarray
-
-
-def energy_channels(w, w_t, h, p):
-    """Channel energies of a state, with cumulative-in-radius profiles."""
-    inward, outward = channel_densities(w, w_t, h, p)
-    em_cum = math.pi * cumtrapz(inward, h)
-    ep_cum = math.pi * cumtrapz(outward, h)
-    return ChannelReport(
-        e_total=float(em_cum[-1] + ep_cum[-1]),
-        e_minus=float(em_cum[-1]),
-        e_plus=float(ep_cum[-1]),
-        em_cum=em_cum,
-        ep_cum=ep_cum,
-    )
 
 
 def _flux_window(traj, series, l1, l2, what):

@@ -9,7 +9,8 @@ field and w(r,t) = r * u(r,t), the evolution is
 for a power 3 <= p < 5.  Everything downstream (solver, diagnostics)
 works on the half-line field w; this module owns the parameter bookkeeping,
 the standard initial data families sampled as (w0, w1) pairs, and the
-time-zero functionals (energy, weighted channel mass, conformal charge).
+weighted channel mass K1 of the data (k_functional).  The channel energies
+of a state come from the solver's ledger (its level 0 for the data).
 
 Two derived exponents appear throughout:
 
@@ -429,8 +430,8 @@ class AppendixPowerLaw(InitialData):
     """
 
     def __init__(self, c, params):
-        if c <= 0:
-            raise OutOfRangeError(f"c={c} must be positive")
+        if not 0.0 < c < math.inf:
+            raise OutOfRangeError(f"c={c} must be positive and finite")
         self.c = float(c)
         self.p = float(params.p)
         a = 2.0 / (self.p - 1.0)  # u0 ~ r^{-a}
@@ -531,49 +532,14 @@ def check_boundary_leak(pair):
     return frac
 
 
-def lift_initial_data(u0, u1, h):
-    """Lift sampled 3D radial data (u0, u1) to the reduced pair (r*u0, r*u1),
-    which must pass check_boundary_leak."""
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    r = h * np.arange(u0.size)
-    pair = RadialPair(w0=r * u0, w1=r * u1, h=h)
-    check_boundary_leak(pair)
-    return pair
-
-
 def channel_densities(w, w_t, h, p):
-    """|w_r + w_t|^2 + P and |w_r - w_t|^2 + P, P = (2/(p+1)) |w|^{p+1}/r^{p-1}:
-    pi times their integrals are the channel energies E_- and E_+ of (w, w_t)."""
+    """|w_r + w_t|^2 + P and |w_r - w_t|^2 + P, P = (2/(p+1)) |w|^{p+1}/r^{p-1},
+    the channel energy densities of (w, w_t); k_functional weighs the first."""
     w = np.asarray(w, dtype=float)
     wr = derivative(w, h)
     pot = potential_density(w, h * np.arange(w.size), p)
     a, b = wr + w_t, wr - w_t
     return a * a + pot, b * b + pot
-
-
-def energy_total(pair, params):
-    """Conserved energy of the data, in the half-line normalization.
-
-    E = E_- + E_+ = 2*pi * int [ w_r^2 + w_t^2 + (2/(p+1)) |w|^{p+1}/r^{p-1} ] dr,
-    which equals the full 3D energy of u up to the truncation boundary
-    term (see check_boundary_leak).
-    """
-    inward, outward = channel_densities(pair.w0, pair.w1, pair.h, params.p)
-    return math.pi * trapz(inward + outward, pair.h)
-
-
-def u_side_energy(u0, u1, h, p):
-    """3D energy from radial samples of (u0, u1), independent route.
-
-    E = 4*pi * int r^2 [ u_r^2/2 + u_t^2/2 + |u|^{p+1}/(p+1) ] dr.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    r = h * np.arange(u0.size)
-    ur = derivative(u0, h)
-    dens = 0.5 * ur * ur + 0.5 * u1 * u1 + abs_power(u0, p + 1.0) / (p + 1.0)
-    return 4.0 * math.pi * trapz(r * r * dens, h)
 
 
 @dataclass
@@ -608,27 +574,3 @@ def k_functional(pair, params):
     k1 = math.pi * trapz(a * channel_densities(pair.w0, pair.w1, pair.h, params.p)[0], pair.h)
     tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(r[-1], params.kappa)
     return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)
-
-
-def conformal_charge_w(w, w_t, t, h, p):
-    """Conformal charge of a half-line state (w, w_t) at time t.
-
-    Q0 = 4*pi * int [ (r w_t + t (w_r - w/r))^2 + (t w_t + w + r w_r)^2 ] dr
-    Q1 = (8*pi/(p+1)) * int (r^2 + t^2) |w|^{p+1} / r^{p-1} dr
-
-    Q0 + Q1 is non-increasing for p >= 3 and constant at p = 3.
-    """
-    w = np.asarray(w, dtype=float)
-    w_t = np.asarray(w_t, dtype=float)
-    r = h * np.arange(w.size)
-    wr = derivative(w, h)
-    u = np.empty_like(w)
-    u[1:] = w[1:] / r[1:]
-    u[0] = wr[0]
-    qa = (r * w_t + t * (wr - u)) ** 2
-    qb = (t * w_t + w + r * wr) ** 2
-    qa[0] = 0.0
-    qb[0] = (t * w_t[0]) ** 2  # w(0)=0 and r*w_r -> 0; w_t(0) should be 0 too
-    q0 = 4.0 * math.pi * trapz(qa + qb, h)
-    q1 = 4.0 * math.pi * trapz((r * r + t * t) * potential_density(w, r, p), h)
-    return q0, q1

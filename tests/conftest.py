@@ -17,6 +17,7 @@ from nlw import (
     GaussianBump,
     GridSpec,
     Monitors,
+    RadialPair,
     evolve,
     make_params,
     run_appendix_example,
@@ -126,6 +127,20 @@ def appendix_binned(appendix_quick):
     traj = appendix_quick["traj"]
     mon = dataclasses.replace(traj.monitors, bins=True)
     return evolve(traj.pair, traj.params, traj.grid, mon)
+
+
+@pytest.fixture(scope="session")
+def ledger_level0():
+    """(E_-, E_+, E) of a state (w, w_t) by the ledger's rule, the one every
+    output reads: level 0 of a one-step run on a pad grid of the state's
+    own nodes."""
+    def energies(w, w_t, h, p):
+        pair = RadialPair(w0=w, w1=w_t, h=h)
+        grid = GridSpec(h=h, r_max=h * (pair.w0.size - 1), t_max=h, boundary="pad")
+        led = evolve(pair, make_params(p, 0.5), grid).ledger
+        return led.e_minus[0], led.e_plus[0], led.e_total[0]
+
+    return energies
 
 
 @pytest.fixture()

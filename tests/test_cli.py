@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -383,14 +384,29 @@ def test_grid_spacing_off_unit_radius_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("line", ["grid.h = nan", "monitors.radii = inf"])
+@pytest.mark.parametrize("line", ["grid.h = nan", "monitors.radii = inf",
+                                  "data.amplitude = nan", "data.amplitude = inf",
+                                  "monitors.snapshots = 1,nan", "monitors.triangles = 1:inf"])
 def test_non_finite_grid_input_exits_2(tmp_path, capsys, line):
     key = line.split(" = ")[0]
-    text = "\n".join(line if row.startswith(key) else row for row in RUN_CFG.splitlines())
-    cfg = _write(tmp_path, text + "\n")
+    rows = [row for row in RUN_CFG.splitlines() if not row.startswith(key)]
+    cfg = _write(tmp_path, "\n".join(rows + [line]) + "\n")
     assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stride", ["0", "-5"])
+def test_stride_below_one_exits_2_before_any_run(tmp_path, capsys, monkeypatch, stride):
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before output.stride was checked")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    cfg = _write(tmp_path, RUN_CFG.replace("output.stride = 4", f"output.stride = {stride}"))
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "output.stride must be at least 1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_all_zero_data(tmp_path, capsys):
@@ -466,7 +482,8 @@ SWEEP_CFG = (
 
 
 def test_sweep_list_axis_serial(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NLW_THREADS", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr("nlw.cli.ProcessPoolExecutor", None)  # one worker stays in-process
     cfg = _write(tmp_path, SWEEP_CFG)
     out = tmp_path / "sweep"
     assert main(["sweep", cfg, "grid.h=1/32,1/16", "--out-dir", str(out)]) == 0
@@ -480,7 +497,7 @@ def test_sweep_list_axis_serial(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_range_axis_parallel(tmp_path, monkeypatch):
-    monkeypatch.setenv("NLW_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = _write(tmp_path, SWEEP_CFG)
     out = tmp_path / "sweep"
     code = main(
@@ -551,10 +568,14 @@ def test_appendix_short_horizon_exits_2_before_any_run(tmp_path, capsys, monkeyp
     assert not (tmp_path / "ap").exists()
 
 
-@pytest.mark.parametrize("flag", [["--h", "nan"], ["--h", "0.3"], ["--r-max", "inf"]],
-                         ids=["h=nan", "h=0.3", "r_max=inf"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--h", "nan"], ["--h", "0.3"], ["--r-max", "inf"], ["--p", "6"], ["--kappa", "1.5"],
+     ["--c", "-1"], ["--c", "nan"], ["--c", "inf"]],
+    ids=["h=nan", "h=0.3", "r_max=inf", "p=6", "kappa=1.5", "c=-1", "c=nan", "c=inf"])
 def test_appendix_bad_grid_exits_2_before_any_run(tmp_path, capsys, monkeypatch, flag):
-    """A grid that cannot be built is refused before the threshold search."""
+    """A grid that cannot be built, or p, kappa or c out of range, is
+    refused before the threshold search."""
     def no_run(*args, **kwargs):
         raise AssertionError("evolve ran before the grid was checked")
 

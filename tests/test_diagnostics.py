@@ -8,7 +8,6 @@ from nlw.diagnostics import (
     InfiniteTriangleReport,
     TriangleReport,
     cylinder_integral,
-    energy_channels,
     flux_inward,
     flux_outward,
     infinite_triangle_residual,
@@ -30,21 +29,7 @@ from nlw.solver import GridSpec, Monitors, evolve
 # channel split
 # --------------------------------------------------------------------------
 
-def test_channel_split_sums_exactly(rng):
-    """E_- + E_+ = E must hold to rounding because the three integrals
-    share their potential subterm by construction."""
-    h = 1.0 / 128.0
-    w0, w1 = oracles.random_smooth_state(rng, h, 10.0)
-    rep = energy_channels(w0, w1, h, 3.5)
-    assert abs(rep.e_minus + rep.e_plus - rep.e_total) < 1e-13 * rep.e_total
-    assert rep.em_cum[0] == 0.0
-    assert rep.em_cum[-1] == pytest.approx(rep.e_minus)
-    # cumulative profiles are non-decreasing in radius
-    assert np.all(np.diff(rep.em_cum) >= -1e-15)
-    assert np.all(np.diff(rep.ep_cum) >= -1e-15)
-
-
-def test_channel_split_against_quadrature():
+def test_channel_split_against_quadrature(ledger_level0):
     amp, center, width = 0.4, 2.0, 0.5
     u0f, u0rf, w0f, w0rf = oracles.gaussian_u_callables(amp, center, width)
     p = 4.0
@@ -52,18 +37,18 @@ def test_channel_split_against_quadrature():
     n = int(8.0 / h) + 1
     r = h * np.arange(n)
     fam = GaussianBump(amp, center, width)
-    rep = energy_channels(fam.w0(r), np.zeros(n), h, p)
+    e_minus, e_plus, _ = ledger_level0(fam.w0(r), np.zeros(n), h, p)
     ref_minus = oracles.channel_quad(w0f, w0rf, lambda s: 0.0, p, 8.0, +1.0)
     ref_plus = oracles.channel_quad(w0f, w0rf, lambda s: 0.0, p, 8.0, -1.0)
-    assert abs(rep.e_minus - ref_minus) < 3e-5 * ref_minus
-    assert abs(rep.e_plus - ref_plus) < 3e-5 * ref_plus
+    assert abs(e_minus - ref_minus) < 3e-5 * ref_minus
+    assert abs(e_plus - ref_plus) < 3e-5 * ref_plus
 
 
-def test_at_rest_data_splits_evenly(rng):
+def test_at_rest_data_splits_evenly(rng, ledger_level0):
     h = 1.0 / 128.0
     w0, _ = oracles.random_smooth_state(rng, h, 10.0, moving=False)
-    rep = energy_channels(w0, np.zeros_like(w0), h, 3.0)
-    assert rep.e_minus == pytest.approx(rep.e_plus, rel=1e-12)
+    e_minus, e_plus, _ = ledger_level0(w0, np.zeros_like(w0), h, 3.0)
+    assert e_minus == pytest.approx(e_plus, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

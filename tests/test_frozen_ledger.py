@@ -44,7 +44,6 @@ from nlw import (
     GridSpec,
     cylinder_integral,
     duhamel_solve,
-    energy_total,
     make_params,
     weighted_morawetz,
 )
@@ -138,7 +137,7 @@ def report_record(triangle_runs, appendix_quick, appendix_binned):
     }
     for h, run in triangle_runs.items():
         out[f"triangle h=1/{round(1 / h)} morawetz k1"] = weighted_morawetz(run).k1
-        out[f"triangle h=1/{round(1 / h)} energy_total"] = energy_total(run.pair, run.params)
+        out[f"triangle h=1/{round(1 / h)} energy_total"] = float(run.ledger.e_total[0])
     return out
 
 

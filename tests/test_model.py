@@ -6,7 +6,6 @@ import pytest
 import oracles
 import dataclasses
 
-from nlw.diagnostics import energy_channels
 from nlw.errors import (
     BoundaryLeakError,
     DivergentIntegralError,
@@ -22,14 +21,10 @@ from nlw.model import (
     RadialPair,
     Tabulated,
     check_boundary_leak,
-    conformal_charge_w,
-    energy_total,
     channel_densities,
     k_functional,
-    lift_initial_data,
     make_params,
     nonlinearity,
-    u_side_energy,
 )
 from nlw.solver import GridSpec
 
@@ -188,22 +183,14 @@ def test_initial_data_errors_are_lab_errors():
         Tabulated(np.zeros(9), np.zeros(8), 1.0 / 16.0)
 
 
-def test_lift_initial_data_round_trip():
-    h = 1.0 / 64.0
-    r = h * np.arange(513)
-    u0 = np.exp(-((r - 3.0) ** 2))
-    pair = lift_initial_data(u0, np.zeros_like(u0), h)
-    np.testing.assert_allclose(pair.w0, r * u0, rtol=0, atol=1e-300)
-
-
 # --------------------------------------------------------------------------
 # energies
 # --------------------------------------------------------------------------
 
-def test_energy_total_against_u_side_quadrature():
-    """The half-line energy must equal the 3D u-side integral; the oracle
-    integrates the u form directly so the integration-by-parts identity
-    inside the normalization is actually exercised."""
+def test_energy_total_against_u_side_quadrature(ledger_level0):
+    """The ledger's half-line energy must equal the 3D u-side integral; the
+    oracle integrates the u form directly so the integration-by-parts
+    identity inside the normalization is actually exercised."""
     amp, center, width = 0.4, 2.0, 0.5
     u0f, u0rf, w0f, w0rf = oracles.gaussian_u_callables(amp, center, width)
     p = 3.0
@@ -211,25 +198,12 @@ def test_energy_total_against_u_side_quadrature():
     n = int(8.0 / h) + 1
     r = h * np.arange(n)
     fam = GaussianBump(amp, center, width)
-    pair = RadialPair(w0=fam.w0(r), w1=np.zeros(n), h=h)
-    e_grid = energy_total(pair, make_params(p, 0.5))
+    e_grid = ledger_level0(fam.w0(r), np.zeros(n), h, p)[2]
     e_ref = oracles.energy_u_quad(u0f, u0rf, lambda r: 0.0, p, 8.0)
     assert abs(e_grid - e_ref) < 2e-5 * e_ref
 
 
-def test_u_side_energy_agrees_with_lifted_form():
-    h = 1.0 / 256.0
-    r = h * np.arange(int(8.0 / h) + 1)
-    u0 = 0.3 * np.exp(-((r - 2.5) ** 2) / 0.5)
-    u1 = 0.1 * np.exp(-((r - 3.0) ** 2) / 0.3)
-    p = 4.0
-    via_w = energy_total(lift_initial_data(u0, u1, h), make_params(p, 0.25))
-    via_u = u_side_energy(u0, u1, h, p)
-    # the two routes discretize different integrands; they agree to O(h^2)
-    assert abs(via_w - via_u) < 1e-5 * via_u
-
-
-def test_energy_channels_sum_and_split():
+def test_energy_channels_sum_and_split(ledger_level0):
     # at-rest data puts exactly half the energy in each channel
     h = 1.0 / 256.0
     fam = GaussianBump(0.5, 1.5, 0.3)
@@ -238,7 +212,7 @@ def test_energy_channels_sum_and_split():
     pair = RadialPair(w0=fam.w0(r), w1=np.zeros(n), h=h)
     params = make_params(3.5, 0.5)
     rep = k_functional(pair, params)
-    e = energy_total(pair, params)
+    e = ledger_level0(pair.w0, pair.w1, h, params.p)[2]
     # all mass sits inside r < 1 + support, but the weight is 1 only below
     # r = 1; compare instead against the quadrature oracle
     u0f, u0rf, w0f, w0rf = oracles.gaussian_u_callables(0.5, 1.5, 0.3)
@@ -256,12 +230,12 @@ def test_energy_channels_sum_and_split():
 # weighted channel mass
 # --------------------------------------------------------------------------
 
-def test_inward_density_integrates_to_inward_channel():
+def test_inward_density_integrates_to_inward_channel(ledger_level0):
     h = 1.0 / 128.0
     fam = DirectedPulse(0.5, 3.0, 0.4, direction="inward")
     pair = fam.sample(GridSpec.padded(h, 1.0, fam.support_radius()))
     p = 4.0
-    e_minus = energy_channels(pair.w0, pair.w1, h, p).e_minus
+    e_minus = ledger_level0(pair.w0, pair.w1, h, p)[0]
     inward = channel_densities(pair.w0, pair.w1, h, p)[0]
     assert math.pi * np.trapezoid(inward, dx=h) == pytest.approx(
         e_minus, rel=1e-12
@@ -418,32 +392,6 @@ def test_k_functional_far_field_closed_form():
     assert reps[132.0].k1 == pytest.approx(reps[1028.0].k1, rel=1e-8)
     with pytest.raises(DivergentIntegralError, match="kappa=0.34"):
         FarField(c, p).k_tail(132.0, 0.34)
-
-
-# --------------------------------------------------------------------------
-# conformal charge
-# --------------------------------------------------------------------------
-
-def test_conformal_charge_at_time_zero():
-    h = 1.0 / 256.0
-    n = int(8.0 / h) + 1
-    r = h * np.arange(n)
-    fam = GaussianBump(0.4, 2.0, 0.5)
-    w = fam.w0(r)
-    wt = np.zeros(n)
-    q0, q1 = conformal_charge_w(w, wt, 0.0, h, 3.0)
-    # at t = 0 and rest: Q0 = 4 pi int (w + r w_r)^2, Q1 the potential part
-    from scipy.integrate import quad
-
-    u0f, u0rf, w0f, w0rf = oracles.gaussian_u_callables(0.4, 2.0, 0.5)
-    q0_ref, _ = quad(lambda s: (w0f(s) + s * w0rf(s)) ** 2, 0.0, 8.0, limit=300)
-    q0_ref *= 4.0 * math.pi
-    q1_ref, _ = quad(
-        lambda s: s * s * abs(w0f(s)) ** 4.0 / s ** 2.0, 1e-12, 8.0, limit=300
-    )
-    q1_ref *= 8.0 * math.pi / 4.0
-    assert abs(q0 - q0_ref) < 2e-4 * q0_ref
-    assert abs(q1 - q1_ref) < 2e-4 * q1_ref
 
 
 def test_boundary_leak_fraction_monotone_in_room():

@@ -20,7 +20,6 @@ from nlw.model import (
     DirectedPulse,
     GaussianBump,
     RadialPair,
-    energy_total,
     make_params,
 )
 from nlw.numerics import derivative, grid_index, node_at_or_past, trapz
@@ -424,15 +423,13 @@ def test_ledger_radius_trios_are_consistent(compact_run):
     assert led.t[0] == 0.0 and led.t[-1] == pytest.approx(traj.grid.t_max)
 
 
-def test_snapshot_energy_matches_ledger(compact_run):
+def test_snapshot_energy_matches_ledger(compact_run, ledger_level0):
     traj = compact_run["traj"]
     led = traj.ledger
-    params = traj.params
     snap = traj.snapshot_at(16.0)
-    pair = RadialPair(w0=snap.w_curr.copy(), w1=snap.w_t.copy(), h=traj.grid.h)
-    pair.w0[0] = 0.0
-    pair.w1[0] = 0.0
-    e_snap = energy_total(pair, params)
+    w, w_t = snap.w_curr.copy(), snap.w_t.copy()
+    w[0] = w_t[0] = 0.0
+    e_snap = ledger_level0(w, w_t, traj.grid.h, traj.params.p)[2]
     e_led = led.e_total[led.level(16.0)]
     assert abs(e_snap - e_led) < 1e-9 * e_led
 
