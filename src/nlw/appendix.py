@@ -44,7 +44,7 @@ from .scattering import (
     lp_l2p_tail,
     predicted_tail_exponent,
 )
-from .solver import GridSpec, Monitors, evolve, leapfrog
+from .solver import GridSpec, Monitors, evolve, leapfrog, plan_run
 
 
 def triangle_bound_constant(p):
@@ -187,10 +187,11 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     each closure's share of its integral.
 
     Below t_max = 8 no tail norm starts (its fit is null).  Raises
-    ConfigError, before any run, if t_max is below 4, the first dyadic
-    sample time, if p, kappa or c are out of range (make_params,
-    AppendixPowerLaw), if h, t_max and r_max make no grid, or if r_max is
-    at most 2*t_max + 1 + h (GridSpec.check_far_field).
+    ConfigError, before the threshold search and any run, if t_max is
+    below 4, the first dyadic sample time, if p, kappa or c are out of
+    range (make_params, AppendixPowerLaw), or if h, t_max and r_max make
+    no grid or one that plan_run refuses (r_max at most 2*t_max + 1 + h,
+    or a monitored time off the grid).
     """
     if not t_max >= 4.0:
         raise ConfigError(f"t_max={t_max} is below 4, the first dyadic sample time")
@@ -198,7 +199,9 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         params = make_params(p, kappa)
         family = None if c is None else AppendixPowerLaw(c, params)
         grid = _wedge_grid(h, t_max, 4.0, r_max)
-        grid.check_far_field()
+        times = dyadic_times(4.0, t_max)
+        mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times))
+        plan_run(grid, mon, far_field=True)
     except (OffGridError, OutOfRangeError) as err:
         raise ConfigError(str(err)) from err
     threshold = None
@@ -206,8 +209,6 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         threshold = find_envelope_threshold(p)
         family = AppendixPowerLaw(threshold / 2.0, params)
 
-    times = dyadic_times(4.0, t_max)
-    mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times))
     traj = evolve(family.sample(grid), params, grid, mon)
     led = traj.ledger
     envelope_sec = {**traj.pair.far_field.envelope(led.t).summary(), "threshold": threshold}

@@ -18,8 +18,9 @@ strings, comma-separated lists, and colon pairs for triangle probes
 by name.
 
 Exit codes: 0 success, 1 a verify check failed, 2 config problem
-(initial data that do not fit the grid included), 3 any other lab error
-(blowup, divergent integral, off-grid request...).
+(initial data or monitors that do not fit the grid included, all found
+before the first step), 3 any other lab error (blowup, divergent
+integral...).
 """
 
 import argparse
@@ -46,7 +47,7 @@ from .model import (
 )
 from .numerics import fit_log_growth, fit_power_law, is_number
 from .scattering import extract_g_plus
-from .solver import GridSpec, Monitors, evolve
+from .solver import GridSpec, Monitors, evolve, plan_run
 from .svgplot import line_plot
 
 SCHEMA_VERSION = "1"
@@ -201,70 +202,49 @@ class Config:
 # -- problem construction ----------------------------------------------------
 
 
-def build_params(cfg):
-    try:
-        return make_params(cfg.number("params.p"), cfg.number("params.kappa", 0.5))
-    except NlwError as err:
-        raise ConfigError(str(err)) from err
-
-
 def build_family(cfg, params):
     kind = cfg.string("data.family")
-    try:
+    if kind in ("gaussian", "pulse"):
+        shape = (cfg.number("data.amplitude"), cfg.number("data.center"),
+                 cfg.number("data.width"))
         if kind == "gaussian":
-            return GaussianBump(
-                cfg.number("data.amplitude"),
-                cfg.number("data.center"),
-                cfg.number("data.width"),
-            )
-        if kind == "pulse":
-            return DirectedPulse(
-                cfg.number("data.amplitude"),
-                cfg.number("data.center"),
-                cfg.number("data.width"),
-                cfg.string("data.direction", "inward"),
-            )
-        if kind == "power_law":
-            return AppendixPowerLaw(cfg.number("data.c"), params)
-        if kind == "file":
-            path = cfg.string("data.path")
-            try:
-                with np.load(path) as z:
-                    return Tabulated(z["w0"], z["w1"], float(z["h"]))
-            except (OSError, KeyError) as err:
-                raise ConfigError(f"cannot load data from {path}: {err}") from err
-    except NlwError as err:
-        raise ConfigError(str(err)) from err
+            return GaussianBump(*shape)
+        return DirectedPulse(*shape, cfg.string("data.direction", "inward"))
+    if kind == "power_law":
+        return AppendixPowerLaw(cfg.number("data.c"), params)
+    if kind == "file":
+        path = cfg.string("data.path")
+        try:
+            with np.load(path) as z:
+                return Tabulated(z["w0"], z["w1"], float(z["h"]))
+        except (OSError, KeyError) as err:
+            raise ConfigError(f"cannot load data from {path}: {err}") from err
     raise ConfigError(f"unknown data.family {kind!r}")
 
 
 def build_grid(cfg, family):
     """grid.r_max with an outgoing boundary, or by default GridSpec.padded
-    past the data's support; data with a far field need a nonlinear run
-    (evolve) and GridSpec.check_far_field."""
+    past the data's support."""
     h = cfg.number("grid.h")
     t_max = cfg.number("grid.t_max")
     r_max = cfg.number("grid.r_max", None)
-    try:
-        if r_max is None:
-            support = family.support_radius()
-            if support is None:
-                raise ConfigError("the data family has an unbounded tail; set grid.r_max")
-            grid = GridSpec.padded(h, t_max, support)
-        else:
-            grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
-        if family.far_field() is not None:
-            if cfg.boolean("run.linear", False):
-                raise ConfigError("a linear run of far-field data closes nothing past r_max")
-            grid.check_far_field()
-        return grid
-    except NlwError as err:
-        raise ConfigError(str(err)) from err
+    if r_max is not None:
+        return GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
+    support = family.support_radius()
+    if support is None:
+        raise ConfigError("the data family has an unbounded tail; set grid.r_max")
+    return GridSpec.padded(h, t_max, support)
 
 
-def build_monitors(cfg):
+def set_up(cfg):
+    """The run a config asks for, checked whole before any data are
+    sampled: (params, family, grid, monitors, linear).  Whatever building
+    them or solver.plan_run raises is a ConfigError (exit 2)."""
     try:
-        return Monitors(
+        params = make_params(cfg.number("params.p"), cfg.number("params.kappa", 0.5))
+        family = build_family(cfg, params)
+        grid = build_grid(cfg, family)
+        monitors = Monitors(
             radii=cfg.scalar_list("monitors.radii"),
             flux_s=cfg.number_list("monitors.flux_s"),
             flux_tau=cfg.number_list("monitors.flux_tau"),
@@ -273,23 +253,18 @@ def build_monitors(cfg):
             triangles_out=cfg.pair_list("monitors.triangles_out"),
             snapshot_times=cfg.number_list("monitors.snapshots"),
         )
-    except NlwError as err:
-        raise ConfigError(str(err)) from err
-
-
-def run_problem(cfg):
-    """Build and evolve; returns (trajectory, elapsed_seconds, data_desc)."""
-    params = build_params(cfg)
-    family = build_family(cfg, params)
-    grid = build_grid(cfg, family)
-    monitors = build_monitors(cfg)
-    try:  # a flux or trace line that never crosses the run is a config error
-        monitors.line_nodes(grid)
+        linear = cfg.boolean("run.linear", False)
+        plan_run(grid, monitors, family.far_field() is not None, linear)
     except NlwError as err:
         raise ConfigError(str(err)) from err
     if cfg.integer("output.stride", 1) < 1:
         raise ConfigError(f"output.stride must be at least 1, got {cfg.raw['output.stride']!r}")
-    linear = cfg.boolean("run.linear", False)
+    return params, family, grid, monitors, linear
+
+
+def run_problem(cfg):
+    """Set up, sample and evolve; returns (trajectory, elapsed_seconds, data_desc)."""
+    params, family, grid, monitors, linear = set_up(cfg)
     pair = family.sample(grid)
     desc = {
         key.split(".", 1)[1]: parse_scalar(value)
@@ -571,9 +546,7 @@ def _parse_axis(spec):
 
 
 def _sweep_worker(raw, key, value, out_dir):
-    raw = dict(raw)
-    raw[key] = value
-    cfg = Config(raw)
+    cfg = Config({**raw, key: value})
     traj, elapsed, desc = run_problem(cfg)
     _write_outputs(out_dir, cfg, traj, elapsed, desc)
     led = traj.ledger
@@ -591,8 +564,9 @@ def _sweep_worker(raw, key, value, out_dir):
 
 def cmd_sweep(args):
     raw = load_config(args.config)
-    Config(raw)  # validate the base config before forking anything
     key, values = _parse_axis(args.axis)
+    for value in values:  # every case is set up before any worker starts
+        set_up(Config({**raw, key: value}))
     os.makedirs(args.out_dir, exist_ok=True)
     jobs = []
     for value in values:
@@ -751,6 +725,15 @@ def cmd_fit(args):
         mask &= x >= args.t_min
     if args.t_max is not None:
         mask &= x <= args.t_max
+    if not args.log_growth:  # a power law cannot include the t = 0 row
+        if dropped := int((mask & ~(x > 0)).sum()):
+            print(f"ignoring {dropped} row(s) with {args.x} <= 0")
+        mask &= x > 0
+    if mask.sum() < 3:
+        lo, hi = (-math.inf if args.t_min is None else args.t_min,
+                  math.inf if args.t_max is None else args.t_max)
+        raise ConfigError(f"{args.csv}: the window {args.x} in [{lo:g}, {hi:g}] leaves "
+                          f"{int(mask.sum())} row(s) to fit; a fit needs at least 3")
     x, y = x[mask], y[mask]
     if args.log_growth:
         fit = fit_log_growth(x, y)
@@ -759,10 +742,7 @@ def cmd_fit(args):
             f"(r^2 = {fit.r_squared:.6f}, {x.size} points)"
         )
     else:
-        keep = x > 0  # a power law cannot include the t = 0 row
-        if not keep.all():
-            print(f"ignoring {int((~keep).sum())} row(s) with {args.x} <= 0")
-        fit = fit_power_law(x[keep], y[keep])
+        fit = fit_power_law(x, y)
         print(
             f"{args.y} ~ {fit.amplitude:.6g} * {args.x}^{fit.exponent:+.6g} "
             f"(r^2 = {fit.r_squared:.6f}, {fit.n_points} points)"

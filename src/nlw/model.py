@@ -533,13 +533,11 @@ def check_boundary_leak(pair):
 
 
 def channel_densities(w, w_t, h, p):
-    """|w_r + w_t|^2 + P and |w_r - w_t|^2 + P, P = (2/(p+1)) |w|^{p+1}/r^{p-1},
-    the channel energy densities of (w, w_t); k_functional weighs the first."""
+    """The inward channel energy density |w_r + w_t|^2 + P of (w, w_t),
+    P = (2/(p+1)) |w|^{p+1}/r^{p-1}, which k_functional weighs."""
     w = np.asarray(w, dtype=float)
-    wr = derivative(w, h)
-    pot = potential_density(w, h * np.arange(w.size), p)
-    a, b = wr + w_t, wr - w_t
-    return a * a + pot, b * b + pot
+    a = derivative(w, h) + w_t
+    return a * a + potential_density(w, h * np.arange(w.size), p)
 
 
 @dataclass
@@ -571,6 +569,6 @@ def k_functional(pair, params):
     a = np.ones_like(r)
     outside = r >= 1.0
     a[outside] = r[outside] ** params.kappa
-    k1 = math.pi * trapz(a * channel_densities(pair.w0, pair.w1, pair.h, params.p)[0], pair.h)
+    k1 = math.pi * trapz(a * channel_densities(pair.w0, pair.w1, pair.h, params.p), pair.h)
     tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(r[-1], params.kappa)
     return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)

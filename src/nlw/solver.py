@@ -92,11 +92,6 @@ class GridSpec:
         not reached: it moves in a node per level, and w_t reads level m + 1."""
         return self.n - m - 1
 
-    def check_far_field(self):
-        """OffGridError unless every level's clean edge lies past 1 + t."""
-        if self.clean_edge(self.steps) <= self.steps + grid_index(1.0, self.h):
-            raise OffGridError(f"r_max={self.r_max} must exceed 2 t_max + 1 + h for a far field")
-
     @classmethod
     def padded(cls, h, t_max, support_radius):
         """Grid large enough that data inside support_radius never touches
@@ -127,7 +122,8 @@ class Monitors:
     """What evolve() should record besides the totals, which every run
     records (EnergyLedger); it runs only the recorders asked for here.
     Reading what a run did not record raises OffGridError, and so does a
-    radius label not "t/4" or R > 0.
+    radius label not "t/4" or R > 0; plan_run refuses, before the first
+    step, any monitor that does not lie on the run.
 
     radii          channel energies E(t;0,R) for fixed R, plus the moving
                    label "t/4" for the ball of radius t/4
@@ -159,26 +155,6 @@ class Monitors:
         for x in self.radii:
             if x != "t/4" and not (is_number(x) and 0.0 < x < math.inf):
                 raise OffGridError(f"radius label {x!r} is not 't/4' or a positive radius")
-
-    def line_nodes(self, grid):
-        """(field, label, k, sign, lo, hi) of each flux and trace line: at
-        level m it lies on node sign (k - m), sampled where lo <= that <= hi.
-        Raises OffGridError for a label off the grid spacing, or for a line
-        that no level 0 .. steps puts on a sampled node."""
-        out = []
-        for name, what, sign, lo, hi in (
-            ("flux_s", "flux label s", 1, 0, grid.n),
-            ("flux_tau", "flux label tau", -1, 0, grid.n),
-            ("char_tau", "trace label tau", -1, 1, grid.n - 1),
-        ):
-            for x in getattr(self, name):
-                k = grid_index(x, grid.h, f"{what}={x}")
-                ends = (sign * k, sign * (k - grid.steps))  # its nodes at levels 0 and steps
-                if max(ends) < lo or min(ends) > hi:
-                    raise OffGridError(f"the line of {what}={x} never crosses the run "
-                                       f"(r_max={grid.r_max}, t_max={grid.t_max})")
-                out.append((name, x, k, sign, lo, hi))
-        return out
 
 
 @dataclass
@@ -344,10 +320,10 @@ class _Recorders:
     A run of data with a far field stops at the clean edge
     (GridSpec.clean_edge): the totals add FarField.tail past its radius
     (traj.far_tails), a radius or corner past it the exact integral up to
-    its radius.
+    its radius.  The monitors' nodes and levels come from plan_run.
     """
 
-    def __init__(self, traj):
+    def __init__(self, traj, plan):
         grid, params, mon, led = traj.grid, traj.params, traj.monitors, traj.ledger
         h, n, steps, r, p = grid.h, grid.n, grid.steps, grid.r, params.p
         self.traj, self.led, self.linear, self.edge = traj, led, traj.linear, grid.clean_edge
@@ -359,7 +335,6 @@ class _Recorders:
         self.active = [_Recorders.channels, _Recorders.totals]
         self.far, self.tails = traj.pair.far_field, None
         if self.far is not None:
-            grid.check_far_field()
             lv = np.arange(steps + 1)
             traj.far_tails = {k: self.far.tail(k, h * grid.clean_edge(lv), h * lv)
                               for k in self.far.kinds}
@@ -368,41 +343,23 @@ class _Recorders:
         self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
         if traj.linear:  # the ledger's power and source
             self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
+        self.radius_idx, lines, probes, self.snap_levels = plan
         if mon.radii:
-            self.radius_idx = {x: grid_index(float(x), h, f"radius {x}")
-                               for x in mon.radii if x != "t/4"}
-            for x, i in self.radius_idx.items():
-                if i > n:
-                    raise OffGridError(f"radius {x} lies past r_max={grid.r_max}")
             self.active.append(_Recorders.radii)
         # (series, label node k, +1 inward / -1 outward, trace?, lo, hi)
         series = {"flux_s": traj.flux_in, "flux_tau": traj.flux_out,
                   "char_tau": traj.char_traces}
         self.lines = []
-        for name, x, k, sign, lo, hi in mon.line_nodes(grid):
+        for name, x, k, sign, lo, hi in lines:
             series[name][x] = np.full(steps + 1, np.nan)
             self.lines.append((series[name][x], k, sign, name == "char_tau", lo, hi))
         if self.lines:
             self.active.append(_Recorders.line_samples)
-        self.corner_idx = []  # node of each triangle's corner radius r0
-        for kind, probes in (("inward", mon.triangles), ("outward", mon.triangles_out)):
-            for (t0, r0) in probes:
-                t_lo, t_hi = (t0, t0 + r0) if kind == "inward" else (t0 - r0, t0)
-                m0 = grid_index(t_lo, h, "triangle start")
-                m1 = grid_index(t_hi, h, "triangle end")
-                i0 = grid_index(r0, h, "triangle r0")
-                if m0 < 0 or m1 > steps or i0 > n:
-                    raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run or the grid")
-                traj.triangle_records.append(TriangleRecord(t0, r0, kind, m0, m1))
-                self.corner_idx.append(i0)
-        if mon.triangles or mon.triangles_out:
+        traj.triangle_records = [TriangleRecord(t0, r0, kind, m0, m1)
+                                 for kind, t0, r0, m0, m1, _ in probes]
+        self.corner_idx = [i0 for *_, i0 in probes]  # node of each corner radius r0
+        if probes:
             self.active.append(_Recorders.triangles)
-        self.snap_levels = {}
-        for t_snap in mon.snapshot_times:
-            m_snap = grid_index(t_snap, h, "snapshot time")
-            if m_snap > steps:
-                raise OffGridError(f"snapshot time {t_snap} past t_max")
-            self.snap_levels[m_snap] = t_snap
         if self.snap_levels:
             self.active.append(_Recorders.snapshots)
         if mon.bins and not traj.linear:
@@ -533,6 +490,71 @@ class _Recorders:
         self.led.s_bulk[m : m + e] += g
 
 
+def plan_run(grid, monitors, far_field=False, linear=False):
+    """Check a run's request against its grid before the first step and
+    resolve its monitors to nodes and levels; far_field tells whether the
+    data carry an exact exterior.  evolve() calls it first, and the CLI
+    before it samples any data.
+
+    Returns what _Recorders reads, (radius_idx, lines, probes,
+    snap_levels): the node of each fixed radius, (name, label, k, sign,
+    lo, hi) of each flux and trace line (on node sign (k - m) at level m,
+    sampled where lo <= that <= hi), (kind, t0, r0, m_lo, m_hi, corner
+    node) of each triangle probe, and the time of each snapshot level.
+
+    Raises ConfigError for a linear run of far-field data (their exterior
+    solves the nonlinear equation: nothing would close the run past
+    r_max), and OffGridError for a negative t_max, fewer than 3 nodes, a
+    far field whose clean edge falls inside r = 1 + t (r_max <= 2 t_max +
+    1 + h), and a monitor off the grid spacing or off the run: a radius
+    past r_max, a flux or trace line that no level puts on a sampled node,
+    a triangle that leaves the run or the grid, a snapshot outside
+    [0, t_max].
+    """
+    h, n, steps = grid.h, grid.n, grid.steps
+    if steps < 0 or n < 2:
+        raise OffGridError(f"a run needs t_max >= 0 and r_max >= 2h, got t_max={grid.t_max}, "
+                           f"r_max={grid.r_max}")
+    if far_field and linear:
+        raise ConfigError("a linear run of far-field data closes nothing past r_max")
+    if far_field and grid.clean_edge(steps) <= steps + grid_index(1.0, h):
+        raise OffGridError(f"r_max={grid.r_max} must exceed 2 t_max + 1 + h for a far field")
+    radius_idx = {x: grid_index(float(x), h, f"radius {x}") for x in monitors.radii if x != "t/4"}
+    for x, i in radius_idx.items():
+        if i > n:
+            raise OffGridError(f"radius {x} lies past r_max={grid.r_max}")
+    lines = []
+    for name, what, sign, lo, hi in (
+        ("flux_s", "flux label s", 1, 0, n),
+        ("flux_tau", "flux label tau", -1, 0, n),
+        ("char_tau", "trace label tau", -1, 1, n - 1),
+    ):
+        for x in getattr(monitors, name):
+            k = grid_index(x, h, f"{what}={x}")
+            ends = (sign * k, sign * (k - steps))  # its nodes at levels 0 and steps
+            if max(ends) < lo or min(ends) > hi:
+                raise OffGridError(f"the line of {what}={x} never crosses the run "
+                                   f"(r_max={grid.r_max}, t_max={grid.t_max})")
+            lines.append((name, x, k, sign, lo, hi))
+    probes = []
+    for kind, pairs in (("inward", monitors.triangles), ("outward", monitors.triangles_out)):
+        for t0, r0 in pairs:
+            t_lo, t_hi = (t0, t0 + r0) if kind == "inward" else (t0 - r0, t0)
+            m0 = grid_index(t_lo, h, "triangle start")
+            m1 = grid_index(t_hi, h, "triangle end")
+            i0 = grid_index(r0, h, "triangle r0")
+            if m0 < 0 or m1 > steps or not 0 < i0 <= n:
+                raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run or the grid")
+            probes.append((kind, t0, r0, m0, m1, i0))
+    snap_levels = {}
+    for t_snap in monitors.snapshot_times:
+        m_snap = grid_index(t_snap, h, "snapshot time")
+        if not 0 <= m_snap <= steps:
+            raise OffGridError(f"snapshot time {t_snap} lies outside [0, t_max={grid.t_max}]")
+        snap_levels[m_snap] = t_snap
+    return radius_idx, lines, probes, snap_levels
+
+
 def evolve(pair, params, grid, monitors=None, linear=False):
     """Run the leapfrog scheme to t_max, recording what monitors ask for.
 
@@ -550,19 +572,15 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     midpoint-in-time field, take a second power, so they are recorded
     only when monitors.bins asks for them.
 
-    Raises ConfigError, before any step, for a linear run of data with a
-    far field (their exterior solves the nonlinear equation, so nothing
-    would close the run past r_max), OffGridError, also before any step,
-    for monitors off the run (radii past r_max and flux or trace lines
-    that never cross the run too) and BlowupError if the sup norm exceeds
+    plan_run refuses a bad request (ConfigError, OffGridError) before
+    any step.  Raises BlowupError if the sup norm exceeds
     1e3 * (sup|w0| + 1).
     """
-    if linear and pair.far_field is not None:
-        raise ConfigError("a linear run of far-field data closes nothing past r_max")
     mon = monitors or Monitors()
+    plan = plan_run(grid, mon, pair.far_field is not None, linear)
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
     traj = Trajectory(grid, params, mon, ledger, pair, linear=linear)
-    recorders = _Recorders(traj)
+    recorders = _Recorders(traj, plan)
     for level in leapfrog(pair, params, grid, linear):
         for record in recorders.active:
             record(recorders, *level)

@@ -312,24 +312,43 @@ def test_summary_reports_every_monitored_line(tmp_path):
     assert lines["flux_inward"]["2.0"] > 0.0 and lines["flux_outward"]["1.0"] > 0.0
 
 
-@pytest.mark.parametrize("line", [
-    "monitors.flux_s = 2,30", "monitors.flux_tau = -16", "monitors.char_tau = 10",
-])
+@pytest.mark.parametrize("line,message", [pytest.param(*case, id=case[0]) for case in [
+    ("monitors.flux_s = 2,30", "the line of flux label s=30.0 never crosses the run"),
+    ("monitors.flux_tau = -16", "the line of flux label tau=-16.0 never crosses the run"),
+    ("monitors.char_tau = 10", "the line of trace label tau=10.0 never crosses the run"),
+    ("monitors.radii = 1.0,100", "radius 100 lies past r_max"),
+    ("monitors.triangles = 1:100", "inward triangle (1.0,100.0) leaves the run or the grid"),
+    ("monitors.triangles_out = 1:100", "outward triangle (1.0,100.0) leaves the run"),
+    ("monitors.snapshots = 0.3", "snapshot time=0.3 is not a multiple of the grid spacing"),
+    ("monitors.triangles = 1:-0.5", "inward triangle (1.0,-0.5) leaves the run"),
+    ("monitors.snapshots = 5", "snapshot time 5.0 lies outside [0, t_max=2.0]"),
+    ("monitors.snapshots = -1", "snapshot time -1.0 lies outside [0, t_max=2.0]"),
+    ("grid.t_max = -1", "a run needs t_max >= 0 and r_max >= 2h, got t_max=-1.0"),
+    ("grid.r_max = 1/64", "a run needs t_max >= 0 and r_max >= 2h"),
+    ("monitors.snapshots=1,5", "snapshot time 5.0 lies outside [0, t_max=2.0]"),  # sweep axis
+]])
 def test_line_that_never_crosses_the_run_exits_2_before_any_run(tmp_path, capsys,
-                                                                monkeypatch, line):
-    """A flux or trace line that no level of the run reaches (s = 30 past
-    r_max + t_max, an outward line tau = -16 that left before t = 0, a
-    trace starting at t_max) is a config error, found before stepping."""
+                                                                monkeypatch, line, message):
+    """A monitor off the run is a config error, found before stepping: a
+    flux or trace line that no level reaches (s = 30 past r_max + t_max,
+    an outward line tau = -16 that left before t = 0, a trace starting
+    past t_max), a radius past r_max, a triangle that leaves the run or
+    has no height, a snapshot time off the grid or outside [0, t_max], and
+    a run to a negative t_max or on fewer than 3 nodes.  A sweep sets up
+    every case before its first worker; a line without " = " is its axis."""
     def no_run(*args, **kwargs):
-        raise AssertionError("evolve ran before the line labels were checked")
+        raise AssertionError("evolve ran before the monitors were checked")
 
     monkeypatch.setattr("nlw.cli.evolve", no_run)
-    text = LINES_CFG.replace("monitors.flux_s = 2\n", "").replace(
-        "monitors.flux_tau = 1\n", "").replace("monitors.char_tau = 1,9\n", "")
-    cfg = _write(tmp_path, text + line + "\n")
-    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    if " = " in line:  # a later line overrides RUN_CFG's own
+        argv = ["run", _write(tmp_path, RUN_CFG + line + "\n")]
+    else:
+        argv = ["sweep", _write(tmp_path, RUN_CFG), line]
+    assert main(argv + ["--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "never crosses the run" in err
+    assert "config error" in err and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -455,19 +474,14 @@ def test_tabulated_spacing_mismatch_exits_2(tmp_path, capsys):
 
 
 def test_runtime_lab_error_exits_3(tmp_path, capsys):
-    # snapshot time past t_max is only caught once the run is being set up
-    cfg = _write(tmp_path, RUN_CFG.replace(
-        "monitors.snapshots = 1,2", "monitors.snapshots = 5"
-    ))
-    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
-    assert "error:" in capsys.readouterr().err
-
-
-def test_radius_past_r_max_exits_3(tmp_path, capsys):
-    cfg = _write(tmp_path, RUN_CFG.replace("monitors.radii = 1.0,t/4", "monitors.radii = 1.0,100"))
+    """A failure of the run itself: power-law data at c = 3.5 overflow
+    near the origin at h = 1/32."""
+    cfg = _write(tmp_path, POWER_LAW_CFG.replace("data.c = 0.5", "data.c = 3.5").replace(
+        "grid.h = 1/16", "grid.h = 1/32").replace("grid.t_max = 8", "grid.t_max = 16").replace(
+        "grid.r_max = 21", "grid.r_max = 36"))
     assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert "radius 100" in err and "r_max" in err and "Traceback" not in err
+    assert "error: |w| reached" in err and "config error" not in err
 
 
 # --------------------------------------------------------------------------
@@ -671,6 +685,9 @@ def test_fit_window_and_errors(tmp_path, capsys):
             writer.writerow([t, 3.0 * t**-2.0])
     assert main(["fit", str(path), "--y", "val", "--t-min", "1"]) == 0
     assert "t^-2" in capsys.readouterr().out
+    for window in (["--t-min", "5"], ["--t-max", "1"]):  # 1 row left; 0 once t = 0 goes
+        assert main(["fit", str(path), "--y", "val", *window]) == 2
+        assert "a fit needs at least 3" in capsys.readouterr().err
     assert main(["fit", str(path), "--y", "nope"]) == 2
     assert "nope" in capsys.readouterr().err
     assert main(["fit", str(tmp_path / "absent.csv"), "--y", "val"]) == 2

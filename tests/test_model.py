@@ -236,7 +236,7 @@ def test_inward_density_integrates_to_inward_channel(ledger_level0):
     pair = fam.sample(GridSpec.padded(h, 1.0, fam.support_radius()))
     p = 4.0
     e_minus = ledger_level0(pair.w0, pair.w1, h, p)[0]
-    inward = channel_densities(pair.w0, pair.w1, h, p)[0]
+    inward = channel_densities(pair.w0, pair.w1, h, p)
     assert math.pi * np.trapezoid(inward, dx=h) == pytest.approx(
         e_minus, rel=1e-12
     )
@@ -385,7 +385,7 @@ def test_k_functional_far_field_closed_form():
         assert rep.tail == pytest.approx(closed, rel=1e-12)
         assert rep.k1 - rep.tail == pytest.approx(
             math.pi * np.trapezoid(np.maximum(1.0, pair.r**kappa)
-                                   * channel_densities(pair.w0, pair.w1, h, p)[0], dx=h),
+                                   * channel_densities(pair.w0, pair.w1, h, p), dx=h),
             rel=1e-12)
         assert rep.k == pytest.approx(4.0 * rep.k1, rel=1e-15)
     assert reps[132.0].k1 == pytest.approx(233.4786, rel=2e-5)  # ROADMAP item 2's value

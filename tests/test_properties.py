@@ -14,9 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nlw.cli import (
-    KNOWN_KEYS, Config, build_grid, build_monitors, build_params, parse_scalar, run_checks,
-)
+from nlw.cli import KNOWN_KEYS, Config, parse_scalar, run_checks, set_up
 from nlw.diagnostics import TOTALS
 from nlw.errors import ConfigError, OffGridError
 from nlw.model import DirectedPulse, GaussianBump, RadialPair, make_params
@@ -233,22 +231,25 @@ CONFIG_VALUE = st.one_of(
              min_size=1, max_size=4).map(",".join),
 )
 
+# a run the drawn keys override
+GAUSSIAN = {"params.p": "3", "grid.h": "1/16", "grid.t_max": "1", "data.family": "gaussian",
+            "data.amplitude": "0.5", "data.center": "2", "data.width": "0.5"}
+
 
 @PROPERTY
 @given(raw=st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), CONFIG_VALUE, max_size=8))
 def test_config_lets_only_config_errors_escape(raw):
     """parse_scalar takes any token; every typed Config access, and the
-    parameters, grid and monitors built from a config, either succeed or
-    raise ConfigError."""
+    set-up of a run (parameters, data family, grid and monitors, checked
+    against the grid by plan_run), either succeed or raise ConfigError.
+    The set-up samples no data, so a tiny grid.h allocates nothing."""
     for text in raw.values():
         parse_scalar(text)
     cfg = Config(raw)
     accessors = (cfg.number, cfg.integer, cfg.string, cfg.boolean, cfg.scalar_list,
                  cfg.number_list, cfg.pair_list)
-    builders = (build_params, build_monitors,
-                lambda c: build_grid(c, GaussianBump(0.5, 2.0, 0.5)))
     calls = [functools.partial(get, key) for get in accessors for key in sorted(KNOWN_KEYS)]
-    calls += [functools.partial(build, cfg) for build in builders]
+    calls += [functools.partial(set_up, c) for c in (cfg, Config({**GAUSSIAN, **raw}))]
     for call in calls:
         with contextlib.suppress(ConfigError):
             call()
