@@ -45,7 +45,7 @@ from .model import (
     Tabulated,
     make_params,
 )
-from .numerics import fit_log_growth, fit_power_law, is_number
+from .numerics import MIN_FIT_POINTS, fit_log_growth, fit_power_law, is_number
 from .scattering import extract_g_plus
 from .solver import GridSpec, Monitors, evolve, plan_run
 from .svgplot import line_plot
@@ -204,12 +204,19 @@ class Config:
 
 def build_family(cfg, params):
     kind = cfg.string("data.family")
-    if kind in ("gaussian", "pulse"):
-        shape = (cfg.number("data.amplitude"), cfg.number("data.center"),
-                 cfg.number("data.width"))
-        if kind == "gaussian":
-            return GaussianBump(*shape)
-        return DirectedPulse(*shape, cfg.string("data.direction", "inward"))
+    if kind == "gaussian":
+        return GaussianBump(
+            cfg.number("data.amplitude"),
+            cfg.number("data.center"),
+            cfg.number("data.width"),
+        )
+    if kind == "pulse":
+        return DirectedPulse(
+            cfg.number("data.amplitude"),
+            cfg.number("data.center"),
+            cfg.number("data.width"),
+            cfg.string("data.direction", "inward"),
+        )
     if kind == "power_law":
         return AppendixPowerLaw(cfg.number("data.c"), params)
     if kind == "file":
@@ -545,8 +552,7 @@ def _parse_axis(spec):
     return key, values
 
 
-def _sweep_worker(raw, key, value, out_dir):
-    cfg = Config({**raw, key: value})
+def _sweep_worker(cfg, value, out_dir):
     traj, elapsed, desc = run_problem(cfg)
     _write_outputs(out_dir, cfg, traj, elapsed, desc)
     led = traj.ledger
@@ -565,13 +571,13 @@ def _sweep_worker(raw, key, value, out_dir):
 def cmd_sweep(args):
     raw = load_config(args.config)
     key, values = _parse_axis(args.axis)
-    for value in values:  # every case is set up before any worker starts
-        set_up(Config({**raw, key: value}))
-    os.makedirs(args.out_dir, exist_ok=True)
     jobs = []
-    for value in values:
+    for value in values:  # every case is set up before any worker starts
+        cfg = Config({**raw, key: value})
+        set_up(cfg)
         sub = os.path.join(args.out_dir, f"{key}={value.replace('/', '_')}")
-        jobs.append((raw, key, value, sub))
+        jobs.append((cfg, value, sub))
+    os.makedirs(args.out_dir, exist_ok=True)
     workers = min(os.cpu_count() or 1, len(jobs))
     if workers == 1:
         results = [_sweep_worker(*job) for job in jobs]
@@ -729,11 +735,11 @@ def cmd_fit(args):
         if dropped := int((mask & ~(x > 0)).sum()):
             print(f"ignoring {dropped} row(s) with {args.x} <= 0")
         mask &= x > 0
-    if mask.sum() < 3:
+    if (kept := int(mask.sum())) < MIN_FIT_POINTS:
         lo, hi = (-math.inf if args.t_min is None else args.t_min,
                   math.inf if args.t_max is None else args.t_max)
-        raise ConfigError(f"{args.csv}: the window {args.x} in [{lo:g}, {hi:g}] leaves "
-                          f"{int(mask.sum())} row(s) to fit; a fit needs at least 3")
+        raise ConfigError(f"{args.csv}: the window {args.x} in [{lo:g}, {hi:g}] leaves {kept} "
+                          f"row(s) to fit; a fit needs at least {MIN_FIT_POINTS}")
     x, y = x[mask], y[mask]
     if args.log_growth:
         fit = fit_log_growth(x, y)

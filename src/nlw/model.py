@@ -536,8 +536,10 @@ def channel_densities(w, w_t, h, p):
     """The inward channel energy density |w_r + w_t|^2 + P of (w, w_t),
     P = (2/(p+1)) |w|^{p+1}/r^{p-1}, which k_functional weighs."""
     w = np.asarray(w, dtype=float)
-    a = derivative(w, h) + w_t
-    return a * a + potential_density(w, h * np.arange(w.size), p)
+    wr = derivative(w, h)
+    pot = potential_density(w, h * np.arange(w.size), p)
+    a = wr + w_t
+    return a * a + pot
 
 
 @dataclass

@@ -18,6 +18,7 @@ from .errors import DegenerateFitError, OffGridError
 
 _TINY = np.finfo(float).tiny
 _DOT_CHUNK = 10_000
+MIN_FIT_POINTS = 3  # the fewest samples fit_power_law and fit_log_growth take
 
 
 def trapz(y, h):
@@ -211,8 +212,8 @@ def fit_power_law(t, y):
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t.size < 3:
-        raise DegenerateFitError(f"power-law fit needs >= 3 points, got {t.size}")
+    if t.size < MIN_FIT_POINTS:
+        raise DegenerateFitError(f"power-law fit needs >= {MIN_FIT_POINTS} points, got {t.size}")
     if np.any(t <= 0.0) or np.any(y <= 0.0):
         raise DegenerateFitError("power-law fit needs positive samples")
     lt, ly = np.log(t), np.log(y)
@@ -238,8 +239,8 @@ def fit_log_growth(t, v):
     exterior masses."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
-    if t.size < 3:
-        raise DegenerateFitError(f"log-growth fit needs >= 3 points, got {t.size}")
+    if t.size < MIN_FIT_POINTS:
+        raise DegenerateFitError(f"log-growth fit needs >= {MIN_FIT_POINTS} points, got {t.size}")
     x = np.log1p(t)
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, v, rcond=None)

@@ -312,39 +312,48 @@ def test_summary_reports_every_monitored_line(tmp_path):
     assert lines["flux_inward"]["2.0"] > 0.0 and lines["flux_outward"]["1.0"] > 0.0
 
 
-@pytest.mark.parametrize("line,message", [pytest.param(*case, id=case[0]) for case in [
-    ("monitors.flux_s = 2,30", "the line of flux label s=30.0 never crosses the run"),
-    ("monitors.flux_tau = -16", "the line of flux label tau=-16.0 never crosses the run"),
-    ("monitors.char_tau = 10", "the line of trace label tau=10.0 never crosses the run"),
-    ("monitors.radii = 1.0,100", "radius 100 lies past r_max"),
-    ("monitors.triangles = 1:100", "inward triangle (1.0,100.0) leaves the run or the grid"),
-    ("monitors.triangles_out = 1:100", "outward triangle (1.0,100.0) leaves the run"),
-    ("monitors.snapshots = 0.3", "snapshot time=0.3 is not a multiple of the grid spacing"),
-    ("monitors.triangles = 1:-0.5", "inward triangle (1.0,-0.5) leaves the run"),
-    ("monitors.snapshots = 5", "snapshot time 5.0 lies outside [0, t_max=2.0]"),
-    ("monitors.snapshots = -1", "snapshot time -1.0 lies outside [0, t_max=2.0]"),
-    ("grid.t_max = -1", "a run needs t_max >= 0 and r_max >= 2h, got t_max=-1.0"),
-    ("grid.r_max = 1/64", "a run needs t_max >= 0 and r_max >= 2h"),
-    ("monitors.snapshots=1,5", "snapshot time 5.0 lies outside [0, t_max=2.0]"),  # sweep axis
-]])
-def test_line_that_never_crosses_the_run_exits_2_before_any_run(tmp_path, capsys,
-                                                                monkeypatch, line, message):
+# the lines' edge cases on LINES_CFG (t_max = 10, padded r_max = 15.34) without
+# its own lines, the other monitors on RUN_CFG
+BARE_LINES_CFG = LINES_CFG.replace("monitors.flux_s = 2\n", "").replace(
+    "monitors.flux_tau = 1\n", "").replace("monitors.char_tau = 1,9\n", "")
+
+
+@pytest.mark.parametrize("base,line,message", [
+    pytest.param(BARE_LINES_CFG, *case, id=case[0]) for case in [
+        ("monitors.flux_s = 2,30", "the line of flux label s=30.0 never crosses the run"),
+        ("monitors.flux_tau = -16", "the line of flux label tau=-16.0 never crosses the run"),
+        ("monitors.char_tau = 10", "the line of trace label tau=10.0 never crosses the run"),
+    ]] + [pytest.param(RUN_CFG, *case, id=case[0]) for case in [
+        ("monitors.radii = 1.0,100", "radius 100 lies past r_max"),
+        ("monitors.triangles = 1:100", "inward triangle (1.0,100.0) leaves the run or the grid"),
+        ("monitors.triangles_out = 1:100", "outward triangle (1.0,100.0) leaves the run"),
+        ("monitors.snapshots = 0.3", "snapshot time=0.3 is not a multiple of the grid spacing"),
+        ("monitors.triangles = 1:-0.5", "inward triangle (1.0,-0.5) leaves the run"),
+        ("monitors.snapshots = 5", "snapshot time 5.0 lies outside [0, t_max=2.0]"),
+        ("monitors.snapshots = -1", "snapshot time -1.0 lies outside [0, t_max=2.0]"),
+        ("grid.t_max = -1", "a run needs t_max >= 0 and r_max >= 2h, got t_max=-1.0"),
+        ("grid.r_max = 1/64", "a run needs t_max >= 0 and r_max >= 2h"),
+        ("monitors.snapshots=1,5", "snapshot time 5.0 lies outside [0, t_max=2.0]"),  # sweep axis
+    ]])
+def test_line_that_never_crosses_the_run_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                base, line, message):
     """A monitor off the run is a config error, found before stepping: a
     flux or trace line that no level reaches (s = 30 past r_max + t_max,
-    an outward line tau = -16 that left before t = 0, a trace starting
-    past t_max), a radius past r_max, a triangle that leaves the run or
-    has no height, a snapshot time off the grid or outside [0, t_max], and
-    a run to a negative t_max or on fewer than 3 nodes.  A sweep sets up
-    every case before its first worker; a line without " = " is its axis."""
+    an outward line tau = -16 that left before t = 0, a trace starting at
+    t_max, which reaches node 0 only at the last level), a radius past
+    r_max, a triangle that leaves the run or has no height, a snapshot
+    time off the grid or outside [0, t_max], and a run to a negative t_max
+    or on fewer than 3 nodes.  A sweep sets up every case before its
+    first worker; a line without " = " is its axis."""
     def no_run(*args, **kwargs):
         raise AssertionError("evolve ran before the monitors were checked")
 
     monkeypatch.setattr("nlw.cli.evolve", no_run)
     out = tmp_path / "out"
-    if " = " in line:  # a later line overrides RUN_CFG's own
-        argv = ["run", _write(tmp_path, RUN_CFG + line + "\n")]
+    if " = " in line:  # a later line overrides the base's own
+        argv = ["run", _write(tmp_path, base + line + "\n")]
     else:
-        argv = ["sweep", _write(tmp_path, RUN_CFG), line]
+        argv = ["sweep", _write(tmp_path, base), line]
     assert main(argv + ["--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err and "Traceback" not in err
