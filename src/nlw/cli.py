@@ -37,7 +37,7 @@ import numpy as np
 
 from .appendix import run_appendix_example
 from .diagnostics import flux_inward, flux_outward, pointwise_bounds, triangle_residual
-from .errors import ConfigError, InitialDataError, NlwError, OffGridError, ShortSpanError
+from .errors import ConfigError, InitialDataError, NlwError, ShortSpanError
 from .model import (
     AppendixPowerLaw,
     DirectedPulse,
@@ -342,17 +342,12 @@ def _jsonable(obj):
 
 
 def _g_plus(traj, tau):
-    trace = extract_g_plus(traj, tau)
-    return {"g_plus": trace.g_plus, "rate": trace.rate_estimate}
-
-
-def _line_reading(read, traj, label):
-    """A monitored line's reading, or None where its default window or its
-    dyadic samples do not fit the run."""
+    """A trace's g_+ and rate, or None where too few dyadic samples fit."""
     try:
-        return read(traj, label)
-    except (OffGridError, ShortSpanError):
+        trace = extract_g_plus(traj, tau)
+    except ShortSpanError:
         return None
+    return {"g_plus": trace.g_plus, "rate": trace.rate_estimate}
 
 
 def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
@@ -392,7 +387,7 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
             for rep in reps
         ]
     lines = {
-        name: {label: _line_reading(read, traj, label) for label in series}
+        name: {label: read(traj, label) for label in series}
         for name, series, read in (("flux_inward", traj.flux_in, flux_inward),
                                    ("flux_outward", traj.flux_out, flux_outward),
                                    ("g_plus", traj.char_traces, _g_plus))
@@ -539,8 +534,8 @@ def _parse_axis(spec):
     elif rhs.count(":") == 2:
         lo_s, hi_s, step_s = rhs.split(":")
         lo, hi, step = (parse_scalar(x) for x in (lo_s, hi_s, step_s))
-        if not all(is_number(v) for v in (lo, hi, step)):
-            raise ConfigError(f"sweep range {rhs!r} is not numeric")
+        if not all(is_number(v) and math.isfinite(v) for v in (lo, hi, step)):
+            raise ConfigError(f"sweep range {rhs!r} is not three finite numbers")
         if step <= 0 or hi < lo:
             raise ConfigError(f"sweep range {rhs!r} must be lo:hi:step, step > 0")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -697,16 +692,19 @@ def cmd_appendix(args):
 
 
 def _csv_column(path, rows, col):
-    """The numbers in one column of csv rows; ConfigError names a bad cell."""
+    """The numbers in one column of csv rows; ConfigError names a cell that
+    is not a finite number."""
     out = np.empty(len(rows))
     for i, row in enumerate(rows):
         try:
             out[i] = float(row[col])
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError):
+            out[i] = math.nan
+        if not math.isfinite(out[i]):
             raise ConfigError(
                 f"{path}: column {col!r}, data row {i + 1}: "
-                f"{row[col]!r} is not a number"
-            ) from err
+                f"{row[col]!r} is not a finite number"
+            )
     return out
 
 

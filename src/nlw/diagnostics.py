@@ -47,6 +47,22 @@ TOTALS = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")
 
 
 @dataclass
+class TailIntegral:
+    """int_{t0}^inf of a per-level series: value over [t0, t_max], the
+    remainder tail past t_max and the decay exponent it was fitted with
+    (EnergyLedger.decade_tail)."""
+
+    t0: float
+    value: float
+    tail: float
+    exponent: float
+
+    @property
+    def total(self):
+        return self.value + self.tail
+
+
+@dataclass
 class EnergyLedger:
     """Per-level scalar series recorded by evolve().
 
@@ -129,12 +145,12 @@ class EnergyLedger:
 
     def tail_integral(self, series, t0, what, strict=True):
         """int_{t0}^inf of a per-level series: the trapezoid over [t0,
-        t_max] plus decade_tail's remainder; returns (value, tail, s)."""
+        t_max] plus decade_tail's remainder, as a TailIntegral."""
         l0 = self.level(t0)
         if l0 >= series.size - 1:
             raise OffGridError(f"t0={t0} leaves no integration window")
-        return (float(trapz(series[l0:], self.h)),
-                *self.decade_tail(series, what, strict=strict))
+        return TailIntegral(t0, float(trapz(series[l0:], self.h)),
+                            *self.decade_tail(series, what, strict=strict))
 
     # -- bookkeeping checks -------------------------------------------------
 
@@ -179,48 +195,35 @@ class EnergyLedger:
         return float(np.dot(weight(s_mid[mask]), self.s_bulk[mask]))
 
 
-def _flux_window(traj, series, l1, l2, what):
-    seg = series[l1 : l2 + 1]
-    if np.isnan(seg).any():
-        raise OffGridError(
-            f"{what}: requested window [{l1}, {l2}] leaves the recorded range"
-        )
-    h = traj.grid.h
-    p = traj.params.p
-    return (4.0 * math.pi / (p + 1.0)) * trapz(seg, h)
+def recorded_line(lines, label, what):
+    """(first level, samples) of a monitored flux or trace line, one of
+    traj.flux_in, flux_out or char_traces, over the levels the run
+    recorded it on: plan_run puts them in one span, and
+    _Recorders.line_samples leaves NaN outside it.  OffGridError names
+    `what` if the label was not monitored."""
+    if label not in lines:
+        raise OffGridError(f"{what}={label} was not monitored during the run")
+    levels = np.flatnonzero(~np.isnan(lines[label]))
+    return int(levels[0]), lines[label][levels]
 
 
-def flux_inward(traj, s, t1=None, t2=None):
-    """Q_-^-(s; t1, t2) along the inward characteristic r + t = s.
-
-    Defaults cover the whole recorded segment: t1 = max(0, s - r_max),
-    t2 = min(s, t_max).  The label s must have been registered in
-    Monitors.flux_s before the run.
-    """
-    if s not in traj.flux_in:
-        raise OffGridError(f"flux label s={s} was not monitored during the run")
-    if t1 is None:
-        t1 = max(0.0, s - traj.grid.r_max)
-    if t2 is None:
-        t2 = min(s, traj.grid.t_max)
-    if not (t1 < t2 <= s + 1e-12):
-        raise OffGridError(f"inward flux window needs t1 < t2 <= s, got ({t1},{t2})")
-    led = traj.ledger
-    return _flux_window(traj, traj.flux_in[s], led.level(t1), led.level(t2), "flux_inward")
+def _line_flux(traj, lines, label, what):
+    samples = recorded_line(lines, label, what)[1]
+    return (4.0 * math.pi / (traj.params.p + 1.0)) * trapz(samples, traj.grid.h)
 
 
-def flux_outward(traj, tau, t1=None, t2=None):
-    """Q_+^+(tau; t1, t2) along the outward characteristic r = t - tau."""
-    if tau not in traj.flux_out:
-        raise OffGridError(f"flux label tau={tau} was not monitored during the run")
-    if t1 is None:
-        t1 = tau
-    if t2 is None:
-        t2 = min(traj.grid.t_max, tau + traj.grid.r_max)
-    if not (tau - 1e-12 <= t1 < t2):
-        raise OffGridError(f"outward flux window needs tau <= t1 < t2, got ({t1},{t2})")
-    led = traj.ledger
-    return _flux_window(traj, traj.flux_out[tau], led.level(t1), led.level(t2), "flux_outward")
+def flux_inward(traj, s):
+    """Q_-^-(s) along the inward characteristic r + t = s, over the window
+    the run recorded it on, t in [max(0, s - r_max), min(s, t_max)].  The
+    label s must have been registered in Monitors.flux_s before the run."""
+    return _line_flux(traj, traj.flux_in, s, "flux label s")
+
+
+def flux_outward(traj, tau):
+    """Q_+^+(tau) along the outward characteristic r = t - tau, over the
+    window the run recorded it on, t in [max(0, tau), min(t_max, tau +
+    r_max)]; the label is one of Monitors.flux_tau."""
+    return _line_flux(traj, traj.flux_out, tau, "flux label tau")
 
 
 def _relative(residual, energy):
@@ -275,27 +278,14 @@ def triangle_residual(traj, t0, r0, kind="inward"):
     )
 
 
-@dataclass
-class InfiniteTriangleReport:
-    t: float
-    energy: float  # E_-(t)
-    xi_term: float
-    bulk_term: float
-
-    @property
-    def residual(self):
-        return self.energy - (self.xi_term + self.bulk_term)
-
-    @property
-    def residual_frac(self):
-        return _relative(self.residual, self.energy)
-
-
 def infinite_triangle_residual(traj, t):
-    """Closure of the infinite triangle law at time t:
+    """Closure of the infinite triangle law at time t, the inward law at
+    r0 = inf, where the flux term vanishes:
 
         E_-(t) = pi*int_t^inf xi^2 dt'
-                 + (2pi(p-1)/(p+1)) * int_t^inf int |w|^{p+1}/r^p dr dt'.
+                 + (2pi(p-1)/(p+1)) * int_t^inf int |w|^{p+1}/r^p dr dt',
+
+    as a TriangleReport("inward", t, inf, ...) with flux_term 0.
 
     The truncation at t_max must be immaterial: if the last decade
     [t_max/10, t_max] carries more than 10% of either truncated integral,
@@ -321,10 +311,13 @@ def infinite_triangle_residual(traj, t):
             f"bulk integral; extend t_max"
         )
     coef = 2.0 * math.pi * (p - 1.0) / (p + 1.0)
-    return InfiniteTriangleReport(
-        t=t,
+    return TriangleReport(
+        kind="inward",
+        t0=t,
+        r0=math.inf,
         energy=float(led.e_minus[led.level(t)]),
         xi_term=xi_all,
+        flux_term=0.0,
         bulk_term=coef * bulk_all,
     )
 
@@ -375,44 +368,24 @@ def weighted_morawetz(traj, kappa=None):
 
 
 def _radius_series(traj, radius, channel):
-    led = traj.ledger
-    for label, (tot, mn, pl) in led.radii.items():
-        if label == "t/4":
-            if radius == "t/4":
-                break
-        elif radius != "t/4" and abs(float(label) - float(radius)) <= 1e-9:
-            break
-    else:
+    if radius not in traj.ledger.radii:
         raise OffGridError(f"radius {radius} was not monitored during the run")
+    tot, mn, pl = traj.ledger.radii[radius]
     return {"total": tot, "inward": mn, "outward": pl}[channel]
-
-
-@dataclass
-class CylinderReport:
-    t0: float
-    radius: float
-    channel: str
-    value: float  # truncated integral over [t0, t_max]
-    tail: float  # extrapolated remainder past t_max
-    tail_exponent: float
-
-    @property
-    def total(self):
-        return self.value + self.tail
 
 
 def cylinder_integral(traj, t0, radius, channel="outward"):
     """int_{t0}^{inf} E_ch(t; 0, radius) dt with a power-law tail estimate.
 
-    EnergyLedger.tail_integral of the recorded series: the part over [t0,
-    t_max] plus decade_tail's remainder.  If the fitted decay is
-    not integrable (exponent > -1.05) the truncation dominates and
+    EnergyLedger.tail_integral of the recorded series, a TailIntegral: the
+    part over [t0, t_max] plus decade_tail's remainder.  If the fitted
+    decay is not integrable (exponent > -1.05) the truncation dominates and
     TailNotConvergedError is raised.  A series that has already decayed
-    to rounding noise gets tail = 0.
+    to rounding noise gets tail = 0.  The radius is the Monitors label the
+    run recorded (1 and 1.0 are the same).
     """
     series = _radius_series(traj, radius, channel)
-    value, tail, slope = traj.ledger.tail_integral(series, t0, f"E_{channel}(t;0,{radius})")
-    return CylinderReport(t0, radius, channel, value, tail, slope)
+    return traj.ledger.tail_integral(series, t0, f"E_{channel}(t;0,{radius})")
 
 
 @dataclass

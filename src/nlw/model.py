@@ -294,8 +294,9 @@ class FarField:
 class RadialPair:
     """Sampled initial data (w0, w1) on a uniform radial grid.
 
-    w0[0] and w1[0] must vanish exactly: the reduction pins w(0,t) = 0 for
-    all times, so both the value and the velocity vanish at the origin.
+    Both must be finite, and w0[0] and w1[0] must vanish exactly: the
+    reduction pins w(0,t) = 0 for all times, so both the value and the
+    velocity vanish at the origin (InitialDataError otherwise).
     far_field is the data's exact exterior (FarField), if they have one.
     """
 
@@ -309,6 +310,9 @@ class RadialPair:
         self.w1 = np.asarray(self.w1, dtype=float)
         if self.w0.shape != self.w1.shape:
             raise InitialDataError("w0 and w1 must have the same shape")
+        # a nan or inf entry makes the max of |w| nan or inf
+        if not all(math.isfinite(np.abs(w).max(initial=0.0)) for w in (self.w0, self.w1)):
+            raise InitialDataError("initial data must be finite")
         if self.w0[0] != 0.0 or self.w1[0] != 0.0:
             raise InitialDataError("initial data must vanish exactly at r = 0")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .diagnostics import recorded_line
 from .errors import OffGridError, ShortSpanError
 from .model import RadialPair
 from .numerics import derivative, fit_log_growth, fit_power_law, grid_index, trapz
@@ -56,50 +57,41 @@ def extract_g_plus(traj, tau):
     """Estimate g_+(tau) from a monitored outgoing trace.
 
     Samples the recorded (w_r - w_t) series at distances 4h * 2^j from
-    the vertex, Richardson-extrapolates the last two samples with
-    the known settling exponent q = (p-2)/(p+1):
+    the vertex, at the levels the run recorded the line on
+    (diagnostics.recorded_line), Richardson-extrapolates the last two
+    samples with the known settling exponent q = (p-2)/(p+1):
 
         g = (y_J - 2^{-q} y_{J-1}) / (1 - 2^{-q}),
 
     and reports the observed rate from a log-log fit of |y_j - g|.
-    Raises ShortSpanError when fewer than 8 dyadic samples fit between
-    the vertex and the end of the recorded line.
+    Raises ShortSpanError when fewer than 8 dyadic samples fit on the
+    recorded line.
     """
-    if tau not in traj.char_traces:
-        raise OffGridError(f"trace label tau={tau} was not monitored during the run")
-    series = traj.char_traces[tau]
+    first, series = recorded_line(traj.char_traces, tau, "trace label tau")
     h = traj.grid.h
-    tau_idx = grid_index(tau, h, "tau")
-
-    levels, dists = [], []
-    d_idx = 4
-    while True:
-        m = tau_idx + d_idx
-        if m >= series.size or d_idx > traj.grid.n - 1:
-            break
-        if m >= 0 and not math.isnan(series[m]):  # no level before t = 0
-            levels.append(m)
-            dists.append(d_idx * h)
-        d_idx *= 2
-    if len(levels) < MIN_DYADIC_SAMPLES:
+    k = grid_index(tau, h, "tau") - first  # the vertex, in samples
+    # every distance 4 * 2^j short of the last sample, then those on the line
+    d_idx = 4 * 2 ** np.arange((series.size - k).bit_length())
+    d_idx = d_idx[(k + d_idx >= 0) & (k + d_idx < series.size)]
+    if d_idx.size < MIN_DYADIC_SAMPLES:
         raise ShortSpanError(
-            f"only {len(levels)} dyadic samples fit along tau={tau}; "
+            f"only {d_idx.size} dyadic samples fit along tau={tau}; "
             f"need {MIN_DYADIC_SAMPLES} (extend t_max)"
         )
-    y = series[levels]
+    y, dists = series[k + d_idx], h * d_idx
     q = char_settle_rate(traj.params.p)
     damp = 2.0 ** (-q)
     g = (y[-1] - damp * y[-2]) / (1.0 - damp)
     resid = np.abs(y - g)
     good = resid > 0.0
     if good.sum() >= 3:
-        rate = fit_power_law(np.asarray(dists)[good], resid[good]).exponent
+        rate = fit_power_law(dists[good], resid[good]).exponent
     else:
         rate = float("nan")
     return CharTrace(
         tau=tau,
-        distances=np.asarray(dists),
-        values=np.asarray(y),
+        distances=dists,
+        values=y,
         g_plus=float(g),
         rate_estimate=rate,
     )
@@ -155,30 +147,18 @@ def free_wave_defect(traj, t1, t2):
     )
 
 
-@dataclass
-class TailNormReport:
-    t0: float
-    value: float  # truncated integral over [t0, t_max]
-    tail: float  # extrapolated remainder
-    fit_exponent: float  # decay rate of the integrand over the last decade
-
-    @property
-    def total(self):
-        return self.value + self.tail
-
-
 def lp_l2p_tail(traj, t0, require_tail=True):
     """N(t0) = int_{t0}^{t_max} (int |u|^{2p} dx)^{1/2} dt plus a power-law
-    tail extrapolation past t_max (EnergyLedger.tail_integral, as for
-    cylinder integrals: the last-decade fit must give an integrable decay).
+    tail extrapolation past t_max, as a diagnostics.TailIntegral
+    (EnergyLedger.tail_integral, as for cylinder integrals: the last-decade
+    fit must give an integrable decay).
 
     With require_tail=False a non-integrable last-decade fit returns the
     truncated integral with tail 0 instead of raising, so short exploratory
     runs can still report the (steep-biased) truncated values.
     """
     led = traj.ledger
-    value, tail, slope = led.tail_integral(led.y2p, t0, "the L^{2p} norm", strict=require_tail)
-    return TailNormReport(t0, value, tail, slope)
+    return led.tail_integral(led.y2p, t0, "the L^{2p} norm", strict=require_tail)
 
 
 def exterior_cumulative(traj, t_samples):

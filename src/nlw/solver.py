@@ -664,8 +664,7 @@ def duhamel_solve(pair, params, grid, t_target):
                 p1[off + j + 1 : off + j + ny + 2] - p1[lo] - 0.5 * (w1e[lo] + w1e[hi])
             )
 
-    r_pow = np.zeros(ny + 1)
-    r_pow[1:] = 1.0 / abs_power(h * np.arange(1, ny + 1), p - 1.0)
+    r_pow = _inverse_power(h * np.arange(ny + 1), p - 1.0)
 
     u = lin.copy()
     row = np.empty(ny + 1)

@@ -289,15 +289,16 @@ def test_verify_reports_failure(tmp_path, capsys):
 
 LINES_CFG = RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 10") + """\
 monitors.flux_s = 2
-monitors.flux_tau = 1
+monitors.flux_tau = 1,-1
 monitors.char_tau = 1,9
 """
 
 
 def test_summary_reports_every_monitored_line(tmp_path):
-    """summary.json's lines block gives each monitored flux over its default
-    window and each trace's g_+ with its rate, keyed by label; a trace with
-    too few dyadic samples (tau = 9) reads null."""
+    """summary.json's lines block gives each monitored flux over the window
+    the run recorded it on and each trace's g_+ with its rate, keyed by
+    label; a trace with too few dyadic samples (tau = 9) reads null.  The
+    outward line r = t + 1 (tau = -1) starts at t = 0, not at t = tau."""
     path = _write(tmp_path, LINES_CFG)
     out = tmp_path / "out"
     assert main(["run", path, "--out-dir", str(out)]) == 0
@@ -306,16 +307,18 @@ def test_summary_reports_every_monitored_line(tmp_path):
     trace = extract_g_plus(traj, 1.0)
     assert lines == {
         "flux_inward": {"2.0": flux_inward(traj, 2.0)},
-        "flux_outward": {"1.0": flux_outward(traj, 1.0)},
+        "flux_outward": {"1.0": flux_outward(traj, 1.0), "-1.0": flux_outward(traj, -1.0)},
         "g_plus": {"1.0": {"g_plus": trace.g_plus, "rate": trace.rate_estimate}, "9.0": None},
     }
-    assert lines["flux_inward"]["2.0"] > 0.0 and lines["flux_outward"]["1.0"] > 0.0
+    e0 = traj.ledger.e_total[0]
+    for q in (lines["flux_inward"]["2.0"], *lines["flux_outward"].values()):
+        assert 0.0 < q < e0
 
 
 # the lines' edge cases on LINES_CFG (t_max = 10, padded r_max = 15.34) without
 # its own lines, the other monitors on RUN_CFG
 BARE_LINES_CFG = LINES_CFG.replace("monitors.flux_s = 2\n", "").replace(
-    "monitors.flux_tau = 1\n", "").replace("monitors.char_tau = 1,9\n", "")
+    "monitors.flux_tau = 1,-1\n", "").replace("monitors.char_tau = 1,9\n", "")
 
 
 @pytest.mark.parametrize("base,line,message", [
@@ -471,15 +474,26 @@ def test_checks_fail_on_nan(tmp_path):
         assert math.isnan(value) and not ok, name
 
 
-def test_tabulated_spacing_mismatch_exits_2(tmp_path, capsys):
+def test_tabulated_spacing_mismatch_exits_2(tmp_path, capsys, monkeypatch):
+    """A table of another spacing, or one with a nan or inf value, is
+    refused before any step (a nan used to exit 3 once |w| reached nan)."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran on data that were refused")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
     data = tmp_path / "state.npz"
-    np.savez(data, w0=np.zeros(33), w1=np.zeros(33), h=1.0 / 16.0)
-    cfg = _write(tmp_path, f"params.p = 3\ngrid.h = 1/32\ngrid.t_max = 1\n"
-                           f"data.family = file\ndata.path = {data}\n")
-    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "spacing" in err
-    assert "Traceback" not in err
+    nan, inf = np.zeros(33), np.zeros(33)
+    nan[5], inf[5] = math.nan, math.inf
+    for w0, w1, h, message in [(np.zeros(33), np.zeros(33), 1.0 / 16.0, "spacing"),
+                               (nan, np.zeros(33), 1.0 / 32.0, "must be finite"),
+                               (np.zeros(33), inf, 1.0 / 32.0, "must be finite")]:
+        np.savez(data, w0=w0, w1=w1, h=h)
+        cfg = _write(tmp_path, f"params.p = 3\ngrid.h = 1/32\ngrid.t_max = 1\n"
+                               f"data.family = file\ndata.path = {data}\n")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert "Traceback" not in err
 
 
 def test_runtime_lab_error_exits_3(tmp_path, capsys):
@@ -545,6 +559,12 @@ def test_sweep_axis_validation(tmp_path, capsys):
         ["sweep", cfg, "grid.h=1:0:1", "--out-dir", str(tmp_path / "s")]
     ) == 2
     capsys.readouterr()
+    for rhs in ("0:inf:1", "0:1:nan", "nan:1:0.5"):  # no overflow or ValueError traceback
+        assert main(["sweep", cfg, f"data.amplitude={rhs}", "--out-dir", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep range '{rhs}' is not three finite numbers" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "s").exists()
 
 
 # --------------------------------------------------------------------------
@@ -707,12 +727,23 @@ def test_fit_window_and_errors(tmp_path, capsys):
 
 
 def test_fit_non_numeric_cell_exits_2(tmp_path, capsys):
+    """A cell that is not a finite number is refused by name: a nan y cell
+    used to fit as "nan * t^+nan", a nan t cell was dropped as t <= 0, and
+    with --log-growth it leaked numpy's LinAlgError."""
     path = tmp_path / "series.csv"
-    path.write_text("t,val\n1,2\n2,oops\n4,0.5\n")
-    assert main(["fit", str(path), "--y", "val"]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "'val'" in err and "row 2" in err and "oops" in err
-    assert "Traceback" not in err
+    for text, col, cell, flags in [
+        ("t,val\n1,2\n2,oops\n4,0.5\n", "val", "oops", []),
+        ("t,val\n1,2\n2,nan\n4,0.5\n8,0.25\n", "val", "nan", []),
+        ("t,val\n1,2\n2,nan\n4,0.5\n8,0.25\n", "val", "nan", ["--log-growth"]),
+        ("t,val\n1,2\nnan,1\n4,0.5\n8,0.25\n", "t", "nan", []),
+        ("t,val\n1,2\nnan,1\n4,0.5\n8,0.25\n", "t", "nan", ["--log-growth"]),
+        ("t,val\n1,2\n2,-inf\n4,0.5\n8,0.25\n", "val", "-inf", []),
+    ]:
+        path.write_text(text)
+        assert main(["fit", str(path), "--y", "val", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"column '{col}', data row 2: '{cell}'" in err
+        assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def report_record(triangle_runs, appendix_quick, appendix_binned):
         "appendix exterior fit": [ext["slope"], ext["offset"], ext["r_squared"]],
         "appendix free_wave_defect": rates["free_wave_defect"]["values"],
         "appendix triangle integrals": [row["integral"] for row in rep["triangle_bound"]],
-        "appendix cylinder": [cyl.value, cyl.tail, cyl.tail_exponent],
+        "appendix cylinder": [cyl.value, cyl.tail, cyl.exponent],
         "appendix morawetz k1": weighted_morawetz(appendix_binned).k1,
     }
     for h, run in triangle_runs.items():

@@ -174,6 +174,9 @@ def test_initial_data_errors_are_lab_errors():
     # InitialDataError is an NlwError (the CLI exits 2) and a ValueError
     with pytest.raises(InitialDataError, match="r = 0"):
         RadialPair(w0=np.array([0.5, 0.0, 0.0]), w1=np.zeros(3), h=0.5)
+    for w0, w1 in [([0.0, np.nan, 0.0], np.zeros(3)), (np.zeros(3), [0.0, 0.0, -np.inf])]:
+        with pytest.raises(InitialDataError, match="must be finite"):
+            RadialPair(w0=np.array(w0), w1=np.array(w1), h=0.5)
     table = Tabulated(np.zeros(9), np.zeros(9), 1.0 / 16.0)
     with pytest.raises(InitialDataError, match="spacing"):
         table.sample(GridSpec(h=1.0 / 32.0, r_max=1.0, t_max=1.0))

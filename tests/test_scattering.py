@@ -109,7 +109,7 @@ def test_lp_l2p_tail_integrable_series():
     traj = _synthetic_traj(y2p=_flat_then_power(a, q))
     rep = lp_l2p_tail(traj, 8.0)
     exact = a * 8.0 ** (q + 1.0) / (-q - 1.0)  # int_8^inf of a t^q
-    assert rep.fit_exponent == pytest.approx(q, abs=1e-8)
+    assert rep.exponent == pytest.approx(q, abs=1e-8)
     assert rep.tail == pytest.approx(a * 64.0 ** (q + 1.0) / (-q - 1.0), rel=1e-6)
     assert rep.total == pytest.approx(exact, rel=1e-4)
     assert rep.value < exact  # the truncated part alone must undershoot
@@ -122,7 +122,7 @@ def test_lp_l2p_tail_non_integrable_series():
         lp_l2p_tail(traj, 8.0)
     rep = lp_l2p_tail(traj, 8.0, require_tail=False)
     assert rep.tail == 0.0
-    assert rep.fit_exponent == pytest.approx(-0.9, abs=1e-8)
+    assert rep.exponent == pytest.approx(-0.9, abs=1e-8)
     assert rep.value > 0.0
     assert rep.total == rep.value
 
@@ -131,7 +131,7 @@ def test_lp_l2p_tail_rounding_floor():
     traj = _synthetic_traj(y2p=lambda t: np.where(t < 8.0, 1.0, 0.0))
     rep = lp_l2p_tail(traj, 4.0)
     assert rep.tail == 0.0
-    assert rep.fit_exponent == -math.inf
+    assert rep.exponent == -math.inf
     assert rep.value > 0.0
 
 
