@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import TAIL_EXPONENT_CUT
 from .errors import (
     ConfigError,
     DivergentIntegralError,
@@ -234,8 +235,8 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
 
     # the start times t0 <= t_max / 2; the decade fit does not depend on t0
     fit_times = times[:-1]
-    tail_reports = [lp_l2p_tail(traj, t0, require_tail=False) for t0 in fit_times]
-    tails_converged = all(rep.exponent <= -1.05 for rep in tail_reports)
+    tail_reports = [lp_l2p_tail(traj, t0) for t0 in fit_times]
+    tails_converged = all(rep.exponent <= TAIL_EXPONENT_CUT for rep in tail_reports)
     if len(fit_times) >= 3:
         lp_fit = fit_power_law(fit_times, [rep.total for rep in tail_reports])
         lp_exponent, lp_r2 = lp_fit.exponent, lp_fit.r_squared

@@ -37,13 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, OffGridError, TailNotConvergedError
+from .errors import DegenerateFitError, OffGridError
 from .model import k_functional, make_params, potential_density
 # abs_power is not called here; the benchmark's tracer test reads it from this module
 from .numerics import abs_power, cumtrapz, fit_power_law, grid_index, trapz
 
 
 TOTALS = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")
+TAIL_EXPONENT_CUT = -1.05  # a fitted decay t^s with s above this is taken as not integrable
 
 
 @dataclass
@@ -114,7 +115,7 @@ class EnergyLedger:
         """First level of the last decade [t_max/10, t_max], grid-aligned."""
         return self.level(self.h * int(round(self.t_max / 10.0 / self.h)))
 
-    def decade_tail(self, series, what, strict=True):
+    def decade_tail(self, series):
         """Tail int_{t_max}^inf a t^s dt of a per-level series, from a
         least-squares fit of log series against log t over the last
         decade; returns (tail, s).
@@ -122,8 +123,7 @@ class EnergyLedger:
         A series already decayed to rounding noise (last sample at most
         1e-12 of its peak) gives (0, -inf).  A fit that cannot be trusted,
         because the decade holds a non-positive sample (s = nan) or the
-        decay is not integrable (s > -1.05), raises TailNotConvergedError
-        naming `what`, or gives (0, s) when strict is False.
+        decay is not integrable (s > TAIL_EXPONENT_CUT), gives (0, s).
         """
         if float(series[-1]) <= 1e-12 * max(float(series.max()), 1e-300):
             return 0.0, -math.inf
@@ -131,26 +131,19 @@ class EnergyLedger:
         try:
             fit = fit_power_law(self.t[l_dec:], series[l_dec:])
         except DegenerateFitError:
-            slope, problem = math.nan, "has non-positive samples"
-        else:
-            slope = fit.exponent
-            if slope <= -1.05:
-                return fit.amplitude * self.t_max ** (slope + 1.0) / (-slope - 1.0), slope
-            problem = f"decays like t^{slope:.3f}, which is not integrable"
-        if strict:
-            raise TailNotConvergedError(
-                f"{what} {problem} over the last decade; extend t_max"
-            )
+            return 0.0, math.nan
+        slope = fit.exponent
+        if slope <= TAIL_EXPONENT_CUT:
+            return fit.amplitude * self.t_max ** (slope + 1.0) / (-slope - 1.0), slope
         return 0.0, slope
 
-    def tail_integral(self, series, t0, what, strict=True):
+    def tail_integral(self, series, t0):
         """int_{t0}^inf of a per-level series: the trapezoid over [t0,
         t_max] plus decade_tail's remainder, as a TailIntegral."""
         l0 = self.level(t0)
         if l0 >= series.size - 1:
             raise OffGridError(f"t0={t0} leaves no integration window")
-        return TailIntegral(t0, float(trapz(series[l0:], self.h)),
-                            *self.decade_tail(series, what, strict=strict))
+        return TailIntegral(t0, float(trapz(series[l0:], self.h)), *self.decade_tail(series))
 
     # -- bookkeeping checks -------------------------------------------------
 
@@ -181,11 +174,6 @@ class EnergyLedger:
         if weight is not None:
             sq = sq * weight(self.t[l1 : l2 + 1])
         return math.pi * trapz(sq, self.h)
-
-    def bulk_time_integral(self, t1, t2):
-        """iint over [t1,t2] x (0,inf) of |w|^{p+1}/r^p (no prefactor)."""
-        l1, l2 = self.level(t1), self.level(t2)
-        return trapz(self.bulk[l1 : l2 + 1], self.h)
 
     def bulk_weighted(self, weight):
         """iint over {r+t >= 1} of weight(r+t) |w|^{p+1}/r^p, from the
@@ -278,50 +266,6 @@ def triangle_residual(traj, t0, r0, kind="inward"):
     )
 
 
-def infinite_triangle_residual(traj, t):
-    """Closure of the infinite triangle law at time t, the inward law at
-    r0 = inf, where the flux term vanishes:
-
-        E_-(t) = pi*int_t^inf xi^2 dt'
-                 + (2pi(p-1)/(p+1)) * int_t^inf int |w|^{p+1}/r^p dr dt',
-
-    as a TriangleReport("inward", t, inf, ...) with flux_term 0.
-
-    The truncation at t_max must be immaterial: if the last decade
-    [t_max/10, t_max] carries more than 10% of either truncated integral,
-    the run is too short to verify the identity and TailNotConvergedError
-    is raised.
-    """
-    led = traj.ledger
-    p = traj.params.p
-    t_max = led.t_max
-    if t >= t_max / 10.0:
-        raise TailNotConvergedError(
-            f"infinite triangle at t={t} needs t < t_max/10 = {t_max / 10.0}"
-        )
-    xi_all = led.xi_energy(t, t_max)
-    bulk_all = led.bulk_time_integral(t, t_max)
-    t_dec = led.t[led.decade_level()]
-    xi_tail = led.xi_energy(t_dec, t_max)
-    bulk_tail = led.bulk_time_integral(t_dec, t_max)
-    if xi_tail > 0.1 * xi_all or bulk_tail > 0.1 * bulk_all:
-        raise TailNotConvergedError(
-            f"last decade carries {xi_tail / max(xi_all, 1e-300):.1%} of the "
-            f"xi integral and {bulk_tail / max(bulk_all, 1e-300):.1%} of the "
-            f"bulk integral; extend t_max"
-        )
-    coef = 2.0 * math.pi * (p - 1.0) / (p + 1.0)
-    return TriangleReport(
-        kind="inward",
-        t0=t,
-        r0=math.inf,
-        energy=float(led.e_minus[led.level(t)]),
-        xi_term=xi_all,
-        flux_term=0.0,
-        bulk_term=coef * bulk_all,
-    )
-
-
 @dataclass
 class MorawetzReport:
     gamma: float
@@ -365,57 +309,6 @@ def weighted_morawetz(traj, kappa=None):
 
     k1 = k_functional(traj.pair, params).k1
     return MorawetzReport(gamma=kappa, xi_term=xi_term, bulk_term=bulk_term, k1=k1)
-
-
-def _radius_series(traj, radius, channel):
-    if radius not in traj.ledger.radii:
-        raise OffGridError(f"radius {radius} was not monitored during the run")
-    tot, mn, pl = traj.ledger.radii[radius]
-    return {"total": tot, "inward": mn, "outward": pl}[channel]
-
-
-def cylinder_integral(traj, t0, radius, channel="outward"):
-    """int_{t0}^{inf} E_ch(t; 0, radius) dt with a power-law tail estimate.
-
-    EnergyLedger.tail_integral of the recorded series, a TailIntegral: the
-    part over [t0, t_max] plus decade_tail's remainder.  If the fitted
-    decay is not integrable (exponent > -1.05) the truncation dominates and
-    TailNotConvergedError is raised.  A series that has already decayed
-    to rounding noise gets tail = 0.  The radius is the Monitors label the
-    run recorded (1 and 1.0 are the same).
-    """
-    series = _radius_series(traj, radius, channel)
-    return traj.ledger.tail_integral(series, t0, f"E_{channel}(t;0,{radius})")
-
-
-@dataclass
-class LocalEnergyBoundReport:
-    t: float
-    radius: float
-    e_plus: float
-    bound: float  # K * t^{1-kappa} / (t - radius)
-
-    @property
-    def ratio(self):
-        return self.e_plus / self.bound
-
-
-def outward_local_energy_bound(traj, t, radius):
-    """Compare E_+(t; 0, radius) against K t^{1-kappa}/(t - radius).
-
-    The comparison constant is not universal (the sharp one depends on p
-    and kappa), so the useful check is stability of the ratio across
-    times, radii, and refinements rather than any fixed threshold.
-    """
-    if not (0.0 < radius < t):
-        raise OffGridError(f"need 0 < radius < t, got radius={radius}, t={t}")
-    led = traj.ledger
-    series = _radius_series(traj, radius, "outward")
-    e_plus = float(series[led.level(t)])
-    kr = k_functional(traj.pair, traj.params)
-    kappa = traj.params.kappa
-    bound = kr.k * t ** (1.0 - kappa) / (t - radius)
-    return LocalEnergyBoundReport(t=t, radius=radius, e_plus=e_plus, bound=bound)
 
 
 @dataclass

@@ -44,10 +44,6 @@ class OffGridError(NlwError):
     """A requested time, radius, or characteristic label is not grid-aligned."""
 
 
-class TailNotConvergedError(NlwError):
-    """A truncated integral is still dominated by its unresolved tail."""
-
-
 class ShortSpanError(NlwError):
     """Too few dyadic samples fit inside the available time span."""
 

@@ -147,18 +147,16 @@ def free_wave_defect(traj, t1, t2):
     )
 
 
-def lp_l2p_tail(traj, t0, require_tail=True):
+def lp_l2p_tail(traj, t0):
     """N(t0) = int_{t0}^{t_max} (int |u|^{2p} dx)^{1/2} dt plus a power-law
     tail extrapolation past t_max, as a diagnostics.TailIntegral
-    (EnergyLedger.tail_integral, as for cylinder integrals: the last-decade
-    fit must give an integrable decay).
-
-    With require_tail=False a non-integrable last-decade fit returns the
-    truncated integral with tail 0 instead of raising, so short exploratory
-    runs can still report the (steep-biased) truncated values.
+    (EnergyLedger.tail_integral).  A last-decade fit that is not
+    integrable, or that meets a non-positive sample, gives tail 0 with its
+    exponent (nan for the latter), so a short run still reports its
+    truncated value.
     """
     led = traj.ledger
-    return led.tail_integral(led.y2p, t0, "the L^{2p} norm", strict=require_tail)
+    return led.tail_integral(led.y2p, t0)
 
 
 def exterior_cumulative(traj, t_samples):

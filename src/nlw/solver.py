@@ -137,9 +137,11 @@ class Monitors:
     bins           the characteristic bins (ledger.s_bulk) for
                    diagnostics.weighted_morawetz; they cost a second power
 
-    With a far field (power-law data) the totals, radii and triangle
-    corners are closed past the clean edge (see _Recorders); the bins, line
-    samples and triangle bulk slices are not, and no report reads them.
+    With a far field (power-law data) the totals and radii are closed past
+    the clean edge (see _Recorders), plan_run refuses a flux or trace line
+    that runs past it, and a triangle probe that fits the run lies inside
+    it (t0 + r0 <= 2 t_max < r_max - 1 - h).  The bins are not closed: on
+    such data they cover the grid's wedge only.
     """
 
     radii: tuple = ()
@@ -319,8 +321,8 @@ class _Recorders:
 
     A run of data with a far field stops at the clean edge
     (GridSpec.clean_edge): the totals add FarField.tail past its radius
-    (traj.far_tails), a radius or corner past it the exact integral up to
-    its radius.  The monitors' nodes and levels come from plan_run.
+    (traj.far_tails), a radius past it the exact integral up to its
+    radius.  The monitors' nodes and levels come from plan_run.
     """
 
     def __init__(self, traj, plan):
@@ -507,9 +509,10 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     r_max), and OffGridError for a negative t_max, fewer than 3 nodes, a
     far field whose clean edge falls inside r = 1 + t (r_max <= 2 t_max +
     1 + h), and a monitor off the grid spacing or off the run: a radius
-    past r_max, a flux or trace line that no level puts on a sampled node,
-    a triangle that leaves the run or the grid, a snapshot outside
-    [0, t_max].
+    past r_max, a flux or trace line that no level puts on a sampled node
+    or, with a far field, that some level samples past the clean edge, a
+    triangle that leaves the run or the grid, a snapshot outside [0,
+    t_max].
     """
     h, n, steps = grid.h, grid.n, grid.steps
     if steps < 0 or n < 2:
@@ -535,6 +538,10 @@ def plan_run(grid, monitors, far_field=False, linear=False):
             if max(ends) < lo or min(ends) > hi:
                 raise OffGridError(f"the line of {what}={x} never crosses the run "
                                    f"(r_max={grid.r_max}, t_max={grid.t_max})")
+            m = steps if sign < 0 else 0  # where its node lies farthest past the clean edge
+            if far_field and sign * (k - m) > grid.clean_edge(m):
+                raise OffGridError(f"the line of {what}={x} runs past the clean edge of the "
+                                   f"far field; it needs r_max >= {h * (sign * (k - m) + m + 1)}")
             lines.append((name, x, k, sign, lo, hi))
     probes = []
     for kind, pairs in (("inward", monitors.triangles), ("outward", monitors.triangles_out)):

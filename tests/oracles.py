@@ -234,6 +234,32 @@ def triangle_quad(fn, r_apex, t_apex, n_t=4000):
     return np.trapezoid(vals, ts)
 
 
+def infinite_triangle_law(t, xi, bulk, e_minus, p, t0):
+    """The inward triangle law at r0 = inf, where the flux term vanishes,
+
+        E_-(t0) = pi int_{t0}^inf xi^2 dt
+                  + (2pi(p-1)/(p+1)) int_{t0}^inf int |w|^{p+1}/r^p dr dt,
+
+    from a run's per-level series on the times t, truncated at the last
+    one.  Returns (energy, xi_term, bulk_term, decade_share); the last is
+    the larger share of the two truncated integrals that the last decade
+    [t_max/10, t_max] carries, which must be small for the truncation not
+    to matter."""
+    t = np.asarray(t, dtype=float)
+
+    def integral(y, start):
+        keep = t >= start
+        return np.trapezoid(np.asarray(y, dtype=float)[keep], t[keep])
+
+    xi_sq = np.asarray(xi, dtype=float) ** 2
+    t_dec = t[-1] / 10.0
+    decade_share = max(integral(xi_sq, t_dec) / integral(xi_sq, t0),
+                       integral(bulk, t_dec) / integral(bulk, t0))
+    energy = float(np.asarray(e_minus)[np.argmin(np.abs(t - t0))])
+    return (energy, math.pi * integral(xi_sq, t0),
+            2.0 * math.pi * (p - 1.0) / (p + 1.0) * integral(bulk, t0), decade_share)
+
+
 # ---------------------------------------------------------------------------
 # random smooth states
 # ---------------------------------------------------------------------------

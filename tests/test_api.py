@@ -28,6 +28,28 @@ def test_every_public_name_has_a_caller():
     assert unused == []
 
 
+def test_every_analysis_export_is_named_by_another_module():
+    """Each name in nlw.__all__ that nlw.diagnostics or nlw.scattering
+    defines is named in the code of some other module of src/nlw than its
+    own and __init__.py, so a law the library computes reaches an output
+    or goes.  weighted_morawetz waits for its config key (ROADMAP item 9)."""
+    waiting = ["weighted_morawetz"]
+    named = {}
+    for path in sorted((ROOT / "src" / "nlw").glob("*.py")):
+        if path.name != "__init__.py":
+            named[path.stem] = {getattr(node, attr) for node in ast.walk(
+                ast.parse(path.read_text(encoding="utf-8")))
+                for kind, attr in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"))
+                if isinstance(node, kind)}
+    unwired = []
+    for name in nlw.__all__:
+        home = getattr(nlw, name).__module__.rsplit(".", 1)[-1]
+        if home in ("diagnostics", "scattering") and not any(
+                name in ids for stem, ids in named.items() if stem != home):
+            unwired.append(name)
+    assert unwired == waiting
+
+
 def test_every_traced_layer_resolves():
     """Each entry of perfbench/spans.py's LAYERS names an attribute that
     nlw still has, so renaming or deleting a traced function fails here

@@ -253,6 +253,33 @@ def test_run_power_law_r_max_inside_the_far_field_edge_exits_2_before_any_run(
     assert "config error" in err and "r_max=17.0 must exceed 2 t_max + 1 + h" in err
 
 
+@pytest.mark.parametrize("line, key, value", [
+    ("monitors.flux_s = 24", "flux_inward", 0.011024),
+    ("monitors.flux_tau = -12", "flux_outward", 0.015304),
+])
+def test_far_field_line_past_the_clean_edge_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, line, key, value):
+    """A flux line of power-law data reads the same at r_max 41 and 61,
+    where the grid carries all of it; at r_max 21 part of it lies past the
+    clean edge, where nothing closes it, and the run is refused."""
+    cfg = POWER_LAW_CFG.replace("output.plots = true", line)
+    reads = []
+    for r_max in (41, 61):
+        out = tmp_path / f"out{r_max}"
+        text = cfg.replace("grid.r_max = 21", f"grid.r_max = {r_max}")
+        assert main(["run", _write(tmp_path, text), "--out-dir", str(out)]) == 0
+        reads.append(json.loads((out / "summary.json").read_text())["lines"][key])
+    assert reads[0] == reads[1]
+    assert list(reads[0].values()) == [pytest.approx(value, rel=1e-4)]
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before the line was checked")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    assert main(["run", _write(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "runs past the clean edge of the far field" in capsys.readouterr().err
+
+
 def test_data_cut_off_at_an_explicit_r_max_fail_the_leak_check_exit_2(tmp_path, capsys):
     """A bump cut off at r_max = 2 fails the boundary leak check, a config
     error (exit 2)."""

@@ -6,20 +6,14 @@ import pytest
 import oracles
 from nlw.diagnostics import (
     TriangleReport,
-    cylinder_integral,
     flux_inward,
     flux_outward,
-    infinite_triangle_residual,
-    outward_local_energy_bound,
     pointwise_bounds,
     triangle_residual,
     weighted_morawetz,
 )
-from nlw.errors import (
-    OffGridError,
-    OutOfRangeError,
-    TailNotConvergedError,
-)
+from nlw.diagnostics import TAIL_EXPONENT_CUT
+from nlw.errors import OffGridError, OutOfRangeError
 from nlw.model import GaussianBump, k_functional, make_params
 from nlw.solver import GridSpec, Monitors, evolve
 
@@ -158,14 +152,17 @@ def test_outward_triangle_closure():
 
 def test_infinite_triangle_closure():
     """Data hugging the origin: all the conversion happens well before
-    t_max/10, so the truncated infinite law must close."""
+    t_max/10, so the truncated infinite law must close on the run's xi and
+    bulk series (oracles.infinite_triangle_law)."""
     params = make_params(3.0, 0.5)
     fam = GaussianBump(0.5, 1.0, 0.2)
     h = 1.0 / 128.0
     grid = GridSpec.padded(h, 30.0, fam.support_radius())
-    traj = evolve(fam.sample(grid), params, grid)
-    rep = infinite_triangle_residual(traj, 1.0)
-    assert abs(rep.residual_frac) < 0.01
+    led = evolve(fam.sample(grid), params, grid).ledger
+    energy, xi_term, bulk_term, decade_share = oracles.infinite_triangle_law(
+        led.t, led.xi, led.bulk, led.e_minus, params.p, 1.0)
+    assert decade_share < 0.1
+    assert abs(energy - (xi_term + bulk_term)) < 0.01 * energy
 
 
 def test_residual_fraction_is_absolute_at_zero_energy():
@@ -176,15 +173,6 @@ def test_residual_fraction_is_absolute_at_zero_energy():
     rep = TriangleReport("outward", 1.0, 1.0, energy=-2.0, xi_term=-1.0,
                          flux_term=0.0, bulk_term=0.0)
     assert rep.residual_frac == pytest.approx(0.5)
-
-
-def test_infinite_triangle_guards(compact_run):
-    traj = compact_run["traj"]
-    with pytest.raises(TailNotConvergedError):
-        infinite_triangle_residual(traj, 10.0)  # needs t < t_max/10
-    with pytest.raises(TailNotConvergedError):
-        # valid window, but the origin is still active past t_max/10
-        infinite_triangle_residual(traj, 4.0)
 
 
 # --------------------------------------------------------------------------
@@ -241,37 +229,44 @@ def test_morawetz_k1_is_closed_past_r_max_on_far_field_data(appendix_binned):
 # --------------------------------------------------------------------------
 
 def test_cylinder_integrable_tail(appendix_quick):
-    traj = appendix_quick["traj"]
-    rep = cylinder_integral(traj, 4.0, 1.0, channel="outward")
+    """int_4^inf E_+(t; 0, 1) dt: the recorded radius series through
+    EnergyLedger.tail_integral."""
+    led = appendix_quick["traj"].ledger
+    rep = led.tail_integral(led.radii[1.0][2], 4.0)
     assert rep.value > 0.0 and rep.tail > 0.0
-    assert rep.exponent < -1.05
+    assert rep.exponent < TAIL_EXPONENT_CUT
     assert rep.total == pytest.approx(rep.value + rep.tail)
 
 
-def test_cylinder_non_integrable_tail_raises(appendix_quick):
-    traj = appendix_quick["traj"]
-    with pytest.raises(TailNotConvergedError):
-        cylinder_integral(traj, 4.0, "t/4", channel="outward")
+def test_cylinder_non_integrable_tail_is_dropped(appendix_quick):
+    """E_+(t; 0, t/4) decays too slowly to integrate: the tail is 0 and the
+    fitted exponent says why."""
+    led = appendix_quick["traj"].ledger
+    rep = led.tail_integral(led.radii["t/4"][2], 4.0)
+    assert rep.exponent > TAIL_EXPONENT_CUT
+    assert rep.tail == 0.0 and rep.total == rep.value > 0.0
 
 
 def test_cylinder_rounding_noise_tail(linear_pulse_run):
     # linear pulse leaves exact zeros behind at unit CFL, so the late
     # series sits on the rounding floor and no tail fit is attempted
-    rep = cylinder_integral(linear_pulse_run, 10.0, 1.0, channel="inward")
+    led = linear_pulse_run.ledger
+    rep = led.tail_integral(led.radii[1.0][1], 10.0)
     assert rep.tail == 0.0
     assert rep.exponent == -math.inf
 
 
 def test_local_outward_bound_stable(appendix_quick):
+    """E_+(t; 0, 1) against K t^{1-kappa} / (t - 1).  The comparison
+    constant is not universal (the sharp one depends on p and kappa), so
+    the ratio must stay stable across t rather than below a value."""
     traj = appendix_quick["traj"]
-    ratios = [
-        outward_local_energy_bound(traj, t, 1.0).ratio for t in (8.0, 16.0, 32.0)
-    ]
+    led, kappa = traj.ledger, traj.params.kappa
+    k = k_functional(traj.pair, traj.params).k
+    ratios = [led.radii[1.0][2][led.level(t)] * (t - 1.0) / (k * t ** (1.0 - kappa))
+              for t in (8.0, 16.0, 32.0)]
     assert all(r > 0.0 for r in ratios)
-    # not a sharp-constant bound; require stability rather than a value
     assert max(ratios) < 10.0 * min(ratios)
-    with pytest.raises(OffGridError):
-        outward_local_energy_bound(traj, 4.0, 6.0)
 
 
 # --------------------------------------------------------------------------

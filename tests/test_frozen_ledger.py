@@ -42,7 +42,6 @@ from nlw import (
     DirectedPulse,
     GaussianBump,
     GridSpec,
-    cylinder_integral,
     duhamel_solve,
     make_params,
     weighted_morawetz,
@@ -122,7 +121,7 @@ def report_record(triangle_runs, appendix_quick, appendix_binned):
     rates = rep["scattering_rates"]
     ext = rates["exterior_growth"]
     traj = appendix_quick["traj"]
-    cyl = cylinder_integral(traj, 4.0, 1.0, channel="outward")
+    cyl = traj.ledger.tail_integral(traj.ledger.radii[1.0][2], 4.0)  # int_4^inf E_+(t; 0, 1)
     out = {
         "appendix k1": rep["channel_mass"]["k1"],
         "appendix k": rep["channel_mass"]["k"],

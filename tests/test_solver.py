@@ -30,6 +30,7 @@ from nlw.solver import (
     duhamel_solve,
     evolve,
     leapfrog,
+    plan_run,
 )
 
 
@@ -530,6 +531,31 @@ def test_far_field_needs_the_clean_edge_past_1_plus_t():
     pair = AppendixPowerLaw(1.0, params).sample(grid)
     with pytest.raises(OffGridError, match="must exceed 2 t_max"):
         evolve(pair, params, grid)
+
+
+def test_far_field_refuses_lines_past_the_clean_edge():
+    """With a far field, a flux or trace line that some level samples past
+    the clean edge n - m - 1 is refused before any step: an inward line
+    needs s <= r_max - h, an outward one t_max - tau <= r_max - t_max - h.
+    Compact data sample the same lines.  A triangle that fits the run lies
+    inside the edge, so even the widest reads the same at two r_max."""
+    h, t_max = 1.0 / 16.0, 8.0
+    grid = GridSpec(h=h, r_max=21.0, t_max=t_max)
+    for mon in (Monitors(flux_s=(21.0,)), Monitors(flux_tau=(-5.0,)),
+                Monitors(char_tau=(-5.0,))):
+        with pytest.raises(OffGridError, match="runs past the clean edge"):
+            plan_run(grid, mon, far_field=True)
+        plan_run(grid, mon)
+    plan_run(grid, Monitors(flux_s=(21.0 - h,), flux_tau=(-5.0 + h,), char_tau=(-5.0 + h,)),
+             far_field=True)
+    params = make_params(4.0, 0.25)
+    mon = Monitors(triangles=((0.0, t_max),), triangles_out=((t_max, t_max),))
+    records = []
+    for r_max in (21.0, 41.0):
+        grid = GridSpec(h=h, r_max=r_max, t_max=t_max)
+        traj = evolve(AppendixPowerLaw(0.5, params).sample(grid), params, grid, mon)
+        records.append([(rec.bulk, rec.flux, rec.energy) for rec in traj.triangle_records])
+    assert records[0] == records[1]
 
 
 def test_linear_run_of_far_field_data_is_refused_before_any_level(monkeypatch):
