@@ -171,21 +171,21 @@ def find_envelope_threshold(p):
 
 
 def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None):
-    """Full study of the slow-decay example; returns (report, traj).
+    """Full study of the slow-decay example; returns (report, traj, env).
 
     The report is a JSON-ready dict with five sections: the envelope
     verdict, the weighted channel mass (or its divergence), the decay of
     the inward energy against t^{-kappa}, the scattering-rate fits, and
     the triangle source bound.  c=None picks half the envelope threshold,
     c = 2 (find_envelope_threshold).  The envelope verdict comes from the
-    data's far field on r >= 1 + t (FarField.envelope), not from the grid.
+    data's far field on r >= 1 + t (FarField.envelope: env), not the grid.
     The main run records no characteristic bins.
 
     r_max=None sizes the grid at 2*t_max + 4.  The data carry their exact
-    exterior r^beta Phi(t/r) (a FarField), so every integral of the report
-    is taken on the grid to the clean edge and closed past it exactly: no
-    number depends on r_max.  The far_field section states the rule and
-    each closure's share of its integral.
+    exterior r^beta Phi(t/r) (a FarField), so the run steps its light-cone
+    window (solver.clean_edge), every integral stops at its edge and is
+    closed past it exactly: no number depends on r_max.  The far_field
+    section states the rule and each closure's share of its integral.
 
     Below t_max = 8 no tail norm starts (its fit is null).  Raises
     ConfigError, before the threshold search and any run, if t_max is
@@ -212,7 +212,8 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
 
     traj = evolve(family.sample(grid), params, grid, mon)
     led = traj.ledger
-    envelope_sec = {**traj.pair.far_field.envelope(led.t).summary(), "threshold": threshold}
+    env = traj.pair.far_field.envelope(led.t)
+    envelope_sec = {**env.summary(), "threshold": threshold}
 
     try:
         kr = k_functional(traj.pair, params)
@@ -297,7 +298,8 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
               "exterior": led.exterior_l2p2}
     shares = {k: (traj.far_tails[k][at] / v[at]).tolist() for k, v in closed.items()}
     far_sec = {
-        "clean_edge": "level m is exact on nodes <= n - m - 1 (w_t reads level m + 1); each "
+        "clean_edge": "level m is stepped and exact on nodes <= (1 + 8)/h + m, r <= 1 + t + 8 "
+                      "(if that window would pass r_max, the whole grid's n - m - 1); each "
                       "integral stops there and is closed past it by w = r^beta Phi(t/r)",
         "times": list(times),
         "closure_share": {**shares, "k": k_share,
@@ -314,4 +316,4 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         "scattering_rates": rates_sec,
         "triangle_bound": triangle_sec,
     }
-    return report, traj
+    return report, traj, env

@@ -616,16 +616,9 @@ def _fraction(text):
 
 
 def cmd_appendix(args):
-    report, traj = run_appendix_example(
-        p=args.p,
-        kappa=args.kappa,
-        c=args.c,
-        h=args.h,
-        t_max=args.t_max,
-        r_max=args.r_max,
-    )
+    report, traj, env = run_appendix_example(p=args.p, kappa=args.kappa, c=args.c, h=args.h,
+                                             t_max=args.t_max, r_max=args.r_max)
     os.makedirs(args.out_dir, exist_ok=True)
-    env = traj.pair.far_field.envelope(traj.ledger.t)
     ray_series = [("sup ratio (3c envelope)", env.t, env.max_ratio)]
     for off, ratio in env.rays.items():
         ray_series.append((f"|w|/(c r^b) on r=1+t+{off:g}", env.t, ratio))

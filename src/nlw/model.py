@@ -30,7 +30,7 @@ from .errors import (
     OffGridError,
     OutOfRangeError,
 )
-from .numerics import abs_power, derivative, odd_power, trapz
+from .numerics import abs_power, derivative, grid_index, odd_power, trapz
 
 P_MIN = 3.0
 P_MAX = 5.0  # exclusive
@@ -238,6 +238,10 @@ class FarField:
             peak_t=float(t[-1] if peak_s == s_env[-1] else peak_s / (1.0 - peak_s)),
             first_violation_t=float(bad[0]) if bad.size else None,
             profile_zero_s=float(zeros[0]) if zeros.size else None)
+
+    def field(self, r, t):
+        """w = r^beta Phi(t/r) at radii r >= 1 + t."""
+        return r ** self.beta * self.profile(t / r)[0]
 
     def channels(self, r, t):
         """(w_r + w_t, w_r - w_t) at radii r > 1 + t."""
@@ -560,21 +564,23 @@ class KReport:
 
     k1: float
     k: float
-    tail: float = 0.0  # the part of k1 past r_max (data with a far field)
+    tail: float = 0.0  # the part of k1 past r = 1 (data with a far field)
 
 
 def k_functional(pair, params):
     """Compute the weighted channel mass (KReport), also the right side of
     diagnostics.weighted_morawetz.
 
-    Data with a far field add the integral past r_max in closed form
-    (FarField.k_tail), which raises DivergentIntegralError unless
-    kappa < (5-p)/(p-1); other data are taken on the grid as they stand.
+    Data with a far field, exactly c r^beta on r >= 1, add the integral
+    past r = 1 in closed form (FarField.k_tail), which raises
+    DivergentIntegralError unless kappa < (5-p)/(p-1); other data are
+    taken on the grid as they stand.
     """
     r = pair.r
     a = np.ones_like(r)
     outside = r >= 1.0
     a[outside] = r[outside] ** params.kappa
-    k1 = math.pi * trapz(a * channel_densities(pair.w0, pair.w1, pair.h, params.p), pair.h)
-    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(r[-1], params.kappa)
+    end = r.size if pair.far_field is None else grid_index(1.0, pair.h) + 1
+    k1 = math.pi * trapz((a * channel_densities(pair.w0, pair.w1, pair.h, params.p))[:end], pair.h)
+    tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(r[end - 1], params.kappa)
     return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)

@@ -28,6 +28,8 @@ leapfrog() generates the levels of the scheme.  evolve() records, while
 it steps, the diagnostics its Monitors ask for (channel energies, origin
 trace, flux lines, triangle probes, characteristic-line bins), because
 storing the full space-time field is not affordable for production grids.
+Data with a far field, r^beta Phi(t/r) on r > 1 + t, step only their
+light-cone window r <= 1 + t + PAD (clean_edge); Phi fills and closes it.
 """
 
 import math
@@ -50,6 +52,7 @@ from .numerics import (
 )
 
 BLOWUP_FACTOR = 1e3
+PAD = 8.0  # how far past r = 1 + t a far-field run steps its window
 PICARD_TOL = 1e-10
 PICARD_MAX_SWEEPS = 50
 
@@ -87,11 +90,6 @@ class GridSpec:
     def r(self):
         return self.h * np.arange(self.n + 1)
 
-    def clean_edge(self, m):
-        """Last node n - m - 1 of level m (int or array) that the boundary has
-        not reached: it moves in a node per level, and w_t reads level m + 1."""
-        return self.n - m - 1
-
     @classmethod
     def padded(cls, h, t_max, support_radius):
         """Grid large enough that data inside support_radius never touches
@@ -99,6 +97,28 @@ class GridSpec:
         r_max is the first node at or past support_radius + t_max + 1."""
         r_max = node_at_or_past(support_radius + t_max + 1.0, h, "padded r_max")
         return cls(h=h, r_max=r_max, t_max=t_max, boundary="pad")
+
+
+@dataclass(frozen=True)
+class CleanEdge:
+    """The last node, node + slope * m, where level m (int or array) and its
+    w_t are exact: +1 in a far-field window, n - m - 1 on the whole grid."""
+
+    node: int
+    slope: int
+
+    def __call__(self, m):
+        return self.node + self.slope * m
+
+
+def clean_edge(grid, far_field, pad=None):
+    """A run's CleanEdge: a far field's window one + pad + m (pad PAD's nodes
+    by default) if it and Phi's two nodes fit through level steps + 1."""
+    if far_field:
+        node = grid_index(1.0, grid.h) + (grid_index(PAD, grid.h) if pad is None else pad)
+        if node + grid.steps + 3 <= grid.n:
+            return CleanEdge(node, 1)
+    return CleanEdge(grid.n - 1, -1)
 
 
 @dataclass
@@ -139,9 +159,9 @@ class Monitors:
 
     With a far field (power-law data) the totals and radii are closed past
     the clean edge (see _Recorders), plan_run refuses a flux or trace line
-    that runs past it, and a triangle probe that fits the run lies inside
-    it (t0 + r0 <= 2 t_max < r_max - 1 - h).  The bins are not closed: on
-    such data they cover the grid's wedge only.
+    past the whole grid's edge n - m - 1 and widens the window to hold the
+    rest and every triangle slice.  The bins (whole grid only) are not
+    closed: on such data they cover the grid's wedge only.
     """
 
     radii: tuple = ()
@@ -198,6 +218,7 @@ class Trajectory:
     triangle_records: list = field(default_factory=list)
     linear: bool = False
     far_tails: dict = field(default_factory=dict)  # per-level closures of the totals
+    edge: CleanEdge = None  # the run's clean edge (plan_run)
 
     def snapshot_at(self, t):
         for snap in self.snapshots:
@@ -246,7 +267,7 @@ def _source(w, e, p, inv_rp1, q, out):
     out[:e] *= inv_rp1[:e]
 
 
-def leapfrog(pair, params, grid, linear=False):
+def leapfrog(pair, params, grid, linear=False, edge=None):
     """Generate the leapfrog levels m = 0 .. steps of a run.
 
     Yields (m, w_prev, w, w_next, e, q, f): the levels m-1, m and m+1
@@ -260,7 +281,9 @@ def leapfrog(pair, params, grid, linear=False):
     level m vanishes past node supp + m, with supp the last nonzero node
     of the data.  The step and the blow-up check run on nodes
     [0, supp + m + 2] only (the whole grid once that reaches r_max); the
-    result is the same as on the whole grid.
+    result is the same as on the whole grid.  In a far-field window (edge,
+    clean_edge's by default) e = edge(m) + 2, Phi fills two nodes past
+    edge(m + 1) from one table, and nodes past the window hold no level.
 
     Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
@@ -272,6 +295,10 @@ def leapfrog(pair, params, grid, linear=False):
     inv_rp1 = None if linear else _inverse_power(grid.r, p - 1.0)
     nonzero = np.flatnonzero((pair.w0 != 0.0) | (pair.w1 != 0.0))
     supp = int(nonzero[-1]) if nonzero.size else 0
+    edge, fill = edge or clean_edge(grid, pair.far_field is not None and not linear), None
+    if edge.slope > 0:  # Phi on the nodes edge(m) + 1 and + 2 of each level m
+        lv = np.arange(grid.steps + 2)[:, None]
+        fill, supp = pair.far_field.field(h * (edge(lv) + [1, 2]), h * lv), edge.node - 1
     blowup_at = BLOWUP_FACTOR * (np.abs(pair.w0).max() + 1.0)
     # q and f are written only on nodes [0, e) for a window end e that
     # never decreases, so their entries past the window stay zero
@@ -296,6 +323,8 @@ def leapfrog(pair, params, grid, linear=False):
                 nxt -= np.multiply(f[1 : top - 1], h * h, out=work[1 : top - 1])
             w_next[0] = 0.0
             w_next[-1] = 0.0 if grid.boundary == "pad" else w[-2]
+            if fill is not None:
+                w_next[e : e + 2] = fill[m + 1]
             window = w_next[:e]
             sup = float(np.maximum(window.max(), -window.min()))  # NaN stays NaN
             if not math.isfinite(sup) or sup > blowup_at:
@@ -319,16 +348,16 @@ class _Recorders:
     totals, the radii and the triangle corners all take E_- and E_+ on
     a node prefix from it, as trapezoid dot products.
 
-    A run of data with a far field stops at the clean edge
-    (GridSpec.clean_edge): the totals add FarField.tail past its radius
-    (traj.far_tails), a radius past it the exact integral up to its
-    radius.  The monitors' nodes and levels come from plan_run.
+    A run of data with a far field stops at its clean edge (traj.edge):
+    the totals add FarField.tail past its radius (traj.far_tails), a
+    radius past it the exact integral up to its radius, a snapshot Phi
+    past each window.  The monitors' nodes and levels come from plan_run.
     """
 
     def __init__(self, traj, plan):
         grid, params, mon, led = traj.grid, traj.params, traj.monitors, traj.ledger
         h, n, steps, r, p = grid.h, grid.n, grid.steps, grid.r, params.p
-        self.traj, self.led, self.linear, self.edge = traj, led, traj.linear, grid.clean_edge
+        self.traj, self.led, self.linear, self.edge = traj, led, traj.linear, traj.edge
         self.h, self.n, self.steps, self.r, self.p = h, n, steps, r, p
         self.one = grid_index(1.0, h, "exterior base radius r")
         self.inv_r = _inverse_power(r, 1.0)
@@ -338,7 +367,7 @@ class _Recorders:
         self.far, self.tails = traj.pair.far_field, None
         if self.far is not None:
             lv = np.arange(steps + 1)
-            traj.far_tails = {k: self.far.tail(k, h * grid.clean_edge(lv), h * lv)
+            traj.far_tails = {k: self.far.tail(k, h * traj.edge(lv), h * lv)
                               for k in self.far.kinds}
             self.tails = list(zip(*(a.tolist() for a in traj.far_tails.values())))
         self.inv_rp1 = _inverse_power(r, p - 1.0)
@@ -474,8 +503,12 @@ class _Recorders:
 
     def snapshots(self, m, w_prev, w, w_next, e, q, f):
         if m in self.snap_levels:
-            snap = Snapshot(self.snap_levels[m], w_prev.copy(), w.copy(), w_next.copy(), self.h)
-            self.traj.snapshots.append(snap)
+            levels = [w_prev.copy(), w.copy(), w_next.copy()]
+            if self.edge.slope > 0:
+                for j, level in zip((m - 1, m, m + 1), levels):
+                    i = self.edge(j) + 1
+                    level[i:] = self.far.field(self.r[i:], abs(j) * self.h)  # even in t
+            self.traj.snapshots.append(Snapshot(self.snap_levels[m], *levels, self.h))
 
     def bins(self, m, w_prev, w, w_next, e, q, f):
         """Add the step m -> m+1 to the characteristic bins, from the
@@ -499,10 +532,11 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     before it samples any data.
 
     Returns what _Recorders reads, (radius_idx, lines, probes,
-    snap_levels): the node of each fixed radius, (name, label, k, sign,
-    lo, hi) of each flux and trace line (on node sign (k - m) at level m,
-    sampled where lo <= that <= hi), (kind, t0, r0, m_lo, m_hi, corner
-    node) of each triangle probe, and the time of each snapshot level.
+    snap_levels), and the run's CleanEdge: the node of each fixed radius,
+    (name, label, k, sign, lo, hi) of each flux and trace line (on node
+    sign (k - m) at level m, sampled where lo <= that <= hi), (kind, t0,
+    r0, m_lo, m_hi, corner node) of each triangle probe, and the time of
+    each snapshot level.  A far field's window is widened to hold them.
 
     Raises ConfigError for a linear run of far-field data (their exterior
     solves the nonlinear equation: nothing would close the run past
@@ -520,13 +554,14 @@ def plan_run(grid, monitors, far_field=False, linear=False):
                            f"r_max={grid.r_max}")
     if far_field and linear:
         raise ConfigError("a linear run of far-field data closes nothing past r_max")
-    if far_field and grid.clean_edge(steps) <= steps + grid_index(1.0, h):
+    one, whole = grid_index(1.0, h), clean_edge(grid, False)
+    if far_field and whole(steps) <= steps + one:
         raise OffGridError(f"r_max={grid.r_max} must exceed 2 t_max + 1 + h for a far field")
     radius_idx = {x: grid_index(float(x), h, f"radius {x}") for x in monitors.radii if x != "t/4"}
     for x, i in radius_idx.items():
         if i > n:
             raise OffGridError(f"radius {x} lies past r_max={grid.r_max}")
-    lines = []
+    lines, reach = [], [grid_index(PAD, h)]  # the window's nodes past r = 1 + t
     for name, what, sign, lo, hi in (
         ("flux_s", "flux label s", 1, 0, n),
         ("flux_tau", "flux label tau", -1, 0, n),
@@ -539,9 +574,10 @@ def plan_run(grid, monitors, far_field=False, linear=False):
                 raise OffGridError(f"the line of {what}={x} never crosses the run "
                                    f"(r_max={grid.r_max}, t_max={grid.t_max})")
             m = steps if sign < 0 else 0  # where its node lies farthest past the clean edge
-            if far_field and sign * (k - m) > grid.clean_edge(m):
+            if far_field and sign * (k - m) > whole(m):
                 raise OffGridError(f"the line of {what}={x} runs past the clean edge of the "
                                    f"far field; it needs r_max >= {h * (sign * (k - m) + m + 1)}")
+            reach.append(sign * (k - m) - m - one)
             lines.append((name, x, k, sign, lo, hi))
     probes = []
     for kind, pairs in (("inward", monitors.triangles), ("outward", monitors.triangles_out)):
@@ -553,13 +589,15 @@ def plan_run(grid, monitors, far_field=False, linear=False):
             if m0 < 0 or m1 > steps or not 0 < i0 <= n:
                 raise OffGridError(f"{kind} triangle ({t0},{r0}) leaves the run or the grid")
             probes.append((kind, t0, r0, m0, m1, i0))
+            reach.append(i0 - m0 - one if kind == "inward" else 0)
+    edge = clean_edge(grid, far_field and not monitors.bins, max(reach))
     snap_levels = {}
     for t_snap in monitors.snapshot_times:
         m_snap = grid_index(t_snap, h, "snapshot time")
         if not 0 <= m_snap <= steps:
             raise OffGridError(f"snapshot time {t_snap} lies outside [0, t_max={grid.t_max}]")
         snap_levels[m_snap] = t_snap
-    return radius_idx, lines, probes, snap_levels
+    return radius_idx, lines, probes, snap_levels, edge
 
 
 def evolve(pair, params, grid, monitors=None, linear=False):
@@ -584,11 +622,11 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     1e3 * (sup|w0| + 1).
     """
     mon = monitors or Monitors()
-    plan = plan_run(grid, mon, pair.far_field is not None, linear)
+    *plan, edge = plan_run(grid, mon, pair.far_field is not None, linear)
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
-    traj = Trajectory(grid, params, mon, ledger, pair, linear=linear)
+    traj = Trajectory(grid, params, mon, ledger, pair, linear=linear, edge=edge)
     recorders = _Recorders(traj, plan)
-    for level in leapfrog(pair, params, grid, linear):
+    for level in leapfrog(pair, params, grid, linear, edge):
         for record in recorders.active:
             record(recorders, *level)
     return traj

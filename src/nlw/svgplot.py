@@ -7,23 +7,14 @@ axes, decade/nice-number ticks, and a legend.  Output is a standalone
 
 import math
 
+import numpy as np
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 34
 _MARGIN_B = 46
-
-
-def _finite_pairs(xs, ys, loglog):
-    out = []
-    for x, y in zip(xs, ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        if loglog and (x <= 0.0 or y <= 0.0):
-            continue
-        out.append((float(x), float(y)))
-    return out
 
 
 def _nice_ticks(lo, hi, target=5):
@@ -73,21 +64,28 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
     """
     cleaned = []
     for label, xs, ys in series:
-        pts = _finite_pairs(xs, ys, loglog)
-        if pts:
-            cleaned.append((str(label), pts))
+        x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y)
+        if loglog:
+            keep &= (x > 0.0) & (y > 0.0)
+        if keep.any():
+            cleaned.append((str(label), x[keep], y[keep]))
     if not cleaned:
         raise ValueError("nothing to plot: every series is empty after cleaning")
 
-    all_x = [x for _, pts in cleaned for x, _ in pts]
-    all_y = [y for _, pts in cleaned for _, y in pts]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    scale = math.log10 if loglog else float
+    all_x = np.concatenate([x for _, x, _ in cleaned])
+    all_y = np.concatenate([y for *_, y in cleaned])
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+
+    def scale(v):  # math.log10 per value: np.log10 may differ in the last bit
+        v = np.asarray(v, dtype=float)
+        return np.array([math.log10(a) for a in v.tolist()]) if loglog else v
+
     ticks = _decade_ticks if loglog else _nice_ticks
     x_ticks, y_ticks = ticks(x_lo, x_hi), ticks(y_lo, y_hi)
-    x0, x1 = scale(x_lo), scale(x_hi)
-    y0, y1 = scale(y_lo), scale(y_hi)
+    x0, x1 = scale([x_lo, x_hi]).tolist()
+    y0, y1 = scale([y_lo, y_hi]).tolist()
     if x1 <= x0:
         x1 = x0 + 1.0
     if y1 <= y0:
@@ -97,11 +95,11 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
-    def px(x):
-        return _MARGIN_L + plot_w * (scale(x) - x0) / (x1 - x0)
+    def px(x):  # pixel columns of the values x, as a list
+        return (_MARGIN_L + plot_w * (scale(x) - x0) / (x1 - x0)).tolist()
 
     def py(y):
-        return _MARGIN_T + plot_h * (1.0 - (scale(y) - y0) / (y1 - y0))
+        return (_MARGIN_T + plot_h * (1.0 - (scale(y) - y0) / (y1 - y0))).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -115,8 +113,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
             f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
-    for tv in x_ticks:
-        xp = px(tv)
+    for tv, xp in zip(x_ticks, px(x_ticks)):
         parts.append(
             f'<line x1="{xp:.1f}" y1="{_MARGIN_T + plot_h}" x2="{xp:.1f}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'
@@ -130,8 +127,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
             f'<line x1="{xp:.1f}" y1="{_MARGIN_T}" x2="{xp:.1f}" '
             f'y2="{_MARGIN_T + plot_h}" stroke="#ddd" stroke-width="0.5"/>'
         )
-    for tv in y_ticks:
-        yp = py(tv)
+    for tv, yp in zip(y_ticks, py(y_ticks)):
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{yp:.1f}" x2="{_MARGIN_L}" '
             f'y2="{yp:.1f}" stroke="#333"/>'
@@ -158,9 +154,9 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
             f'transform="rotate(-90 14 {yc:.1f})">{ylabel}</text>'
         )
 
-    for k, (label, pts) in enumerate(cleaned):
+    for k, (label, x, y) in enumerate(cleaned):
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        coords = " ".join(map("{:.2f},{:.2f}".format, px(x), py(y)))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -98,7 +98,7 @@ def flagship():
     kappa=0.25, h=1/128, t_max=64, at the default amplitude c = 2, half
     the envelope threshold 4 (ENVELOPE_CAP), where the far field's
     envelope is checked."""
-    (report, traj), elapsed = _timed(run_appendix_example, 4.0, 0.25)
+    (report, traj, _), elapsed = _timed(run_appendix_example, 4.0, 0.25)
     return {"report": report, "traj": traj, "elapsed": elapsed}
 
 
@@ -106,7 +106,7 @@ def flagship():
 def flagship_coarse(flagship):
     """One grid refinement below the flagship (same amplitude, h=1/64)."""
     c = flagship["report"]["envelope"]["c"]
-    report, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 64.0, t_max=64.0)
+    report, _, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 64.0, t_max=64.0)
     return report
 
 
@@ -116,7 +116,7 @@ def appendix_quick():
     that need the persistent power-law tail but not production accuracy.
     Its amplitude is given, so the frozen report numbers do not move with
     the study's default c."""
-    report, traj = run_appendix_example(4.0, 0.25, c=3.36376953125 / 2.0, h=1.0 / 32.0,
+    report, traj, _ = run_appendix_example(4.0, 0.25, c=3.36376953125 / 2.0, h=1.0 / 32.0,
                                         t_max=32.0)
     return {"report": report, "traj": traj}
 

@@ -348,3 +348,37 @@ def sup_abs(f, a, b, samples=20001):
     res = minimize_scalar(lambda x: -abs(float(f(x))), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-13})
     return max((float(v[k]), float(s[k])), (float(-res.fun), float(res.x)))
+
+
+# ---------------------------------------------------------------------------
+# plots
+# ---------------------------------------------------------------------------
+
+def polyline_points(series, loglog, left=64, top=34, plot_w=560, plot_h=340):
+    """The points attribute of each polyline that svgplot.line_plot draws
+    for series (label, xs, ys), point by point: the finite points (and on
+    log-log axes the positive ones) mapped onto its 560 x 340 plot box
+    with math.log10 and formatted one f-string per coordinate."""
+    kept = []
+    for _, xs, ys in series:
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
+               if math.isfinite(x) and math.isfinite(y)
+               and not (loglog and (x <= 0.0 or y <= 0.0))]
+        if pts:
+            kept.append(pts)
+    scale = math.log10 if loglog else float
+    x0, x1 = (scale(f(x for pts in kept for x, _ in pts)) for f in (min, max))
+    y0, y1 = (scale(f(y for pts in kept for _, y in pts)) for f in (min, max))
+    if x1 <= x0:
+        x1 = x0 + 1.0
+    if y1 <= y0:
+        y1 = y0 + 1.0
+    out = []
+    for pts in kept:
+        coords = []
+        for x, y in pts:
+            px = left + plot_w * (scale(x) - x0) / (x1 - x0)
+            py = top + plot_h * (1.0 - (scale(y) - y0) / (y1 - y0))
+            coords.append(f"{px:.2f},{py:.2f}")
+        out.append(" ".join(coords))
+    return out

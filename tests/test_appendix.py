@@ -18,7 +18,7 @@ from nlw.appendix import (
 from nlw.errors import OutOfRangeError
 from nlw.model import AppendixPowerLaw, FarField, GaussianBump, make_params
 from nlw.numerics import grid_index
-from nlw.solver import GridSpec, Monitors, evolve, leapfrog
+from nlw.solver import GridSpec, Monitors, clean_edge, evolve, leapfrog
 
 from oracles import cp_closed, far_profile, sup_abs, triangle_power_closed, triangle_quad
 
@@ -212,15 +212,16 @@ def test_envelope_verdict_at_the_old_flagship_amplitude():
     assert np.all(np.diff(env.max_ratio) >= 0.0) and np.all(np.diff(env.min_profile) <= 0.0)
 
 
-def _wedge_peak_ratio(pair, params, grid, c):
-    """The grid's envelope peak from the leapfrog levels: the largest
-    |w| / (3 c r^beta) over the causal wedge [1 + t, r_max - t]."""
+def _wedge_peak_ratio(pair, params, grid, c, edge):
+    """The grid's envelope peak from the leapfrog levels stepped to the
+    clean edge edge(m) (a solver.CleanEdge): the largest |w| / (3 c r^beta)
+    from r = 1 + t to that edge, on the nodes the run steps."""
     floor3 = np.zeros(grid.n + 1)
     floor3[1:] = 3.0 * (c * grid.r[1:] ** params.beta)
     one = grid_index(1.0, grid.h)
     peak = 0.0
-    for m, _, w, *_ in leapfrog(pair, params, grid):
-        lo, hi = m + one, grid.n - m
+    for m, _, w, *_ in leapfrog(pair, params, grid, edge=edge):
+        lo, hi = m + one, edge(m)
         if lo <= hi:
             peak = max(peak, float(np.max(np.abs(w[lo : hi + 1]) / floor3[lo : hi + 1])))
     return peak
@@ -229,10 +230,12 @@ def _wedge_peak_ratio(pair, params, grid, c):
 @pytest.mark.parametrize("c", [1.0, 2.0, 3.3])
 def test_grid_envelope_peak_converges_to_the_far_field_verdict(c):
     """The exterior solver stays checked: on the old probe grid (p = 4,
-    T = 16, r_max = 34) the wedge's peak ratio reaches the Phi verdict at
-    second order, the gap falling fourfold from h = 1/32 to 1/64 (1.8e-5
-    and 1.2e-4 at h = 1/32 for c = 2 and 3.3); at c = 1 both peak at t = 0,
-    on the data."""
+    T = 16, r_max = 34), stepped whole, the wedge's peak ratio reaches the
+    Phi verdict at second order, the gap falling fourfold from h = 1/32 to
+    1/64 (1.8e-5 and 1.2e-4 at h = 1/32 for c = 2 and 3.3); at c = 1 both
+    peak at t = 0, on the data.  The light-cone window, which the grid
+    fits, reads a peak within 1/10 of that gap of the whole grid's (1 % at
+    c = 2, 6.5 % at c = 3.3: its edge takes Phi's exact values)."""
     p, t_max = 4.0, 16.0
     params = make_params(p, 0.5)
     want = FarField(c, p).envelope([t_max]).peak_ratio
@@ -240,7 +243,11 @@ def test_grid_envelope_peak_converges_to_the_far_field_verdict(c):
     for h in (1.0 / 32.0, 1.0 / 64.0):
         grid = GridSpec(h=h, r_max=2.0 + 2.0 * t_max, t_max=t_max, boundary="outgoing")
         pair = AppendixPowerLaw(c, params).sample(grid)
-        gaps.append(abs(_wedge_peak_ratio(pair, params, grid, c) - want))
+        whole, window = clean_edge(grid, far_field=False), clean_edge(grid, far_field=True)
+        assert window.slope == 1
+        peak = _wedge_peak_ratio(pair, params, grid, c, whole)
+        gaps.append(abs(peak - want))
+        assert abs(_wedge_peak_ratio(pair, params, grid, c, window) - peak) <= 0.1 * gaps[-1]
     assert gaps[0] < 2e-4
     assert gaps[1] < 1e-12 or 3.9 < gaps[0] / gaps[1] < 4.1, gaps
 
@@ -313,20 +320,40 @@ def _report_scalars(report):
 
 
 def test_report_does_not_depend_on_r_max():
-    """The far-field closure leaves every reported integral, and the fits
-    on them, within 1 % between r_max = 2 t_max + 4 and 16 t_max + 4."""
+    """The light-cone window and the far-field closures leave every number
+    of the report the same, bit for bit, between r_max = 2 t_max + 4 and
+    16 t_max + 4: both runs step the same window, and K takes its grid
+    part on r <= 1.  Only grid.r_max differs."""
     c = 3.36376953125 / 2.0
-    small, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 16.0, t_max=32.0)
-    large, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 16.0, t_max=32.0, r_max=516.0)
-    assert small["grid"]["r_max"] == 68.0
-    got, want = _report_scalars(small), _report_scalars(large)
-    assert len(got) == 19
-    for key, value in want.items():
-        assert got[key] == pytest.approx(value, rel=1e-2), key
+    small, _, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 16.0, t_max=32.0)
+    large, _, _ = run_appendix_example(4.0, 0.25, c=c, h=1.0 / 16.0, t_max=32.0, r_max=516.0)
+    assert small["grid"].pop("r_max") == 68.0 and large["grid"].pop("r_max") == 516.0
+    assert len(_report_scalars(small)) == 19
+    assert small == large
     shares = small["far_field"]["closure_share"]
     assert set(shares) == {"e_minus", "e_plus", "y2p", "exterior", "k", "free_wave_defect"}
     assert 0.0 < shares["k"] < 1.0 and all(0.0 < v < 1.0 for v in shares["e_minus"])
     assert len(shares["free_wave_defect"]) == 2
+
+
+def test_report_does_not_depend_on_the_pad(monkeypatch):
+    """The window's pad moves the quick study's numbers (h = 1/32, t_max =
+    32) by less than 1/10 of their change from h = 1/16 to 1/32 on the
+    whole grid: pad 8 (solver.PAD) and pad 16 agree that closely (at most
+    0.078 of it, on E_-(4)).  With PAD = 64 the window
+    would pass r_max = 68, so the study steps the whole grid."""
+    c = 3.36376953125 / 2.0
+
+    def scalars(h, pad):
+        monkeypatch.setattr(solver, "PAD", pad)
+        report, traj, _ = run_appendix_example(4.0, 0.25, c=c, h=h, t_max=32.0)
+        return _report_scalars(report), traj.edge.slope
+
+    (coarse, s1), (fine, s2) = scalars(1.0 / 16.0, 64.0), scalars(1.0 / 32.0, 64.0)
+    (pad8, s3), (pad16, s4) = scalars(1.0 / 32.0, 8.0), scalars(1.0 / 32.0, 16.0)
+    assert (s1, s2, s3, s4) == (-1, -1, 1, 1)  # whole grids, then windows
+    for key, value in pad8.items():
+        assert abs(pad16[key] - value) < 0.1 * abs(fine[key] - coarse[key]), key
 
 
 def test_default_study_steps_one_evolve(monkeypatch):
@@ -339,7 +366,7 @@ def test_default_study_steps_one_evolve(monkeypatch):
         return solver.evolve(*args, **kwargs)
 
     monkeypatch.setattr(appendix, "evolve", counted)
-    report, _ = run_appendix_example(4.0, 0.25, h=1.0 / 16.0, t_max=8.0)
+    report, _, _ = run_appendix_example(4.0, 0.25, h=1.0 / 16.0, t_max=8.0)
     assert len(calls) == 1
     assert report["envelope"]["c"] == 2.0 and report["envelope"]["threshold"] == 4.0
 
@@ -348,7 +375,7 @@ def test_report_divergent_channel_mass():
     """kappa above (5-p)/(p-1) makes the weighted mass diverge; the report
     must degrade gracefully rather than fail: no scaled decay column, and
     with t_max = 8 there is one fit time and no defect pairs."""
-    report, traj = run_appendix_example(
+    report, traj, _ = run_appendix_example(
         4.0, 0.5, c=0.4, h=1.0 / 32.0, t_max=8.0
     )
     assert report["channel_mass"]["divergent"] is True

@@ -371,10 +371,11 @@ def test_far_field_tails_against_quadrature():
 
 
 def test_k_functional_far_field_closed_form():
-    """K of power-law data = grid part to r_max + the closed-form tail
-    pi c^2 (beta^2 + 2 c^(p-1)/(p+1)) R^(2 beta - 1 + kappa) / (1 - 2 beta - kappa),
-    which makes it independent of r_max: K1 = 233.48 at the flagship's
-    amplitude (h = 1/32), whatever the grid."""
+    """K of power-law data = grid part on r <= 1 + the closed-form rest
+    pi c^2 (beta^2 + 2 c^(p-1)/(p+1)) R^(2 beta - 1 + kappa) / (1 - 2 beta - kappa)
+    from R = 1 on, where the data are exactly c r^beta; so it does not
+    depend on r_max, bit for bit: K1 = 233.48 at the flagship's amplitude
+    (h = 1/32), whatever the grid."""
     p, kappa, c, h = 4.0, 0.25, FLAGSHIP_C, 1.0 / 32.0
     params = make_params(p, kappa)
     beta = params.beta
@@ -384,15 +385,15 @@ def test_k_functional_far_field_closed_form():
         pair = fam.sample(GridSpec(h=h, r_max=r_max, t_max=1.0))
         reps[r_max] = rep = k_functional(pair, params)
         expo = 2.0 * beta - 1.0 + kappa
-        closed = math.pi * c * c * (beta**2 + 2.0 * c ** (p - 1.0) / (p + 1.0)) * r_max**expo / -expo
+        closed = math.pi * c * c * (beta**2 + 2.0 * c ** (p - 1.0) / (p + 1.0)) / -expo
         assert rep.tail == pytest.approx(closed, rel=1e-12)
+        inner = pair.r <= 1.0
         assert rep.k1 - rep.tail == pytest.approx(
-            math.pi * np.trapezoid(np.maximum(1.0, pair.r**kappa)
-                                   * channel_densities(pair.w0, pair.w1, h, p), dx=h),
+            math.pi * np.trapezoid(channel_densities(pair.w0, pair.w1, h, p)[inner], dx=h),
             rel=1e-12)
         assert rep.k == pytest.approx(4.0 * rep.k1, rel=1e-15)
     assert reps[132.0].k1 == pytest.approx(233.4786, rel=2e-5)  # ROADMAP item 2's value
-    assert reps[132.0].k1 == pytest.approx(reps[1028.0].k1, rel=1e-8)
+    assert reps[132.0] == reps[1028.0]
     with pytest.raises(DivergentIntegralError, match="kappa=0.34"):
         FarField(c, p).k_tail(132.0, 0.34)
 

@@ -492,37 +492,74 @@ def _channels(m, w_prev, w, w_next, w1, h):
 
 
 def test_far_field_clean_edge():
-    """Runs of power-law data with r_max = 2T + 4 and 4T + 4 have
-    bitwise-equal channels exactly on the nodes <= n - m - 1 of the small
-    grid at level m; the small run's closed totals take their grid part on
-    those nodes, and a radius past its edge matches the large run's."""
+    """Runs of power-law data with r_max = 2T + 4 and 4T + 4 step the same
+    light-cone window, so their channels are bitwise equal on every node
+    <= W(m) = one + 8/h + m of level m; the closed totals take their grid
+    part on those nodes and close the rest from W(m)'s radius on, and a
+    radius past the window matches the whole grid's reading of it (a run
+    with the bins, which steps the whole grid)."""
     params, h, t_max = make_params(4.0, 0.25), 1.0 / 16.0, 8.0
     fam = AppendixPowerLaw(1.5, params)
-    radius = 2.0 * t_max + 2.0
+    radius = 2.0 * t_max + 2.0  # past the window's edge 1 + t + 8 from t = 1 on
     runs = []
     for r_max in (2.0 * t_max + 4.0, 4.0 * t_max + 4.0):
         grid = GridSpec(h=h, r_max=r_max, t_max=t_max)
         pair = fam.sample(grid)
-        levels = [(_channels(m, wp, w, wn, pair.w1, h), f[:e] * w[:e])
+        levels = [(_channels(m, wp, w, wn, pair.w1, h), f * w)
                   for m, wp, w, wn, e, q, f in leapfrog(pair, params, grid)]
-        runs.append((grid.n, levels, evolve(pair, params, grid, Monitors(radii=(radius,)))))
-    (n, small, traj), (_, large, big_traj) = runs
-    led = traj.ledger
-    for m, ((chan, fw), (chan_big, fw_big)) in enumerate(zip(small, large)):
-        edge = n - m - 1
-        assert np.array_equal(chan[:, : edge + 1], chan_big[:, : edge + 1]), m
-        assert np.any(chan[:, edge + 1] != chan_big[:, edge + 1]), m
-        pot = 0.4 * trapz(fw_big[: edge + 1], h)
+        traj = evolve(pair, params, grid, Monitors(radii=(radius,)))
+        assert traj.edge == nlw.solver.CleanEdge(16 + 128, 1)
+        runs.append((levels, traj))
+    (small, traj), (large, _) = runs
+    led, edge = traj.ledger, traj.edge
+    for m, ((chan, fw), (chan_big, _)) in enumerate(zip(small, large)):
+        assert np.array_equal(chan[:, : edge(m) + 1], chan_big[:, : edge(m) + 1]), m
+        pot = 0.4 * trapz(fw[: edge(m) + 1], h)
         for name, tail in traj.far_tails.items():  # closed from the edge's radius on
-            assert tail[m] == pytest.approx(traj.pair.far_field.tail(name, edge * h, m * h),
+            assert tail[m] == pytest.approx(traj.pair.far_field.tail(name, edge(m) * h, m * h),
                                             rel=1e-14), (m, name)
         for k, name in enumerate(("e_minus", "e_plus")):
-            grid_part = math.pi * (trapz(chan_big[k, : edge + 1] ** 2, h) / (4 * h * h) + pot)
+            grid_part = math.pi * (trapz(chan[k, : edge(m) + 1] ** 2, h) / (4 * h * h) + pot)
             assert getattr(led, name)[m] - traj.far_tails[name][m] == pytest.approx(
                 grid_part, rel=1e-12), (m, name)
-    # E(t; 0, R): closed past the small run's edge, on the grid in the large run
-    np.testing.assert_allclose(led.radii[radius][0], big_traj.ledger.radii[radius][0], rtol=2e-4)
+    # E(t; 0, R): closed past the window, on the whole grid with the bins
+    whole = evolve(traj.pair, params, traj.grid, Monitors(radii=(radius,), bins=True))
+    assert whole.edge == nlw.solver.CleanEdge(traj.grid.n - 1, -1)
+    np.testing.assert_allclose(led.radii[radius][0], whole.ledger.radii[radius][0], rtol=2e-4)
     assert led.conservation_drift() < 4e-3  # 1.9e-3: O(h^2), no loss past r_max
+
+
+def test_far_field_run_steps_its_light_cone():
+    """The study's main run (p = 4, c = 2, t_max = 64, r_max = 132) at
+    h = 1/32 steps its light-cone window: the ends e of leapfrog's levels
+    add up to 31 % of the whole grid's node-levels (n + 1)(steps + 1)."""
+    params = make_params(4.0, 0.25)
+    grid = GridSpec(h=1.0 / 32.0, r_max=132.0, t_max=64.0)
+    pair = AppendixPowerLaw(2.0, params).sample(grid)
+    work = sum(e for _, _, _, _, e, _, _ in leapfrog(pair, params, grid))
+    assert work == sum(32 + 256 + m + 2 for m in range(grid.steps + 1))
+    assert work <= (grid.n + 1) * (grid.steps + 1) / 3
+
+
+def test_far_field_window_is_widened_or_falls_back_to_the_whole_grid():
+    """plan_run widens the window's pad of 8 to hold every flux line and
+    inward triangle slice, and steps the whole grid when the window would
+    pass r_max before t_max + h (full_slab's r_max = 10 grid), when the
+    bins are recorded (they read every node), and for data with no far
+    field."""
+    edge = nlw.solver.CleanEdge
+    grid = GridSpec(h=1.0 / 32.0, r_max=132.0, t_max=64.0)
+    n = grid.n
+    cases = [
+        (grid, Monitors(), True, edge(32 + 256, 1)),
+        (grid, Monitors(flux_s=(40.0,)), True, edge(40 * 32, 1)),  # node 1280 at t = 0
+        (grid, Monitors(triangles=((2.0, 20.0),)), True, edge(20 * 32 - 2 * 32, 1)),
+        (grid, Monitors(bins=True), True, edge(n - 1, -1)),
+        (grid, Monitors(), False, edge(n - 1, -1)),
+        (GridSpec(h=1.0 / 32.0, r_max=10.0, t_max=4.0), Monitors(), True, edge(319, -1)),
+    ]
+    for case_grid, mon, far_field, want in cases:
+        assert plan_run(case_grid, mon, far_field)[-1] == want, mon
 
 
 def test_far_field_needs_the_clean_edge_past_1_plus_t():
