@@ -20,8 +20,9 @@ make it scatter even though its conformal-type norms diverge:
   * the weighted channel mass is finite exactly for kappa < (5-p)/(p-1)
     and the scattering-rate fits behave accordingly.
 
-run_appendix_example orchestrates a production run and returns a JSON-
-ready report; the CLI `appendix` subcommand wraps it.
+run_appendix_example orchestrates a production run, which steps only the
+light-cone window r <= 1 + t + 8 and takes the rest from Phi, and returns
+a JSON-ready report; the CLI `appendix` subcommand wraps it.
 """
 
 import math
