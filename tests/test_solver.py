@@ -529,6 +529,28 @@ def test_far_field_clean_edge():
     assert led.conservation_drift() < 4e-3  # 1.9e-3: O(h^2), no loss past r_max
 
 
+def test_far_field_snapshots_hold_whole_levels():
+    """A window run's snapshot holds each of its three levels as the run
+    stepped it up to that level's edge, and r^beta Phi(t/r) at the level's
+    own time past it, so its exterior w_t is Phi's to second order."""
+    params, h = make_params(4.0, 0.25), 1.0 / 16.0
+    grid = GridSpec(h=h, r_max=20.0, t_max=8.0)
+    pair = AppendixPowerLaw(1.5, params).sample(grid)
+    traj = evolve(pair, params, grid, Monitors(snapshot_times=(4.0,)))
+    snap, edge, far, m = traj.snapshots[0], traj.edge, pair.far_field, 64
+    assert edge.slope == 1
+    run = next((wp.copy(), w.copy(), wn.copy())
+               for k, wp, w, wn, *_ in leapfrog(pair, params, grid) if k == m)
+    for j, got, stepped in zip((m - 1, m, m + 1), (snap.w_prev, snap.w_curr, snap.w_next), run):
+        i = edge(j) + 1
+        assert np.array_equal(got[:i], stepped[:i]), j
+        assert np.array_equal(got[i:], far.field(grid.r[i:], j * h)), j
+    r = grid.r[edge(m) + 1 :]
+    exact = r ** (params.beta - 1.0) * far.profile(4.0 / r)[1]  # w_t = r^(beta-1) Phi'
+    # 4.7e-6 of |w_t| <= 0.26: the centered difference's O(h^2) error
+    np.testing.assert_allclose(snap.w_t[edge(m) + 1 :], exact, rtol=0, atol=2e-5)
+
+
 def test_far_field_run_steps_its_light_cone():
     """The study's main run (p = 4, c = 2, t_max = 64, r_max = 132) at
     h = 1/32 steps its light-cone window: the ends e of leapfrog's levels
