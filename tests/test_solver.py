@@ -24,6 +24,7 @@ from nlw.model import (
 )
 from nlw.numerics import derivative, grid_index, node_at_or_past, trapz
 from nlw.solver import (
+    CleanEdge,
     GridSpec,
     Monitors,
     bootstrap,
@@ -508,7 +509,7 @@ def test_far_field_clean_edge():
         levels = [(_channels(m, wp, w, wn, pair.w1, h), f * w)
                   for m, wp, w, wn, e, q, f in leapfrog(pair, params, grid)]
         traj = evolve(pair, params, grid, Monitors(radii=(radius,)))
-        assert traj.edge == nlw.solver.CleanEdge(16 + 128, 1)
+        assert traj.edge == CleanEdge(16 + 128, 1)
         runs.append((levels, traj))
     (small, traj), (large, _) = runs
     led, edge = traj.ledger, traj.edge
@@ -524,7 +525,7 @@ def test_far_field_clean_edge():
                 grid_part, rel=1e-12), (m, name)
     # E(t; 0, R): closed past the window, on the whole grid with the bins
     whole = evolve(traj.pair, params, traj.grid, Monitors(radii=(radius,), bins=True))
-    assert whole.edge == nlw.solver.CleanEdge(traj.grid.n - 1, -1)
+    assert whole.edge == CleanEdge(traj.grid.n - 1, -1)
     np.testing.assert_allclose(led.radii[radius][0], whole.ledger.radii[radius][0], rtol=2e-4)
     assert led.conservation_drift() < 4e-3  # 1.9e-3: O(h^2), no loss past r_max
 
@@ -569,16 +570,15 @@ def test_far_field_window_is_widened_or_falls_back_to_the_whole_grid():
     pass r_max before t_max + h (full_slab's r_max = 10 grid), when the
     bins are recorded (they read every node), and for data with no far
     field."""
-    edge = nlw.solver.CleanEdge
     grid = GridSpec(h=1.0 / 32.0, r_max=132.0, t_max=64.0)
     n = grid.n
     cases = [
-        (grid, Monitors(), True, edge(32 + 256, 1)),
-        (grid, Monitors(flux_s=(40.0,)), True, edge(40 * 32, 1)),  # node 1280 at t = 0
-        (grid, Monitors(triangles=((2.0, 20.0),)), True, edge(20 * 32 - 2 * 32, 1)),
-        (grid, Monitors(bins=True), True, edge(n - 1, -1)),
-        (grid, Monitors(), False, edge(n - 1, -1)),
-        (GridSpec(h=1.0 / 32.0, r_max=10.0, t_max=4.0), Monitors(), True, edge(319, -1)),
+        (grid, Monitors(), True, CleanEdge(32 + 256, 1)),
+        (grid, Monitors(flux_s=(40.0,)), True, CleanEdge(40 * 32, 1)),  # node 1280 at t = 0
+        (grid, Monitors(triangles=((2.0, 20.0),)), True, CleanEdge(20 * 32 - 2 * 32, 1)),
+        (grid, Monitors(bins=True), True, CleanEdge(n - 1, -1)),
+        (grid, Monitors(), False, CleanEdge(n - 1, -1)),
+        (GridSpec(h=1.0 / 32.0, r_max=10.0, t_max=4.0), Monitors(), True, CleanEdge(319, -1)),
     ]
     for case_grid, mon, far_field, want in cases:
         assert plan_run(case_grid, mon, far_field)[-1] == want, mon
