@@ -632,19 +632,14 @@ def cmd_appendix(args):
     )
     led = traj.ledger
     decay_path = os.path.join(args.out_dir, "energy_decay.svg")
-    line_plot(
-        decay_path,
-        [
-            ("E_minus (r<=1)", led.t, led.radii[1.0][1]),
-            ("E_plus (r<=1)", led.t, led.radii[1.0][2]),
-            ("E_minus (r<=t/4)", led.t, led.radii["t/4"][1]),
-            ("y2p", led.t, led.y2p),
-        ],
-        title="localized channel decay",
-        xlabel="t",
-        ylabel="mass",
-        loglog=True,
-    )
+    decay = [("E_minus (r<=1)", led.t, led.radii[1.0][1]),
+             ("E_plus (r<=1)", led.t, led.radii[1.0][2]),
+             ("E_minus (r<=t/4)", led.t, led.radii["t/4"][1]), ("y2p", led.t, led.y2p)]
+    try:
+        line_plot(decay_path, decay, title="localized channel decay", xlabel="t", ylabel="mass",
+                  loglog=True)
+    except ValueError:  # every series underflowed to 0, and log-log axes drop them all
+        decay_path = None
     report["artifacts"] = {"envelope_rays": env_path, "energy_decay": decay_path}
     write_json(os.path.join(args.out_dir, "report.json"), _jsonable(report))
 

@@ -18,6 +18,7 @@ Two derived exponents appear throughout:
     beta   = (p - 3) / (p - 1)   growth rate of the static power-law tail.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .numerics import abs_power, derivative, grid_index, odd_power, trapz
 P_MIN = 3.0
 P_MAX = 5.0  # exclusive
 LEAK_TOL = 0.05  # largest boundary fraction check_boundary_leak accepts
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)  # each order's rule built once
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ class FarField:
         wave from the state at t1 carries w_r + w_t in from r' + tau and
         w_r - w_t out from r' - tau (tau = t2 - t1), so D+ = A+(r', t2) -
         A+(r' + tau, t1) and D- = A-(r', t2) - A-(r' - tau, t1)."""
-        x, wts = np.polynomial.legendre.leggauss(64)
+        x, wts = _leggauss(64)
         x, tau = 0.5 * (x + 1.0), t2 - t1
         now_in, now_out = self.channels(r / x, t2)
         dp = now_in - self.channels(r / x + tau, t1)[0]

@@ -18,15 +18,14 @@ sample times.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import recorded_line
 from .errors import OffGridError, ShortSpanError
-from .model import RadialPair
 from .numerics import derivative, fit_log_growth, fit_power_law, grid_index, trapz
-from .solver import leapfrog
+from .solver import free_levels
 
 MIN_DYADIC_SAMPLES = 8
 
@@ -107,14 +106,15 @@ class DefectReport:
 
 
 def free_wave_defect(traj, t1, t2):
-    """Evolve the t1 snapshot freely (no source) to t2 and measure the
+    """Carry the t1 snapshot freely (no source) to t2 and measure the
     kinetic energy-norm gap against the nonlinear state:
 
         defect = ( 2*pi int (d_r^2 + d_t^2) dr )^{1/2},  d = w - w_free.
 
-    Both snapshots must have been recorded during the run.  With a far
-    field, FarField.defect_tail closes it past the run's clean edge at t2,
-    and the free wave runs on the nodes [0, edge + steps + 2] only.
+    Both snapshots must have been recorded during the run.  The free wave
+    comes in closed form from solver.free_levels (no level is stepped), the
+    data zero past r_max; with a far field, FarField.defect_tail closes the
+    norm past the clean edge at t2, or past node n - steps - 1 if smaller.
     """
     snap1 = traj.snapshot_at(t1)
     snap2 = traj.snapshot_at(t2)
@@ -123,23 +123,12 @@ def free_wave_defect(traj, t1, t2):
     if steps < 1:
         raise OffGridError(f"need t2 > t1, got ({t1}, {t2})")
     far = traj.pair.far_field
-    edge = n if far is None else traj.edge(grid_index(t2, h, "t2"))
-    end = min(n, edge + steps + 2)  # the free wave's last node
-    if far is not None:
-        edge = min(edge, end - steps - 1)  # its w_t is exact to there
-
-    # leapfrog pins w(0) = 0, so the snapshot is data as it stands
-    pair = RadialPair(w0=snap1.w_curr[: end + 1], w1=snap1.w_t[: end + 1], h=h)
-    span_grid = replace(traj.grid, r_max=end * h, t_max=steps * h)
-    # the levels of the last step, which the loop leaves bound
-    for _, w_free_prev, w_free, w_free_next, *_ in leapfrog(
-        pair, traj.params, span_grid, linear=True
-    ):
-        pass
+    edge = n if far is None else min(traj.edge(grid_index(t2, h, "t2")), n - steps - 1)
+    w_free_prev, w_free, w_free_next = free_levels(snap1.w_curr, snap1.w_t, h, steps)
     wt_free = (w_free_next - w_free_prev) / (2.0 * h)
 
-    d = snap2.w_curr[: end + 1] - w_free
-    dt = snap2.w_t[: end + 1] - wt_free
+    d = snap2.w_curr - w_free
+    dt = snap2.w_t - wt_free
     dr = derivative(d, h)
     grid_part = trapz((dr * dr + dt * dt)[: edge + 1], h)
     tail = 0.0 if far is None else far.defect_tail(edge * h, t1, t2)

@@ -24,8 +24,9 @@ an update of exactly 0, so every solve takes two sweeps.  Its source
 quadrature is genuinely different from the leapfrog's, which makes the
 pair usable for cross-verification at second order.
 
-leapfrog() generates the levels of the scheme.  evolve() records, while
-it steps, the diagnostics its Monitors ask for (channel energies, origin
+leapfrog() generates the levels of the scheme, and free_levels() gives its
+linear levels in closed form, with no step.  evolve() records, while it
+steps, the diagnostics its Monitors ask for (channel energies, origin
 trace, flux lines, triangle probes, characteristic-line bins), because
 storing the full space-time field is not affordable for production grids.
 Data with a far field, r^beta Phi(t/r) on r > 1 + t, step only their
@@ -332,6 +333,27 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
         yield m, w_prev, w, w_next, e, (None if linear else q[:e]), f
         # level m - 1 is no longer needed; its buffer takes level m + 2
         w_prev, w, w_next = w, w_next, w_prev
+
+
+def free_levels(w0, w1, h, m):
+    """The levels m - 1, m and m + 1 (m >= 1) of leapfrog(linear=True) from
+    data (w0, w1) on nodes [0, n], as rows, without stepping: with w0e, w1e
+    the odd extensions, zero past node n, level l is the lattice d'Alembert
+    form (w0e[j + l] + w0e[j - l]) / 2 + h sum w1e[k], k = j - l + 1,
+    j - l + 3, ..., j + l - 1, its sums differences of per-parity prefix sums.
+    """
+    n, c = w0.size - 1, m + 2  # c: the position of node 0 in ext
+    ext = np.zeros((2, n + 2 * c))
+    ext[:, c : c + n + 1] = w0, w1
+    k = min(n, c)  # nodes -k .. -1 fit before node 0
+    ext[:, c - k : c] = -ext[:, c + k : c : -1]
+    for par in (0, 1):
+        ext[1, par::2] = np.cumsum(ext[1, par::2])
+    out = np.array([0.5 * (ext[0, c + l : c + l + n + 1] + ext[0, c - l : c - l + n + 1])
+                    + h * (ext[1, c + l - 1 : c + l + n] - ext[1, c - l - 1 : c - l + n])
+                    for l in (m - 1, m, m + 1)])
+    out[:, 0] = 0.0  # leapfrog pins the origin
+    return out
 
 
 class _Recorders:

@@ -622,6 +622,22 @@ def test_appendix_subcommand(tmp_path, capsys):
     assert (out / "energy_decay.svg").exists()
 
 
+def test_appendix_at_tiny_amplitude_skips_only_the_decay_plot(tmp_path, capsys):
+    """At c = 1e-200 every decay series underflows to 0, which log-log axes
+    drop: the study still exits 0 and writes its report and envelope plot,
+    with a null decay artifact, where it used to leak line_plot's
+    ValueError."""
+    out = tmp_path / "ap"
+    code = main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16", "--t-max", "16",
+                 "--c", "1e-200", "--out-dir", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["artifacts"] == {"envelope_rays": str(out / "envelope_rays.svg"),
+                                   "energy_decay": None}
+    assert (out / "envelope_rays.svg").exists() and not (out / "energy_decay.svg").exists()
+
+
 @pytest.mark.parametrize("t_max", ["2", "3.5"])
 def test_appendix_short_horizon_exits_2_before_any_run(tmp_path, capsys, monkeypatch, t_max):
     """t_max below the first dyadic time 4 is refused up front: it used to

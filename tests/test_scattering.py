@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import nlw.scattering
+import nlw.solver
 from nlw.diagnostics import EnergyLedger
 from nlw.errors import DegenerateFitError, OffGridError, ShortSpanError
-from nlw.model import DirectedPulse, make_params
+from nlw.model import DirectedPulse, RadialPair, make_params
+from nlw.numerics import derivative, trapz
 from nlw.scattering import (
     char_settle_rate,
     exterior_growth_fit,
@@ -16,7 +20,7 @@ from nlw.scattering import (
     lp_l2p_tail,
     predicted_tail_exponent,
 )
-from nlw.solver import GridSpec, Monitors, Trajectory, evolve
+from nlw.solver import GridSpec, Monitors, Trajectory, evolve, leapfrog
 
 
 def _synthetic_traj(y2p=None, exterior=None, t_max=64.0, h=1.0 / 16.0):
@@ -226,3 +230,62 @@ def test_defect_requires_snapshots(compact_run):
         free_wave_defect(traj, 8.0, 24.0)  # 24 was never snapshot
     with pytest.raises(OffGridError):
         free_wave_defect(traj, 8.0, 8.0)
+
+
+def _marched_defect(traj, t1, t2):
+    """The defect with a stepped free wave: leapfrog(linear=True) from the t1
+    snapshot on the nodes [0, end], end = edge + steps + 2 (r_max at most),
+    to t2, then the same gap norm and far-field closure."""
+    snap1, snap2 = traj.snapshot_at(t1), traj.snapshot_at(t2)
+    h, n = traj.grid.h, traj.grid.n
+    steps = round((t2 - t1) / h)
+    far = traj.pair.far_field
+    edge = n if far is None else traj.edge(round(t2 / h))
+    end = min(n, edge + steps + 2)
+    if far is not None:
+        edge = min(edge, end - steps - 1)
+    pair = RadialPair(w0=snap1.w_curr[: end + 1], w1=snap1.w_t[: end + 1], h=h)
+    span = dataclasses.replace(traj.grid, r_max=end * h, t_max=steps * h)
+    for _, w_prev, w, w_next, *_ in leapfrog(pair, traj.params, span, linear=True):
+        pass  # the last step's levels stay bound
+    dr = derivative(snap2.w_curr[: end + 1] - w, h)
+    dt = snap2.w_t[: end + 1] - (w_next - w_prev) / (2.0 * h)
+    tail = 0.0 if far is None else far.defect_tail(edge * h, t1, t2)
+    return math.sqrt(2.0 * math.pi * (trapz((dr * dr + dt * dt)[: edge + 1], h) + tail))
+
+
+@pytest.mark.parametrize("name", ["appendix_quick", "flagship"])
+def test_defect_matches_a_marched_free_wave(name, request):
+    """The closed-form free wave gives the stepped one's defects on the
+    study's far-field runs within 1e-11 relative, at h = 1/32 and h = 1/128
+    (the marches round to 3.8e-13 and 4.9e-12)."""
+    fixture = request.getfixturevalue(name)
+    traj = fixture["traj"]
+    for t1, t2 in fixture["report"]["scattering_rates"]["free_wave_defect"]["pairs"]:
+        want = _marched_defect(traj, t1, t2)
+        assert free_wave_defect(traj, t1, t2).defect == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_compact_defect_matches_a_marched_free_wave(compact_run):
+    """On compact data the defects are small next to the states they
+    difference, so the gap to the stepped free wave is measured against
+    sqrt(E(t1)), DefectReport.relative's scale: at most 2.5e-14 of it over
+    1024 to 4096 steps, where it is up to 1.6e-11 of the defect itself."""
+    traj = compact_run["traj"]
+    for t1, t2 in [(4.0, 8.0), (8.0, 16.0), (16.0, 32.0)]:
+        scale = math.sqrt(traj.ledger.e_total[traj.ledger.level(t1)])
+        got, want = free_wave_defect(traj, t1, t2).defect, _marched_defect(traj, t1, t2)
+        assert abs(got - want) <= 1e-11 * scale
+
+
+def test_defects_step_no_level(appendix_quick, monkeypatch):
+    """The study's defects come from the closed form: no leapfrog level runs."""
+    def no_steps(*args, **kwargs):
+        raise AssertionError("a free-wave defect stepped a level")
+
+    monkeypatch.setattr(nlw.solver, "leapfrog", no_steps)
+    assert not hasattr(nlw.scattering, "leapfrog")
+    traj, rates = appendix_quick["traj"], appendix_quick["report"]["scattering_rates"]
+    got = [free_wave_defect(traj, t1, t2).defect
+           for t1, t2 in rates["free_wave_defect"]["pairs"]]
+    assert got == rates["free_wave_defect"]["values"]

@@ -123,6 +123,33 @@ def test_linear_moving_data_matches_discrete_formula(rng):
         assert np.max(np.abs(got - ref)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("m", [1, 2, 37, 256])
+def test_free_levels_are_the_linear_leapfrog_levels(m, rng, appendix_quick):
+    """free_levels gives leapfrog(linear=True)'s levels m - 1, m and m + 1
+    and oracles.dalembert_grid's, within C01's 1e-12 relative sup, on
+    compact data on a pad grid and on a far-field snapshot (the window's
+    nodes, then r^beta Phi out to r_max), where the nodes that the pad
+    boundary or the zeros past r_max reach are left out."""
+    snap = appendix_quick["traj"].snapshot_at(8.0)
+    cases = [(*oracles.random_smooth_state(rng, 1.0 / 96.0, 12.0, n_bumps=3), 1.0 / 96.0),
+             (snap.w_curr, snap.w_t, snap.h)]
+    for w0, w1, h in cases:
+        n = w0.size - 1
+        grid = GridSpec(h=h, r_max=n * h, t_max=m * h, boundary="pad")
+        for _, w_prev, w, w_next, *_ in leapfrog(RadialPair(w0, w1, h), make_params(4.0, 0.25),
+                                                  grid, linear=True):
+            pass  # the last step's levels stay bound
+        got = nlw.solver.free_levels(w0, w1, h, m)
+        assert got.shape == (3, n + 1)
+        for row, march, level in zip(got, (w_prev, w, w_next), (m - 1, m, m + 1)):
+            ref = oracles.dalembert_grid(w0, w1, h, level)
+            scale = float(np.abs(ref).max())
+            assert scale > 1e-2
+            assert np.abs(row[: ref.size] - ref).max() <= 1e-12 * scale
+            clean = n - m - 1  # nodes the march's pad boundary has not reached
+            assert np.abs(row[:clean] - march[:clean]).max() <= 1e-12 * scale
+
+
 def test_linear_exactness_at_multiple_resolutions():
     params = make_params(3.0, 0.5)
     for h in (1.0 / 32.0, 1.0 / 128.0):
