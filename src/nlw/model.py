@@ -36,7 +36,8 @@ from .numerics import abs_power, derivative, grid_index, odd_power, trapz
 P_MIN = 3.0
 P_MAX = 5.0  # exclusive
 LEAK_TOL = 0.05  # largest boundary fraction check_boundary_leak accepts
-_leggauss = functools.cache(np.polynomial.legendre.leggauss)  # each order's rule built once
+# a rule per order, built on first use: numpy loads numpy.polynomial (0.75 MB) on first access
+_leggauss = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
 
 
 @dataclass(frozen=True)

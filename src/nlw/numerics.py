@@ -189,8 +189,7 @@ def node_at_or_past(x, h, name="value"):
 
 def _r_squared(resid, y):
     """Coefficient of determination of a least-squares fit with a constant
-    term; 1 for y constant to rounding (a spread below 1e-15 of its own
-    scale), which such a fit matches.  It does not depend on y's scale."""
+    term; 1 for y constant to rounding (a spread below 1e-15 of its scale)."""
     ss_tot, scale = (float(np.dot(v, v)) for v in (y - y.mean(), y))
     return 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 1e-30 * scale else 1.0
 

@@ -4,6 +4,8 @@ the tests or the command line interface."""
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import nlw
@@ -96,6 +98,16 @@ def test_no_module_imports_inside_a_function():
                 nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    """numpy loads numpy.polynomial on first access, at 0.75 MB of peak RSS
+    and 7 ms: importing the package and its command line does not touch
+    it (FarField.defect_tail builds its Gauss-Legendre rule on first use)."""
+    code = "import sys, nlw.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT / "src").stdout
+    assert out.strip() == "False"
 
 
 def test_every_known_config_key_has_a_reader():
