@@ -140,7 +140,7 @@ def test_free_levels_are_the_linear_leapfrog_levels(m, rng, appendix_quick):
                                                   grid, linear=True):
             pass  # the last step's levels stay bound
         got = nlw.solver.free_levels(w0, w1, h, m)
-        assert got.shape == (3, n + 1)
+        assert got.shape == (3, n + 1) and not got[:, 0].any()  # the origin is pinned
         for row, march, level in zip(got, (w_prev, w, w_next), (m - 1, m, m + 1)):
             ref = oracles.dalembert_grid(w0, w1, h, level)
             scale = float(np.abs(ref).max())
