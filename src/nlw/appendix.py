@@ -16,17 +16,18 @@ make it scatter even though its conformal-type norms diverge:
     where C_p is the constant produced by enlarging the triangle to the
     full characteristic strips and integrating r^{beta-2} (finite only
     for beta > 0, i.e. p > 3 -- at p = 3 the strip integral diverges
-    logarithmically at the inner corner);
+    logarithmically at the inner corner); the report's triangles have apex
+    (1 + t', t'), so they lie in r >= 1 + t and their integral is exact from
+    Phi (FarField.triangle_source);
   * the weighted channel mass is finite exactly for kappa < (5-p)/(p-1)
     and the scattering-rate fits behave accordingly.
 
-run_appendix_example orchestrates a production run, which steps only the
-light-cone window r <= 1 + t + 8 and takes the rest from Phi, and returns
-a JSON-ready report; the CLI `appendix` subcommand wraps it.
+run_appendix_example orchestrates the study's one PDE run, which steps
+only the light-cone window r <= 1 + t + 8 and takes the rest from Phi, and
+returns a JSON-ready report; the CLI `appendix` subcommand wraps it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .model import AppendixPowerLaw, FarField, k_functional, make_params
-from .numerics import abs_power, dyadic_times, fit_power_law, grid_index, node_at_or_past, trapz
+from .numerics import dyadic_times, fit_power_law, node_at_or_past
 from .scattering import (
     exterior_cumulative,
     exterior_growth_fit,
@@ -65,28 +66,13 @@ def triangle_bound_constant(p):
     return 2.0 / (beta * (1.0 - beta))
 
 
-@dataclass(frozen=True)
-class TriangleRegion:
-    """Backward light triangle with apex (r_apex, t_apex), t_apex < r_apex,
-    truncated at t = 0.  The restriction keeps the triangle away from the
-    origin so no reflection term enters."""
-
-    r_apex: float
-    t_apex: float
-
-    def __post_init__(self):
-        if not (0.0 < self.t_apex < self.r_apex):
-            raise OutOfRangeError(
-                f"need 0 < t_apex < r_apex, got ({self.r_apex}, {self.t_apex})"
-            )
-
-
 def full_slab(pair, params, grid):
     """Leapfrog evolution that keeps every level: returns W[level, node].
 
     Only intended for short, coarse runs (the memory cost is the full
-    space-time slab); the appendix triangle checks use it.  The levels
-    are leapfrog()'s, so they agree with evolve()'s snapshots bit for bit.
+    space-time slab); the tests' grid check of FarField.triangle_source
+    uses it.  The levels are leapfrog()'s, so on a run that steps the whole
+    grid they agree with evolve()'s snapshots bit for bit.
     """
     slab = np.empty((grid.steps + 1, grid.n + 1))
     for m, _, w, *_ in leapfrog(pair, params, grid):
@@ -94,63 +80,19 @@ def full_slab(pair, params, grid):
     return slab
 
 
-def triangle_integral(slab, grid, params, region):
-    """Discrete iint |w|^p / r^{p-1} dr dt over the backward triangle.
-
-    Trapezoid in radius on each level, trapezoid in time across levels;
-    the apex level has zero width and contributes nothing.
-    """
-    h = grid.h
-    i_apex = grid_index(region.r_apex, h, "r_apex")
-    m_apex = grid_index(region.t_apex, h, "t_apex")
-    if m_apex >= slab.shape[0]:
-        raise OutOfRangeError("slab does not reach the apex time")
-    if i_apex + m_apex > grid.n:
-        raise OutOfRangeError("triangle leaves the grid")
-    p = params.p
-    r = grid.r
-    total = 0.0
-    for m in range(m_apex + 1):
-        half = m_apex - m
-        lo, hi = i_apex - half, i_apex + half
-        seg_w = slab[m, lo : hi + 1]
-        g = abs_power(seg_w, float(p)) / abs_power(r[lo : hi + 1], p - 1.0)
-        weight = 0.5 if m in (0, m_apex) else 1.0
-        total += weight * h * trapz(g, h)
-    return total
-
-
-@dataclass
-class TriangleBoundReport:
-    region: TriangleRegion
-    integral: float
-    bound: float  # (3c)^p * C_p * r_apex^beta
-
-    @property
-    def ratio(self):
-        return self.integral / self.bound
-
-
-def source_triangle_check(slab, grid, params, c, region):
-    """Compare the actual source integral over a backward triangle with
-    its envelope-based closed-form bound.  Meaningful for p > 3 only
-    (the bound constant is infinite at p = 3, making the check vacuous:
-    ratio 0)."""
-    value = triangle_integral(slab, grid, params, region)
-    cp = triangle_bound_constant(params.p)
-    if math.isinf(cp):
-        bound = math.inf
-    else:
-        bound = (3.0 * c) ** params.p * cp * region.r_apex**params.beta
-    return TriangleBoundReport(region=region, integral=value, bound=bound)
-
-
-def _wedge_grid(h, t_max, pad, r_max=None):
-    """An outgoing grid to t_max for power-law data, of radius r_max or by
-    default the first node at or past pad + 2 t_max."""
-    if r_max is None:
-        r_max = node_at_or_past(pad + 2.0 * t_max, h, "r_max")
-    return GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
+def source_triangle_check(far, t_apex):
+    """The triangle_bound row of the backward light triangle with apex
+    (r', t') = (1 + t', t'): its source integral iint |w|^p / r^{p-1} dr dt
+    from Phi (far.triangle_source), the bound (3c)^p C_p r'^beta and their
+    ratio, taken scale-free from iint |w / c|^p / r^{p-1} so that no
+    amplitude makes it 0/0.  At p = 3 the bound is inf and the ratio 0: the
+    check is vacuous."""
+    r_apex, p = 1.0 + t_apex, far.p
+    scaled = far.triangle_source(t_apex)
+    strip = triangle_bound_constant(p) * r_apex**far.beta
+    return {"r_apex": r_apex, "t_apex": t_apex, "integral": far.c**p * scaled,
+            "bound": math.inf if math.isinf(strip) else (3.0 * far.c) ** p * strip,
+            "ratio": scaled / (3.0**p * strip)}
 
 
 ENVELOPE_CAP = 4.0  # the largest amplitude find_envelope_threshold vouches for
@@ -179,8 +121,9 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     the inward energy against t^{-kappa}, the scattering-rate fits, and
     the triangle source bound.  c=None picks half the envelope threshold,
     c = 2 (find_envelope_threshold).  The envelope verdict comes from the
-    data's far field on r >= 1 + t (FarField.envelope: env), not the grid.
-    The main run records no characteristic bins.
+    data's far field on r >= 1 + t (FarField.envelope: env), not the grid,
+    and so do the triangle rows (source_triangle_check): the study steps
+    one PDE run, which records no characteristic bins.
 
     r_max=None sizes the grid at 2*t_max + 4.  The data carry their exact
     exterior r^beta Phi(t/r) (a FarField), so the run steps its light-cone
@@ -200,7 +143,9 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     try:
         params = make_params(p, kappa)
         family = None if c is None else AppendixPowerLaw(c, params)
-        grid = _wedge_grid(h, t_max, 4.0, r_max)
+        if r_max is None:
+            r_max = node_at_or_past(4.0 + 2.0 * t_max, h, "r_max")
+        grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
         times = dyadic_times(4.0, t_max)
         mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times))
         plan_run(grid, mon, far_field=True)
@@ -277,22 +222,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         },
     }
 
-    # short dense slab for the triangle source bound
-    slab_grid = _wedge_grid(h, 4.0, 2.0)
-    slab = full_slab(family.sample(slab_grid), params, slab_grid)
-    triangle_sec = []
-    for t_apex in (1.0, 2.0, 4.0):
-        region = TriangleRegion(r_apex=1.0 + t_apex, t_apex=t_apex)
-        rep = source_triangle_check(slab, slab_grid, params, family.c, region)
-        triangle_sec.append(
-            {
-                "r_apex": region.r_apex,
-                "t_apex": region.t_apex,
-                "integral": rep.integral,
-                "bound": rep.bound,
-                "ratio": 0.0 if math.isinf(rep.bound) else rep.ratio,
-            }
-        )
+    triangle_sec = [source_triangle_check(traj.pair.far_field, t) for t in (1.0, 2.0, 4.0)]
 
     at = [led.level(t) for t in times]
     closed = {"e_minus": led.e_minus, "e_plus": led.e_plus, "y2p": led.y2p**2,

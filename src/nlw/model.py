@@ -286,6 +286,20 @@ class FarField:
         dm = now_out - self.channels(r / x - tau, t1)[1]
         return float(np.dot(wts, (dp * dp + dm * dm) * r / (x * x))) / 4.0
 
+    def triangle_source(self, t_apex):
+        """iint |w / c|^p / r^{p-1} dr dt over the backward light triangle
+        with apex (1 + t', t'), t' = t_apex, which lies in r >= 1 + t
+        (Gauss-Legendre in s = t/r); in units of the amplitude, so no c
+        underflows it.  There w = r^beta Phi(s), so it is int |Phi/c|^p B(s)
+        ds over 0 <= s <= t'/(1+t'), B the integral of r^{beta-1} from
+        1/(1-s) to (1+2t')/(1+s): (b^beta - a^beta)/beta, log(b/a) at beta = 0."""
+        x, wts = _leggauss(64)
+        half, b = 0.5 * t_apex / (1.0 + t_apex), self.beta
+        s = half * (x + 1.0)
+        gap = np.log((1.0 + 2.0 * t_apex) * (1.0 - s) / (1.0 + s))  # log(b/a)
+        span = gap if b == 0.0 else (1.0 - s) ** -b * np.expm1(b * gap) / b
+        return half * float(np.dot(wts, np.abs(self.profile(s)[0] / self.c) ** self.p * span))
+
     def k_tail(self, r, kappa):
         """K1's part past r >= 1, in closed form; DivergentIntegralError
         unless kappa < (5-p)/(p-1), where it is finite."""

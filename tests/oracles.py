@@ -216,22 +216,37 @@ def triangle_power_closed(beta, r_apex, t_apex):
     ) / (beta * (1.0 - beta))
 
 
-def triangle_quad(fn, r_apex, t_apex, n_t=4000):
-    """Double integral of fn(r, t) over the backward triangle from the apex,
-    by composite Simpson in r inside an adaptive-free trapezoid in t.  Meant
-    for smooth integrands; accuracy is limited but independent."""
-    ts = np.linspace(0.0, t_apex, n_t + 1)
-    vals = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        half = t_apex - t
-        lo, hi = r_apex - half, r_apex + half
-        if half == 0.0:
-            vals[i] = 0.0
-            continue
-        rs = np.linspace(lo, hi, 257)
-        fr = np.array([fn(r, t) for r in rs])
-        vals[i] = np.trapezoid(fr, rs)
-    return np.trapezoid(vals, ts)
+def triangle_sum(slab, h, p, r_apex, t_apex):
+    """Discrete iint |w|^p / r^{p-1} dr dt over the backward triangle with
+    apex (r_apex, t_apex) from the levels slab[m, j] = w(j h, m h): the
+    trapezoid rule in r on each level, then in t across levels (the apex
+    level has zero width).  The apex must lie on a node and the triangle
+    at r > 0."""
+    i_apex, m_apex = round(r_apex / h), round(t_apex / h)
+    total = 0.0
+    for m in range(m_apex + 1):
+        j = np.arange(i_apex - (m_apex - m), i_apex + (m_apex - m) + 1)
+        g = np.abs(slab[m, j]) ** p / (h * j) ** (p - 1.0)
+        weight = 0.5 if m in (0, m_apex) else 1.0
+        total += weight * h * h * (g.sum() - 0.5 * (g[0] + g[-1]))
+    return total
+
+
+def triangle_source_quad(c, p, t_apex):
+    """iint |w|^p / r^{p-1} dr dt over the backward triangle with apex
+    (1 + t', t') of the power-law data's exterior w = r^beta Phi(t/r), by
+    scipy quad over s = t/r of |Phi|^p times the closed radial integral of
+    r^{beta-1} from 1/(1-s) to (1+2t')/(1+s), Phi from far_profile."""
+    beta, s_end = (p - 3.0) / (p - 1.0), t_apex / (1.0 + t_apex)
+    sol = far_profile(c, p, s_end)
+
+    def dens(s):
+        lo, hi = 1.0 / (1.0 - s), (1.0 + 2.0 * t_apex) / (1.0 + s)
+        radial = math.log(hi / lo) if beta == 0.0 else (hi**beta - lo**beta) / beta
+        return abs(sol(s)[0]) ** p * radial
+
+    val, err = quad(dens, 0.0, s_end, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
 
 
 def infinite_triangle_law(t, xi, bulk, e_minus, p, t0):

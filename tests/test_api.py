@@ -100,6 +100,25 @@ def test_no_module_imports_inside_a_function():
     assert nested == []
 
 
+def test_every_imported_name_is_used():
+    """Each name that a module of src/nlw other than __init__.py imports is
+    read somewhere in that module, so a deletion cannot leave an import
+    behind.  diagnostics keeps abs_power, which perfbench's self-test pins
+    (ROADMAP item 1)."""
+    unused = []
+    for path in sorted((ROOT / "src" / "nlw").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names
+                   for name in [alias.asname or alias.name.split(".")[0]]
+                   if name not in used]
+    assert unused == ["diagnostics.abs_power"]
+
+
 def test_import_leaves_numpy_polynomial_unloaded():
     """numpy loads numpy.polynomial on first access, at 0.75 MB of peak RSS
     and 7 ms: importing the package and its command line does not touch

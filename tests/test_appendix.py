@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,20 +8,25 @@ import pytest
 
 from nlw import appendix, solver
 from nlw.appendix import (
-    TriangleRegion,
     find_envelope_threshold,
     full_slab,
     run_appendix_example,
     source_triangle_check,
     triangle_bound_constant,
-    triangle_integral,
 )
 from nlw.errors import OutOfRangeError
 from nlw.model import AppendixPowerLaw, FarField, GaussianBump, make_params
 from nlw.numerics import grid_index
 from nlw.solver import GridSpec, Monitors, clean_edge, evolve, leapfrog
 
-from oracles import cp_closed, far_profile, sup_abs, triangle_power_closed, triangle_quad
+from oracles import (
+    cp_closed,
+    far_profile,
+    sup_abs,
+    triangle_power_closed,
+    triangle_source_quad,
+    triangle_sum,
+)
 
 
 # --------------------------------------------------------------------------
@@ -51,62 +57,52 @@ def test_strip_constant_dominates_exact_triangle():
 
 
 # --------------------------------------------------------------------------
-# triangle regions and discrete integrals
+# triangle source integrals from Phi
 # --------------------------------------------------------------------------
 
-def test_triangle_region_validation():
-    TriangleRegion(r_apex=2.0, t_apex=1.0)
-    with pytest.raises(OutOfRangeError):
-        TriangleRegion(r_apex=1.0, t_apex=1.0)
-    with pytest.raises(OutOfRangeError):
-        TriangleRegion(r_apex=2.0, t_apex=0.0)
-    with pytest.raises(OutOfRangeError):
-        TriangleRegion(r_apex=2.0, t_apex=2.5)
+@pytest.mark.parametrize("p", [3.0, 3.5, 4.0, 4.5])
+def test_triangle_rows_match_scipy_quadrature(p):
+    """At the study's c = 2 each triangle_bound integral (apex (1 + t', t'),
+    t' = 1, 2, 4) is within 1e-8 of scipy quad over an independent DOP853
+    Phi (7e-10 at worst), and the scale-free ratio is the integral over
+    the bound."""
+    far = FarField(2.0, p)
+    for t_apex in (1.0, 2.0, 4.0):
+        row = source_triangle_check(far, t_apex)
+        assert (row["r_apex"], row["t_apex"]) == (1.0 + t_apex, t_apex)
+        assert row["integral"] == pytest.approx(triangle_source_quad(2.0, p, t_apex), rel=1e-8)
+        if p == 3.0:
+            assert (row["bound"], row["ratio"]) == (math.inf, 0.0)
+        else:
+            assert row["ratio"] == pytest.approx(row["integral"] / row["bound"], rel=1e-14)
 
 
-def test_triangle_integral_linear_integrand_exact():
+def test_oracle_triangle_sum_is_exact_on_a_linear_integrand():
     """With w = r and p = 4 the integrand is w^4 / r^3 = r, linear on each
-    level, so both trapezoid stages are exact: the discrete sum equals
-    r' t'^2 to rounding."""
+    level, so both trapezoid stages of oracles.triangle_sum are exact: the
+    sum equals r' t'^2 to rounding."""
     h = 1.0 / 32.0
-    grid = GridSpec(h=h, r_max=8.0, t_max=2.0, boundary="outgoing")
-    params = make_params(4.0, 0.25)
-    slab = np.tile(grid.r, (grid.steps + 1, 1))
-    region = TriangleRegion(r_apex=3.0, t_apex=2.0)
-    got = triangle_integral(slab, grid, params, region)
-    assert got == pytest.approx(3.0 * 4.0, rel=1e-13)
+    slab = np.tile(h * np.arange(257), (65, 1))
+    assert triangle_sum(slab, h, 4.0, 3.0, 2.0) == pytest.approx(3.0 * 4.0, rel=1e-13)
 
 
-def test_triangle_integral_converges_to_quadrature():
-    """Manufactured smooth slab w(r, t) = r e^{-t} against an independent
-    2D quadrature of |w|^p / r^{p-1}; the discrete error must shrink at
-    second order."""
-    params = make_params(4.0, 0.25)
-    region = TriangleRegion(r_apex=3.0, t_apex=1.5)
-    fn = lambda r, t: (r * math.exp(-t)) ** 4 / r**3
-    ref = triangle_quad(fn, region.r_apex, region.t_apex)
+@pytest.mark.parametrize("p", [3.5, 4.0])
+def test_slab_triangle_sum_converges_to_the_closure(p):
+    """The grid cross-check: the discrete triangle sum over full_slab's
+    leapfrog levels (c = 2, r_max = 10, t_max = 4, the whole grid stepped)
+    reaches FarField.triangle_source at second order, from 1.19e-3,
+    4.6e-4 and 2.3e-4 relative at h = 1/16 to 2.96e-4, 1.15e-4 and 5.8e-5
+    at h = 1/32 (p = 4; t' = 1, 2, 4)."""
+    params, far = make_params(p, 0.25), FarField(2.0, p)
     errs = []
     for h in (1.0 / 16.0, 1.0 / 32.0):
-        grid = GridSpec(h=h, r_max=6.0, t_max=2.0, boundary="outgoing")
-        t_col = (h * np.arange(grid.steps + 1))[:, None]
-        slab = grid.r[None, :] * np.exp(-t_col)
-        errs.append(abs(triangle_integral(slab, grid, params, region) - ref))
-    assert errs[1] < errs[0]
-    order = math.log2(errs[0] / errs[1])
-    assert order > 1.8, f"triangle integral converged at order {order:.2f}"
-
-
-def test_triangle_integral_domain_guards():
-    h = 1.0 / 16.0
-    grid = GridSpec(h=h, r_max=4.0, t_max=1.0, boundary="outgoing")
-    params = make_params(4.0, 0.25)
-    slab = np.zeros((grid.steps + 1, grid.n + 1))
-    with pytest.raises(OutOfRangeError):
-        # apex time beyond the slab
-        triangle_integral(slab, grid, params, TriangleRegion(3.0, 2.0))
-    with pytest.raises(OutOfRangeError):
-        # base leaves the radial grid
-        triangle_integral(slab, grid, params, TriangleRegion(3.75, 0.5))
+        grid = GridSpec(h=h, r_max=10.0, t_max=4.0, boundary="outgoing")
+        slab = full_slab(AppendixPowerLaw(2.0, params).sample(grid), params, grid)
+        errs.append([triangle_sum(slab, h, p, 1.0 + t, t) - 2.0**p * far.triangle_source(t)
+                     for t in (1.0, 2.0, 4.0)])
+    for coarse, fine, t_apex in zip(*errs, (1.0, 2.0, 4.0)):
+        assert abs(fine) < 4e-4 * 2.0**p * far.triangle_source(t_apex)
+        assert math.log2(coarse / fine) >= 1.9, (t_apex, coarse, fine)
 
 
 # --------------------------------------------------------------------------
@@ -134,33 +130,31 @@ def test_full_slab_matches_evolve_levels():
 
 def test_source_triangle_check_subcritical_amplitude():
     p, c = 4.0, 0.05
-    params = make_params(p, 0.25)
-    family = AppendixPowerLaw(c, params)
-    h = 1.0 / 16.0
-    grid = GridSpec(
-        h=h, r_max=h * math.ceil(6.0 / h), t_max=2.0, boundary="outgoing"
-    )
-    slab = full_slab(family.sample(grid), params, grid)
-    rep = source_triangle_check(slab, grid, params, c, TriangleRegion(2.0, 1.0))
-    assert rep.integral > 0.0
-    assert rep.ratio < 1.0
-    assert rep.bound == pytest.approx(
-        (3.0 * c) ** p * cp_closed(p) * 2.0 ** params.beta, rel=1e-5
-    )
+    rep = source_triangle_check(FarField(c, p), 1.0)
+    assert rep["integral"] > 0.0
+    assert rep["ratio"] < 1.0
+    beta = make_params(p, 0.25).beta
+    assert rep["bound"] == pytest.approx((3.0 * c) ** p * cp_closed(p) * 2.0**beta, rel=1e-14)
 
 
 def test_source_triangle_check_vacuous_at_p3():
-    p, c = 3.0, 0.05
-    params = make_params(p, 0.5)
-    family = AppendixPowerLaw(c, params)
-    h = 1.0 / 16.0
-    grid = GridSpec(
-        h=h, r_max=h * math.ceil(6.0 / h), t_max=2.0, boundary="outgoing"
-    )
-    slab = full_slab(family.sample(grid), params, grid)
-    rep = source_triangle_check(slab, grid, params, c, TriangleRegion(2.0, 1.0))
-    assert rep.bound == math.inf
-    assert rep.ratio == 0.0
+    """At p = 3 the bound is inf and the ratio 0, also at an amplitude
+    whose (3c)^p underflows."""
+    for c in (0.05, 1e-200):
+        rep = source_triangle_check(FarField(c, 3.0), 1.0)
+        assert rep["bound"] == math.inf
+        assert rep["ratio"] == 0.0
+
+
+def test_source_triangle_ratio_is_scale_free():
+    """The ratio is taken from |w / c|^p: at c = 1e-200, where integral
+    and bound underflow to 0, it is the small-amplitude limit, which
+    c = 1e-6 reads within 1e-9."""
+    for t_apex in (1.0, 2.0, 4.0):
+        tiny = source_triangle_check(FarField(1e-200, 4.0), t_apex)
+        assert tiny["integral"] == tiny["bound"] == 0.0
+        small = source_triangle_check(FarField(1e-6, 4.0), t_apex)
+        assert tiny["ratio"] == pytest.approx(small["ratio"], rel=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -369,6 +363,25 @@ def test_default_study_steps_one_evolve(monkeypatch):
     report, _, _ = run_appendix_example(4.0, 0.25, h=1.0 / 16.0, t_max=8.0)
     assert len(calls) == 1
     assert report["envelope"]["c"] == 2.0 and report["envelope"]["threshold"] == 4.0
+
+
+def test_study_steps_one_leapfrog(monkeypatch):
+    """The study is one PDE run: its envelope and triangle rows come from
+    Phi, so run_appendix_example creates exactly one leapfrog generator,
+    wherever a module of nlw holds it."""
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[2])
+        return stepper(*args, **kwargs)
+
+    stepper = solver.leapfrog
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nlw" and getattr(module, "leapfrog", None) is stepper:
+            monkeypatch.setattr(module, "leapfrog", counted)
+    report, traj, _ = run_appendix_example(4.0, 0.25, c=2.0, h=1.0 / 16.0, t_max=8.0)
+    assert made == [traj.grid]
+    assert len(report["triangle_bound"]) == 3
 
 
 def test_report_divergent_channel_mass():

@@ -638,6 +638,18 @@ def test_appendix_at_tiny_amplitude_skips_only_the_decay_plot(tmp_path, capsys):
     assert (out / "envelope_rays.svg").exists() and not (out / "energy_decay.svg").exists()
 
 
+def test_appendix_at_tiny_amplitude_reports_finite_triangle_ratios(tmp_path):
+    """At c = 1e-200 the triangle integrals and bounds underflow to 0, and
+    the ratio, taken from |w / c|^p, stays finite: it was 0/0, written
+    as null."""
+    out = tmp_path / "ap"
+    assert main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16", "--t-max", "16",
+                 "--c", "1e-200", "--out-dir", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["triangle_bound"]
+    assert len(rows) == 3
+    assert all(isinstance(row["ratio"], float) and 0.0 < row["ratio"] < 1.0 for row in rows)
+
+
 @pytest.mark.parametrize("t_max", ["2", "3.5"])
 def test_appendix_short_horizon_exits_2_before_any_run(tmp_path, capsys, monkeypatch, t_max):
     """t_max below the first dyadic time 4 is refused up front: it used to

@@ -594,9 +594,9 @@ def test_far_field_run_steps_its_light_cone():
 def test_far_field_window_is_widened_or_falls_back_to_the_whole_grid():
     """plan_run widens the window's pad of 8 to hold every flux line and
     inward triangle slice, and steps the whole grid when the window would
-    pass r_max before t_max + h (full_slab's r_max = 10 grid), when the
-    bins are recorded (they read every node), and for data with no far
-    field."""
+    pass r_max before t_max + h (r_max = 10 at t_max = 4, the grid of the
+    triangle cross-check's full_slab), when the bins are recorded (they
+    read every node), and for data with no far field."""
     grid = GridSpec(h=1.0 / 32.0, r_max=132.0, t_max=64.0)
     n = grid.n
     cases = [
