@@ -104,7 +104,7 @@ def test_every_imported_name_is_used():
     """Each name that a module of src/nlw other than __init__.py imports is
     read somewhere in that module, so a deletion cannot leave an import
     behind.  diagnostics keeps abs_power, which perfbench's self-test pins
-    (ROADMAP item 1)."""
+    as nlw.numerics.abs_power."""
     unused = []
     for path in sorted((ROOT / "src" / "nlw").glob("*.py")):
         if path.name == "__init__.py":
