@@ -95,6 +95,7 @@ def source_triangle_check(far, t_apex):
             "ratio": scaled / (3.0**p * strip)}
 
 
+PLOT_LEVELS = 512  # the study's plot levels, at most (built as a set: np.unique loads numpy.ma)
 ENVELOPE_CAP = 4.0  # the largest amplitude find_envelope_threshold vouches for
 ENVELOPE_HORIZON = 16.0  # the level time its verdict is read at
 
@@ -147,7 +148,9 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
             r_max = node_at_or_past(4.0 + 2.0 * t_max, h, "r_max")
         grid = GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
         times = dyadic_times(4.0, t_max)
-        mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times))
+        plot_at, k = {0, *(round(t / h) for t in times)}, PLOT_LEVELS - 1 - len(times)
+        plot_at.update(round(grid.steps ** (j / (k - 1))) for j in range(k))  # 1 .. steps
+        mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times), radii_levels=plot_at)
         plan_run(grid, mon, far_field=True)
     except (OffGridError, OutOfRangeError) as err:
         raise ConfigError(str(err)) from err

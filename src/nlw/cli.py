@@ -251,6 +251,8 @@ def set_up(cfg):
         params = make_params(cfg.number("params.p"), cfg.number("params.kappa", 0.5))
         family = build_family(cfg, params)
         grid = build_grid(cfg, family)
+        if (stride := cfg.integer("output.stride", 1)) < 1:
+            raise ConfigError(f"output.stride must be at least 1, got {stride}")
         monitors = Monitors(
             radii=cfg.scalar_list("monitors.radii"),
             flux_s=cfg.number_list("monitors.flux_s"),
@@ -259,13 +261,12 @@ def set_up(cfg):
             triangles=cfg.pair_list("monitors.triangles"),
             triangles_out=cfg.pair_list("monitors.triangles_out"),
             snapshot_times=cfg.number_list("monitors.snapshots"),
+            radii_levels=None if stride == 1 else written_levels(grid.steps, stride),
         )
         linear = cfg.boolean("run.linear", False)
         plan_run(grid, monitors, family.far_field() is not None, linear)
     except NlwError as err:
         raise ConfigError(str(err)) from err
-    if cfg.integer("output.stride", 1) < 1:
-        raise ConfigError(f"output.stride must be at least 1, got {cfg.raw['output.stride']!r}")
     return params, family, grid, monitors, linear
 
 
@@ -286,24 +287,22 @@ def run_problem(cfg):
 # -- output writers ----------------------------------------------------------
 
 
-def _radius_tag(label):
-    return "t4" if label == "t/4" else f"{float(label):g}"
+def written_levels(steps, stride):
+    """Every stride-th level and the last: ledger.csv's rows, and the radii's levels."""
+    return np.append(np.arange(0, steps, stride), steps)
 
 
 def write_ledger_csv(path, traj, stride=1):
     """Every stride-th level and the last of the ledger as csv.writer writes
     the cells f"{x:.12g}", formatted _CSV_BLOCK rows at a time."""
     led = traj.ledger
-    stride = max(1, int(stride))
     cols = ["t", "E_total", "E_minus", "E_plus", "xi", "bulk", "y2p", "exterior_l2p2"]
     series = [getattr(led, col.lower()) for col in cols]  # the ledger's names
     for label, (tot, mn, pl) in led.radii.items():
-        tag = _radius_tag(label)
+        tag = "t4" if label == "t/4" else f"{float(label):g}"
         cols += [f"E_total_r{tag}", f"E_minus_r{tag}", f"E_plus_r{tag}"]
         series += [tot, mn, pl]
-    levels = np.arange(0, led.t.size, stride)
-    if levels[-1] != led.t.size - 1:
-        levels = np.append(levels, led.t.size - 1)
+    levels = written_levels(led.t.size - 1, max(1, int(stride)))
     row = ",".join(["%.12g"] * len(cols)) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(cols)
@@ -619,9 +618,11 @@ def cmd_appendix(args):
     report, traj, env = run_appendix_example(p=args.p, kappa=args.kappa, c=args.c, h=args.h,
                                              t_max=args.t_max, r_max=args.r_max)
     os.makedirs(args.out_dir, exist_ok=True)
-    ray_series = [("sup ratio (3c envelope)", env.t, env.max_ratio)]
+    at = sorted(traj.monitors.radii_levels)  # the levels both plots draw
+    t = env.t[at]
+    ray_series = [("sup ratio (3c envelope)", t, env.max_ratio[at])]
     for off, ratio in env.rays.items():
-        ray_series.append((f"|w|/(c r^b) on r=1+t+{off:g}", env.t, ratio))
+        ray_series.append((f"|w|/(c r^b) on r=1+t+{off:g}", t, ratio[at]))
     env_path = os.path.join(args.out_dir, "envelope_rays.svg")
     line_plot(
         env_path,
@@ -632,9 +633,9 @@ def cmd_appendix(args):
     )
     led = traj.ledger
     decay_path = os.path.join(args.out_dir, "energy_decay.svg")
-    decay = [("E_minus (r<=1)", led.t, led.radii[1.0][1]),
-             ("E_plus (r<=1)", led.t, led.radii[1.0][2]),
-             ("E_minus (r<=t/4)", led.t, led.radii["t/4"][1]), ("y2p", led.t, led.y2p)]
+    decay = [("E_minus (r<=1)", t, led.radii[1.0][1][at]),
+             ("E_plus (r<=1)", t, led.radii[1.0][2][at]),
+             ("E_minus (r<=t/4)", t, led.radii["t/4"][1][at]), ("y2p", t, led.y2p[at])]
     try:
         line_plot(decay_path, decay, title="localized channel decay", xlabel="t", ylabel="mass",
                   loglog=True)

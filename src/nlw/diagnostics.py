@@ -82,7 +82,7 @@ class EnergyLedger:
     p: float
     kappa: float
     t: np.ndarray
-    radii: dict  # label -> (E, E_minus, E_plus) arrays
+    radii: dict  # label -> (E, E_minus, E_plus) arrays, NaN at levels not recorded
 
     def __getattr__(self, name):
         # reached only for attributes that were never set
@@ -93,8 +93,9 @@ class EnergyLedger:
     @classmethod
     def allocate(cls, steps, h, params, monitors, n):
         zeros = lambda: np.zeros(steps + 1)
+        nans = lambda: tuple(np.full((3, steps + 1), np.nan))
         led = cls(h=h, p=params.p, kappa=params.kappa, t=h * np.arange(steps + 1),
-                  radii={label: (zeros(), zeros(), zeros()) for label in monitors.radii})
+                  radii={label: nans() for label in monitors.radii})
         for name in TOTALS:
             setattr(led, name, zeros())
         if monitors.bins:
@@ -139,10 +140,14 @@ class EnergyLedger:
 
     def tail_integral(self, series, t0):
         """int_{t0}^inf of a per-level series: the trapezoid over [t0,
-        t_max] plus decade_tail's remainder, as a TailIntegral."""
+        t_max] plus decade_tail's remainder, as a TailIntegral.  A level of
+        either window the series did not record (NaN) raises OffGridError."""
         l0 = self.level(t0)
         if l0 >= series.size - 1:
             raise OffGridError(f"t0={t0} leaves no integration window")
+        lo = min(l0, self.decade_level())
+        if (gap := lo + np.flatnonzero(np.isnan(series[lo:]))).size:
+            raise OffGridError(f"level {gap[0]} (t={self.t[gap[0]]:g}) was not recorded")
         return TailIntegral(t0, float(trapz(series[l0:], self.h)), *self.decade_tail(series))
 
     # -- bookkeeping checks -------------------------------------------------
@@ -214,11 +219,6 @@ def flux_outward(traj, tau):
     return _line_flux(traj, traj.flux_out, tau, "flux label tau")
 
 
-def _relative(residual, energy):
-    """|residual| / |energy|, or |residual| when the energy is 0."""
-    return abs(residual) / abs(energy) if energy != 0.0 else abs(residual)
-
-
 @dataclass
 class TriangleReport:
     kind: str
@@ -235,7 +235,8 @@ class TriangleReport:
 
     @property
     def residual_frac(self):
-        return _relative(self.residual, self.energy)
+        """|residual| / |energy|, or |residual| when the energy is 0."""
+        return abs(self.residual) / abs(self.energy) if self.energy != 0.0 else abs(self.residual)
 
 
 def triangle_residual(traj, t0, r0, kind="inward"):

@@ -157,6 +157,7 @@ class Monitors:
     snapshot_times three-level snapshots at these times
     bins           the characteristic bins (ledger.s_bulk) for
                    diagnostics.weighted_morawetz; they cost a second power
+    radii_levels   the levels to record the radii on (None: all); NaN elsewhere
 
     With a far field (power-law data) the totals and radii are closed past
     the clean edge (see _Recorders), plan_run refuses a flux or trace line
@@ -173,6 +174,7 @@ class Monitors:
     triangles_out: tuple = ()
     snapshot_times: tuple = ()
     bins: bool = False
+    radii_levels: tuple = None
 
     def __post_init__(self):
         for x in self.radii:
@@ -373,7 +375,7 @@ class _Recorders:
     A run of data with a far field stops at its clean edge (traj.edge):
     the totals add FarField.tail past its radius (traj.far_tails), a
     radius past it the exact integral up to its radius, a snapshot Phi
-    past each window.  The monitors' nodes and levels come from plan_run.
+    past each window.  Nodes and levels, radii_at too, come from plan_run.
     """
 
     def __init__(self, traj, plan):
@@ -396,7 +398,7 @@ class _Recorders:
         self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
         if traj.linear:  # the ledger's power and source
             self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
-        self.radius_idx, lines, probes, self.snap_levels = plan
+        self.radius_idx, self.radii_at, lines, probes, self.snap_levels = plan
         if mon.radii:
             self.active.append(_Recorders.radii)
         # (series, label node k, +1 inward / -1 outward, trace?, lo, hi)
@@ -482,7 +484,9 @@ class _Recorders:
         led.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h) + tails[4]
 
     def radii(self, m, w_prev, w, w_next, e, q, f):
-        """Channel energies on [0, R] for each monitored radius R or t/4."""
+        """Channel energies on [0, R], R a monitored radius or t/4, at radii_at."""
+        if m not in self.radii_at:
+            return
         t4_idx = max(1, min(self.n, int(round(m / 4.0))))
         for label, (tot, mn, pl) in self.led.radii.items():
             i = t4_idx if label == "t/4" else self.radius_idx[label]
@@ -553,22 +557,23 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     data carry an exact exterior.  evolve() calls it first, and the CLI
     before it samples any data.
 
-    Returns what _Recorders reads, (radius_idx, lines, probes,
+    Returns what _Recorders reads, (radius_idx, radii_at, lines, probes,
     snap_levels), and the run's CleanEdge: the node of each fixed radius,
-    (name, label, k, sign, lo, hi) of each flux and trace line (on node
-    sign (k - m) at level m, sampled where lo <= that <= hi), (kind, t0,
-    r0, m_lo, m_hi, corner node) of each triangle probe, and the time of
-    each snapshot level.  A far field's window is widened to hold them.
+    the levels the radii are recorded on, (name, label, k, sign, lo, hi)
+    of each flux and trace line (on node sign (k - m) at level m, sampled
+    where lo <= that <= hi), (kind, t0, r0, m_lo, m_hi, corner node) of
+    each triangle probe, and the time of each snapshot level.  A far
+    field's window is widened to hold them.
 
     Raises ConfigError for a linear run of far-field data (their exterior
     solves the nonlinear equation: nothing would close the run past
     r_max), and OffGridError for a negative t_max, fewer than 3 nodes, a
     far field whose clean edge falls inside r = 1 + t (r_max <= 2 t_max +
     1 + h), and a monitor off the grid spacing or off the run: a radius
-    past r_max, a flux or trace line that no level puts on a sampled node
-    or, with a far field, that some level samples past the clean edge, a
-    triangle that leaves the run or the grid, a snapshot outside [0,
-    t_max].
+    past r_max, a radii level outside [0, steps], a flux or trace line
+    that no level puts on a sampled node or, with a far field, that some
+    level samples past the clean edge, a triangle that leaves the run or
+    the grid, a snapshot outside [0, t_max].
     """
     h, n, steps = grid.h, grid.n, grid.steps
     if steps < 0 or n < 2:
@@ -583,6 +588,11 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     for x, i in radius_idx.items():
         if i > n:
             raise OffGridError(f"radius {x} lies past r_max={grid.r_max}")
+    radii_at = range(steps + 1)  # every level, unless Monitors.radii_levels names some
+    if monitors.radii_levels is not None:
+        radii_at = set(monitors.radii_levels)
+        if off := [m for m in radii_at if m not in range(steps + 1)]:
+            raise OffGridError(f"radii level {off[0]!r} lies outside the levels [0, {steps}]")
     lines, reach = [], [grid_index(PAD, h)]  # the window's nodes past r = 1 + t
     for name, what, sign, lo, hi in (
         ("flux_s", "flux label s", 1, 0, n),
@@ -619,7 +629,7 @@ def plan_run(grid, monitors, far_field=False, linear=False):
         if not 0 <= m_snap <= steps:
             raise OffGridError(f"snapshot time {t_snap} lies outside [0, t_max={grid.t_max}]")
         snap_levels[m_snap] = t_snap
-    return radius_idx, lines, probes, snap_levels, edge
+    return radius_idx, radii_at, lines, probes, snap_levels, edge
 
 
 def evolve(pair, params, grid, monitors=None, linear=False):

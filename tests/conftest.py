@@ -130,6 +130,16 @@ def appendix_binned(appendix_quick):
 
 
 @pytest.fixture(scope="session")
+def appendix_every_level(appendix_quick):
+    """The quick appendix fixture's main run again, on the same window, with
+    its radii recorded on every level: the study records them only on the
+    levels its plots draw (Monitors.radii_levels), NaN elsewhere."""
+    traj = appendix_quick["traj"]
+    mon = dataclasses.replace(traj.monitors, radii_levels=None)
+    return evolve(traj.pair, traj.params, traj.grid, mon)
+
+
+@pytest.fixture(scope="session")
 def ledger_level0():
     """(E_-, E_+, E) of a state (w, w_t) by the ledger's rule, the one every
     output reads: level 0 of a one-step run on a pad grid of the state's

@@ -129,6 +129,41 @@ def test_import_leaves_numpy_polynomial_unloaded():
     assert out.strip() == "False"
 
 
+VERIFY_CFG = """\
+params.p = 3.5
+grid.h = 1/64
+grid.t_max = 2
+data.family = gaussian
+data.amplitude = 0.4
+data.center = 1.5
+data.width = 0.5
+monitors.radii = 1.0,t/4
+monitors.triangles = 0.5:1
+monitors.snapshots = 1,2
+output.stride = 3
+output.plots = true
+"""
+
+
+def test_study_and_verify_leave_numpy_ma_unloaded(tmp_path):
+    """numpy loads numpy.ma on first use (np.unique does, for one), at a
+    cost in import time and peak RSS: a quick nlw appendix and a small nlw
+    verify, plots included, do not touch it."""
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(VERIFY_CFG)
+    code = (
+        "import sys; from nlw.cli import main\n"
+        "assert main(['appendix', '--p', '4', '--kappa', '0.25', '--h', '1/16', '--t-max', '16',"
+        f" '--out-dir', {str(tmp_path / 'study')!r}]) == 0\n"
+        f"assert main(['verify', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'run')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT / "src").stdout
+    assert out.splitlines()[-1] == "False"
+    assert (tmp_path / "study" / "energy_decay.svg").exists()
+
+
 def test_every_known_config_key_has_a_reader():
     """Each cli.KNOWN_KEYS entry is the first argument of some call in
     cli.py.  So a key whose reader is deleted cannot linger as an

@@ -228,23 +228,37 @@ def test_morawetz_k1_is_closed_past_r_max_on_far_field_data(appendix_binned):
 # cylinder integrals and the local outward bound
 # --------------------------------------------------------------------------
 
-def test_cylinder_integrable_tail(appendix_quick):
-    """int_4^inf E_+(t; 0, 1) dt: the recorded radius series through
-    EnergyLedger.tail_integral."""
-    led = appendix_quick["traj"].ledger
+def test_cylinder_integrable_tail(appendix_every_level):
+    """int_4^inf E_+(t; 0, 1) dt: the radius series, recorded on every
+    level, through EnergyLedger.tail_integral."""
+    led = appendix_every_level.ledger
     rep = led.tail_integral(led.radii[1.0][2], 4.0)
     assert rep.value > 0.0 and rep.tail > 0.0
     assert rep.exponent < TAIL_EXPONENT_CUT
     assert rep.total == pytest.approx(rep.value + rep.tail)
 
 
-def test_cylinder_non_integrable_tail_is_dropped(appendix_quick):
+def test_cylinder_non_integrable_tail_is_dropped(appendix_every_level):
     """E_+(t; 0, t/4) decays too slowly to integrate: the tail is 0 and the
     fitted exponent says why."""
-    led = appendix_quick["traj"].ledger
+    led = appendix_every_level.ledger
     rep = led.tail_integral(led.radii["t/4"][2], 4.0)
     assert rep.exponent > TAIL_EXPONENT_CUT
     assert rep.tail == 0.0 and rep.total == rep.value > 0.0
+
+
+def test_tail_integral_refuses_unrecorded_levels(appendix_quick):
+    """The study records its radii on its plots' levels only.  Integrating
+    such a series raises OffGridError naming its first NaN level, here
+    one of the decade that the tail is fitted on, t = 3.1875 (h = 1/32)."""
+    led = appendix_quick["traj"].ledger
+    for label in (1.0, "t/4"):
+        with pytest.raises(OffGridError, match=r"level 102 \(t=3.1875\) was not recorded"):
+            led.tail_integral(led.radii[label][2], 4.0)
+    first_gap = int(np.flatnonzero(np.isnan(led.radii[1.0][2]))[0])
+    with pytest.raises(OffGridError, match=f"level {first_gap} "):
+        led.tail_integral(led.radii[1.0][2], 0.0)
+    led.tail_integral(led.y2p, 4.0)  # a total is recorded on every level
 
 
 def test_cylinder_rounding_noise_tail(linear_pulse_run):

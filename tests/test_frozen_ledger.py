@@ -9,7 +9,10 @@ exterior values, free-wave defects, triangle source integrals), a
 cylinder integral, and the time-zero functionals K1 and E of the triangle
 fixtures' data.  The quick appendix run records no characteristic bins,
 so its s_bulk and its weighted bound come from a rerun of its main
-``evolve`` with ``bins=True``.  Under the key "duhamel" it holds the
+``evolve`` with ``bins=True``.  It records its radii only on its plots'
+levels, so its radius series and the cylinder integral come from a rerun
+that records them on every level (``radii_levels=None``), on the same
+window.  Under the key "duhamel" it holds the
 SHA-256 of ``duhamel_solve`` outputs on five small cases (p = 3, 3.5 and 4, a
 one-step horizon, an outgoing grid).  Snapshot levels and Duhamel
 outputs must stay bit-identical.  Recorded
@@ -20,7 +23,7 @@ the sum of its absolute values over every entry, which a change at any
 single level would move.
 
 To regenerate after an intended change of the numbers, dump
-``ledger_record`` of the four fixtures (and the appendix rerun), with
+``ledger_record`` of the four fixtures (and the two appendix reruns), with
 ``report_record`` under "reports" and ``duhamel_record`` under
 "duhamel", to the JSON file from a throwaway test and say why in the
 change log.  The Duhamel digests were last regenerated when the oracle
@@ -71,9 +74,10 @@ def _series(a):
     }
 
 
-def _run_record(traj, binned=None):
+def _run_record(traj, binned=None, every_level=None):
     """Record of traj; s_bulk comes from binned, a rerun of traj with the
-    characteristic bins, when traj did not record them."""
+    characteristic bins, when traj did not record them, and the radii from
+    every_level, a rerun that records them on every level, when given."""
     led = traj.ledger
     series = {
         name: _series(getattr(led, name))
@@ -81,7 +85,7 @@ def _run_record(traj, binned=None):
                      "exterior_l2p2")
     }
     series["s_bulk"] = _series((binned or traj).ledger.s_bulk)
-    for label, arrays in led.radii.items():
+    for label, arrays in (every_level or traj).ledger.radii.items():
         for part, arr in zip(("total", "minus", "plus"), arrays):
             series[f"radius {label} {part}"] = _series(arr)
     for kind, traces in (("flux_in", traj.flux_in), ("flux_out", traj.flux_out),
@@ -105,23 +109,24 @@ def _run_record(traj, binned=None):
 
 
 def ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick,
-                  appendix_binned):
+                  appendix_binned, appendix_every_level):
     """JSON-ready record of the four shared fixtures."""
     out = {"compact": _run_record(compact_run["traj"]),
            "linear_pulse": _run_record(linear_pulse_run),
-           "appendix_quick": _run_record(appendix_quick["traj"], appendix_binned)}
+           "appendix_quick": _run_record(appendix_quick["traj"], appendix_binned,
+                                         appendix_every_level)}
     for h, traj in triangle_runs.items():
         out[f"triangle h=1/{round(1 / h)}"] = _run_record(traj)
     return out
 
 
-def report_record(triangle_runs, appendix_quick, appendix_binned):
+def report_record(triangle_runs, appendix_quick, appendix_binned, appendix_every_level):
     """JSON-ready numbers derived from the runs and their initial data."""
     rep = appendix_quick["report"]
     rates = rep["scattering_rates"]
     ext = rates["exterior_growth"]
-    traj = appendix_quick["traj"]
-    cyl = traj.ledger.tail_integral(traj.ledger.radii[1.0][2], 4.0)  # int_4^inf E_+(t; 0, 1)
+    led = appendix_every_level.ledger
+    cyl = led.tail_integral(led.radii[1.0][2], 4.0)  # int_4^inf E_+(t; 0, 1)
     out = {
         "appendix k1": rep["channel_mass"]["k1"],
         "appendix k": rep["channel_mass"]["k"],
@@ -179,11 +184,11 @@ def frozen():
 
 @pytest.fixture(scope="module")
 def records(frozen, compact_run, triangle_runs, linear_pulse_run, appendix_quick,
-            appendix_binned):
+            appendix_binned, appendix_every_level):
     frozen = {name: rec for name, rec in frozen.items()
               if name not in ("reports", "duhamel")}
     now = ledger_record(compact_run, triangle_runs, linear_pulse_run, appendix_quick,
-                        appendix_binned)
+                        appendix_binned, appendix_every_level)
     assert set(now) == set(frozen)
     return frozen, now
 
@@ -229,9 +234,9 @@ def test_triangle_records_match_frozen(records):
 
 
 def test_report_numbers_match_frozen(frozen, triangle_runs, appendix_quick,
-                                     appendix_binned):
+                                     appendix_binned, appendix_every_level):
     want = frozen["reports"]
-    got = report_record(triangle_runs, appendix_quick, appendix_binned)
+    got = report_record(triangle_runs, appendix_quick, appendix_binned, appendix_every_level)
     assert set(got) == set(want)
     for key, ref in want.items():
         _close(got[key], ref, key)

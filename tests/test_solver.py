@@ -668,6 +668,77 @@ def test_radius_past_r_max_is_rejected():
     assert traj.ledger.radii[grid.r_max][0].max() > 0.0
 
 
+def _assert_same_run_but_radii(every, some, levels):
+    """`some` records its radii on `levels` only, `every` on every level:
+    there they agree bit for bit, elsewhere `some` holds NaN; every other
+    series, line, triangle record and snapshot is identical."""
+    la, lb = every.ledger, some.ledger
+    off = np.ones(la.t.size, dtype=bool)
+    off[list(levels)] = False
+    assert off.any() and set(la.radii) == set(lb.radii)
+    for label, trio in la.radii.items():
+        for full, part in zip(trio, lb.radii[label]):
+            assert full[~off].tobytes() == part[~off].tobytes()
+            assert np.isnan(part[off]).all() and not np.isnan(full).any()
+    names = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")
+    for name in names + (("s_bulk",) if some.monitors.bins else ()):
+        assert getattr(la, name).tobytes() == getattr(lb, name).tobytes(), name
+    for name in ("flux_in", "flux_out", "char_traces"):
+        lines_a, lines_b = getattr(every, name), getattr(some, name)
+        assert set(lines_a) == set(lines_b)
+        for key in lines_a:
+            assert lines_a[key].tobytes() == lines_b[key].tobytes(), (name, key)
+    assert [dataclasses.astuple(rec) for rec in every.triangle_records] == \
+        [dataclasses.astuple(rec) for rec in some.triangle_records]
+    assert len(every.snapshots) == len(some.snapshots)
+    for s_a, s_b in zip(every.snapshots, some.snapshots):
+        assert s_a.t == s_b.t
+        for w_a, w_b in zip((s_a.w_prev, s_a.w_curr, s_a.w_next),
+                            (s_b.w_prev, s_b.w_curr, s_b.w_next)):
+            assert w_a.tobytes() == w_b.tobytes()
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_scheduled_radii_equal_every_level_radii(linear):
+    params = make_params(3.5, 0.5)
+    fam = GaussianBump(0.5, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 4.0, fam.support_radius())
+    pair = fam.sample(grid)
+    mon = dataclasses.replace(WINDOW_MONITORS, radii=(0.5, 1.0, "t/4"))
+    levels = (grid.steps, 0, 3, 7, 8, 64, 3)  # any order; a repeat counts once
+    every = evolve(pair, params, grid, mon, linear=linear)
+    some = evolve(pair, params, grid, dataclasses.replace(mon, radii_levels=levels),
+                  linear=linear)
+    _assert_same_run_but_radii(every, some, levels)
+
+
+def test_study_radii_equal_every_level_radii(appendix_quick, appendix_every_level):
+    """The quick study records its radii on its plots' levels: 0, the last,
+    the dyadic snapshot levels and log-spaced levels, at most 512."""
+    traj = appendix_quick["traj"]
+    levels = traj.monitors.radii_levels
+    assert len(levels) <= 512
+    assert {0, traj.grid.steps} | {round(s.t / traj.grid.h) for s in traj.snapshots} <= set(levels)
+    _assert_same_run_but_radii(appendix_every_level, traj, levels)
+
+
+@pytest.mark.parametrize("levels", [(0, 129), (-1, 5), (2.5,), (math.nan,), ("last",)],
+                         ids=["past-steps", "negative", "fraction", "nan", "string"])
+def test_radii_levels_off_the_run_are_refused_before_any_level(monkeypatch, levels):
+    def no_levels(*args, **kwargs):
+        raise AssertionError("leapfrog ran before the radii levels were checked")
+
+    monkeypatch.setattr(nlw.solver, "leapfrog", no_levels)
+    params = make_params(3.0, 0.5)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 4.0, fam.support_radius())
+    mon = Monitors(radii=(1.0,), radii_levels=levels)
+    with pytest.raises(OffGridError, match=r"radii level .* lies outside the levels \[0, 128\]"):
+        plan_run(grid, mon)
+    with pytest.raises(OffGridError, match="radii level"):
+        evolve(fam.sample(grid), params, grid, mon)
+
+
 
 @pytest.mark.parametrize("linear", [False, True])
 @pytest.mark.parametrize("kind", ["triangles", "triangles_out"])
