@@ -95,7 +95,7 @@ def source_triangle_check(far, t_apex):
             "ratio": scaled / (3.0**p * strip)}
 
 
-PLOT_LEVELS = 512  # the study's plot levels, at most (built as a set: np.unique loads numpy.ma)
+PLOT_LEVELS = 512  # at most this many plot levels; built as a set, as np.unique loads numpy.ma
 ENVELOPE_CAP = 4.0  # the largest amplitude find_envelope_threshold vouches for
 ENVELOPE_HORIZON = 16.0  # the level time its verdict is read at
 
