@@ -251,8 +251,6 @@ def set_up(cfg):
         params = make_params(cfg.number("params.p"), cfg.number("params.kappa", 0.5))
         family = build_family(cfg, params)
         grid = build_grid(cfg, family)
-        if (stride := cfg.integer("output.stride", 1)) < 1:
-            raise ConfigError(f"output.stride must be at least 1, got {stride}")
         monitors = Monitors(
             radii=cfg.scalar_list("monitors.radii"),
             flux_s=cfg.number_list("monitors.flux_s"),
@@ -261,12 +259,13 @@ def set_up(cfg):
             triangles=cfg.pair_list("monitors.triangles"),
             triangles_out=cfg.pair_list("monitors.triangles_out"),
             snapshot_times=cfg.number_list("monitors.snapshots"),
-            radii_levels=None if stride == 1 else written_levels(grid.steps, stride),
         )
         linear = cfg.boolean("run.linear", False)
         plan_run(grid, monitors, family.far_field() is not None, linear)
     except NlwError as err:
         raise ConfigError(str(err)) from err
+    if cfg.integer("output.stride", 1) < 1:
+        raise ConfigError(f"output.stride must be at least 1, got {cfg.raw['output.stride']!r}")
     return params, family, grid, monitors, linear
 
 
@@ -287,22 +286,24 @@ def run_problem(cfg):
 # -- output writers ----------------------------------------------------------
 
 
-def written_levels(steps, stride):
-    """Every stride-th level and the last: ledger.csv's rows, and the radii's levels."""
-    return np.append(np.arange(0, steps, stride), steps)
+def _radius_tag(label):
+    return "t4" if label == "t/4" else f"{float(label):g}"
 
 
 def write_ledger_csv(path, traj, stride=1):
     """Every stride-th level and the last of the ledger as csv.writer writes
     the cells f"{x:.12g}", formatted _CSV_BLOCK rows at a time."""
     led = traj.ledger
+    stride = max(1, int(stride))
     cols = ["t", "E_total", "E_minus", "E_plus", "xi", "bulk", "y2p", "exterior_l2p2"]
     series = [getattr(led, col.lower()) for col in cols]  # the ledger's names
     for label, (tot, mn, pl) in led.radii.items():
-        tag = "t4" if label == "t/4" else f"{float(label):g}"
+        tag = _radius_tag(label)
         cols += [f"E_total_r{tag}", f"E_minus_r{tag}", f"E_plus_r{tag}"]
         series += [tot, mn, pl]
-    levels = written_levels(led.t.size - 1, max(1, int(stride)))
+    levels = np.arange(0, led.t.size, stride)
+    if levels[-1] != led.t.size - 1:
+        levels = np.append(levels, led.t.size - 1)
     row = ",".join(["%.12g"] * len(cols)) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(cols)

@@ -219,6 +219,11 @@ def flux_outward(traj, tau):
     return _line_flux(traj, traj.flux_out, tau, "flux label tau")
 
 
+def _relative(residual, energy):
+    """|residual| / |energy|, or |residual| when the energy is 0."""
+    return abs(residual) / abs(energy) if energy != 0.0 else abs(residual)
+
+
 @dataclass
 class TriangleReport:
     kind: str
@@ -235,8 +240,7 @@ class TriangleReport:
 
     @property
     def residual_frac(self):
-        """|residual| / |energy|, or |residual| when the energy is 0."""
-        return abs(self.residual) / abs(self.energy) if self.energy != 0.0 else abs(self.residual)
+        return _relative(self.residual, self.energy)
 
 
 def triangle_residual(traj, t0, r0, kind="inward"):

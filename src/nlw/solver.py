@@ -34,6 +34,7 @@ light-cone window r <= 1 + t + PAD (clean_edge); Phi fills and closes it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -591,7 +592,8 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     radii_at = range(steps + 1)  # every level, unless Monitors.radii_levels names some
     if monitors.radii_levels is not None:
         radii_at = set(monitors.radii_levels)
-        if off := [m for m in radii_at if m not in range(steps + 1)]:
+        on_run = lambda m: isinstance(m, numbers.Integral) and 0 <= m <= steps
+        if off := [m for m in radii_at if not on_run(m)]:
             raise OffGridError(f"radii level {off[0]!r} lies outside the levels [0, {steps}]")
     lines, reach = [], [grid_index(PAD, h)]  # the window's nodes past r = 1 + t
     for name, what, sign, lo, hi in (

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nlw import DirectedPulse, GridSpec, extract_g_plus, flux_inward, flux_outward
-from nlw import cli
 from nlw.model import FarField
 from nlw.cli import Config, load_config, main, parse_scalar, run_checks, run_problem
 from nlw.errors import ConfigError
@@ -313,32 +312,6 @@ def test_verify_reports_failure(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "[conservation] FAIL" in stdout
     assert "1 check(s) failed" in stdout
-
-
-@pytest.mark.parametrize("stride", [1, 7])
-def test_run_outputs_match_an_every_level_run(tmp_path, monkeypatch, stride):
-    """nlw run records its radii only on the rows ledger.csv writes (every
-    stride-th level and the last, 128 = 18 * 7 + 2 here): its ledger.csv
-    and summary.json, timing aside, are byte-identical to those of a run
-    that records them on every level."""
-    text = RUN_CFG.replace("output.stride = 4", f"output.stride = {stride}")
-    cfg = _write(tmp_path, text + "monitors.triangles = 0.5:1\nmonitors.flux_s = 2\n")
-    radii = run_problem(Config(load_config(cfg)))[0].ledger.radii
-    assert np.isnan(radii["t/4"][2][1:7]).all() == (stride == 7)
-    assert not np.isnan(radii["t/4"][2][::7]).any() and not np.isnan(radii[1.0][0][128])
-
-    real = cli.Monitors
-    outputs = []
-    for every_level in (False, True):
-        if every_level:
-            monkeypatch.setattr(cli, "Monitors", lambda **kw: real(**{**kw, "radii_levels": None}))
-        out = tmp_path / f"out{int(every_level)}"
-        assert main(["run", cfg, "--out-dir", str(out)]) == 0
-        summary = [line for line in (out / "summary.json").read_bytes().splitlines(True)
-                   if b'"seconds"' not in line]
-        outputs.append(((out / "ledger.csv").read_bytes(), summary))
-    assert outputs[0] == outputs[1]
-    assert b"nan" not in outputs[0][0]
 
 
 LINES_CFG = RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 10") + """\

@@ -739,6 +739,18 @@ def test_radii_levels_off_the_run_are_refused_before_any_level(monkeypatch, leve
         evolve(fam.sample(grid), params, grid, mon)
 
 
+def test_long_numpy_radii_schedule_is_planned():
+    """A schedule of 3,201 np.int64 levels, every other level of 6,400
+    steps, resolves to those levels; a level past the run is refused."""
+    grid = GridSpec(h=1.0 / 64.0, r_max=4.0, t_max=100.0)
+    levels = np.arange(0, grid.steps + 1, 2)
+    assert levels.dtype == np.int64 and levels.size == 3201
+    radii_at = plan_run(grid, Monitors(radii=(1.0,), radii_levels=levels))[1]
+    assert radii_at == set(range(0, 6401, 2))
+    with pytest.raises(OffGridError, match=r"radii level .*6401.* lies outside the levels \[0, 6400\]"):
+        plan_run(grid, Monitors(radii=(1.0,), radii_levels=np.append(levels, 6401)))
+
+
 
 @pytest.mark.parametrize("linear", [False, True])
 @pytest.mark.parametrize("kind", ["triangles", "triangles_out"])
