@@ -150,7 +150,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         times = dyadic_times(4.0, t_max)
         plot_at, k = {0, *(round(t / h) for t in times)}, PLOT_LEVELS - 1 - len(times)
         plot_at.update(round(grid.steps ** (j / (k - 1))) for j in range(k))  # 1 .. steps
-        mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times), radii_levels=plot_at)
+        mon = Monitors(radii=(1.0, "t/4"), snapshot_times=tuple(times), energy_levels=plot_at)
         plan_run(grid, mon, far_field=True)
     except (OffGridError, OutOfRangeError) as err:
         raise ConfigError(str(err)) from err
@@ -167,7 +167,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     try:
         kr = k_functional(traj.pair, params)
         k_sec = {"divergent": False, "k1": kr.k1, "k": kr.k}
-        k_value, k_share = kr.k, kr.tail / kr.k1
+        k_value, k_share = kr.k, (kr.tail / kr.k1 if kr.k1 else None)
     except DivergentIntegralError as err:
         k_sec = {"divergent": True, "detail": str(err)}
         k_value = k_share = None
@@ -178,7 +178,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
         "e_minus": e_minus_vals,
         "scaled_by_t_kappa": (
             None
-            if k_value is None
+            if not k_value
             else [e * t**kappa / k_value for t, e in zip(times, e_minus_vals)]
         ),
     }
@@ -230,7 +230,9 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     at = [led.level(t) for t in times]
     closed = {"e_minus": led.e_minus, "e_plus": led.e_plus, "y2p": led.y2p**2,
               "exterior": led.exterior_l2p2}
-    shares = {k: (traj.far_tails[k][at] / v[at]).tolist() for k, v in closed.items()}
+    # a share of an integral that underflowed to 0 with its closure (c = 1e-200) is null
+    shares = {k: np.divide(traj.far_tails[k][at], v[at], out=np.full(len(at), np.nan),
+                           where=v[at] != 0.0).tolist() for k, v in closed.items()}
     far_sec = {
         "clean_edge": "level m is stepped and exact on nodes <= (1 + 8)/h + m, r <= 1 + t + 8 "
                       "(if that window would pass r_max, the whole grid's n - m - 1); each "

@@ -75,7 +75,8 @@ class EnergyLedger:
     spacetime with r + t in [k*h, (k+1)*h) (midpoint-in-time,
     trapezoid-in-space), so weighted integrals over r+t > s_min reduce to
     a weighted bin sum.  Reading s_bulk off a run without them raises
-    OffGridError.
+    OffGridError, and so does reading a level of a series the run did not
+    record: Monitors.energy_levels leaves E, E_-, E_+ and the radii NaN.
     """
 
     h: float
@@ -92,12 +93,12 @@ class EnergyLedger:
 
     @classmethod
     def allocate(cls, steps, h, params, monitors, n):
-        zeros = lambda: np.zeros(steps + 1)
         nans = lambda: tuple(np.full((3, steps + 1), np.nan))
         led = cls(h=h, p=params.p, kappa=params.kappa, t=h * np.arange(steps + 1),
                   radii={label: nans() for label in monitors.radii})
-        for name in TOTALS:
-            setattr(led, name, zeros())
+        scheduled = monitors.energy_levels is not None
+        for k, name in enumerate(TOTALS):  # E, E_- and E_+ first
+            setattr(led, name, np.full(steps + 1, np.nan if scheduled and k < 3 else 0.0))
         if monitors.bins:
             led.s_bulk = np.zeros(steps + n + 1)
         return led
@@ -145,27 +146,33 @@ class EnergyLedger:
         l0 = self.level(t0)
         if l0 >= series.size - 1:
             raise OffGridError(f"t0={t0} leaves no integration window")
-        lo = min(l0, self.decade_level())
-        if (gap := lo + np.flatnonzero(np.isnan(series[lo:]))).size:
-            raise OffGridError(f"level {gap[0]} (t={self.t[gap[0]]:g}) was not recorded")
+        self._recorded(series, lo=min(l0, self.decade_level()))
         return TailIntegral(t0, float(trapz(series[l0:], self.h)), *self.decade_tail(series))
+
+    def _recorded(self, *series, lo=0):
+        """OffGridError naming the first level from lo on that a series did not record (NaN)."""
+        if (gap := lo + np.flatnonzero(np.isnan(np.vstack(series)[:, lo:]).any(axis=0))).size:
+            raise OffGridError(f"level {gap[0]} (t={self.t[gap[0]]:g}) was not recorded")
 
     # -- bookkeeping checks -------------------------------------------------
 
     def conservation_drift(self):
         """max_t |E(t) - E(0)| / E(0), or max_t |E(t) - E(0)| when E(0) = 0."""
+        self._recorded(self.e_total)
         e0 = self.e_total[0]
         drift = float(np.abs(self.e_total - e0).max())
         return drift / abs(e0) if e0 != 0.0 else drift
 
     def additivity_error(self):
         """max_t |E(t) - (E_-(t) + E_+(t))|; zero by construction."""
+        self._recorded(self.e_total, self.e_minus, self.e_plus)
         return float(np.abs(self.e_total - (self.e_minus + self.e_plus)).max())
 
     def monotonicity_margins(self):
         """(worst increase of E_-, worst decrease of E_+) between levels,
         as nonnegative numbers; both should be at the discretization-noise
         scale for a causally clean run."""
+        self._recorded(self.e_minus, self.e_plus)
         up = float(np.diff(self.e_minus).max(initial=0.0))
         down = float(-np.diff(self.e_plus).min(initial=0.0))
         return max(up, 0.0), max(down, 0.0)

@@ -158,7 +158,7 @@ class Monitors:
     snapshot_times three-level snapshots at these times
     bins           the characteristic bins (ledger.s_bulk) for
                    diagnostics.weighted_morawetz; they cost a second power
-    radii_levels   the levels to record the radii on (None: all); NaN elsewhere
+    energy_levels  the levels to record E, E_-, E_+ and the radii on (None: all); NaN elsewhere
 
     With a far field (power-law data) the totals and radii are closed past
     the clean edge (see _Recorders), plan_run refuses a flux or trace line
@@ -175,7 +175,7 @@ class Monitors:
     triangles_out: tuple = ()
     snapshot_times: tuple = ()
     bins: bool = False
-    radii_levels: tuple = None
+    energy_levels: tuple = None
 
     def __post_init__(self):
         for x in self.radii:
@@ -371,12 +371,13 @@ class _Recorders:
     whose end never decreases, so its entries past the window stay zero;
     tmp is scratch.  energies() is the one channel-energy rule: the
     totals, the radii and the triangle corners all take E_- and E_+ on
-    a node prefix from it, as trapezoid dot products.
+    a node prefix from it, as trapezoid dot products.  Off energy_at the
+    totals skip it and chan is not formed, unless a triangle or trace reads it.
 
     A run of data with a far field stops at its clean edge (traj.edge):
     the totals add FarField.tail past its radius (traj.far_tails), a
     radius past it the exact integral up to its radius, a snapshot Phi
-    past each window.  Nodes and levels, radii_at too, come from plan_run.
+    past each window.  Nodes and levels, energy_at too, come from plan_run.
     """
 
     def __init__(self, traj, plan):
@@ -399,7 +400,7 @@ class _Recorders:
         self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
         if traj.linear:  # the ledger's power and source
             self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
-        self.radius_idx, self.radii_at, lines, probes, self.snap_levels = plan
+        self.radius_idx, self.energy_at, lines, probes, self.snap_levels = plan
         if mon.radii:
             self.active.append(_Recorders.radii)
         # (series, label node k, +1 inward / -1 outward, trace?, lo, hi)
@@ -416,6 +417,8 @@ class _Recorders:
         self.corner_idx = [i0 for *_, i0 in probes]  # node of each corner radius r0
         if probes:
             self.active.append(_Recorders.triangles)
+        traced = probes or any(line[3] for line in self.lines)  # read chan off energy_at
+        self.chan_at = range(steps + 1) if traced else self.energy_at
         if self.snap_levels:
             self.active.append(_Recorders.snapshots)
         if mon.bins and not traj.linear:
@@ -428,6 +431,8 @@ class _Recorders:
 
     def channels(self, m, w_prev, w, w_next, e, q, f):
         """chan on [0, e) from undivided differences: 2h w_r in tmp, 2h w_t in chan[1]."""
+        if m not in self.chan_at:
+            return
         n, tmp, ch = self.n, self.tmp, self.chan[:, :e]
         c = min(e, n)  # centered differences on nodes 1 .. c-1
         np.subtract(w[2 : c + 1], w[: c - 1], out=tmp[1:c])
@@ -462,18 +467,19 @@ class _Recorders:
         return 0.0 if i == 0 or self.linear else f[i] * w[i]
 
     def totals(self, m, w_prev, w, w_next, e, q, f):
-        """E_-, E_+, E, xi, bulk, y2p and the exterior norm of level m, as
-        trapezoid dot products over the window."""
+        """E_-, E_+, E (on energy_at only), xi, bulk, y2p and the exterior
+        norm of level m, as trapezoid dot products over the window."""
         h, led, tmp = self.h, self.led, self.tmp
         end, tails = (e, (0.0,) * 5) if self.tails is None else (self.edge(m) + 1, self.tails[m])
-        e_minus, e_plus = self.energies(w, f, end, tails)
+        if m in self.energy_at:
+            e_minus, e_plus = self.energies(w, f, end, tails)
+            led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
         if self.linear:
             _source(w, e, self.p, self.inv_rp1, self.q_lin, self.f_lin)
             q, f = self.q_lin[:e], self.f_lin
         else:
             u = np.multiply(w[:end], self.inv_r[:end], out=tmp[:end])
             led.bulk[m] = trapz_dot(f[:end], u, h) + tails[2]
-        led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
         # w = r u is odd in r, so w(h)/h is already second order: its error
         # h^2 w_rrr(0) / 6 is half that of (4 w(h) - w(2h)) / (2h)
         led.xi[m] = w[1] / h
@@ -485,8 +491,8 @@ class _Recorders:
         led.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h) + tails[4]
 
     def radii(self, m, w_prev, w, w_next, e, q, f):
-        """Channel energies on [0, R], R a monitored radius or t/4, at radii_at."""
-        if m not in self.radii_at:
+        """Channel energies on [0, R], R a monitored radius or t/4, at energy_at."""
+        if m not in self.energy_at:
             return
         t4_idx = max(1, min(self.n, int(round(m / 4.0))))
         for label, (tot, mn, pl) in self.led.radii.items():
@@ -558,9 +564,9 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     data carry an exact exterior.  evolve() calls it first, and the CLI
     before it samples any data.
 
-    Returns what _Recorders reads, (radius_idx, radii_at, lines, probes,
+    Returns what _Recorders reads, (radius_idx, energy_at, lines, probes,
     snap_levels), and the run's CleanEdge: the node of each fixed radius,
-    the levels the radii are recorded on, (name, label, k, sign, lo, hi)
+    the levels the channel energies are recorded on, (name, label, k, sign, lo, hi)
     of each flux and trace line (on node sign (k - m) at level m, sampled
     where lo <= that <= hi), (kind, t0, r0, m_lo, m_hi, corner node) of
     each triangle probe, and the time of each snapshot level.  A far
@@ -571,7 +577,7 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     r_max), and OffGridError for a negative t_max, fewer than 3 nodes, a
     far field whose clean edge falls inside r = 1 + t (r_max <= 2 t_max +
     1 + h), and a monitor off the grid spacing or off the run: a radius
-    past r_max, a radii level outside [0, steps], a flux or trace line
+    past r_max, an energy level outside [0, steps], a flux or trace line
     that no level puts on a sampled node or, with a far field, that some
     level samples past the clean edge, a triangle that leaves the run or
     the grid, a snapshot outside [0, t_max].
@@ -589,12 +595,12 @@ def plan_run(grid, monitors, far_field=False, linear=False):
     for x, i in radius_idx.items():
         if i > n:
             raise OffGridError(f"radius {x} lies past r_max={grid.r_max}")
-    radii_at = range(steps + 1)  # every level, unless Monitors.radii_levels names some
-    if monitors.radii_levels is not None:
-        radii_at = set(monitors.radii_levels)
+    energy_at = range(steps + 1)  # every level, unless Monitors.energy_levels names some
+    if monitors.energy_levels is not None:
+        energy_at = set(monitors.energy_levels)
         on_run = lambda m: isinstance(m, numbers.Integral) and 0 <= m <= steps
-        if off := [m for m in radii_at if not on_run(m)]:
-            raise OffGridError(f"radii level {off[0]!r} lies outside the levels [0, {steps}]")
+        if off := [m for m in energy_at if not on_run(m)]:
+            raise OffGridError(f"energy level {off[0]!r} lies outside the levels [0, {steps}]")
     lines, reach = [], [grid_index(PAD, h)]  # the window's nodes past r = 1 + t
     for name, what, sign, lo, hi in (
         ("flux_s", "flux label s", 1, 0, n),
@@ -631,7 +637,7 @@ def plan_run(grid, monitors, far_field=False, linear=False):
         if not 0 <= m_snap <= steps:
             raise OffGridError(f"snapshot time {t_snap} lies outside [0, t_max={grid.t_max}]")
         snap_levels[m_snap] = t_snap
-    return radius_idx, radii_at, lines, probes, snap_levels, edge
+    return radius_idx, energy_at, lines, probes, snap_levels, edge
 
 
 def evolve(pair, params, grid, monitors=None, linear=False):

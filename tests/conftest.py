@@ -132,10 +132,11 @@ def appendix_binned(appendix_quick):
 @pytest.fixture(scope="session")
 def appendix_every_level(appendix_quick):
     """The quick appendix fixture's main run again, on the same window, with
-    its radii recorded on every level: the study records them only on the
-    levels its plots draw (Monitors.radii_levels), NaN elsewhere."""
+    its channel energies (E, E_-, E_+ and the radii) recorded on every
+    level: the study records them only on the levels its plots draw and
+    its report reads (Monitors.energy_levels), NaN elsewhere."""
     traj = appendix_quick["traj"]
-    mon = dataclasses.replace(traj.monitors, radii_levels=None)
+    mon = dataclasses.replace(traj.monitors, energy_levels=None)
     return evolve(traj.pair, traj.params, traj.grid, mon)
 
 

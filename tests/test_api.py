@@ -129,6 +129,16 @@ def test_import_leaves_numpy_polynomial_unloaded():
     assert out.strip() == "False"
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    """The process pool and the multiprocessing machinery behind it cost
+    about 18 ms of importing the command line, and only nlw sweep uses
+    them: importing nlw.cli does not load them."""
+    code = "import sys, nlw.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT / "src").stdout
+    assert out.strip() == "False"
+
+
 VERIFY_CFG = """\
 params.p = 3.5
 grid.h = 1/64

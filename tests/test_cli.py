@@ -547,7 +547,8 @@ SWEEP_CFG = (
 
 def test_sweep_list_axis_serial(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr("nlw.cli.ProcessPoolExecutor", None)  # one worker stays in-process
+    # one worker stays in-process
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     cfg = _write(tmp_path, SWEEP_CFG)
     out = tmp_path / "sweep"
     assert main(["sweep", cfg, "grid.h=1/32,1/16", "--out-dir", str(out)]) == 0
@@ -648,6 +649,29 @@ def test_appendix_at_tiny_amplitude_reports_finite_triangle_ratios(tmp_path):
     rows = json.loads((out / "report.json").read_text())["triangle_bound"]
     assert len(rows) == 3
     assert all(isinstance(row["ratio"], float) and 0.0 < row["ratio"] < 1.0 for row in rows)
+
+
+def test_appendix_at_tiny_amplitude_writes_null_shares(tmp_path):
+    """At c = 1e-200 K, E_- and every closed integral underflow to 0 with
+    their closures: the shares and scaled_by_t_kappa are null, where they
+    were 0/0 (a RuntimeWarning, then NaN); the free-wave closure stays 0.
+    At c = 2 none of them is null."""
+    out = tmp_path / "ap"
+    assert main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16", "--t-max", "16",
+                 "--c", "1e-200", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["energy_decay"]["scaled_by_t_kappa"] is None
+    shares = report["far_field"]["closure_share"]
+    assert shares.pop("free_wave_defect") == [0.0]
+    assert shares == {"e_minus": [None] * 3, "e_plus": [None] * 3, "y2p": [None] * 3,
+                      "exterior": [None] * 3, "k": None}
+    assert main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16", "--t-max", "16",
+                 "--c", "2", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert all(isinstance(x, float) for x in report["energy_decay"]["scaled_by_t_kappa"])
+    shares = report["far_field"]["closure_share"]
+    assert isinstance(shares.pop("k"), float)
+    assert all(isinstance(x, float) for v in shares.values() for x in v)
 
 
 @pytest.mark.parametrize("t_max", ["2", "3.5"])

@@ -261,6 +261,22 @@ def test_tail_integral_refuses_unrecorded_levels(appendix_quick):
     led.tail_integral(led.y2p, 4.0)  # a total is recorded on every level
 
 
+def test_bookkeeping_readers_refuse_unrecorded_levels(appendix_quick, appendix_every_level):
+    """The study records E, E_- and E_+ on its plots' levels only, where the
+    drift, additivity and monotonicity readers would read NaN: each raises
+    OffGridError naming the first level it did not record.  The same run
+    on every level reads."""
+    led = appendix_quick["traj"].ledger
+    gap = int(np.flatnonzero(np.isnan(led.e_total))[0])
+    assert gap > 0 and np.isnan(led.e_minus[gap]) and np.isnan(led.e_plus[gap])
+    for reader in (led.conservation_drift, led.additivity_error, led.monotonicity_margins):
+        with pytest.raises(OffGridError, match=rf"level {gap} \(t={led.t[gap]:g}\) was not "):
+            reader()
+    every = appendix_every_level.ledger
+    assert math.isfinite(every.conservation_drift()) and every.additivity_error() == 0.0
+    assert all(math.isfinite(x) for x in every.monotonicity_margins())
+
+
 def test_cylinder_rounding_noise_tail(linear_pulse_run):
     # linear pulse leaves exact zeros behind at unit CFL, so the late
     # series sits on the rounding floor and no tail fit is attempted

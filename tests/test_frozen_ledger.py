@@ -9,10 +9,10 @@ exterior values, free-wave defects, triangle source integrals), a
 cylinder integral, and the time-zero functionals K1 and E of the triangle
 fixtures' data.  The quick appendix run records no characteristic bins,
 so its s_bulk and its weighted bound come from a rerun of its main
-``evolve`` with ``bins=True``.  It records its radii only on its plots'
-levels, so its radius series and the cylinder integral come from a rerun
-that records them on every level (``radii_levels=None``), on the same
-window.  Under the key "duhamel" it holds the
+``evolve`` with ``bins=True``.  It records its channel energies (E, E_-,
+E_+ and the radii) only on its plots' levels, so those series and the
+cylinder integral come from a rerun that records them on every level
+(``energy_levels=None``), on the same window.  Under the key "duhamel" it holds the
 SHA-256 of ``duhamel_solve`` outputs on five small cases (p = 3, 3.5 and 4, a
 one-step horizon, an outgoing grid).  Snapshot levels and Duhamel
 outputs must stay bit-identical.  Recorded
@@ -76,16 +76,15 @@ def _series(a):
 
 def _run_record(traj, binned=None, every_level=None):
     """Record of traj; s_bulk comes from binned, a rerun of traj with the
-    characteristic bins, when traj did not record them, and the radii from
-    every_level, a rerun that records them on every level, when given."""
-    led = traj.ledger
-    series = {
-        name: _series(getattr(led, name))
-        for name in ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p",
-                     "exterior_l2p2")
-    }
+    characteristic bins, when traj did not record them, and the channel
+    energies from every_level, a rerun that records them on every level,
+    when given."""
+    led, energies = traj.ledger, (every_level or traj).ledger
+    series = {name: _series(getattr(energies, name)) for name in ("e_total", "e_minus", "e_plus")}
+    series.update((name, _series(getattr(led, name)))
+                  for name in ("xi", "bulk", "y2p", "exterior_l2p2"))
     series["s_bulk"] = _series((binned or traj).ledger.s_bulk)
-    for label, arrays in (every_level or traj).ledger.radii.items():
+    for label, arrays in energies.radii.items():
         for part, arr in zip(("total", "minus", "plus"), arrays):
             series[f"radius {label} {part}"] = _series(arr)
     for kind, traces in (("flux_in", traj.flux_in), ("flux_out", traj.flux_out),

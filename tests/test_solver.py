@@ -668,19 +668,22 @@ def test_radius_past_r_max_is_rejected():
     assert traj.ledger.radii[grid.r_max][0].max() > 0.0
 
 
-def _assert_same_run_but_radii(every, some, levels):
-    """`some` records its radii on `levels` only, `every` on every level:
-    there they agree bit for bit, elsewhere `some` holds NaN; every other
-    series, line, triangle record and snapshot is identical."""
+def _assert_same_run_but_energies(every, some, levels):
+    """`some` records its channel energies (E, E_-, E_+ and each radius) on
+    `levels` only, `every` on every level: there they agree bit for bit,
+    elsewhere `some` holds NaN; every other series, line, triangle record
+    and snapshot is identical."""
     la, lb = every.ledger, some.ledger
     off = np.ones(la.t.size, dtype=bool)
     off[list(levels)] = False
     assert off.any() and set(la.radii) == set(lb.radii)
+    pairs = [(getattr(la, name), getattr(lb, name)) for name in ("e_total", "e_minus", "e_plus")]
     for label, trio in la.radii.items():
-        for full, part in zip(trio, lb.radii[label]):
-            assert full[~off].tobytes() == part[~off].tobytes()
-            assert np.isnan(part[off]).all() and not np.isnan(full).any()
-    names = ("e_total", "e_minus", "e_plus", "xi", "bulk", "y2p", "exterior_l2p2")
+        pairs += zip(trio, lb.radii[label])
+    for full, part in pairs:
+        assert full[~off].tobytes() == part[~off].tobytes()
+        assert np.isnan(part[off]).all() and not np.isnan(full).any()
+    names = ("xi", "bulk", "y2p", "exterior_l2p2")
     for name in names + (("s_bulk",) if some.monitors.bins else ()):
         assert getattr(la, name).tobytes() == getattr(lb, name).tobytes(), name
     for name in ("flux_in", "flux_out", "char_traces"):
@@ -707,35 +710,35 @@ def test_scheduled_radii_equal_every_level_radii(linear):
     mon = dataclasses.replace(WINDOW_MONITORS, radii=(0.5, 1.0, "t/4"))
     levels = (grid.steps, 0, 3, 7, 8, 64, 3)  # any order; a repeat counts once
     every = evolve(pair, params, grid, mon, linear=linear)
-    some = evolve(pair, params, grid, dataclasses.replace(mon, radii_levels=levels),
+    some = evolve(pair, params, grid, dataclasses.replace(mon, energy_levels=levels),
                   linear=linear)
-    _assert_same_run_but_radii(every, some, levels)
+    _assert_same_run_but_energies(every, some, levels)
 
 
 def test_study_radii_equal_every_level_radii(appendix_quick, appendix_every_level):
-    """The quick study records its radii on its plots' levels: 0, the last,
-    the dyadic snapshot levels and log-spaced levels, at most 512."""
+    """The quick study records its channel energies on its plots' levels: 0,
+    the last, the dyadic snapshot levels and log-spaced levels, at most 512."""
     traj = appendix_quick["traj"]
-    levels = traj.monitors.radii_levels
+    levels = traj.monitors.energy_levels
     assert len(levels) <= 512
     assert {0, traj.grid.steps} | {round(s.t / traj.grid.h) for s in traj.snapshots} <= set(levels)
-    _assert_same_run_but_radii(appendix_every_level, traj, levels)
+    _assert_same_run_but_energies(appendix_every_level, traj, levels)
 
 
 @pytest.mark.parametrize("levels", [(0, 129), (-1, 5), (2.5,), (math.nan,), ("last",)],
                          ids=["past-steps", "negative", "fraction", "nan", "string"])
 def test_radii_levels_off_the_run_are_refused_before_any_level(monkeypatch, levels):
     def no_levels(*args, **kwargs):
-        raise AssertionError("leapfrog ran before the radii levels were checked")
+        raise AssertionError("leapfrog ran before the energy levels were checked")
 
     monkeypatch.setattr(nlw.solver, "leapfrog", no_levels)
     params = make_params(3.0, 0.5)
     fam = GaussianBump(0.4, 2.0, 0.4)
     grid = GridSpec.padded(1.0 / 32.0, 4.0, fam.support_radius())
-    mon = Monitors(radii=(1.0,), radii_levels=levels)
-    with pytest.raises(OffGridError, match=r"radii level .* lies outside the levels \[0, 128\]"):
+    mon = Monitors(radii=(1.0,), energy_levels=levels)
+    with pytest.raises(OffGridError, match=r"energy level .* lies outside the levels \[0, 128\]"):
         plan_run(grid, mon)
-    with pytest.raises(OffGridError, match="radii level"):
+    with pytest.raises(OffGridError, match="energy level"):
         evolve(fam.sample(grid), params, grid, mon)
 
 
@@ -745,10 +748,10 @@ def test_long_numpy_radii_schedule_is_planned():
     grid = GridSpec(h=1.0 / 64.0, r_max=4.0, t_max=100.0)
     levels = np.arange(0, grid.steps + 1, 2)
     assert levels.dtype == np.int64 and levels.size == 3201
-    radii_at = plan_run(grid, Monitors(radii=(1.0,), radii_levels=levels))[1]
-    assert radii_at == set(range(0, 6401, 2))
-    with pytest.raises(OffGridError, match=r"radii level .*6401.* lies outside the levels \[0, 6400\]"):
-        plan_run(grid, Monitors(radii=(1.0,), radii_levels=np.append(levels, 6401)))
+    energy_at = plan_run(grid, Monitors(radii=(1.0,), energy_levels=levels))[1]
+    assert energy_at == set(range(0, 6401, 2))
+    with pytest.raises(OffGridError, match=r"energy level .*6401.* lies outside the levels \[0, 6"):
+        plan_run(grid, Monitors(radii=(1.0,), energy_levels=np.append(levels, 6401)))
 
 
 
