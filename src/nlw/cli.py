@@ -453,23 +453,21 @@ def _worst(values):
     return float(np.max(np.asarray(values, dtype=float)))
 
 
-def _read(reader):
-    """reader(), or nan if it meets a level the ledger did not record."""
-    try:
-        return reader()
-    except OffGridError:
-        return math.nan
-
-
 def run_checks(traj):
     """List of (name, value, threshold, passed); value <= threshold passes."""
+    def read(reader):  # nan, a failed check, if it meets a level the ledger did not record
+        try:
+            return reader()
+        except OffGridError:
+            return math.nan
+
     led = traj.ledger
     e0 = max(abs(float(led.e_total[0])), 1e-300)
     values = {}
     if traj.grid.boundary == "pad":
-        values["conservation"] = (_read(led.conservation_drift), 1e-4)
-    values["additivity"] = (_read(led.additivity_error) / e0, 1e-12)
-    values["monotonicity"] = (_worst(_read(led.monotonicity_margins)) / e0, 1e-6)
+        values["conservation"] = (read(led.conservation_drift), 1e-4)
+    values["additivity"] = (read(led.additivity_error) / e0, 1e-12)
+    values["monotonicity"] = (_worst(read(led.monotonicity_margins)) / e0, 1e-6)
     states = [traj.pair.w0] + [snap.w_curr for snap in traj.snapshots]
     reps = [pointwise_bounds(w, led.h, led.p) for w in states]
     worst = _worst([[rep.max_ratio1, rep.max_ratio2] for rep in reps])

@@ -417,7 +417,7 @@ class _Recorders:
         self.corner_idx = [i0 for *_, i0 in probes]  # node of each corner radius r0
         if probes:
             self.active.append(_Recorders.triangles)
-        traced = probes or any(line[3] for line in self.lines)  # read chan off energy_at
+        traced = probes or any(line[3] for line in self.lines)  # they read chan off energy_at
         self.chan_at = range(steps + 1) if traced else self.energy_at
         if self.snap_levels:
             self.active.append(_Recorders.snapshots)
