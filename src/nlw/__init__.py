@@ -1,6 +1,8 @@
 """Energy-channel laboratory for the radial defocusing semilinear wave
 equation, via the exact reduction w(r,t) = r * u(r,t) on the half line."""
 
+import types
+
 from .appendix import (
     find_envelope_threshold,
     full_slab,
@@ -62,52 +64,6 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppendixPowerLaw",
-    "BlowupError",
-    "BoundaryLeakError",
-    "ConfigError",
-    "DegenerateFitError",
-    "DirectedPulse",
-    "DivergentIntegralError",
-    "EnergyLedger",
-    "GaussianBump",
-    "GridSpec",
-    "InitialDataError",
-    "ModelParams",
-    "Monitors",
-    "NlwError",
-    "NoContractionError",
-    "OffGridError",
-    "OutOfRangeError",
-    "RadialPair",
-    "ShortSpanError",
-    "Snapshot",
-    "Tabulated",
-    "Trajectory",
-    "bootstrap",
-    "check_boundary_leak",
-    "duhamel_solve",
-    "evolve",
-    "extract_g_plus",
-    "exterior_growth_fit",
-    "find_envelope_threshold",
-    "fit_log_growth",
-    "fit_power_law",
-    "flux_inward",
-    "flux_outward",
-    "free_wave_defect",
-    "full_slab",
-    "k_functional",
-    "leapfrog",
-    "lp_l2p_tail",
-    "make_params",
-    "nonlinearity",
-    "pointwise_bounds",
-    "predicted_tail_exponent",
-    "run_appendix_example",
-    "source_triangle_check",
-    "triangle_bound_constant",
-    "triangle_residual",
-    "weighted_morawetz",
-]
+# the names imported above, not the submodules those imports bind
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, types.ModuleType))

@@ -315,7 +315,7 @@ def write_ledger_csv(path, traj, stride=1):
 
 def write_snapshots_npz(path, traj):
     if not traj.snapshots:
-        return False
+        return
     np.savez_compressed(
         path,
         t=np.array([s.t for s in traj.snapshots]),
@@ -323,7 +323,6 @@ def write_snapshots_npz(path, traj):
         w_t=np.stack([s.w_t for s in traj.snapshots]),
         h=np.array(traj.grid.h),
     )
-    return True
 
 
 def _jsonable(obj):
@@ -415,10 +414,8 @@ def write_json(path, doc):
 
 def write_run_plots(out_dir, traj, envelope=None):
     led = traj.ledger
-    paths = []
-    energy_path = os.path.join(out_dir, "energy.svg")
     line_plot(
-        energy_path,
+        os.path.join(out_dir, "energy.svg"),
         [
             ("E_total", led.t, led.e_total),
             ("E_minus", led.t, led.e_minus),
@@ -428,11 +425,9 @@ def write_run_plots(out_dir, traj, envelope=None):
         xlabel="t",
         ylabel="energy",
     )
-    paths.append(energy_path)
     if envelope is not None:
-        env_path = os.path.join(out_dir, "envelope.svg")
         line_plot(
-            env_path,
+            os.path.join(out_dir, "envelope.svg"),
             [
                 ("sup ratio", envelope.t, envelope.max_ratio),
                 ("profile floor", envelope.t, envelope.min_profile),
@@ -441,8 +436,6 @@ def write_run_plots(out_dir, traj, envelope=None):
             xlabel="t",
             ylabel="ratio",
         )
-        paths.append(env_path)
-    return paths
 
 
 # -- verify checks -----------------------------------------------------------

@@ -326,9 +326,7 @@ def weighted_morawetz(traj, kappa=None):
 @dataclass
 class PointwiseReport:
     max_ratio1: float
-    argmax_r1: float
     max_ratio2: float
-    argmax_r2: float
 
 
 def pointwise_bounds(w, h, p):
@@ -351,9 +349,8 @@ def pointwise_bounds(w, h, p):
     e2 = cumtrapz(potential_density(w, r, p) * ((p + 1.0) / 2.0), h)
 
     ratio1 = np.zeros_like(w)
-    mask1 = ~(e1 <= 0.0)  # keeps NaN, which argmax then returns
+    mask1 = ~(e1 <= 0.0)  # keeps NaN, which max then returns
     ratio1[mask1] = np.abs(w[mask1]) / np.sqrt(r[mask1] * e1[mask1])
-    k1 = int(np.argmax(ratio1))
 
     ratio2 = np.zeros_like(w)
     prod = e1 * e2
@@ -362,10 +359,4 @@ def pointwise_bounds(w, h, p):
     ratio2[mask2] = np.abs(w[mask2]) / (
         2.0 * r[mask2] ** expo * prod[mask2] ** (1.0 / (p + 3.0))
     )
-    k2 = int(np.argmax(ratio2))
-    return PointwiseReport(
-        max_ratio1=float(ratio1[k1]),
-        argmax_r1=float(r[k1]),
-        max_ratio2=float(ratio2[k2]),
-        argmax_r2=float(r[k2]),
-    )
+    return PointwiseReport(max_ratio1=float(ratio1.max()), max_ratio2=float(ratio2.max()))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BlowupError,
     BoundaryLeakError,
     DivergentIntegralError,
     InitialDataError,
@@ -140,7 +141,8 @@ class FarField:
 
     Phi(0) = c, Phi'(0) = 0, regular for s < 1.  A lookup tabulates Phi, Phi'
     by RK4 up to the largest s asked for yet (read by cubic Hermite
-    interpolation).  Each closed ledger density is r^d psi(t/r), so its
+    interpolation); BlowupError if the table stops being finite, as it
+    does at large c.  Each closed ledger density is r^d psi(t/r), so its
     integral past R is R^{d+1} Psi(t/R), Psi(x) = x^{d+1} int_0^x s^{-d-2}
     psi ds, tabulated per kind: psi(0) exactly, the rest by the product
     trapezoid rule, as s^{-d-2} may be singular at 0.
@@ -168,16 +170,23 @@ class FarField:
         table = [(self.c, 0.0)] if self.s is None else list(zip(self.phi.tolist(),
                                                                  self.dphi.tolist()))
         y, v = table[-1]
-        for k in range(len(table) - 1, steps):
-            s = k * ds
-            a1 = acc(s, y, v)
-            a2 = acc(s + 0.5 * ds, y + 0.5 * ds * v, v + 0.5 * ds * a1)
-            a3 = acc(s + 0.5 * ds, y + 0.5 * ds * (v + 0.5 * ds * a1), v + 0.5 * ds * a2)
-            a4 = acc(s + ds, y + ds * (v + 0.5 * ds * a2), v + ds * a3)
-            y += ds * (v + ds * (a1 + a2 + a3) / 6.0)
-            v += ds * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            table.append((y, v))
-        self.s, (self.phi, self.dphi) = ds * np.arange(steps + 1), np.array(table).T
+        try:
+            for k in range(len(table) - 1, steps):
+                s = k * ds
+                a1 = acc(s, y, v)
+                a2 = acc(s + 0.5 * ds, y + 0.5 * ds * v, v + 0.5 * ds * a1)
+                a3 = acc(s + 0.5 * ds, y + 0.5 * ds * (v + 0.5 * ds * a1), v + 0.5 * ds * a2)
+                a4 = acc(s + ds, y + ds * (v + 0.5 * ds * a2), v + ds * a3)
+                y += ds * (v + ds * (a1 + a2 + a3) / 6.0)
+                v += ds * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+                table.append((y, v))
+        except OverflowError:  # |y|^(p-1) past the largest float
+            table.append((math.inf, math.inf))
+        phi, dphi = np.array(table).T
+        if not (finite := np.isfinite(phi) & np.isfinite(dphi)).all():
+            raise BlowupError(f"the far-field profile of c={self.c:.6g}, p={self.p:.6g} stops "
+                              f"being finite at s = t/r = {ds * np.argmin(finite):.6g}")
+        self.s, self.phi, self.dphi = ds * np.arange(steps + 1), phi, dphi
         self.tables = {}
 
     def profile(self, s):

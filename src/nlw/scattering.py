@@ -101,7 +101,6 @@ class DefectReport:
     t1: float
     t2: float
     defect: float  # kinetic energy norm of (nonlinear - free) at t2
-    relative: float  # defect / sqrt(E(t1))
     closure: float = 0.0  # share of defect^2 from past the clean edge
 
 
@@ -133,10 +132,8 @@ def free_wave_defect(traj, t1, t2):
     grid_part = trapz((dr * dr + dt * dt)[: edge + 1], h)
     tail = 0.0 if far is None else far.defect_tail(edge * h, t1, t2)
     defect = math.sqrt(2.0 * math.pi * (grid_part + tail))
-    e1 = float(traj.ledger.e_total[traj.ledger.level(t1)])
     return DefectReport(
-        t1=t1, t2=t2, defect=defect, relative=defect / math.sqrt(max(e1, 1e-300)),
-        closure=tail / (grid_part + tail) if tail else 0.0,
+        t1=t1, t2=t2, defect=defect, closure=tail / (grid_part + tail) if tail else 0.0,
     )
 
 

@@ -24,11 +24,13 @@ an update of exactly 0, so every solve takes two sweeps.  Its source
 quadrature is genuinely different from the leapfrog's, which makes the
 pair usable for cross-verification at second order.
 
-leapfrog() generates the levels of the scheme, and free_levels() gives its
-linear levels in closed form, with no step.  evolve() records, while it
-steps, the diagnostics its Monitors ask for (channel energies, origin
-trace, flux lines, triangle probes, characteristic-line bins), because
-storing the full space-time field is not affordable for production grids.
+leapfrog() generates the levels of the scheme, each with its power and
+source (linear runs too, whose step leaves the source out), and
+free_levels() gives its linear levels in closed form, with no step.
+evolve() records, while it steps, the diagnostics its Monitors ask for
+(channel energies, origin trace, flux lines, triangle probes,
+characteristic-line bins), because storing the full space-time field is
+not affordable for production grids.
 Data with a far field, r^beta Phi(t/r) on r > 1 + t, step only their
 light-cone window r <= 1 + t + PAD (clean_edge); Phi fills and closes it.
 """
@@ -231,29 +233,26 @@ class Trajectory:
         raise KeyError(f"no snapshot recorded at t={t}")
 
 
-def bootstrap(pair, params, grid, linear=False, direction=+1):
-    """First time level from a Taylor expansion at t = 0:
+def bootstrap(pair, params, grid, linear=False):
+    """The levels w(-h) and w(h) around t = 0, as the two rows of one
+    array, from a Taylor expansion:
 
-        w(h) = w0 + h w1 + (h^2/2) (D_h w0 - F(w0)),
+        w(+-h) = w0 +- h w1 + (h^2/2) (D_h w0 - F(w0)),
 
-    with D_h the standard three-point second difference.  direction=-1
-    produces the backward level w(-h) instead.  Second order by itself,
-    which keeps the scheme's global order at two; exact for linear data
-    at rest (w1 = 0), where it reduces to the half-sum of neighbors.
+    with D_h the standard three-point second difference and one F(w0) for
+    both.  Second order by itself, which keeps the scheme's global order
+    at two; exact for linear data at rest (w1 = 0), where it reduces to
+    the half-sum of neighbors.
     """
     h = grid.h
     w0, w1 = pair.w0, pair.w1
     f0 = np.zeros_like(w0) if linear else nonlinearity(w0, grid.r, params.p)
-    w = np.empty_like(w0)
-    w[1:-1] = 0.5 * (w0[2:] + w0[:-2]) + direction * h * w1[1:-1]
-    w[1:-1] -= 0.5 * h * h * f0[1:-1]
-    w[0] = 0.0
-    if grid.boundary == "pad":
-        w[-1] = 0.0
-    else:
-        # first-order outgoing transport, exact for right-movers at unit CFL
-        w[-1] = w0[-2] if direction > 0 else w0[-1]
-    return w
+    levels = np.zeros((2, w0.size))  # the ends pinned, unless outgoing below
+    levels[:, 1:-1] = 0.5 * (w0[2:] + w0[:-2]) + np.multiply.outer([-h, h], w1[1:-1])
+    levels[:, 1:-1] -= 0.5 * h * h * f0[1:-1]
+    if grid.boundary == "outgoing":  # first-order transport, exact for right-movers at unit CFL
+        levels[:, -1] = w0[-1], w0[-2]
+    return levels
 
 
 def _inverse_power(r, s):
@@ -275,11 +274,12 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
     """Generate the leapfrog levels m = 0 .. steps of a run.
 
     Yields (m, w_prev, w, w_next, e, q, f): the levels m-1, m and m+1
-    (level 0 is the data between the two Taylor bootstraps), the end e of
-    the nodes [0, e) that carry the work of level m, and there the power
-    q = |w|^{p-1} and the source f = (q w) / r^{p-1} of the step (both
-    None in linear runs, which take no power).  The arrays are workspaces
-    that later levels overwrite: copy what must outlive the level.
+    (level 0 is the data between the two Taylor bootstrap levels), the end
+    e of the nodes [0, e) that carry the work of level m, and there the
+    power q = |w|^{p-1} and the source f = (q w) / r^{p-1} of the level,
+    linear runs included: only their step leaves the source out.  The
+    arrays are workspaces that later levels overwrite: copy what must
+    outlive the level.
 
     At unit CFL the support of the field grows by one node per level, so
     level m vanishes past node supp + m, with supp the last nonzero node
@@ -296,7 +296,7 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
     p = params.p
     if pair.w0.size != n + 1:
         raise InitialDataError(f"data have {pair.w0.size} nodes, the grid {n + 1}")
-    inv_rp1 = None if linear else _inverse_power(grid.r, p - 1.0)
+    inv_rp1 = _inverse_power(grid.r, p - 1.0)
     nonzero = np.flatnonzero((pair.w0 != 0.0) | (pair.w1 != 0.0))
     supp = int(nonzero[-1]) if nonzero.size else 0
     edge, fill = edge or clean_edge(grid, pair.far_field is not None and not linear), None
@@ -306,18 +306,16 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
     blowup_at = BLOWUP_FACTOR * (np.abs(pair.w0).max() + 1.0)
     # q and f are written only on nodes [0, e) for a window end e that
     # never decreases, so their entries past the window stay zero
-    q = None if linear else np.zeros(n + 1)
-    f = None if linear else np.zeros(n + 1)
-    work = None if linear else np.empty(n + 1)  # the step's h^2 f
+    q = np.zeros(n + 1)
+    f = np.zeros(n + 1)
+    work = np.empty(n + 1)  # the step's h^2 f
 
-    w_prev = bootstrap(pair, params, grid, linear=linear, direction=-1)
+    w_prev, w_next = bootstrap(pair, params, grid, linear=linear)
     w = pair.w0.copy()
-    w_next = bootstrap(pair, params, grid, linear=linear, direction=+1)
     for m in range(grid.steps + 1):
         # level m + 1 reaches node supp + m + 1; one more node is zero
         e = min(n + 1, supp + m + 3)
-        if not linear:
-            _source(w, e, p, inv_rp1, q, f)
+        _source(w, e, p, inv_rp1, q, f)
         if m > 0:
             top = min(e + 1, n + 1)  # updates nodes 1 .. top-2
             nxt = w_next[1 : top - 1]
@@ -333,7 +331,7 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
             sup = float(np.maximum(window.max(), -window.min()))  # NaN stays NaN
             if not math.isfinite(sup) or sup > blowup_at:
                 raise BlowupError(f"|w| reached {sup:.3g} at t={(m + 1) * h:.6g}")
-        yield m, w_prev, w, w_next, e, (None if linear else q[:e]), f
+        yield m, w_prev, w, w_next, e, q[:e], f
         # level m - 1 is no longer needed; its buffer takes level m + 2
         w_prev, w, w_next = w, w_next, w_prev
 
@@ -396,10 +394,7 @@ class _Recorders:
             traj.far_tails = {k: self.far.tail(k, h * traj.edge(lv), h * lv)
                               for k in self.far.kinds}
             self.tails = list(zip(*(a.tolist() for a in traj.far_tails.values())))
-        self.inv_rp1 = _inverse_power(r, p - 1.0)
-        self.r_2mp = r * self.inv_rp1  # r^{2-p}, 0 at the origin
-        if traj.linear:  # the ledger's power and source
-            self.q_lin, self.f_lin = np.zeros(n + 1), np.zeros(n + 1)
+        self.r_2mp = r * _inverse_power(r, p - 1.0)  # r^{2-p}, 0 at the origin
         self.radius_idx, self.energy_at, lines, probes, self.snap_levels = plan
         if mon.radii:
             self.active.append(_Recorders.radii)
@@ -474,10 +469,7 @@ class _Recorders:
         if m in self.energy_at:
             e_minus, e_plus = self.energies(w, f, end, tails)
             led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
-        if self.linear:
-            _source(w, e, self.p, self.inv_rp1, self.q_lin, self.f_lin)
-            q, f = self.q_lin[:e], self.f_lin
-        else:
+        if not self.linear:
             u = np.multiply(w[:end], self.inv_r[:end], out=tmp[:end])
             led.bulk[m] = trapz_dot(f[:end], u, h) + tails[2]
         # w = r u is odd in r, so w(h)/h is already second order: its error
@@ -650,10 +642,11 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     Each level of leapfrog() goes, on its light-cone window, through the
     recorders of the requested monitor kinds only (see _Recorders, whose
     energies() gives every channel energy, on a prefix of the window).
-    Nonlinear levels reuse leapfrog's power q = |w|^{p-1} and source
+    Every level reuses leapfrog's power q = |w|^{p-1} and source
     f = (q w) / r^{p-1}: |w|^{p+1}/r^{p-1} = f w, |u|^{2p} r^2 = f^2 and
-    |u|^{2(p-1)} r^2 = (q r^{2-p})^2.  Linear runs take that power for the
-    totals only.  The characteristic bins, which sample the
+    |u|^{2(p-1)} r^2 = (q r^{2-p})^2.  Linear runs read them for y2p and
+    the exterior norm only: their potential, flux and bulk terms are 0.
+    The characteristic bins, which sample the
     midpoint-in-time field, take a second power, so they are recorded
     only when monitors.bins asks for them.
 

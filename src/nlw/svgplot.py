@@ -56,6 +56,27 @@ def _fmt(v):
     return s
 
 
+def _num(v):
+    """An attribute value: a float to one decimal, an int as it is."""
+    return f"{v:.1f}" if isinstance(v, float) else str(v)
+
+
+def _line(x1, y1, x2, y2, stroke, width=None):
+    """A <line> element, with a stroke-width unless width is None."""
+    sw = "" if width is None else f' stroke-width="{width}"'
+    return (f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            f'stroke="{stroke}"{sw}/>')
+
+
+def _text(x, y, body, size, anchor=None, turned=False):
+    """A sans-serif <text> element at (x, y), with a text-anchor unless
+    anchor is None, turned by -90 degrees about (x, y) if turned."""
+    at = "" if anchor is None else f' text-anchor="{anchor}"'
+    turn = f' transform="rotate(-90 {_num(x)} {_num(y)})"' if turned else ""
+    return (f'<text x="{_num(x)}" y="{_num(y)}"{at} font-family="sans-serif" '
+            f'font-size="{size}"{turn}>{body}</text>')
+
+
 def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
     """Write a line plot to `path`.
 
@@ -109,50 +130,20 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
         f'height="{plot_h}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+        parts.append(_text(width / 2, 20, title, 14, "middle"))
+    bottom = _MARGIN_T + plot_h
     for tv, xp in zip(x_ticks, px(x_ticks)):
-        parts.append(
-            f'<line x1="{xp:.1f}" y1="{_MARGIN_T + plot_h}" x2="{xp:.1f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{xp:.1f}" y="{_MARGIN_T + plot_h + 18}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{_fmt(tv)}</text>"
-        )
-        parts.append(
-            f'<line x1="{xp:.1f}" y1="{_MARGIN_T}" x2="{xp:.1f}" '
-            f'y2="{_MARGIN_T + plot_h}" stroke="#ddd" stroke-width="0.5"/>'
-        )
+        parts.append(_line(xp, bottom, xp, bottom + 5, "#333"))
+        parts.append(_text(xp, bottom + 18, _fmt(tv), 11, "middle"))
+        parts.append(_line(xp, _MARGIN_T, xp, bottom, "#ddd", 0.5))
     for tv, yp in zip(y_ticks, py(y_ticks)):
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{yp:.1f}" x2="{_MARGIN_L}" '
-            f'y2="{yp:.1f}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{yp + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tv)}</text>'
-        )
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{yp:.1f}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{yp:.1f}" stroke="#ddd" stroke-width="0.5"/>'
-        )
+        parts.append(_line(_MARGIN_L - 5, yp, _MARGIN_L, yp, "#333"))
+        parts.append(_text(_MARGIN_L - 8, yp + 4, _fmt(tv), 11, "end"))
+        parts.append(_line(_MARGIN_L, yp, _MARGIN_L + plot_w, yp, "#ddd", 0.5))
     if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 8}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{xlabel}</text>"
-        )
+        parts.append(_text(_MARGIN_L + plot_w / 2, height - 8, xlabel, 12, "middle"))
     if ylabel:
-        yc = _MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="14" y="{yc:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {yc:.1f})">{ylabel}</text>'
-        )
+        parts.append(_text(14, _MARGIN_T + plot_h / 2, ylabel, 12, "middle", turned=True))
 
     for k, (label, x, y) in enumerate(cleaned):
         color = PALETTE[k % len(PALETTE)]
@@ -163,14 +154,8 @@ def line_plot(path, series, title="", xlabel="", ylabel="", loglog=False):
         )
         ly = _MARGIN_T + 14 + 16 * k
         lx = _MARGIN_L + plot_w - 150
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+        parts.append(_line(lx, ly - 4, lx + 22, ly - 4, color, 2))
+        parts.append(_text(lx + 28, ly, label, 11))
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

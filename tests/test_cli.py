@@ -905,3 +905,24 @@ def test_ledger_csv_writer_peak_allocation(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("p, c", [("4", "1000"), ("4.8", "64")])
+def test_appendix_exits_3_when_the_far_field_overflows(tmp_path, capsys, p, c):
+    """At large c the far-field profile's RK4 table overflows: the study
+    exits 3 with one error line naming c, p and t/r, not a traceback."""
+    code = main(["appendix", "--p", p, "--kappa", "0.25", "--h", "1/16", "--t-max", "4",
+                 "--c", c, "--out-dir", str(tmp_path / "ap")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 1
+    assert f"c={c}, p={p}" in err and "t/r = " in err
+
+
+def test_run_exits_3_when_the_far_field_overflows(tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("params.p = 4\ngrid.h = 1/16\ngrid.t_max = 4\ngrid.r_max = 16\n"
+                   "data.family = power_law\ndata.c = 1000\n")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 1 and "c=1000, p=4" in err

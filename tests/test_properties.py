@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nlw.cli import KNOWN_KEYS, Config, parse_scalar, run_checks, set_up
+from nlw.cli import KNOWN_KEYS, Config, main, parse_scalar, run_checks, set_up
 from nlw.diagnostics import TOTALS
 from nlw.errors import ConfigError, OffGridError
 from nlw.model import DirectedPulse, GaussianBump, RadialPair, make_params
@@ -253,3 +253,24 @@ def test_config_lets_only_config_errors_escape(raw):
     for call in calls:
         with contextlib.suppress(ConfigError):
             call()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    p=st.floats(3.0, 5.0, exclude_max=True),
+    kappa=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    c=st.sampled_from([None, "1e-200", "2", "1e3"]),
+    inv_h=st.sampled_from([16, 8]),
+    t16=st.integers(64, 256),  # t_max in sixteenths
+    r_max=st.sampled_from([None, "40"]),
+)
+def test_appendix_exits_with_a_code(tmp_path_factory, p, kappa, c, inv_h, t16, r_max):
+    """nlw appendix on edge-heavy inputs and tiny grids (t_max a node of
+    the grid in [4, 16]) exits 0, 2 or 3; no exception escapes it."""
+    step = 16 // inv_h
+    argv = ["appendix", "--p", repr(p), "--kappa", repr(kappa), "--h", f"1/{inv_h}",
+            "--t-max", repr(t16 // step * step / 16.0),
+            "--out-dir", str(tmp_path_factory.getbasetemp() / "appendix_fuzz")]
+    argv += [] if c is None else ["--c", c]
+    argv += [] if r_max is None else ["--r-max", r_max]
+    assert main(argv) in (0, 2, 3)

@@ -208,10 +208,10 @@ def test_extract_g_plus_skips_levels_before_t0_on_a_negative_tau():
 def test_defect_vanishes_on_linear_run(linear_pulse_run):
     """A free wave stays free: re-evolving its snapshot without a source
     reproduces the original trajectory to rounding."""
+    led = linear_pulse_run.ledger
     rep = free_wave_defect(linear_pulse_run, 4.0, 8.0)
-    e0 = linear_pulse_run.ledger.e_total[0]
-    assert rep.defect < 1e-8 * math.sqrt(e0)
-    assert rep.relative < 1e-8
+    assert rep.defect < 1e-8 * math.sqrt(led.e_total[0])
+    assert rep.defect / math.sqrt(led.e_total[led.level(4.0)]) < 1e-8
 
 
 def test_defect_positive_and_bounded_on_nonlinear_run(compact_run):
@@ -219,8 +219,8 @@ def test_defect_positive_and_bounded_on_nonlinear_run(compact_run):
     rep = free_wave_defect(traj, 8.0, 16.0)
     assert rep.defect > 0.0
     # the gap norm is controlled by the two kinetic energies, so the
-    # relative figure cannot exceed ~2
-    assert rep.relative < 2.5
+    # defect relative to sqrt(E(t1)) cannot exceed ~2
+    assert rep.defect / math.sqrt(traj.ledger.e_total[traj.ledger.level(8.0)]) < 2.5
     assert rep.t1 == 8.0 and rep.t2 == 16.0
 
 
@@ -269,7 +269,7 @@ def test_defect_matches_a_marched_free_wave(name, request):
 def test_compact_defect_matches_a_marched_free_wave(compact_run):
     """On compact data the defects are small next to the states they
     difference, so the gap to the stepped free wave is measured against
-    sqrt(E(t1)), DefectReport.relative's scale: at most 2.5e-14 of it over
+    sqrt(E(t1)), the scale of the states: at most 2.5e-14 of it over
     1024 to 4096 steps, where it is up to 1.6e-11 of the defect itself."""
     traj = compact_run["traj"]
     for t1, t2 in [(4.0, 8.0), (8.0, 16.0), (16.0, 32.0)]:

@@ -180,17 +180,22 @@ def test_leapfrog_agrees_with_duhamel():
 
 
 def test_bootstrap_first_level_is_third_order_local():
+    """Both Taylor levels are O(h^3) locally: w(h) against the Duhamel
+    solve at t = h, and w(-h) against that of the time-reversed data
+    (w0, -w1), for a bump at rest and a moving pulse."""
     params = make_params(4.0, 0.25)
-    fam = GaussianBump(0.8, 2.0, 0.4)
-    errs = []
-    for h in (1.0 / 32.0, 1.0 / 64.0):
-        grid = GridSpec.padded(h, 1.0, fam.support_radius())
-        pair = fam.sample(grid)
-        first = bootstrap(pair, params, grid)
-        ref = duhamel_solve(pair, params, grid, h)
-        errs.append(np.max(np.abs(first - ref)))
-    order = math.log2(errs[0] / errs[1])
-    assert order > 2.5, f"one-step Taylor bootstrap should be ~O(h^3), got {order}"
+    for fam in (GaussianBump(0.8, 2.0, 0.4), DirectedPulse(0.8, 2.0, 0.4)):
+        errs = []
+        for h in (1.0 / 32.0, 1.0 / 64.0):
+            grid = GridSpec.padded(h, 1.0, fam.support_radius())
+            pair = fam.sample(grid)
+            backward, forward = bootstrap(pair, params, grid)
+            reversed_pair = RadialPair(pair.w0, -pair.w1, h)
+            errs.append([np.max(np.abs(level - duhamel_solve(data, params, grid, h)))
+                         for level, data in ((forward, pair), (backward, reversed_pair))])
+        for coarse, fine in zip(*errs):
+            order = math.log2(coarse / fine)
+            assert order > 2.5, f"one-step Taylor bootstrap should be ~O(h^3), got {order}"
 
 
 def test_duhamel_solves_the_amplitude_four_bump():
@@ -844,16 +849,22 @@ def test_leapfrog_yields_window_power_and_source():
     assert ends == sorted(ends) and ends[-1] <= grid.n + 1
 
 
-def test_leapfrog_linear_takes_no_power(monkeypatch):
-    calls = []
-    real = nlw.solver.abs_power
-    monkeypatch.setattr(nlw.solver, "abs_power", lambda *a: calls.append(1) or real(*a))
-    params = make_params(3.0, 0.5)
-    fam = GaussianBump(0.4, 2.0, 0.4)
-    grid = GridSpec.padded(1.0 / 32.0, 1.0, fam.support_radius())
-    for *_, q, f in leapfrog(fam.sample(grid), params, grid, linear=True):
-        assert q is None and f is None
-    assert calls == []
+def test_leapfrog_linear_levels_yield_their_power_and_source():
+    """A linear level carries the power and source of its own field, as a
+    nonlinear one does; only the step leaves the source out (the levels
+    are the d'Alembert ones)."""
+    params = make_params(3.5, 0.5)
+    fam = DirectedPulse(0.4, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 2.0, fam.support_radius())
+    pair = fam.sample(grid)
+    r = grid.r
+    for m, w_prev, w, w_next, e, q, f in leapfrog(pair, params, grid, linear=True):
+        assert q.shape == (e,) and f.shape == (grid.n + 1,) and not f[e:].any()
+        np.testing.assert_allclose(q, np.abs(w[:e]) ** 2.5, rtol=1e-14)
+        np.testing.assert_allclose(f[1:e], q[1:] * w[1:e] / r[1:e] ** 2.5, rtol=1e-14)
+        assert f[0] == 0.0 and np.abs(f).max() > 0.0
+        ref = oracles.dalembert_grid(pair.w0, pair.w1, grid.h, m)
+        assert np.abs(w[: ref.size] - ref).max() <= 1e-12
 
 
 def test_leapfrog_rejects_data_off_the_grid():
