@@ -38,8 +38,8 @@ from .errors import (
     OffGridError,
     OutOfRangeError,
 )
-from .model import AppendixPowerLaw, FarField, k_functional, make_params
-from .numerics import dyadic_times, fit_power_law, node_at_or_past
+from .model import AppendixPowerLaw, FarField, k_functional, make_params, tail_beta
+from .numerics import MIN_FIT_POINTS, dyadic_times, fit_power_law, node_at_or_past
 from .scattering import (
     exterior_cumulative,
     exterior_growth_fit,
@@ -60,7 +60,7 @@ def triangle_bound_constant(p):
     where beta = 0 makes the inner-corner contribution logarithmically
     divergent.
     """
-    beta = (p - 3.0) / (p - 1.0)
+    beta = tail_beta(p)
     if beta <= 0.0:
         return math.inf
     return 2.0 / (beta * (1.0 - beta))
@@ -187,12 +187,12 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     fit_times = times[:-1]
     tail_reports = [lp_l2p_tail(traj, t0) for t0 in fit_times]
     tails_converged = all(rep.exponent <= TAIL_EXPONENT_CUT for rep in tail_reports)
-    if len(fit_times) >= 3:
+    if len(fit_times) >= MIN_FIT_POINTS:
         lp_fit = fit_power_law(fit_times, [rep.total for rep in tail_reports])
         lp_exponent, lp_r2 = lp_fit.exponent, lp_fit.r_squared
     else:
         lp_exponent = lp_r2 = None  # too few dyadic start times to fit
-    if len(times) >= 3:
+    if len(times) >= MIN_FIT_POINTS:
         ext_fit, ext_vals = exterior_growth_fit(traj, times)
         ext_slope, ext_offset, ext_r2 = (
             ext_fit.slope,

@@ -14,8 +14,9 @@ Subcommands:
 Config files are flat "dotted.key = value" lines; '#' starts a comment.
 Values may be numbers (fractions like 1/256 work), booleans, bare
 strings, comma-separated lists, and colon pairs for triangle probes
-("t0:r0").  Unknown keys are rejected, missing required keys reported
-by name.
+("t0:r0").  Each key's reader and default are in KEYS.  Every value is
+checked when the config is read, at keys the run does not use too;
+unknown keys are rejected, missing required keys reported by name.
 
 Exit codes: 0 success, 1 a verify check failed, 2 config problem
 (initial data or monitors that do not fit the grid included, all found
@@ -45,42 +46,13 @@ from .model import (
     Tabulated,
     make_params,
 )
-from .numerics import MIN_FIT_POINTS, fit_log_growth, fit_power_law, is_number
+from .numerics import MIN_FIT_POINTS, fit_log_growth, fit_power_law, grid_index, is_number
 from .scattering import extract_g_plus
 from .solver import GridSpec, Monitors, evolve, plan_run
 from .svgplot import line_plot
 
 SCHEMA_VERSION = "1"
 _CSV_BLOCK = 256  # ledger rows formatted per write
-
-KNOWN_KEYS = frozenset(
-    {
-        "params.p",
-        "params.kappa",
-        "grid.h",
-        "grid.t_max",
-        "grid.r_max",
-        "data.family",
-        "data.amplitude",
-        "data.center",
-        "data.width",
-        "data.direction",
-        "data.c",
-        "data.path",
-        "monitors.radii",
-        "monitors.flux_s",
-        "monitors.flux_tau",
-        "monitors.char_tau",
-        "monitors.triangles",
-        "monitors.triangles_out",
-        "monitors.snapshots",
-        "run.linear",
-        "output.stride",
-        "output.plots",
-    }
-)
-
-_MISSING = object()
 
 
 def parse_scalar(text):
@@ -127,100 +99,120 @@ def load_config(path):
     return raw
 
 
+def _number(key, text):
+    v = parse_scalar(text)
+    if not is_number(v):
+        raise ConfigError(f"{key} must be a number, got {text!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return float(v)
+
+
+def _stride(key, text):
+    v = _number(key, text)
+    if abs(v - round(v)) > 1e-9:
+        raise ConfigError(f"{key} must be an integer, got {text!r}")
+    if v < 1:
+        raise ConfigError(f"{key} must be at least 1, got {text!r}")
+    return int(round(v))
+
+
+def _string(key, text):
+    return text
+
+
+def _boolean(key, text):
+    v = parse_scalar(text)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{key} must be a boolean, got {text!r}")
+    return v
+
+
+def _scalars(key, text):
+    return tuple(parse_scalar(x) for x in text.split(","))
+
+
+def _numbers(key, text):
+    out = []
+    for v in _scalars(key, text):
+        if not (is_number(v) and math.isfinite(v)):
+            raise ConfigError(f"{key} must list finite numbers, got {v!r}")
+        out.append(float(v))
+    return tuple(out)
+
+
+def _pairs(key, text):
+    out = []
+    for item in text.split(","):
+        a, sep, b = item.strip().partition(":")
+        va, vb = parse_scalar(a), parse_scalar(b)
+        if not (sep and all(is_number(v) and math.isfinite(v) for v in (va, vb))):
+            raise ConfigError(f"{key}: expected 't0:r0', got {item.strip()!r}")
+        out.append((float(va), float(vb)))
+    return tuple(out)
+
+
+REQUIRED = object()  # the default of a key that has none
+
+KEYS = {  # key -> (reader, default)
+    "params.p": (_number, REQUIRED),
+    "params.kappa": (_number, 0.5),
+    "grid.h": (_number, REQUIRED),
+    "grid.t_max": (_number, REQUIRED),
+    "grid.r_max": (_number, None),  # None: GridSpec.padded
+    "data.family": (_string, REQUIRED),
+    "data.amplitude": (_number, REQUIRED),
+    "data.center": (_number, REQUIRED),
+    "data.width": (_number, REQUIRED),
+    "data.direction": (_string, "inward"),
+    "data.c": (_number, REQUIRED),
+    "data.path": (_string, REQUIRED),
+    "monitors.radii": (_scalars, ()),
+    "monitors.flux_s": (_numbers, ()),
+    "monitors.flux_tau": (_numbers, ()),
+    "monitors.char_tau": (_numbers, ()),
+    "monitors.triangles": (_pairs, ()),
+    "monitors.triangles_out": (_pairs, ()),
+    "monitors.snapshots": (_numbers, ()),
+    "run.linear": (_boolean, False),
+    "output.stride": (_stride, 1),
+    "output.plots": (_boolean, False),
+}
+
+
 class Config:
-    """Typed access to a raw config dict with good error messages."""
+    """A raw config dict whose every value its KEYS reader parses and
+    checks when the Config is built, read or not; cfg[key] is the value,
+    or the key's default."""
 
     def __init__(self, raw):
-        unknown = sorted(set(raw) - KNOWN_KEYS)
+        unknown = sorted(set(raw) - set(KEYS))
         if unknown:
             raise ConfigError("unknown config keys: " + ", ".join(unknown))
         self.raw = dict(raw)
+        self.values = {key: KEYS[key][0](key, text) for key, text in self.raw.items()}
 
-    def _absent(self, key, default):
-        """True when key is unset and has a default; raise if it has none."""
-        if key in self.raw:
-            return False
-        if default is _MISSING:
+    def __getitem__(self, key):
+        value = self.values.get(key, KEYS[key][1])
+        if value is REQUIRED:
             raise ConfigError(f"missing required config key {key!r}")
-        return True
-
-    def number(self, key, default=_MISSING):
-        if self._absent(key, default):
-            return default
-        v = parse_scalar(self.raw[key])
-        if not is_number(v):
-            raise ConfigError(f"{key} must be a number, got {self.raw[key]!r}")
-        if not math.isfinite(v):
-            raise ConfigError(f"{key} must be finite, got {self.raw[key]!r}")
-        return float(v)
-
-    def integer(self, key, default=_MISSING):
-        v = self.number(key, default)
-        if v is default:
-            return default
-        if abs(v - round(v)) > 1e-9:
-            raise ConfigError(f"{key} must be an integer, got {self.raw[key]!r}")
-        return int(round(v))
-
-    def string(self, key, default=_MISSING):
-        return default if self._absent(key, default) else self.raw[key]
-
-    def boolean(self, key, default=_MISSING):
-        if self._absent(key, default):
-            return default
-        v = parse_scalar(self.raw[key])
-        if not isinstance(v, bool):
-            raise ConfigError(f"{key} must be a boolean, got {self.raw[key]!r}")
-        return v
-
-    def scalar_list(self, key, default=()):
-        if key not in self.raw:
-            return tuple(default)
-        return tuple(parse_scalar(x) for x in self.raw[key].split(","))
-
-    def number_list(self, key, default=()):
-        out = []
-        for v in self.scalar_list(key, default):
-            if not (is_number(v) and math.isfinite(v)):
-                raise ConfigError(f"{key} must list finite numbers, got {v!r}")
-            out.append(float(v))
-        return tuple(out)
-
-    def pair_list(self, key, default=()):
-        if key not in self.raw:
-            return tuple(default)
-        out = []
-        for item in self.raw[key].split(","):
-            a, sep, b = item.strip().partition(":")
-            va, vb = parse_scalar(a), parse_scalar(b)
-            if not (sep and all(is_number(v) and math.isfinite(v) for v in (va, vb))):
-                raise ConfigError(f"{key}: expected 't0:r0', got {item.strip()!r}")
-            out.append((float(va), float(vb)))
-        return tuple(out)
+        return value
 
 
 # -- problem construction ----------------------------------------------------
 
 
 def build_family(cfg, params):
-    kind = cfg.string("data.family")
+    kind = cfg["data.family"]
     if kind == "gaussian":
-        return GaussianBump(
-            cfg.number("data.amplitude"),
-            cfg.number("data.center"),
-            cfg.number("data.width"),
-        )
+        return GaussianBump(cfg["data.amplitude"], cfg["data.center"], cfg["data.width"])
     if kind == "pulse":
-        return DirectedPulse(
-            cfg.number("data.amplitude"),
-            cfg.number("data.center"),
-            cfg.number("data.width"),
-            cfg.string("data.direction", "inward"),
-        )
+        return DirectedPulse(cfg["data.amplitude"], cfg["data.center"], cfg["data.width"],
+                             cfg["data.direction"])
     if kind == "power_law":
-        return AppendixPowerLaw(cfg.number("data.c"), params)
+        return AppendixPowerLaw(cfg["data.c"], params)
     if kind == "file":
-        path = cfg.string("data.path")
+        path = cfg["data.path"]
         try:
             with np.load(path) as z:
                 return Tabulated(z["w0"], z["w1"], float(z["h"]))
@@ -232,9 +224,7 @@ def build_family(cfg, params):
 def build_grid(cfg, family):
     """grid.r_max with an outgoing boundary, or by default GridSpec.padded
     past the data's support."""
-    h = cfg.number("grid.h")
-    t_max = cfg.number("grid.t_max")
-    r_max = cfg.number("grid.r_max", None)
+    h, t_max, r_max = cfg["grid.h"], cfg["grid.t_max"], cfg["grid.r_max"]
     if r_max is not None:
         return GridSpec(h=h, r_max=r_max, t_max=t_max, boundary="outgoing")
     support = family.support_radius()
@@ -248,24 +238,22 @@ def set_up(cfg):
     sampled: (params, family, grid, monitors, linear).  Whatever building
     them or solver.plan_run raises is a ConfigError (exit 2)."""
     try:
-        params = make_params(cfg.number("params.p"), cfg.number("params.kappa", 0.5))
+        params = make_params(cfg["params.p"], cfg["params.kappa"])
         family = build_family(cfg, params)
         grid = build_grid(cfg, family)
         monitors = Monitors(
-            radii=cfg.scalar_list("monitors.radii"),
-            flux_s=cfg.number_list("monitors.flux_s"),
-            flux_tau=cfg.number_list("monitors.flux_tau"),
-            char_tau=cfg.number_list("monitors.char_tau"),
-            triangles=cfg.pair_list("monitors.triangles"),
-            triangles_out=cfg.pair_list("monitors.triangles_out"),
-            snapshot_times=cfg.number_list("monitors.snapshots"),
+            radii=cfg["monitors.radii"],
+            flux_s=cfg["monitors.flux_s"],
+            flux_tau=cfg["monitors.flux_tau"],
+            char_tau=cfg["monitors.char_tau"],
+            triangles=cfg["monitors.triangles"],
+            triangles_out=cfg["monitors.triangles_out"],
+            snapshot_times=cfg["monitors.snapshots"],
         )
-        linear = cfg.boolean("run.linear", False)
+        linear = cfg["run.linear"]
         plan_run(grid, monitors, family.far_field() is not None, linear)
     except NlwError as err:
         raise ConfigError(str(err)) from err
-    if cfg.integer("output.stride", 1) < 1:
-        raise ConfigError(f"output.stride must be at least 1, got {cfg.raw['output.stride']!r}")
     return params, family, grid, monitors, linear
 
 
@@ -350,7 +338,8 @@ def _g_plus(traj, tau):
 
 
 def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
-    """JSON-ready run summary; deterministic except the timing block."""
+    """The run summary, deterministic except the timing block; _jsonable
+    makes it JSON-ready."""
     led = traj.ledger
     up, down = led.monotonicity_margins()
     doc = {
@@ -403,7 +392,7 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
         ]
     if elapsed is not None:
         doc["timing"] = {"seconds": elapsed}
-    return _jsonable(doc)
+    return doc
 
 
 def write_json(path, doc):
@@ -477,45 +466,46 @@ def run_checks(traj):
 # -- subcommands -------------------------------------------------------------
 
 
-def _write_outputs(out_dir, cfg, traj, elapsed, desc, checks=None):
+def _run_case(cfg, out_dir, verify=False):
+    """Run a case, check it if asked, and write its outputs to out_dir;
+    returns the summary document it wrote."""
+    traj, elapsed, desc = run_problem(cfg)
+    checks = run_checks(traj) if verify else None
     os.makedirs(out_dir, exist_ok=True)
-    stride = cfg.integer("output.stride", 1)
-    rows = write_ledger_csv(os.path.join(out_dir, "ledger.csv"), traj, stride)
+    write_ledger_csv(os.path.join(out_dir, "ledger.csv"), traj, cfg["output.stride"])
     write_snapshots_npz(os.path.join(out_dir, "snapshots.npz"), traj)
     far = traj.pair.far_field
     env = None if far is None else far.envelope(traj.ledger.t)
     doc = summarize(traj, data_desc=desc, checks=checks, elapsed=elapsed, envelope=env)
-    write_json(os.path.join(out_dir, "summary.json"), doc)
-    if cfg.boolean("output.plots", False):
+    write_json(os.path.join(out_dir, "summary.json"), _jsonable(doc))
+    if cfg["output.plots"]:
         write_run_plots(out_dir, traj, env)
-    return rows
+    return doc
 
 
 def cmd_run(args):
     cfg = Config(load_config(args.config))
-    traj, elapsed, desc = run_problem(cfg)
-    rows = _write_outputs(args.out_dir, cfg, traj, elapsed, desc)
-    led = traj.ledger
+    doc = _run_case(cfg, args.out_dir)
+    energy, grid = doc["energy"], doc["grid"]
+    steps = grid_index(grid["t_max"], grid["h"])
+    rows = len(range(0, steps, cfg["output.stride"])) + 1  # every stride-th level and the last
     print(f"wrote {args.out_dir}/ledger.csv ({rows} rows) and summary.json")
     print(
-        f"E(0) = {led.e_total[0]:.6g}, E(t_max) = {led.e_total[-1]:.6g}, "
-        f"E_minus(t_max) = {led.e_minus[-1]:.6g}, "
-        f"E_plus(t_max) = {led.e_plus[-1]:.6g} "
-        f"[{elapsed:.2f}s, {led.t.size - 1} steps]"
+        f"E(0) = {energy['initial']:.6g}, E(t_max) = {energy['final']:.6g}, "
+        f"E_minus(t_max) = {energy['e_minus_final']:.6g}, "
+        f"E_plus(t_max) = {energy['e_plus_final']:.6g} "
+        f"[{doc['timing']['seconds']:.2f}s, {steps} steps]"
     )
     return 0
 
 
 def cmd_verify(args):
-    cfg = Config(load_config(args.config))
-    traj, elapsed, desc = run_problem(cfg)
-    checks = run_checks(traj)
-    _write_outputs(args.out_dir, cfg, traj, elapsed, desc, checks=checks)
+    doc = _run_case(Config(load_config(args.config)), args.out_dir, verify=True)
     failed = 0
-    for name, value, threshold, ok in checks:
-        mark = "PASS" if ok else "FAIL"
-        print(f"[{name}] {mark} {value:.6g} vs {threshold:g}")
-        failed += 0 if ok else 1
+    for check in doc["checks"]:
+        mark = "PASS" if check["passed"] else "FAIL"
+        print(f"[{check['name']}] {mark} {check['value']:.6g} vs {check['threshold']:g}")
+        failed += 0 if check["passed"] else 1
     if failed:
         print(f"{failed} check(s) failed")
         return 1
@@ -526,7 +516,7 @@ def cmd_verify(args):
 def _parse_axis(spec):
     key, sep, rhs = spec.partition("=")
     key, rhs = key.strip(), rhs.strip()
-    if not sep or key not in KNOWN_KEYS:
+    if not sep or key not in KEYS:
         raise ConfigError(f"sweep axis must be '<known key>=<values>', got {spec!r}")
     if "," in rhs:
         values = [v.strip() for v in rhs.split(",") if v.strip()]
@@ -546,22 +536,6 @@ def _parse_axis(spec):
     return key, values
 
 
-def _sweep_worker(cfg, value, out_dir):
-    traj, elapsed, desc = run_problem(cfg)
-    _write_outputs(out_dir, cfg, traj, elapsed, desc)
-    led = traj.ledger
-    return {
-        "value": value,
-        "out_dir": out_dir,
-        "e_total_initial": float(led.e_total[0]),
-        "e_total_final": float(led.e_total[-1]),
-        "e_minus_final": float(led.e_minus[-1]),
-        "e_plus_final": float(led.e_plus[-1]),
-        "conservation_drift": led.conservation_drift(),
-        "seconds": elapsed,
-    }
-
-
 def cmd_sweep(args):
     raw = load_config(args.config)
     key, values = _parse_axis(args.axis)
@@ -569,40 +543,26 @@ def cmd_sweep(args):
     for value in values:  # every case is set up before any worker starts
         cfg = Config({**raw, key: value})
         set_up(cfg)
-        sub = os.path.join(args.out_dir, f"{key}={value.replace('/', '_')}")
-        jobs.append((cfg, value, sub))
+        jobs.append((cfg, os.path.join(args.out_dir, f"{key}={value.replace('/', '_')}")))
     os.makedirs(args.out_dir, exist_ok=True)
     workers = min(os.cpu_count() or 1, len(jobs))
     if workers == 1:
-        results = [_sweep_worker(*job) for job in jobs]
+        docs = [_run_case(*job) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, *zip(*jobs)))
+            docs = list(pool.map(_run_case, *zip(*jobs)))
     table = os.path.join(args.out_dir, "sweep.csv")
-    cols = [
-        key,
-        "e_total_initial",
-        "e_total_final",
-        "e_minus_final",
-        "e_plus_final",
-        "conservation_drift",
-        "seconds",
-        "out_dir",
-    ]
     with open(table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in results:
-            writer.writerow(
-                [row["value"]]
-                + [f"{row[c]:.12g}" for c in cols[1:-1]]
-                + [row["out_dir"]]
-            )
-    for row in results:
-        print(
-            f"{key}={row['value']}: E(t_max)={row['e_total_final']:.6g} "
-            f"E_minus={row['e_minus_final']:.6g} [{row['seconds']:.2f}s]"
-        )
+        writer.writerow([key, "e_total_initial", "e_total_final", "e_minus_final",
+                         "e_plus_final", "conservation_drift", "seconds", "out_dir"])
+        for value, (_, sub), doc in zip(values, jobs, docs):
+            e, seconds = doc["energy"], doc["timing"]["seconds"]
+            cells = (e["initial"], e["final"], e["e_minus_final"], e["e_plus_final"],
+                     e["conservation_drift"], seconds)
+            writer.writerow([value, *(f"{x:.12g}" for x in cells), sub])
+            print(f"{key}={value}: E(t_max)={e['final']:.6g} "
+                  f"E_minus={e['e_minus_final']:.6g} [{seconds:.2f}s]")
     print(f"wrote {table}")
     return 0
 

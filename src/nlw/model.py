@@ -41,6 +41,11 @@ LEAK_TOL = 0.05  # largest boundary fraction check_boundary_leak accepts
 _leggauss = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
 
 
+def tail_beta(p):
+    """Tail growth exponent of the static envelope, (p-3)/(p-1)."""
+    return (p - 3.0) / (p - 1.0)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Power p of the nonlinearity and decay weight exponent kappa."""
@@ -55,8 +60,7 @@ class ModelParams:
 
     @property
     def beta(self):
-        """Tail growth exponent of the static envelope, (p-3)/(p-1)."""
-        return (self.p - 3.0) / (self.p - 1.0)
+        return tail_beta(self.p)
 
 
 def make_params(p, kappa):
@@ -149,7 +153,7 @@ class FarField:
     """
 
     def __init__(self, c, p):
-        self.c, self.p, self.beta = float(c), float(p), (p - 3.0) / (p - 1.0)
+        self.c, self.p, self.beta = float(c), float(p), tail_beta(p)
         self.s, self.tables = None, {}
         b, pi = self.beta, math.pi  # kind -> (degree d, ledger prefactor)
         self.kinds = dict(e_minus=(2 * b - 2, pi), e_plus=(2 * b - 2, pi), bulk=(2 * b - 3, 1.0),
@@ -468,7 +472,7 @@ class AppendixPowerLaw(InitialData):
             raise OutOfRangeError(f"c={c} must be positive and finite")
         self.c = float(c)
         self.p = float(params.p)
-        a = 2.0 / (self.p - 1.0)  # u0 ~ r^{-a}
+        a = self.a = 2.0 / (self.p - 1.0)  # u0 ~ r^{-a}
         d = BLEND
         # match value/slope/curvature of c*r^{-a} at r=1 with the quintic
         c1 = -a * self.c
@@ -482,22 +486,20 @@ class AppendixPowerLaw(InitialData):
 
     def u0(self, r):
         r = np.asarray(r, dtype=float)
-        a = 2.0 / (self.p - 1.0)
         out = np.full_like(r, self.a0)
         mid = (r > self.x0) & (r < 1.0)
         s = r[mid] - self.x0
         out[mid] = self.a0 + self.a4 * s**4 + self.a5 * s**5
         tail = r >= 1.0
-        out[tail] = self.c * r[tail] ** (-a)
+        out[tail] = self.c * r[tail] ** (-self.a)
         return out
 
     def w0(self, r):
         r = np.asarray(r, dtype=float)
-        beta = (self.p - 3.0) / (self.p - 1.0)
         out = r * self.u0(r)
         # keep the tail bit-exact: r * r^{-2/(p-1)} in one power call
         tail = r >= 1.0
-        out[tail] = self.c * r[tail] ** beta
+        out[tail] = self.c * r[tail] ** tail_beta(self.p)
         return out
 
     def far_field(self):

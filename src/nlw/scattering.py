@@ -24,7 +24,14 @@ import numpy as np
 
 from .diagnostics import recorded_line
 from .errors import OffGridError, ShortSpanError
-from .numerics import derivative, fit_log_growth, fit_power_law, grid_index, trapz
+from .numerics import (
+    MIN_FIT_POINTS,
+    derivative,
+    fit_log_growth,
+    fit_power_law,
+    grid_index,
+    trapz,
+)
 from .solver import free_levels
 
 MIN_DYADIC_SAMPLES = 8
@@ -83,7 +90,7 @@ def extract_g_plus(traj, tau):
     g = (y[-1] - damp * y[-2]) / (1.0 - damp)
     resid = np.abs(y - g)
     good = resid > 0.0
-    if good.sum() >= 3:
+    if good.sum() >= MIN_FIT_POINTS:
         rate = fit_power_law(dists[good], resid[good]).exponent
     else:
         rate = float("nan")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import nlw
 from nlw import errors
-from nlw.cli import KNOWN_KEYS
+from nlw.cli import KEYS, REQUIRED
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -175,20 +175,36 @@ def test_study_and_verify_leave_numpy_ma_unloaded(tmp_path):
 
 
 def test_every_known_config_key_has_a_reader():
-    """Each cli.KNOWN_KEYS entry is the first argument of some call in
-    cli.py.  So a key whose reader is deleted cannot linger as an
-    accepted, ignored setting."""
+    """Each cli.KEYS entry is read as cfg["key"] somewhere in cli.py.  So a
+    key whose reader is deleted cannot linger as an accepted, ignored
+    setting."""
     tree = ast.parse((ROOT / "src" / "nlw" / "cli.py").read_text(encoding="utf-8"))
-    read = {node.args[0].value for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and node.args
-            and isinstance(node.args[0], ast.Constant)}
-    assert sorted(KNOWN_KEYS - read) == []
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+    assert sorted(set(KEYS) - read) == []
+
+
+def _readme_default(default):
+    """A KEYS default as the README's key table writes it."""
+    if default is REQUIRED:
+        return "required"
+    if default is None:  # grid.r_max: GridSpec.padded
+        return "padded"
+    if isinstance(default, bool):
+        return str(default).lower()
+    if default == ():
+        return "none"
+    return f"`{default}`" if isinstance(default, str) else str(default)
 
 
 def test_readme_key_reference_names_every_known_key():
-    """README's config key table lists exactly cli.KNOWN_KEYS."""
+    """README's config key table lists exactly cli.KEYS, each with its
+    default."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
-    listed = re.findall(r"^\| `([\w.]+)` \|", section, flags=re.M)
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]*?) \|", section, flags=re.M)
+    listed = [key for key, _ in rows]
     assert len(listed) == len(set(listed))
-    assert set(listed) == KNOWN_KEYS
+    assert set(listed) == set(KEYS)
+    assert dict(rows) == {key: _readme_default(default) for key, (_, default) in KEYS.items()}

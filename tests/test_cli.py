@@ -61,30 +61,36 @@ def test_config_typed_access():
             "output.stride": "4",
         }
     )
-    assert cfg.number("params.p") == 3.5
-    assert cfg.number("grid.h") == 1.0 / 64.0
-    assert cfg.boolean("run.linear") is True
-    assert cfg.scalar_list("monitors.radii") == (1.0, "t/4")
-    assert cfg.pair_list("monitors.triangles") == ((1.0, 2.0), (2.0, 3.0))
-    assert cfg.integer("output.stride") == 4
-    assert cfg.number("grid.t_max", 8.0) == 8.0  # default fill-in
+    assert cfg["params.p"] == 3.5
+    assert cfg["grid.h"] == 1.0 / 64.0
+    assert cfg["run.linear"] is True
+    assert cfg["monitors.radii"] == (1.0, "t/4")
+    assert cfg["monitors.triangles"] == ((1.0, 2.0), (2.0, 3.0))
+    assert cfg["output.stride"] == 4
+    # default fill-in
+    assert cfg["params.kappa"] == 0.5 and cfg["grid.r_max"] is None
+    assert cfg["monitors.snapshots"] == () and cfg["output.plots"] is False
 
 
 def test_config_rejections():
+    """Every value is checked when the Config is built, whether or not the
+    run reads its key; an unknown key and a missing required one are
+    config errors too."""
     with pytest.raises(ConfigError, match="params.q"):
         Config({"params.q": "3"})
-    cfg = Config({"params.p": "hello", "output.stride": "0.5",
-                  "run.linear": "maybe", "monitors.triangles": "1-2"})
-    with pytest.raises(ConfigError, match="must be a number"):
-        cfg.number("params.p")
-    with pytest.raises(ConfigError, match="must be an integer"):
-        cfg.integer("output.stride")
-    with pytest.raises(ConfigError, match="must be a boolean"):
-        cfg.boolean("run.linear")
-    with pytest.raises(ConfigError, match="t0:r0"):
-        cfg.pair_list("monitors.triangles")
+    for key, text, message in [
+        ("params.p", "hello", "params.p must be a number, got 'hello'"),
+        ("params.p", "nan", "params.p must be finite"),
+        ("output.stride", "0.5", "output.stride must be an integer"),
+        ("output.stride", "0", "output.stride must be at least 1"),
+        ("run.linear", "maybe", "run.linear must be a boolean"),
+        ("monitors.snapshots", "1,x", "monitors.snapshots must list finite numbers"),
+        ("monitors.triangles", "1-2", "t0:r0"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            Config({key: text})
     with pytest.raises(ConfigError, match="missing required config key 'grid.h'"):
-        cfg.number("grid.h")
+        Config({})["grid.h"]
 
 
 # --------------------------------------------------------------------------
@@ -464,6 +470,44 @@ def test_stride_below_one_exits_2_before_any_run(tmp_path, capsys, monkeypatch, 
     assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "output.stride must be at least 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_bad_plots_value_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command):
+    """output.plots is checked when the config is read, before any step:
+    no file and no case directory is written."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran before output.plots was checked")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    cfg = _write(tmp_path, RUN_CFG.replace("output.plots = true", "output.plots = maybe"))
+    out = tmp_path / "out"
+    argv = [command, cfg] + (["grid.h=1/32,1/16"] if command == "sweep" else [])
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: output.plots must be a boolean, got 'maybe'" in err
+    assert not out.exists()
+
+
+def test_bad_value_at_a_key_the_family_does_not_read_exits_2(tmp_path, capsys, monkeypatch):
+    """A Gaussian run reads no data.c, but a malformed one is still refused."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran with a malformed data.c")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
+    cfg = _write(tmp_path, RUN_CFG + "data.c = abc\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error: data.c must be a number, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_power_law_run_without_r_max_exits_2(tmp_path, capsys):
+    """Power-law data have no support radius to pad past."""
+    cfg = _write(tmp_path, POWER_LAW_CFG.replace("grid.r_max = 21\n", ""))
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the data family has an unbounded tail; set grid.r_max" in err
     assert not (tmp_path / "out").exists()
 
 

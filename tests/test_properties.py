@@ -7,14 +7,17 @@ suite tries the same examples.
 import contextlib
 import copy
 import functools
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from nlw.cli import KNOWN_KEYS, Config, main, parse_scalar, run_checks, set_up
+from nlw.cli import KEYS, REQUIRED, Config, main, parse_scalar, run_checks, set_up
 from nlw.diagnostics import TOTALS
 from nlw.errors import ConfigError, OffGridError
 from nlw.model import DirectedPulse, GaussianBump, RadialPair, make_params
@@ -237,22 +240,49 @@ GAUSSIAN = {"params.p": "3", "grid.h": "1/16", "grid.t_max": "1", "data.family":
 
 
 @PROPERTY
-@given(raw=st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), CONFIG_VALUE, max_size=8))
+@given(raw=st.dictionaries(st.sampled_from(sorted(KEYS)), CONFIG_VALUE, max_size=8))
 def test_config_lets_only_config_errors_escape(raw):
-    """parse_scalar takes any token; every typed Config access, and the
-    set-up of a run (parameters, data family, grid and monitors, checked
-    against the grid by plan_run), either succeed or raise ConfigError.
-    The set-up samples no data, so a tiny grid.h allocates nothing."""
-    for text in raw.values():
+    """parse_scalar takes any token; building a Config (each key's reader
+    on its value), reading every key of it, and the set-up of a run
+    (parameters, data family, grid and monitors, checked against the grid
+    by plan_run) either succeed or raise ConfigError.  The values that
+    pass their readers alone build a Config together, which refuses a read
+    only for a required key it lacks.  The set-up samples no data, so a
+    tiny grid.h allocates nothing."""
+    valid = {}
+    for key, text in raw.items():
         parse_scalar(text)
-    cfg = Config(raw)
-    accessors = (cfg.number, cfg.integer, cfg.string, cfg.boolean, cfg.scalar_list,
-                 cfg.number_list, cfg.pair_list)
-    calls = [functools.partial(get, key) for get in accessors for key in sorted(KNOWN_KEYS)]
-    calls += [functools.partial(set_up, c) for c in (cfg, Config({**GAUSSIAN, **raw}))]
-    for call in calls:
         with contextlib.suppress(ConfigError):
-            call()
+            Config({key: text})
+            valid[key] = text
+    with contextlib.suppress(ConfigError):
+        Config(raw)
+    cfg = Config(valid)
+    for key, (_, default) in KEYS.items():
+        if key in valid or default is not REQUIRED:
+            cfg[key]
+        else:
+            with pytest.raises(ConfigError, match="missing required config key"):
+                cfg[key]
+    for c in (cfg, Config({**GAUSSIAN, **valid})):
+        with contextlib.suppress(ConfigError):
+            set_up(c)
+
+
+def _null_paths(doc, path=""):
+    """The dotted path of each null in a JSON document; [] for a list index."""
+    if isinstance(doc, dict):
+        return [n for k, v in doc.items() for n in _null_paths(v, f"{path}.{k}".lstrip("."))]
+    if isinstance(doc, list):
+        return [n for v in doc for n in _null_paths(v, path + "[]")]
+    return [path] if doc is None else []
+
+
+# the report.json keys that README's "Nulls in report.json" list names
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+NULLS_SECTION = README.split("### Nulls in `report.json`\n", 1)[1].split("\n#", 1)[0]
+NULLABLE = {key for head in re.findall(r"^- ((?:`[^`]+`,?\s*)+):", NULLS_SECTION, flags=re.M)
+            for key in re.findall(r"`([^`]+)`", head)}
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -266,11 +296,16 @@ def test_config_lets_only_config_errors_escape(raw):
 )
 def test_appendix_exits_with_a_code(tmp_path_factory, p, kappa, c, inv_h, t16, r_max):
     """nlw appendix on edge-heavy inputs and tiny grids (t_max a node of
-    the grid in [4, 16]) exits 0, 2 or 3; no exception escapes it."""
+    the grid in [4, 16]) exits 0, 2 or 3; no exception escapes it.  A
+    report it writes has nulls only at the keys the README lists."""
     step = 16 // inv_h
+    out = tmp_path_factory.getbasetemp() / "appendix_fuzz"
     argv = ["appendix", "--p", repr(p), "--kappa", repr(kappa), "--h", f"1/{inv_h}",
-            "--t-max", repr(t16 // step * step / 16.0),
-            "--out-dir", str(tmp_path_factory.getbasetemp() / "appendix_fuzz")]
+            "--t-max", repr(t16 // step * step / 16.0), "--out-dir", str(out)]
     argv += [] if c is None else ["--c", c]
     argv += [] if r_max is None else ["--r-max", r_max]
-    assert main(argv) in (0, 2, 3)
+    code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert set(_null_paths(report)) <= NULLABLE
