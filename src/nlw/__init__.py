@@ -22,7 +22,6 @@ from .errors import (
     BlowupError,
     BoundaryLeakError,
     ConfigError,
-    DegenerateFitError,
     DivergentIntegralError,
     InitialDataError,
     NlwError,

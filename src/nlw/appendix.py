@@ -39,9 +39,8 @@ from .errors import (
     OutOfRangeError,
 )
 from .model import AppendixPowerLaw, FarField, k_functional, make_params, tail_beta
-from .numerics import MIN_FIT_POINTS, dyadic_times, fit_power_law, node_at_or_past
+from .numerics import dyadic_times, fit_power_law, node_at_or_past
 from .scattering import (
-    exterior_cumulative,
     exterior_growth_fit,
     free_wave_defect,
     lp_l2p_tail,
@@ -132,7 +131,10 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     closed past it exactly: no number depends on r_max.  The far_field
     section states the rule and each closure's share of its integral.
 
-    Below t_max = 8 no tail norm starts (its fit is null).  Raises
+    A fit that cannot be made has NaN fields (numerics.fit_power_law and
+    fit_log_growth), null once the CLI writes them: the tail-norm fit below
+    t_max = 32 (below 8 no tail norm starts) or where a total underflowed
+    to 0, the exterior fit below t_max = 16.  Raises
     ConfigError, before the threshold search and any run, if t_max is
     below 4, the first dyadic sample time, if p, kappa or c are out of
     range (make_params, AppendixPowerLaw), or if h, t_max and r_max make
@@ -187,36 +189,23 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     fit_times = times[:-1]
     tail_reports = [lp_l2p_tail(traj, t0) for t0 in fit_times]
     tails_converged = all(rep.exponent <= TAIL_EXPONENT_CUT for rep in tail_reports)
-    if len(fit_times) >= MIN_FIT_POINTS:
-        lp_fit = fit_power_law(fit_times, [rep.total for rep in tail_reports])
-        lp_exponent, lp_r2 = lp_fit.exponent, lp_fit.r_squared
-    else:
-        lp_exponent = lp_r2 = None  # too few dyadic start times to fit
-    if len(times) >= MIN_FIT_POINTS:
-        ext_fit, ext_vals = exterior_growth_fit(traj, times)
-        ext_slope, ext_offset, ext_r2 = (
-            ext_fit.slope,
-            ext_fit.offset,
-            ext_fit.r_squared,
-        )
-    else:
-        ext_vals = exterior_cumulative(traj, times)
-        ext_slope = ext_offset = ext_r2 = None  # not enough samples to fit
+    lp_fit = fit_power_law(fit_times, [rep.total for rep in tail_reports])
+    ext_fit, ext_vals = exterior_growth_fit(traj, times)
     defect_ts = [t for t in (8.0, 16.0, 32.0) if 2.0 * t <= t_max]
     defects = [free_wave_defect(traj, t, 2.0 * t) for t in defect_ts]
     rates_sec = {
         "lp_l2p": {
             "times": list(fit_times),
             "totals": [rep.total for rep in tail_reports],
-            "exponent": lp_exponent,
-            "r_squared": lp_r2,
+            "exponent": lp_fit.exponent,
+            "r_squared": lp_fit.r_squared,
             "predicted_exponent": predicted_tail_exponent(params),
             "tails_converged": tails_converged,
         },
         "exterior_growth": {
-            "slope": ext_slope,
-            "offset": ext_offset,
-            "r_squared": ext_r2,
+            "slope": ext_fit.slope,
+            "offset": ext_fit.offset,
+            "r_squared": ext_fit.r_squared,
             "values": [float(v) for v in ext_vals],
         },
         "free_wave_defect": {

@@ -396,8 +396,9 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
 
 
 def write_json(path, doc):
+    """Write a _jsonable document; a NaN or inf left in it raises ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -602,25 +603,28 @@ def cmd_appendix(args):
     except ValueError:  # every series underflowed to 0, and log-log axes drop them all
         decay_path = None
     report["artifacts"] = {"envelope_rays": env_path, "energy_decay": decay_path}
-    write_json(os.path.join(args.out_dir, "report.json"), _jsonable(report))
+    doc = _jsonable(report)
+    write_json(os.path.join(args.out_dir, "report.json"), doc)
 
-    envr = report["envelope"]
+    envr = doc["envelope"]
     verdict = "holds" if envr["holds"] else "FAILS"
     print(
         f"envelope {verdict}: peak ratio {envr['peak_ratio']:.4g} "
         f"(c = {envr['c']:.6g})"
     )
-    mass = report["channel_mass"]
+    mass = doc["channel_mass"]
     if mass["divergent"]:
         print("weighted channel mass: divergent at this kappa (as expected "
               "above the admissible range)")
     else:
         print(f"weighted channel mass: K = {mass['k']:.6g}")
-    rates = report["scattering_rates"]
+    rates = doc["scattering_rates"]
     lp = rates["lp_l2p"]
-    if lp["exponent"] is None:
+    if lp["exponent"] is None and len(lp["times"]) < MIN_FIT_POINTS:
         print("tail norm exponent: too few dyadic start times to fit "
               "(extend t-max)")
+    elif lp["exponent"] is None:
+        print("tail norm exponent: no fit, a tail total is not positive")
     else:
         qualifier = "" if lp["tails_converged"] else ", truncated (no tail)"
         print(
@@ -688,18 +692,14 @@ def cmd_fit(args):
         raise ConfigError(f"{args.csv}: the window {args.x} in [{lo:g}, {hi:g}] leaves {kept} "
                           f"row(s) to fit; a fit needs at least {MIN_FIT_POINTS}")
     x, y = x[mask], y[mask]
-    if args.log_growth:
-        fit = fit_log_growth(x, y)
-        print(
-            f"{args.y} ~ {fit.offset:.6g} + {fit.slope:.6g} * log(1 + {args.x}) "
-            f"(r^2 = {fit.r_squared:.6f}, {x.size} points)"
-        )
-    else:
-        fit = fit_power_law(x, y)
-        print(
-            f"{args.y} ~ {fit.amplitude:.6g} * {args.x}^{fit.exponent:+.6g} "
-            f"(r^2 = {fit.r_squared:.6f}, {fit.n_points} points)"
-        )
+    fit = (fit_log_growth if args.log_growth else fit_power_law)(x, y)
+    if math.isnan(fit.r_squared):  # the fit cannot be made
+        need = f"{args.x!r} above -1" if args.log_growth else f"{args.y!r} positive"
+        raise ConfigError(f"{args.csv}: the window cannot be fit; it needs every {need} "
+                          f"and {args.x!r} values that differ")
+    law = (f"{fit.offset:.6g} + {fit.slope:.6g} * log(1 + {args.x})" if args.log_growth
+           else f"{fit.amplitude:.6g} * {args.x}^{fit.exponent:+.6g}")
+    print(f"{args.y} ~ {law} (r^2 = {fit.r_squared:.6f}, {x.size} points)")
     return 0
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, OffGridError
+from .errors import OffGridError
 from .model import k_functional, make_params, potential_density
 # abs_power is not called here; the benchmark's tracer test reads it from this module
 from .numerics import abs_power, cumtrapz, fit_power_law, grid_index, trapz
@@ -130,11 +130,8 @@ class EnergyLedger:
         if float(series[-1]) <= 1e-12 * max(float(series.max()), 1e-300):
             return 0.0, -math.inf
         l_dec = self.decade_level()
-        try:
-            fit = fit_power_law(self.t[l_dec:], series[l_dec:])
-        except DegenerateFitError:
-            return 0.0, math.nan
-        slope = fit.exponent
+        fit = fit_power_law(self.t[l_dec:], series[l_dec:])
+        slope = fit.exponent  # nan where the fit cannot be made, and nan <= cut is False
         if slope <= TAIL_EXPONENT_CUT:
             return fit.amplitude * self.t_max ** (slope + 1.0) / (-slope - 1.0), slope
         return 0.0, slope

@@ -47,7 +47,3 @@ class OffGridError(NlwError):
 
 class ShortSpanError(NlwError):
     """Too few dyadic samples fit inside the available time span."""
-
-
-class DegenerateFitError(NlwError):
-    """Power-law fit input contains non-positive values or too few points."""

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, OffGridError
+from .errors import OffGridError
 
 _TINY = np.finfo(float).tiny
+_LOG_HUGE = math.log(np.finfo(float).max)  # math.exp overflows past it
 _DOT_CHUNK = 10_000
 MIN_FIT_POINTS = 3  # the fewest samples fit_power_law and fit_log_growth take
 
@@ -199,31 +200,30 @@ class FitResult:
     exponent: float
     amplitude: float
     r_squared: float
-    window: tuple
-    n_points: int
 
 
 def fit_power_law(t, y):
     """Least-squares fit y ~ amplitude * t^exponent on log-log values.
 
-    Raises DegenerateFitError when fewer than 3 points are given or any
-    sample is non-positive (a sign the quantity has decayed into rounding
-    noise or the window is wrong).
+    A fit that cannot be made, from fewer than MIN_FIT_POINTS points, a
+    sample with t <= 0 or y <= 0 (a sign the quantity has decayed into
+    rounding noise or the window is wrong) or log t without spread at
+    working precision (t all equal), has NaN exponent, amplitude and
+    r_squared.  An amplitude past the largest float is inf.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if t.size < MIN_FIT_POINTS:
-        raise DegenerateFitError(f"power-law fit needs >= {MIN_FIT_POINTS} points, got {t.size}")
-    if np.any(t <= 0.0) or np.any(y <= 0.0):
-        raise DegenerateFitError("power-law fit needs positive samples")
+    unfit = FitResult(math.nan, math.nan, math.nan)
+    if t.size < MIN_FIT_POINTS or not (np.all(t > 0.0) and np.all(y > 0.0) and np.ptp(t) > 0.0):
+        return unfit
     lt, ly = np.log(t), np.log(y)
-    slope, intercept = np.polyfit(lt, ly, 1)
+    (slope, intercept), _, rank, *_ = np.polyfit(lt, ly, 1, full=True)
+    if rank < 2:
+        return unfit
     return FitResult(
         exponent=float(slope),
-        amplitude=float(math.exp(intercept)),
+        amplitude=math.exp(intercept) if intercept <= _LOG_HUGE else math.inf,
         r_squared=_r_squared(ly - (slope * lt + intercept), ly),
-        window=(float(t[0]), float(t[-1])),
-        n_points=int(t.size),
     )
 
 
@@ -236,13 +236,22 @@ class LogGrowthFit:
 
 def fit_log_growth(t, v):
     """Fit v ~ offset + slope * log(1 + t), for logarithmically growing
-    exterior masses."""
+    exterior masses.  A fit that cannot be made, from fewer than
+    MIN_FIT_POINTS points, a t <= -1 or log(1 + t) without spread at
+    working precision, has NaN offset, slope and r_squared.  v is fit
+    divided by a power of 2 near its largest |v|: exact, so it moves no bit
+    of a fit whose squares were finite, and keeps larger ones finite."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
-    if t.size < MIN_FIT_POINTS:
-        raise DegenerateFitError(f"log-growth fit needs >= {MIN_FIT_POINTS} points, got {t.size}")
+    unfit = LogGrowthFit(math.nan, math.nan, math.nan)
+    if t.size < MIN_FIT_POINTS or not np.all(t > -1.0):
+        return unfit
     x = np.log1p(t)
     design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1] - 1)
+    v = v / scale
+    coef, _, rank, _ = np.linalg.lstsq(design, v, rcond=None)
+    if rank < 2:
+        return unfit
     r2 = _r_squared(v - design @ coef, v)
-    return LogGrowthFit(offset=float(coef[0]), slope=float(coef[1]), r_squared=r2)
+    return LogGrowthFit(offset=float(coef[0]) * scale, slope=float(coef[1]) * scale, r_squared=r2)

@@ -25,7 +25,6 @@ import numpy as np
 from .diagnostics import recorded_line
 from .errors import OffGridError, ShortSpanError
 from .numerics import (
-    MIN_FIT_POINTS,
     derivative,
     fit_log_growth,
     fit_power_law,
@@ -69,9 +68,9 @@ def extract_g_plus(traj, tau):
 
         g = (y_J - 2^{-q} y_{J-1}) / (1 - 2^{-q}),
 
-    and reports the observed rate from a log-log fit of |y_j - g|.
-    Raises ShortSpanError when fewer than 8 dyadic samples fit on the
-    recorded line.
+    and reports the observed rate from a log-log fit of the positive
+    |y_j - g| (nan if fewer than 3 are positive).  Raises ShortSpanError
+    when fewer than 8 dyadic samples fit on the recorded line.
     """
     first, series = recorded_line(traj.char_traces, tau, "trace label tau")
     h = traj.grid.h
@@ -90,16 +89,12 @@ def extract_g_plus(traj, tau):
     g = (y[-1] - damp * y[-2]) / (1.0 - damp)
     resid = np.abs(y - g)
     good = resid > 0.0
-    if good.sum() >= MIN_FIT_POINTS:
-        rate = fit_power_law(dists[good], resid[good]).exponent
-    else:
-        rate = float("nan")
     return CharTrace(
         tau=tau,
         distances=dists,
         values=y,
         g_plus=float(g),
-        rate_estimate=rate,
+        rate_estimate=fit_power_law(dists[good], resid[good]).exponent,
     )
 
 
@@ -156,23 +151,12 @@ def lp_l2p_tail(traj, t0):
     return led.tail_integral(led.y2p, t0)
 
 
-def exterior_cumulative(traj, t_samples):
-    """Cumulative exterior mass V(T) = int_0^T [4pi int_{r>1+t} |u|^{2(p-1)}
-    r^2 dr] dt evaluated at each sample time."""
-    led = traj.ledger
-    series = led.exterior_l2p2
-    cums = []
-    for t_val in t_samples:
-        l = led.level(t_val)
-        cums.append(trapz(series[: l + 1], led.h))
-    return np.asarray(cums)
-
-
 def exterior_growth_fit(traj, t_samples):
-    """Fit the cumulative exterior mass as offset + slope*log(1+T).
+    """Fit the cumulative exterior mass V(T) = int_0^T [4pi int_{r>1+t}
+    |u|^{2(p-1)} r^2 dr] dt at each sample time as offset + slope*log(1+T).
 
     Returns (fit, values).  The fit should show slope > 0 with high r^2
     for data whose exterior tail is exactly scale critical."""
-    values = exterior_cumulative(traj, t_samples)
-    fit = fit_log_growth(np.asarray(t_samples, dtype=float), values)
-    return fit, values
+    led = traj.ledger
+    values = np.asarray([trapz(led.exterior_l2p2[: led.level(t) + 1], led.h) for t in t_samples])
+    return fit_log_growth(t_samples, values), values

@@ -469,6 +469,9 @@ class _Recorders:
         if m in self.energy_at:
             e_minus, e_plus = self.energies(w, f, end, tails)
             led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
+            if not math.isfinite(led.e_total[m]):  # an overflow, not an unrecorded level
+                raise BlowupError(f"energy E_- + E_+ = {led.e_total[m]} is not finite at level "
+                                  f"{m} (t={m * h:g})")
         if not self.linear:
             u = np.multiply(w[:end], self.inv_r[:end], out=tmp[:end])
             led.bulk[m] = trapz_dot(f[:end], u, h) + tails[2]

@@ -8,7 +8,8 @@ import pytest
 
 from nlw import DirectedPulse, GridSpec, extract_g_plus, flux_inward, flux_outward
 from nlw.model import FarField
-from nlw.cli import Config, load_config, main, parse_scalar, run_checks, run_problem
+from nlw.cli import (Config, _jsonable, load_config, main, parse_scalar, run_checks,
+                     run_problem, write_json)
 from nlw.errors import ConfigError
 
 
@@ -578,6 +579,33 @@ def test_runtime_lab_error_exits_3(tmp_path, capsys):
     assert "error: |w| reached" in err and "config error" not in err
 
 
+# numpy warns as the energies overflow, and as inf - inf makes them nan
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", [["run"], ["sweep", "data.width=0.5"]])
+def test_overflowing_energy_exits_3_by_name(tmp_path, capsys, command):
+    """Legal data whose energy overflows (a linear Gaussian of amplitude
+    1e200) exit 3 naming the energy and its level, from run and sweep
+    alike; they read as "level 0 (t=0) was not recorded"."""
+    cfg = _write(tmp_path, "params.p = 3\ngrid.h = 1/16\ngrid.t_max = 1\n"
+                           "data.family = gaussian\ndata.amplitude = 1e200\n"
+                           "data.center = 1.5\ndata.width = 0.5\nrun.linear = true\n")
+    assert main([command[0], cfg, *command[1:], "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "error: energy E_- + E_+ = nan is not finite at level 0 (t=0)" in err
+    assert "not recorded" not in err and "Traceback" not in err
+
+
+def test_write_json_refuses_a_nan(tmp_path):
+    """write_json takes documents _jsonable has made; a NaN that bypasses
+    it raises instead of writing the invalid JSON literal NaN."""
+    path = tmp_path / "doc.json"
+    write_json(path, _jsonable({"x": math.nan, "y": [1.0, math.inf]}))
+    assert json.loads(path.read_text()) == {"x": None, "y": [1.0, None]}
+    with pytest.raises(ValueError):
+        write_json(path, {"x": math.nan})
+
+
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
@@ -785,6 +813,21 @@ def test_appendix_below_t_max_8_reports_null_tail_fit(tmp_path, capsys, t_max):
     assert lp["exponent"] is None and lp["r_squared"] is None
 
 
+def test_appendix_fits_a_null_where_the_totals_underflow(tmp_path, capsys):
+    """At c = 1e-200 and the default t_max = 64 every tail total underflows
+    to 0: the four start times give a null tail fit, not an exit 3 ("power-
+    law fit needs positive samples"), and stdout does not blame the times."""
+    out = tmp_path / "ap"
+    assert main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16", "--c", "1e-200",
+                 "--out-dir", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "tail norm exponent: no fit, a tail total is not positive" in stdout
+    assert "too few" not in stdout
+    lp = json.loads((out / "report.json").read_text())["scattering_rates"]["lp_l2p"]
+    assert lp["times"] == [4.0, 8.0, 16.0, 32.0] and lp["totals"] == [0.0] * 4
+    assert lp["exponent"] is None and lp["r_squared"] is None
+
+
 # --------------------------------------------------------------------------
 # fit subcommand
 # --------------------------------------------------------------------------
@@ -867,6 +910,22 @@ def test_fit_non_numeric_cell_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and f"column '{col}', data row 2: '{cell}'" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, flags, col, need", [
+    ("t,val\n1,2\n2,0\n4,0.5\n", [], "val", "positive"),
+    ("t,val\n-1,1\n0,2\n1,3\n2,4\n", ["--log-growth"], "t", "above -1"),
+])
+def test_fit_window_it_cannot_fit_exits_2(tmp_path, capsys, text, flags, col, need):
+    """A window the fit cannot be made on exits 2 naming the column: a y <= 0
+    of a power law used to exit 3, an x <= -1 of --log-growth exit 1 with
+    a traceback."""
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    assert main(["fit", str(path), "--y", "val", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"cannot be fit; it needs every '{col}' {need}" in err
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ suite tries the same examples.
 import contextlib
 import copy
 import functools
+import io
 import json
 import math
 import re
@@ -309,3 +310,48 @@ def test_appendix_exits_with_a_code(tmp_path_factory, p, kappa, c, inv_h, t16, r
     if code == 0:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert set(_null_paths(report)) <= NULLABLE
+
+
+def test_appendix_at_tiny_amplitude_writes_nulls_at_listed_keys(tmp_path):
+    """At c = 1e-200 and t_max = 32 every tail total underflows to 0, so
+    three start times give no tail fit: the study exits 0 (it exited 3,
+    "power-law fit needs positive samples"), and each null of its report
+    sits at a key the README lists."""
+    out = tmp_path / "ap"
+    assert main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16", "--t-max", "32",
+                 "--c", "1e-200", "--out-dir", str(out)]) == 0
+    nulls = set(_null_paths(json.loads((out / "report.json").read_text(encoding="utf-8"))))
+    assert "scattering_rates.lp_l2p.exponent" in nulls and nulls <= NULLABLE
+
+
+# finite cells at every scale, t <= -1 and y <= 0 among them; one text cell in some CSVs
+FIT_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 1e300]))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(FIT_NUMBER, FIT_NUMBER), min_size=3, max_size=10),
+    text=st.one_of(st.none(), st.none(), st.none(), st.sampled_from(["x", ""])),
+    t_min=st.sampled_from([None, "-1", "0", "1"]),
+    t_max=st.sampled_from([None, None, "0", "8"]),
+    log_growth=st.booleans(),
+)
+def test_fit_exits_with_a_code(tmp_path_factory, rows, text, t_min, t_max, log_growth):
+    """nlw fit on generated CSVs exits 0 or 2, with no exception and no
+    traceback: a cell that is not a number, a window of fewer than 3 rows
+    and a window no fit can be made on are config errors.  Of the 100 CSVs,
+    about a third are fit (exit 0) and a fifth have a window no fit can be
+    made on."""
+    cells = [[repr(t), repr(v)] for t, v in rows]
+    if text is not None:
+        cells[len(cells) // 2][1] = text
+    path = tmp_path_factory.getbasetemp() / "fit_fuzz.csv"
+    path.write_text("t,val\n" + "".join(f"{t},{v}\n" for t, v in cells), encoding="utf-8")
+    argv = ["fit", str(path), "--y", "val"] + (["--log-growth"] if log_growth else [])
+    argv += [] if t_min is None else ["--t-min", t_min]
+    argv += [] if t_max is None else ["--t-max", t_max]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) in (0, 2)
+    assert "Traceback" not in err.getvalue()
