@@ -38,7 +38,7 @@ import numpy as np
 
 from .appendix import run_appendix_example
 from .diagnostics import flux_inward, flux_outward, pointwise_bounds, triangle_residual
-from .errors import ConfigError, InitialDataError, NlwError, OffGridError, ShortSpanError
+from .errors import ConfigError, InitialDataError, NlwError, ShortSpanError
 from .model import (
     AppendixPowerLaw,
     DirectedPulse,
@@ -53,6 +53,7 @@ from .svgplot import line_plot
 
 SCHEMA_VERSION = "1"
 _CSV_BLOCK = 256  # ledger rows formatted per write
+MAX_SWEEP_VALUES = 10_000  # the most values a lo:hi:step sweep range may have
 
 
 def parse_scalar(text):
@@ -213,10 +214,10 @@ def build_family(cfg, params):
         return AppendixPowerLaw(cfg["data.c"], params)
     if kind == "file":
         path = cfg["data.path"]
-        try:
+        try:  # a file np.load cannot read, or a table that is not numbers, raises any of these
             with np.load(path) as z:
                 return Tabulated(z["w0"], z["w1"], float(z["h"]))
-        except (OSError, KeyError) as err:
+        except (OSError, EOFError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"cannot load data from {path}: {err}") from err
     raise ConfigError(f"unknown data.family {kind!r}")
 
@@ -282,7 +283,6 @@ def write_ledger_csv(path, traj, stride=1):
     """Every stride-th level and the last of the ledger as csv.writer writes
     the cells f"{x:.12g}", formatted _CSV_BLOCK rows at a time."""
     led = traj.ledger
-    stride = max(1, int(stride))
     cols = ["t", "E_total", "E_minus", "E_plus", "xi", "bulk", "y2p", "exterior_l2p2"]
     series = [getattr(led, col.lower()) for col in cols]  # the ledger's names
     for label, (tot, mn, pl) in led.radii.items():
@@ -319,8 +319,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -337,7 +335,7 @@ def _g_plus(traj, tau):
     return {"g_plus": trace.g_plus, "rate": trace.rate_estimate}
 
 
-def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
+def summarize(traj, data_desc=None, elapsed=None, envelope=None):
     """The run summary, deterministic except the timing block; _jsonable
     makes it JSON-ready."""
     led = traj.ledger
@@ -385,11 +383,6 @@ def summarize(traj, data_desc=None, checks=None, elapsed=None, envelope=None):
         doc["lines"] = lines
     if envelope is not None:
         doc["envelope"] = envelope.summary()
-    if checks is not None:
-        doc["checks"] = [
-            {"name": name, "value": value, "threshold": threshold, "passed": ok}
-            for name, value, threshold, ok in checks
-        ]
     if elapsed is not None:
         doc["timing"] = {"seconds": elapsed}
     return doc
@@ -436,32 +429,27 @@ def _worst(values):
     return float(np.max(np.asarray(values, dtype=float)))
 
 
-def run_checks(traj):
-    """List of (name, value, threshold, passed); value <= threshold passes."""
-    def read(reader):  # nan, a failed check, if it meets a level the ledger did not record
-        try:
-            return reader()
-        except OffGridError:
-            return math.nan
-
-    led = traj.ledger
-    e0 = max(abs(float(led.e_total[0])), 1e-300)
+def run_checks(traj, doc):
+    """The verify checks of summarize's document doc for the run traj, as
+    dicts of name, value, threshold and passed (value <= threshold; a nan
+    value fails).  Each reads a number doc reports, except the pointwise
+    bounds, which the summary does not carry and traj's states give."""
+    energy = doc["energy"]
+    e0 = max(abs(energy["initial"]), 1e-300)
     values = {}
-    if traj.grid.boundary == "pad":
-        values["conservation"] = (read(led.conservation_drift), 1e-4)
-    values["additivity"] = (read(led.additivity_error) / e0, 1e-12)
-    values["monotonicity"] = (_worst(read(led.monotonicity_margins)) / e0, 1e-6)
+    if doc["grid"]["boundary"] == "pad":
+        values["conservation"] = (energy["conservation_drift"], 1e-4)
+    values["additivity"] = (energy["additivity_error"] / e0, 1e-12)
+    margins = (energy["worst_e_minus_increase"], energy["worst_e_plus_decrease"])
+    values["monotonicity"] = (_worst(margins) / e0, 1e-6)
     states = [traj.pair.w0] + [snap.w_curr for snap in traj.snapshots]
-    reps = [pointwise_bounds(w, led.h, led.p) for w in states]
+    reps = [pointwise_bounds(w, traj.grid.h, traj.params.p) for w in states]
     worst = _worst([[rep.max_ratio1, rep.max_ratio2] for rep in reps])
     values["pointwise"] = (worst - 1.0, 1e-6)
-    if traj.triangle_records:
-        worst = _worst([
-            abs(triangle_residual(traj, rec.t0, rec.r0, kind=rec.kind).residual_frac)
-            for rec in traj.triangle_records
-        ])
-        values["triangle"] = (worst, 0.01)
-    return [(name, val, tol, val <= tol) for name, (val, tol) in values.items()]
+    if "triangles" in doc:
+        values["triangle"] = (_worst([tri["residual_frac"] for tri in doc["triangles"]]), 0.01)
+    return [{"name": name, "value": val, "threshold": tol, "passed": val <= tol}
+            for name, (val, tol) in values.items()]
 
 
 # -- subcommands -------------------------------------------------------------
@@ -469,27 +457,27 @@ def run_checks(traj):
 
 def _run_case(cfg, out_dir, verify=False):
     """Run a case, check it if asked, and write its outputs to out_dir;
-    returns the summary document it wrote."""
+    returns the summary document it wrote and the ledger's row count."""
     traj, elapsed, desc = run_problem(cfg)
-    checks = run_checks(traj) if verify else None
-    os.makedirs(out_dir, exist_ok=True)
-    write_ledger_csv(os.path.join(out_dir, "ledger.csv"), traj, cfg["output.stride"])
-    write_snapshots_npz(os.path.join(out_dir, "snapshots.npz"), traj)
     far = traj.pair.far_field
     env = None if far is None else far.envelope(traj.ledger.t)
-    doc = summarize(traj, data_desc=desc, checks=checks, elapsed=elapsed, envelope=env)
+    doc = summarize(traj, data_desc=desc, elapsed=elapsed, envelope=env)
+    if verify:
+        doc["checks"] = run_checks(traj, doc)
+    os.makedirs(out_dir, exist_ok=True)
+    rows = write_ledger_csv(os.path.join(out_dir, "ledger.csv"), traj, cfg["output.stride"])
+    write_snapshots_npz(os.path.join(out_dir, "snapshots.npz"), traj)
     write_json(os.path.join(out_dir, "summary.json"), _jsonable(doc))
     if cfg["output.plots"]:
         write_run_plots(out_dir, traj, env)
-    return doc
+    return doc, rows
 
 
 def cmd_run(args):
     cfg = Config(load_config(args.config))
-    doc = _run_case(cfg, args.out_dir)
+    doc, rows = _run_case(cfg, args.out_dir)
     energy, grid = doc["energy"], doc["grid"]
     steps = grid_index(grid["t_max"], grid["h"])
-    rows = len(range(0, steps, cfg["output.stride"])) + 1  # every stride-th level and the last
     print(f"wrote {args.out_dir}/ledger.csv ({rows} rows) and summary.json")
     print(
         f"E(0) = {energy['initial']:.6g}, E(t_max) = {energy['final']:.6g}, "
@@ -501,7 +489,7 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
-    doc = _run_case(Config(load_config(args.config)), args.out_dir, verify=True)
+    doc, _ = _run_case(Config(load_config(args.config)), args.out_dir, verify=True)
     failed = 0
     for check in doc["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
@@ -528,7 +516,10 @@ def _parse_axis(spec):
             raise ConfigError(f"sweep range {rhs!r} is not three finite numbers")
         if step <= 0 or hi < lo:
             raise ConfigError(f"sweep range {rhs!r} must be lo:hi:step, step > 0")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        ratio = (hi - lo) / step  # inf where hi - lo overflows
+        count = math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else math.inf
+        if count > MAX_SWEEP_VALUES:  # refused before any value is built
+            raise ConfigError(f"sweep range {rhs!r} has {count} values, over {MAX_SWEEP_VALUES}")
         values = [f"{lo + k * step:.12g}" for k in range(count)]
     else:
         values = [rhs]
@@ -557,7 +548,7 @@ def cmd_sweep(args):
         writer = csv.writer(fh)
         writer.writerow([key, "e_total_initial", "e_total_final", "e_minus_final",
                          "e_plus_final", "conservation_drift", "seconds", "out_dir"])
-        for value, (_, sub), doc in zip(values, jobs, docs):
+        for value, (_, sub), (doc, _) in zip(values, jobs, docs):
             e, seconds = doc["energy"], doc["timing"]["seconds"]
             cells = (e["initial"], e["final"], e["e_minus_final"], e["e_plus_final"],
                      e["conservation_drift"], seconds)
@@ -633,8 +624,10 @@ def cmd_appendix(args):
             f"r^2 = {lp['r_squared']:.4f}{qualifier})"
         )
     ext = rates["exterior_growth"]
-    if ext["slope"] is None:
+    if ext["slope"] is None and len(ext["values"]) < MIN_FIT_POINTS:
         print("exterior norm: too few dyadic sample times to fit (extend t-max)")
+    elif ext["slope"] is None:
+        print("exterior norm: no fit, the values do not vary")
     else:
         print(
             f"exterior norm V(T) ~ {ext['offset']:.4g} + {ext['slope']:.4g} "
@@ -695,8 +688,8 @@ def cmd_fit(args):
     fit = (fit_log_growth if args.log_growth else fit_power_law)(x, y)
     if math.isnan(fit.r_squared):  # the fit cannot be made
         need = f"{args.x!r} above -1" if args.log_growth else f"{args.y!r} positive"
-        raise ConfigError(f"{args.csv}: the window cannot be fit; it needs every {need} "
-                          f"and {args.x!r} values that differ")
+        raise ConfigError(f"{args.csv}: the window cannot be fit; it needs every {need}, "
+                          f"and {args.x!r} values and {args.y!r} values that differ")
     law = (f"{fit.offset:.6g} + {fit.slope:.6g} * log(1 + {args.x})" if args.log_growth
            else f"{fit.amplitude:.6g} * {args.x}^{fit.exponent:+.6g}")
     print(f"{args.y} ~ {law} (r^2 = {fit.r_squared:.6f}, {x.size} points)")

@@ -33,8 +33,8 @@ class DivergentIntegralError(NlwError):
 
 
 class BlowupError(NlwError):
-    """The evolved field exceeded the runaway threshold, or the far-field
-    profile's table stopped being finite."""
+    """The evolved field exceeded the runaway threshold, an energy
+    overflowed, or the far-field profile's table stopped being finite."""
 
 
 class NoContractionError(NlwError):

@@ -472,7 +472,7 @@ class AppendixPowerLaw(InitialData):
             raise OutOfRangeError(f"c={c} must be positive and finite")
         self.c = float(c)
         self.p = float(params.p)
-        a = self.a = 2.0 / (self.p - 1.0)  # u0 ~ r^{-a}
+        a = 2.0 / (self.p - 1.0)  # u0 ~ r^{-a}
         d = BLEND
         # match value/slope/curvature of c*r^{-a} at r=1 with the quintic
         c1 = -a * self.c
@@ -484,20 +484,14 @@ class AppendixPowerLaw(InitialData):
         self.a0 = float(self.c - a4 * d**4 - a5 * d**5)
         self.x0 = 1.0 - d
 
-    def u0(self, r):
+    def w0(self, r):
         r = np.asarray(r, dtype=float)
-        out = np.full_like(r, self.a0)
+        out = np.full_like(r, self.a0)  # the cap of u0, then r times it
         mid = (r > self.x0) & (r < 1.0)
         s = r[mid] - self.x0
         out[mid] = self.a0 + self.a4 * s**4 + self.a5 * s**5
-        tail = r >= 1.0
-        out[tail] = self.c * r[tail] ** (-self.a)
-        return out
-
-    def w0(self, r):
-        r = np.asarray(r, dtype=float)
-        out = r * self.u0(r)
-        # keep the tail bit-exact: r * r^{-2/(p-1)} in one power call
+        out *= r
+        # the tail c * r^beta in one power call, not r * c * r^{-2/(p-1)}
         tail = r >= 1.0
         out[tail] = self.c * r[tail] ** tail_beta(self.p)
         return out
@@ -515,6 +509,8 @@ class Tabulated(InitialData):
         self.h = float(h)
         if self._w0.shape != self._w1.shape:
             raise InitialDataError("w0 and w1 must have the same shape")
+        if self._w0.ndim != 1:
+            raise InitialDataError(f"a table must be 1-D, got w0 of shape {self._w0.shape}")
 
     def w0(self, r):
         """The table, zero-padded to the nodes r (of the table's spacing)."""
@@ -548,7 +544,8 @@ def check_boundary_leak(pair):
     int r^2 (u_r^2 + u_t^2) dr and raises BoundaryLeakError when the
     fraction exceeds LEAK_TOL, which signals that the grid is too small for
     the data.  Data with a far field are exempt: InitialData.sample skips
-    the check for them.
+    the check for them.  A bulk that overflows a float raises BlowupError
+    before any step.
     """
     r = pair.r
     h = pair.h
@@ -556,9 +553,12 @@ def check_boundary_leak(pair):
     u[1:] = pair.w0[1:] / r[1:]
     u[0] = derivative(pair.w0, h)[0]
     ur = derivative(u, h)
-    # r^2 u_t^2 equals w1^2 exactly, no derivative needed for the velocity
-    bulk = trapz(r * r * ur * ur, h) + trapz(pair.w1**2, h)
-    boundary = r[-1] * u[-1] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        # r^2 u_t^2 equals w1^2 exactly, no derivative needed for the velocity
+        bulk = trapz(r * r * ur * ur, h) + trapz(pair.w1**2, h)
+        boundary = r[-1] * u[-1] ** 2
+    if not math.isfinite(bulk):
+        raise BlowupError(f"the data's energy overflows: int r^2 (u_r^2 + u_t^2) dr = {bulk}")
     frac = boundary / max(bulk, 1e-300)
     if frac > LEAK_TOL:
         raise BoundaryLeakError(

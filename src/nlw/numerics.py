@@ -188,11 +188,27 @@ def node_at_or_past(x, h, name="value"):
     return h * math.ceil(x / h)
 
 
-def _r_squared(resid, y):
-    """Coefficient of determination of a least-squares fit with a constant
-    term; 1 for y constant to rounding (a spread below 1e-15 of its scale)."""
-    ss_tot, scale = (float(np.dot(v, v)) for v in (y - y.mean(), y))
-    return 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 1e-30 * scale else 1.0
+def _line(x, y):
+    """Least-squares line y ~ slope * x + intercept of an ndarray x, by
+    np.polyfit, as (slope, intercept, r_squared), all NaN where it cannot
+    be made: fewer than MIN_FIT_POINTS points, or x or y without spread at
+    working precision (y constant to rounding says nothing of a law).  y is
+    fit divided by a power of 2 near its largest |y|: exact, so it moves no
+    bit of a fit whose squares were finite, and keeps larger ones finite."""
+    y = np.asarray(y, dtype=float)
+    if x.size < MIN_FIT_POINTS or not 0.0 < np.ptp(x) < math.inf:
+        return math.nan, math.nan, math.nan
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(y).max()))[1] - 1)
+    y = y / scale
+    dev = y - y.mean()
+    ss_tot = float(np.dot(dev, dev))
+    if ss_tot > 1e-30 * float(np.dot(y, y)):  # false for nan and inf too
+        (slope, intercept), _, rank, *_ = np.polyfit(x, y, 1, full=True)
+        if rank == 2:
+            resid = y - (slope * x + intercept)
+            r2 = 1.0 - float(np.dot(resid, resid)) / ss_tot
+            return float(slope) * scale, float(intercept) * scale, r2
+    return math.nan, math.nan, math.nan
 
 
 @dataclass
@@ -203,28 +219,17 @@ class FitResult:
 
 
 def fit_power_law(t, y):
-    """Least-squares fit y ~ amplitude * t^exponent on log-log values.
-
-    A fit that cannot be made, from fewer than MIN_FIT_POINTS points, a
-    sample with t <= 0 or y <= 0 (a sign the quantity has decayed into
-    rounding noise or the window is wrong) or log t without spread at
-    working precision (t all equal), has NaN exponent, amplitude and
-    r_squared.  An amplitude past the largest float is inf.
+    """Least-squares fit y ~ amplitude * t^exponent on log-log values
+    (_line).  A sample with t <= 0 or y <= 0 (a sign the quantity has
+    decayed into rounding noise or the window is wrong) makes the fit NaN
+    too.  An amplitude past the largest float is inf.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    unfit = FitResult(math.nan, math.nan, math.nan)
-    if t.size < MIN_FIT_POINTS or not (np.all(t > 0.0) and np.all(y > 0.0) and np.ptp(t) > 0.0):
-        return unfit
-    lt, ly = np.log(t), np.log(y)
-    (slope, intercept), _, rank, *_ = np.polyfit(lt, ly, 1, full=True)
-    if rank < 2:
-        return unfit
-    return FitResult(
-        exponent=float(slope),
-        amplitude=math.exp(intercept) if intercept <= _LOG_HUGE else math.inf,
-        r_squared=_r_squared(ly - (slope * lt + intercept), ly),
-    )
+    if not (np.all(t > 0.0) and np.all(y > 0.0)):
+        return FitResult(math.nan, math.nan, math.nan)
+    slope, intercept, r2 = _line(np.log(t), np.log(y))
+    return FitResult(slope, math.inf if intercept > _LOG_HUGE else math.exp(intercept), r2)
 
 
 @dataclass
@@ -236,22 +241,9 @@ class LogGrowthFit:
 
 def fit_log_growth(t, v):
     """Fit v ~ offset + slope * log(1 + t), for logarithmically growing
-    exterior masses.  A fit that cannot be made, from fewer than
-    MIN_FIT_POINTS points, a t <= -1 or log(1 + t) without spread at
-    working precision, has NaN offset, slope and r_squared.  v is fit
-    divided by a power of 2 near its largest |v|: exact, so it moves no bit
-    of a fit whose squares were finite, and keeps larger ones finite."""
+    exterior masses (_line).  A t <= -1 makes the fit NaN too."""
     t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    unfit = LogGrowthFit(math.nan, math.nan, math.nan)
-    if t.size < MIN_FIT_POINTS or not np.all(t > -1.0):
-        return unfit
-    x = np.log1p(t)
-    design = np.column_stack([np.ones_like(x), x])
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(v).max()))[1] - 1)
-    v = v / scale
-    coef, _, rank, _ = np.linalg.lstsq(design, v, rcond=None)
-    if rank < 2:
-        return unfit
-    r2 = _r_squared(v - design @ coef, v)
-    return LogGrowthFit(offset=float(coef[0]) * scale, slope=float(coef[1]) * scale, r_squared=r2)
+    if not np.all(t > -1.0):
+        return LogGrowthFit(math.nan, math.nan, math.nan)
+    slope, intercept, r2 = _line(np.log1p(t), v)
+    return LogGrowthFit(offset=intercept, slope=slope, r_squared=r2)

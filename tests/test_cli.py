@@ -9,8 +9,8 @@ import pytest
 from nlw import DirectedPulse, GridSpec, extract_g_plus, flux_inward, flux_outward
 from nlw.model import FarField
 from nlw.cli import (Config, _jsonable, load_config, main, parse_scalar, run_checks,
-                     run_problem, write_json)
-from nlw.errors import ConfigError
+                     run_problem, summarize, write_json)
+from nlw.errors import ConfigError, OffGridError
 
 
 # --------------------------------------------------------------------------
@@ -218,6 +218,17 @@ data.family = power_law
 data.c = 0.5
 output.plots = true
 """
+
+
+def test_run_at_t_max_0_plots_one_level(tmp_path, capsys):
+    """t_max = 0 records level 0 alone: one ledger row, and a plot whose x
+    values are all equal."""
+    cfg = _write(tmp_path, RUN_CFG.replace("grid.t_max = 2", "grid.t_max = 0")
+                 .replace("monitors.snapshots = 1,2\n", ""))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    assert "(1 rows)" in capsys.readouterr().out
+    assert (out / "energy.svg").read_text().startswith("<svg")
 
 
 def test_run_power_law_with_an_envelope_monitor(tmp_path):
@@ -535,15 +546,17 @@ def test_verify_all_zero_data_with_triangle_probe(tmp_path, capsys):
 
 
 def test_checks_fail_on_nan(tmp_path):
+    """The checks read the summary's numbers: a nan residual fails its
+    check, and a nan energy level stops summarize, naming the level."""
     cfg = Config(load_config(_write(tmp_path, RUN_CFG + "monitors.triangles = 0.5:1\n")))
     traj, _, _ = run_problem(cfg)
-    assert all(ok for *_, ok in run_checks(traj))
-    traj.ledger.e_plus[3] = math.nan
+    assert all(check["passed"] for check in run_checks(traj, summarize(traj)))
     traj.triangle_records[0].energy = math.nan
-    checks = {name: (value, ok) for name, value, _, ok in run_checks(traj)}
-    for name in ("monotonicity", "triangle"):
-        value, ok = checks[name]
-        assert math.isnan(value) and not ok, name
+    checks = {check["name"]: check for check in run_checks(traj, summarize(traj))}
+    assert math.isnan(checks["triangle"]["value"]) and not checks["triangle"]["passed"]
+    traj.ledger.e_plus[3] = math.nan
+    with pytest.raises(OffGridError, match=r"level 3 \(t=0\.046875\) was not recorded"):
+        summarize(traj)
 
 
 def test_tabulated_spacing_mismatch_exits_2(tmp_path, capsys, monkeypatch):
@@ -568,6 +581,31 @@ def test_tabulated_spacing_mismatch_exits_2(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def _save_table(path, **arrays):
+    np.savez(path, **{"w0": np.zeros(17), "w1": np.zeros(17), "h": 1.0 / 16.0, **arrays})
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_text("w0 = 0, 0, 0\n"),
+    lambda path: path.write_bytes(b""),
+    lambda path: _save_table(path, h=np.array([1.0 / 16.0, 1.0 / 16.0])),
+    lambda path: _save_table(path, w0=np.array(["0"] * 16 + ["x"])),
+    lambda path: _save_table(path, w0=np.array([None] * 17, dtype=object)),
+    lambda path: _save_table(path, w0=np.zeros((4, 4)), w1=np.zeros((4, 4))),
+], ids=["text", "empty", "h-array", "w0-strings", "w0-objects", "4x4-table"])
+def test_malformed_table_exits_2(tmp_path, capsys, write):
+    """A data.path np.load cannot read, or a table that is not 1-D numbers
+    with a scalar h, is a config error that names the path; it used to end
+    in a traceback (a 4 x 4 table ran as 16 nodes)."""
+    data = tmp_path / "state.npz"
+    write(data)
+    cfg = _write(tmp_path, f"params.p = 3\ngrid.h = 1/16\ngrid.t_max = 1\n"
+                           f"data.family = file\ndata.path = {data}\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot load data from {data}" in err and "Traceback" not in err
+
+
 def test_runtime_lab_error_exits_3(tmp_path, capsys):
     """A failure of the run itself: power-law data at c = 3.5 overflow
     near the origin at h = 1/32."""
@@ -579,20 +617,22 @@ def test_runtime_lab_error_exits_3(tmp_path, capsys):
     assert "error: |w| reached" in err and "config error" not in err
 
 
-# numpy warns as the energies overflow, and as inf - inf makes them nan
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command", [["run"], ["sweep", "data.width=0.5"]])
-def test_overflowing_energy_exits_3_by_name(tmp_path, capsys, command):
+def test_overflowing_energy_exits_3_by_name(tmp_path, capsys, monkeypatch, command):
     """Legal data whose energy overflows (a linear Gaussian of amplitude
-    1e200) exit 3 naming the energy and its level, from run and sweep
-    alike; they read as "level 0 (t=0) was not recorded"."""
+    1e200) exit 3 naming the overflow, from run and sweep alike, before
+    any step and without a numpy warning; they read as "level 0 (t=0) was
+    not recorded"."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("evolve ran on data whose energy overflows")
+
+    monkeypatch.setattr("nlw.cli.evolve", no_run)
     cfg = _write(tmp_path, "params.p = 3\ngrid.h = 1/16\ngrid.t_max = 1\n"
                            "data.family = gaussian\ndata.amplitude = 1e200\n"
                            "data.center = 1.5\ndata.width = 0.5\nrun.linear = true\n")
     assert main([command[0], cfg, *command[1:], "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert "error: energy E_- + E_+ = nan is not finite at level 0 (t=0)" in err
+    assert "error: the data's energy overflows: int r^2 (u_r^2 + u_t^2) dr = nan" in err
     assert "not recorded" not in err and "Traceback" not in err
 
 
@@ -647,6 +687,20 @@ def test_sweep_range_axis_parallel(tmp_path, monkeypatch):
     # energies scale with amplitude^2 up the axis
     finals = [float(r[2]) for r in rows[1:]]
     assert finals == sorted(finals)
+
+
+def test_sweep_refuses_a_long_range_before_building_it(tmp_path, capsys, monkeypatch):
+    """A range of more than MAX_SWEEP_VALUES values exits 2 with its count,
+    before any value string is made (0:1:1e-9 would make 10^9)."""
+    def no_values(*args):
+        raise AssertionError("range values were built")
+
+    monkeypatch.setattr("nlw.cli.range", no_values, raising=False)
+    cfg = _write(tmp_path, SWEEP_CFG)
+    for rhs, count in (("0:1:1e-9", "1000000000"), ("-1e308:1e308:1", "inf")):
+        assert main(["sweep", cfg, f"grid.h={rhs}", "--out-dir", str(tmp_path / "s")]) == 2
+        assert (f"sweep range '{rhs}' has {count} values, over 10000"
+                in capsys.readouterr().err)
 
 
 def test_sweep_axis_validation(tmp_path, capsys):
@@ -813,19 +867,31 @@ def test_appendix_below_t_max_8_reports_null_tail_fit(tmp_path, capsys, t_max):
     assert lp["exponent"] is None and lp["r_squared"] is None
 
 
+def test_appendix_refuses_a_word_for_a_number(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["appendix", "--p", "four", "--kappa", "0.25"])
+    assert exc.value.code == 2 and "'four' is not a number" in capsys.readouterr().err
+
+
 def test_appendix_fits_a_null_where_the_totals_underflow(tmp_path, capsys):
     """At c = 1e-200 and the default t_max = 64 every tail total underflows
     to 0: the four start times give a null tail fit, not an exit 3 ("power-
-    law fit needs positive samples"), and stdout does not blame the times."""
+    law fit needs positive samples"), and stdout does not blame the times.
+    The exterior values are all 0, so their fit is null too (it read as the
+    perfect fit 0 + 0 log(1+T), r^2 = 1)."""
     out = tmp_path / "ap"
     assert main(["appendix", "--p", "4", "--kappa", "0.25", "--h", "1/16", "--c", "1e-200",
                  "--out-dir", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "tail norm exponent: no fit, a tail total is not positive" in stdout
-    assert "too few" not in stdout
-    lp = json.loads((out / "report.json").read_text())["scattering_rates"]["lp_l2p"]
+    assert "exterior norm: no fit, the values do not vary" in stdout
+    assert "too few" not in stdout and "r^2 = 1" not in stdout
+    rates = json.loads((out / "report.json").read_text())["scattering_rates"]
+    lp, ext = rates["lp_l2p"], rates["exterior_growth"]
     assert lp["times"] == [4.0, 8.0, 16.0, 32.0] and lp["totals"] == [0.0] * 4
     assert lp["exponent"] is None and lp["r_squared"] is None
+    assert ext["values"] == [0.0] * 5
+    assert ext["slope"] is None and ext["offset"] is None and ext["r_squared"] is None
 
 
 # --------------------------------------------------------------------------
@@ -915,16 +981,19 @@ def test_fit_non_numeric_cell_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text, flags, col, need", [
     ("t,val\n1,2\n2,0\n4,0.5\n", [], "val", "positive"),
     ("t,val\n-1,1\n0,2\n1,3\n2,4\n", ["--log-growth"], "t", "above -1"),
+    ("t,val\n1,2\n2,2\n4,2\n", [], "val", "positive"),
+    ("t,val\n0,0\n1,0\n2,0\n", ["--log-growth"], "t", "above -1"),
 ])
 def test_fit_window_it_cannot_fit_exits_2(tmp_path, capsys, text, flags, col, need):
     """A window the fit cannot be made on exits 2 naming the column: a y <= 0
     of a power law used to exit 3, an x <= -1 of --log-growth exit 1 with
-    a traceback."""
+    a traceback, and a y without spread read as the perfect fit r^2 = 1."""
     path = tmp_path / "series.csv"
     path.write_text(text)
     assert main(["fit", str(path), "--y", "val", *flags]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"cannot be fit; it needs every '{col}' {need}" in err
+    assert "and 't' values and 'val' values that differ" in err
     assert "Traceback" not in err
 
 

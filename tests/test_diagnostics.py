@@ -201,6 +201,21 @@ def test_unrecorded_series_raise():
         weighted_morawetz(plain)
 
 
+def test_readers_refuse_what_the_run_does_not_hold():
+    """A level past t_max, a triangle that was not monitored and the
+    weighted bound of a run shorter than t = 1 raise OffGridError."""
+    params = make_params(4.0, 0.25)
+    fam = GaussianBump(0.4, 2.0, 0.4)
+    grid = GridSpec.padded(1.0 / 32.0, 0.5, fam.support_radius())
+    traj = evolve(fam.sample(grid), params, grid, Monitors())
+    with pytest.raises(OffGridError, match="outside the recorded range"):
+        traj.ledger.level(0.5 + 1.0 / 32.0)
+    with pytest.raises(OffGridError, match="was not monitored"):
+        triangle_residual(traj, 0.25, 0.25)
+    with pytest.raises(OffGridError, match="t_max >= 1"):
+        weighted_morawetz(traj)
+
+
 def test_morawetz_bound_holds_at_kappa_one_quarter(morawetz_runs):
     """s^0.25 at p = 3, below the run's own kappa: with gamma = kappa the
     bulk coefficient is the largest any weight of that growth admits, and

@@ -231,6 +231,12 @@ def test_duhamel_rejects_negative_time():
     assert np.array_equal(duhamel_solve(pair, params, grid, 0.0), pair.w0)
 
 
+def test_duhamel_rejects_a_time_past_t_max():
+    pair, params, grid = _small_duhamel_case()
+    with pytest.raises(OffGridError, match="exceeds t_max"):
+        duhamel_solve(pair, params, grid, grid.t_max + grid.h)
+
+
 def _direct_cases():
     """(name, pair, params, grid, t_target) of the direct-sum comparisons:
     three of their own, then the frozen oracle solves."""
