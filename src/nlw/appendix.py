@@ -191,7 +191,7 @@ def run_appendix_example(p, kappa, c=None, h=1.0 / 128.0, t_max=64.0, r_max=None
     tails_converged = all(rep.exponent <= TAIL_EXPONENT_CUT for rep in tail_reports)
     lp_fit = fit_power_law(fit_times, [rep.total for rep in tail_reports])
     ext_fit, ext_vals = exterior_growth_fit(traj, times)
-    defect_ts = [t for t in (8.0, 16.0, 32.0) if 2.0 * t <= t_max]
+    defect_ts = [t for t in times if t >= 8.0 and 2.0 * t <= t_max]  # (t, 2t), both recorded
     defects = [free_wave_defect(traj, t, 2.0 * t) for t in defect_ts]
     rates_sec = {
         "lp_l2p": {

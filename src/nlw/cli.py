@@ -37,7 +37,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .appendix import run_appendix_example
-from .diagnostics import flux_inward, flux_outward, pointwise_bounds, triangle_residual
+from .diagnostics import flux_inward, flux_outward, pointwise_bounds, relative, triangle_residual
 from .errors import ConfigError, InitialDataError, NlwError, ShortSpanError
 from .model import (
     AppendixPowerLaw,
@@ -435,13 +435,13 @@ def run_checks(traj, doc):
     value fails).  Each reads a number doc reports, except the pointwise
     bounds, which the summary does not carry and traj's states give."""
     energy = doc["energy"]
-    e0 = max(abs(energy["initial"]), 1e-300)
+    e0 = energy["initial"]
     values = {}
     if doc["grid"]["boundary"] == "pad":
         values["conservation"] = (energy["conservation_drift"], 1e-4)
-    values["additivity"] = (energy["additivity_error"] / e0, 1e-12)
+    values["additivity"] = (relative(energy["additivity_error"], e0), 1e-12)
     margins = (energy["worst_e_minus_increase"], energy["worst_e_plus_decrease"])
-    values["monotonicity"] = (_worst(margins) / e0, 1e-6)
+    values["monotonicity"] = (relative(_worst(margins), e0), 1e-6)
     states = [traj.pair.w0] + [snap.w_curr for snap in traj.snapshots]
     reps = [pointwise_bounds(w, traj.grid.h, traj.params.p) for w in states]
     worst = _worst([[rep.max_ratio1, rep.max_ratio2] for rep in reps])

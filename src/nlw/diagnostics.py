@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OffGridError
-from .model import k_functional, make_params, potential_density
+from .model import k_functional, make_params, nonlinearity
 # abs_power is not called here; the benchmark's tracer test reads it from this module
 from .numerics import abs_power, cumtrapz, fit_power_law, grid_index, trapz
 
@@ -157,8 +157,7 @@ class EnergyLedger:
         """max_t |E(t) - E(0)| / E(0), or max_t |E(t) - E(0)| when E(0) = 0."""
         self._recorded(self.e_total)
         e0 = self.e_total[0]
-        drift = float(np.abs(self.e_total - e0).max())
-        return drift / abs(e0) if e0 != 0.0 else drift
+        return relative(float(np.abs(self.e_total - e0).max()), e0)
 
     def additivity_error(self):
         """max_t |E(t) - (E_-(t) + E_+(t))|; zero by construction."""
@@ -167,12 +166,11 @@ class EnergyLedger:
 
     def monotonicity_margins(self):
         """(worst increase of E_-, worst decrease of E_+) between levels,
-        as nonnegative numbers; both should be at the discretization-noise
-        scale for a causally clean run."""
+        as nonnegative numbers (+0.0, not -0.0, where there is none); both
+        should be at the discretization-noise scale for a causally clean run."""
         self._recorded(self.e_minus, self.e_plus)
         up = float(np.diff(self.e_minus).max(initial=0.0))
-        down = float(-np.diff(self.e_plus).min(initial=0.0))
-        return max(up, 0.0), max(down, 0.0)
+        return up, float(0.0 - np.diff(self.e_plus).min(initial=0.0))
 
     # -- windowed integrals -------------------------------------------------
 
@@ -223,7 +221,7 @@ def flux_outward(traj, tau):
     return _line_flux(traj, traj.flux_out, tau, "flux label tau")
 
 
-def _relative(residual, energy):
+def relative(residual, energy):
     """|residual| / |energy|, or |residual| when the energy is 0."""
     return abs(residual) / abs(energy) if energy != 0.0 else abs(residual)
 
@@ -244,7 +242,7 @@ class TriangleReport:
 
     @property
     def residual_frac(self):
-        return _relative(self.residual, self.energy)
+        return relative(self.residual, self.energy)
 
 
 def triangle_residual(traj, t0, r0, kind="inward"):
@@ -343,7 +341,7 @@ def pointwise_bounds(w, h, p):
     slopes = np.diff(w) / h
     e1 = np.zeros_like(w)
     np.cumsum(h * slopes * slopes, out=e1[1:])
-    e2 = cumtrapz(potential_density(w, r, p) * ((p + 1.0) / 2.0), h)
+    e2 = cumtrapz(nonlinearity(w, r, p) * w, h)
 
     ratio1 = np.zeros_like(w)
     mask1 = ~(e1 <= 0.0)  # keeps NaN, which max then returns

@@ -32,7 +32,7 @@ from .errors import (
     OffGridError,
     OutOfRangeError,
 )
-from .numerics import abs_power, derivative, grid_index, odd_power, trapz
+from .numerics import abs_power, derivative, differences, grid_index, odd_power, trapz
 
 P_MIN = 3.0
 P_MAX = 5.0  # exclusive
@@ -89,16 +89,6 @@ def nonlinearity(w, r, p):
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(w)
     out[1:] = odd_power(w[1:], p) / abs_power(r[1:], p - 1.0)
-    return out
-
-
-def potential_density(w, r, p):
-    """Potential part (2/(p+1)) |w|^{p+1} / r^{p-1} of the channel energy
-    densities, with the origin node at its limit 0."""
-    out = np.zeros_like(w)
-    out[1:] = (2.0 / (p + 1.0)) * abs_power(w[1:], p + 1.0) / abs_power(
-        r[1:], p - 1.0
-    )
     return out
 
 
@@ -568,16 +558,6 @@ def check_boundary_leak(pair):
     return frac
 
 
-def channel_densities(w, w_t, h, p):
-    """The inward channel energy density |w_r + w_t|^2 + P of (w, w_t),
-    P = (2/(p+1)) |w|^{p+1}/r^{p-1}, which k_functional weighs."""
-    w = np.asarray(w, dtype=float)
-    wr = derivative(w, h)
-    pot = potential_density(w, h * np.arange(w.size), p)
-    a = wr + w_t
-    return a * a + pot
-
-
 @dataclass
 class KReport:
     """Weighted incoming-channel mass of the data.
@@ -604,11 +584,12 @@ def k_functional(pair, params):
     DivergentIntegralError unless kappa < (5-p)/(p-1); other data are
     taken on the grid as they stand.
     """
-    r = pair.r
-    a = np.ones_like(r)
-    outside = r >= 1.0
-    a[outside] = r[outside] ** params.kappa
-    end = r.size if pair.far_field is None else grid_index(1.0, pair.h) + 1
-    k1 = math.pi * trapz((a * channel_densities(pair.w0, pair.w1, pair.h, params.p))[:end], pair.h)
+    r, h, p = pair.r, pair.h, params.p
+    end = r.size if pair.far_field is None else grid_index(1.0, h) + 1
+    # the ledger's E_- density at level 0 (solver._Recorders.energies)
+    chan = differences(pair.w0) + (2.0 * h) * pair.w1  # 2h (w_r + w_t)
+    pot = (2.0 / (p + 1.0)) * nonlinearity(pair.w0, r, p) * pair.w0
+    inward = chan * chan * (1.0 / (4.0 * h * h)) + pot
+    k1 = math.pi * trapz((np.maximum(1.0, r**params.kappa) * inward)[:end], h)
     tail = 0.0 if pair.far_field is None else pair.far_field.k_tail(r[end - 1], params.kappa)
     return KReport(k1=k1 + tail, k=4.0 * (k1 + tail), tail=tail)

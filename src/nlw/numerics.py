@@ -1,10 +1,11 @@
 """Shared quadrature, differencing and fitting kernels.
 
 Every discrete integral and derivative in the package goes through this
-module so that the discretization order is uniform (second order) and a
-change here propagates everywhere.  All routines assume a uniform grid
-spacing h.  The least-squares fits that turn a series into a rate (power
-law, logarithmic growth) live here too, for diagnostics, scattering, cli.
+module, every first derivative through differences, so that the
+discretization order is uniform (second order) and a change here
+propagates everywhere.  All routines assume a uniform grid spacing h.  The
+least-squares fits that turn a series into a rate (power law, logarithmic
+growth) live here too, for diagnostics, scattering, cli.
 """
 
 import functools
@@ -62,20 +63,22 @@ def cumtrapz(y, h):
     return out
 
 
-def derivative(f, h):
-    """Second-order first derivative on a uniform grid.
-
-    Centered differences in the interior, one-sided three-point stencils
-    at both ends (also second order).
-    """
+def differences(f, out=None):
+    """2h f' to second order of 1-D samples f, into out if given: f[i+1] -
+    f[i-1] in the interior, the one-sided three-point stencils at the ends."""
     f = np.asarray(f, dtype=float)
-    if f.shape[-1] < 3:
+    if f.size < 3:
         raise ValueError("need at least 3 samples for a second-order derivative")
-    out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
-    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
+    out = np.empty_like(f) if out is None else out
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+    out[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
     return out
+
+
+def derivative(f, h):
+    """Second-order first derivative of 1-D samples on a uniform grid."""
+    return differences(f) / (2.0 * h)
 
 
 def abs_power(x, q, out=None):

@@ -52,7 +52,7 @@ from .errors import (
 from .diagnostics import EnergyLedger
 from .model import nonlinearity
 from .numerics import (
-    abs_power, grid_index, is_number, node_at_or_past, odd_power, trapz_dot,
+    abs_power, differences, grid_index, is_number, node_at_or_past, odd_power, trapz_dot,
 )
 
 BLOWUP_FACTOR = 1e3
@@ -264,7 +264,8 @@ def _inverse_power(r, s):
 
 def _source(w, e, p, inv_rp1, q, out):
     """Fill q[:e] with the power |w|^{p-1} of the nodes [0, e) and out[:e]
-    with the source (q w) / r^{p-1}."""
+    with the source (q w) / r^{p-1}: the step's own F, whose rounding (times
+    1 / r^{p-1}, where model.nonlinearity divides) the snapshot digests pin."""
     abs_power(w[:e], p - 1.0, out=q[:e])
     np.multiply(q[:e], w[:e], out=out[:e])
     out[:e] *= inv_rp1[:e]
@@ -336,6 +337,16 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
         w_prev, w, w_next = w, w_next, w_prev
 
 
+def _odd_extension(w0, w1, c, size):
+    """(2, size) rows of w0, w1 with node 0 at column c, odd through it
+    (column c - j holds -node j) and zero past their last node."""
+    ext = np.zeros((2, size))
+    ext[:, c : c + len(w0)] = w0, w1
+    k = min(len(w0) - 1, c)  # nodes -k .. -1 fit before node 0
+    ext[:, c - k : c] = -ext[:, c + k : c : -1]
+    return ext
+
+
 def free_levels(w0, w1, h, m):
     """The levels m - 1, m and m + 1 (m >= 1) of leapfrog(linear=True) from
     data (w0, w1) on nodes [0, n], as rows, without stepping: with w0e, w1e
@@ -344,10 +355,7 @@ def free_levels(w0, w1, h, m):
     j - l + 3, ..., j + l - 1, its sums differences of per-parity prefix sums.
     """
     n, c = w0.size - 1, m + 2  # c: the position of node 0 in ext
-    ext = np.zeros((2, n + 2 * c))
-    ext[:, c : c + n + 1] = w0, w1
-    k = min(n, c)  # nodes -k .. -1 fit before node 0
-    ext[:, c - k : c] = -ext[:, c + k : c : -1]
+    ext = _odd_extension(w0, w1, c, n + 2 * c)
     for par in (0, 1):
         ext[1, par::2] = np.cumsum(ext[1, par::2])
     out = np.array([0.5 * (ext[0, c + l : c + l + n + 1] + ext[0, c - l : c - l + n + 1])
@@ -425,15 +433,11 @@ class _Recorders:
             self.active.append(_Recorders.bins)
 
     def channels(self, m, w_prev, w, w_next, e, q, f):
-        """chan on [0, e) from undivided differences: 2h w_r in tmp, 2h w_t in chan[1]."""
+        """chan on [0, e) from differences: 2h w_r in tmp, 2h w_t in chan[1]."""
         if m not in self.chan_at:
             return
-        n, tmp, ch = self.n, self.tmp, self.chan[:, :e]
-        c = min(e, n)  # centered differences on nodes 1 .. c-1
-        np.subtract(w[2 : c + 1], w[: c - 1], out=tmp[1:c])
-        tmp[0] = -3.0 * w[0] + 4.0 * w[1] - w[2]
-        if e > n:
-            tmp[n] = 3.0 * w[n] - 4.0 * w[n - 1] + w[n - 2]
+        tmp, ch = self.tmp, self.chan[:, :e]
+        differences(w[: e + 1], out=tmp[: e + 1])
         d_t = self.dt0[:e] if m == 0 else np.subtract(w_next[:e], w_prev[:e], out=ch[1])
         np.add(tmp[:e], d_t, out=ch[0])
         np.subtract(tmp[:e], d_t, out=ch[1])
@@ -654,11 +658,18 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     only when monitors.bins asks for them.
 
     plan_run refuses a bad request (ConfigError, OffGridError) before
-    any step.  Raises BlowupError if the sup norm exceeds
-    1e3 * (sup|w0| + 1).
+    any step, and a BlowupError data whose level-0 integrals of F(w0) w0
+    or F(w0)^2 overflow (linear runs too: y2p reads F).  Raises
+    BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
     """
     mon = monitors or Monitors()
     *plan, edge = plan_run(grid, mon, pair.far_field is not None, linear)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        f0 = nonlinearity(pair.w0, pair.r, params.p)
+        pot, sq = trapz_dot(f0, pair.w0, pair.h), trapz_dot(f0, f0, pair.h)
+    if not (math.isfinite(pot) and math.isfinite(sq)):
+        raise BlowupError(f"the data's source overflows: int F(w0) w0 dr = {pot}, "
+                          f"int F(w0)^2 dr = {sq}")
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
     traj = Trajectory(grid, params, mon, ledger, pair, linear=linear, edge=edge)
     recorders = _Recorders(traj, plan)
@@ -724,12 +735,7 @@ def duhamel_solve(pair, params, grid, t_target):
     ny = n + m  # iterate lives on y = 0..ny
     # data on extended indices y = -m .. ny + m (odd through 0, zero past n)
     off = m
-    w0e = np.zeros(ny + 2 * m + 1)
-    w1e = np.zeros_like(w0e)
-    w0e[off : off + n + 1] = pair.w0
-    w1e[off : off + n + 1] = pair.w1
-    w0e[:off] = -pair.w0[m:0:-1]
-    w1e[:off] = -pair.w1[m:0:-1]
+    w0e, w1e = _odd_extension(pair.w0, pair.w1, off, ny + 2 * m + 1)
 
     # inclusive prefix sums with a leading zero: P[k+1] = sum to index k
     p1 = np.zeros(w1e.size + 1)

@@ -159,8 +159,9 @@ def duhamel_loop(w0, w1, p, h, m):
     w1e = np.zeros_like(w0e)
     w0e[off : off + n + 1] = w0
     w1e[off : off + n + 1] = w1
-    w0e[:off] = -np.asarray(w0)[m:0:-1]
-    w1e[:off] = -np.asarray(w1)[m:0:-1]
+    k = min(n, m)  # odd through 0; nodes past n, and their images, are 0
+    w0e[off - k : off] = -np.asarray(w0)[k:0:-1]
+    w1e[off - k : off] = -np.asarray(w1)[k:0:-1]
     p1 = np.concatenate(([0.0], np.cumsum(w1e)))
     y = np.arange(ny + 1)
     lin = np.empty((m + 1, ny + 1))

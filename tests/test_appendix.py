@@ -385,6 +385,17 @@ def test_study_steps_one_leapfrog(monkeypatch):
     assert len(report["triangle_bound"]) == 3
 
 
+def test_defect_pairs_reach_t_max():
+    """The free-wave defect is reported on every dyadic pair (t, 2t), t >= 8,
+    of the study's snapshots: at t_max = 128 up to (64, 128), not (32, 64)."""
+    report, _, _ = run_appendix_example(4.0, 0.25, c=3.36376953125 / 2.0, h=1.0 / 16.0,
+                                        t_max=128.0)
+    defects = report["scattering_rates"]["free_wave_defect"]
+    assert defects["pairs"] == [[8.0, 16.0], [16.0, 32.0], [32.0, 64.0], [64.0, 128.0]]
+    assert len(defects["values"]) == 4 and all(v > 0.0 for v in defects["values"])
+    assert len(report["far_field"]["closure_share"]["free_wave_defect"]) == 4
+
+
 def test_report_divergent_channel_mass():
     """kappa above (5-p)/(p-1) makes the weighted mass diverge; the report
     must degrade gracefully rather than fail: no scaled decay column, and

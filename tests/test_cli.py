@@ -524,14 +524,18 @@ def test_power_law_run_without_r_max_exits_2(tmp_path, capsys):
 
 
 def test_verify_all_zero_data(tmp_path, capsys):
-    # E(0) = 0: the drift is absolute, and the light cone of the data is empty
+    # E(0) = 0: the drift is absolute, and the light cone of the data is empty;
+    # a channel that never moves reports the margin +0, not -0
     cfg = _write(tmp_path, RUN_CFG.replace("data.amplitude = 0.4", "data.amplitude = 0"))
     out = tmp_path / "out"
     assert main(["verify", cfg, "--out-dir", str(out)]) == 0
-    assert "[conservation] PASS 0 " in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "[conservation] PASS 0 " in stdout and "[monotonicity] PASS 0 " in stdout
     summary = json.loads((out / "summary.json").read_text())
     assert summary["energy"]["conservation_drift"] == 0.0
     assert summary["energy"]["initial"] == 0.0
+    margins = [summary["energy"][k] for k in ("worst_e_minus_increase", "worst_e_plus_decrease")]
+    assert [math.copysign(1.0, x) for x in margins] == [1.0, 1.0]
 
 
 def test_verify_all_zero_data_with_triangle_probe(tmp_path, capsys):
@@ -634,6 +638,26 @@ def test_overflowing_energy_exits_3_by_name(tmp_path, capsys, monkeypatch, comma
     err = capsys.readouterr().err
     assert "error: the data's energy overflows: int r^2 (u_r^2 + u_t^2) dr = nan" in err
     assert "not recorded" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("amplitude, linear", [("1e100", "false"), ("1e150", "true")])
+def test_overflowing_source_exits_3_by_name(tmp_path, capsys, monkeypatch, amplitude, linear):
+    """Data whose kinetic energy is finite but whose level-0 source
+    integrals overflow exit 3 naming the overflow, before any step and
+    without a numpy warning: the nonlinear Gaussian of amplitude 1e100 used
+    to warn in the potential's dot, the linear one of 1e150 to warn and
+    exit 0 with nan and inf in y2p and the exterior norm."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("leapfrog stepped data whose source overflows")
+
+    monkeypatch.setattr("nlw.solver.leapfrog", no_step)
+    cfg = _write(tmp_path, "params.p = 3\ngrid.h = 1/16\ngrid.t_max = 1\n"
+                           f"data.family = gaussian\ndata.amplitude = {amplitude}\n"
+                           f"data.center = 1.5\ndata.width = 0.5\nrun.linear = {linear}\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "error: the data's source overflows: int F(w0) w0 dr = " in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_write_json_refuses_a_nan(tmp_path):

@@ -21,7 +21,6 @@ from nlw.model import (
     RadialPair,
     Tabulated,
     check_boundary_leak,
-    channel_densities,
     k_functional,
     make_params,
     nonlinearity,
@@ -234,15 +233,16 @@ def test_energy_channels_sum_and_split(ledger_level0):
 # --------------------------------------------------------------------------
 
 def test_inward_density_integrates_to_inward_channel(ledger_level0):
-    h = 1.0 / 128.0
-    fam = DirectedPulse(0.5, 3.0, 0.4, direction="inward")
+    """K1 weighs the ledger's E_- density by max(1, r^kappa): for data
+    supported in r < 1 the weight is 1 wherever the density is not 0, so
+    K1 is the ledger's E_-(0)."""
+    h, p = 1.0 / 128.0, 4.0
+    fam = DirectedPulse(0.5, 0.5, 0.08, direction="inward")
+    assert fam.support_radius() < 1.0
     pair = fam.sample(GridSpec.padded(h, 1.0, fam.support_radius()))
-    p = 4.0
     e_minus = ledger_level0(pair.w0, pair.w1, h, p)[0]
-    inward = channel_densities(pair.w0, pair.w1, h, p)
-    assert math.pi * np.trapezoid(inward, dx=h) == pytest.approx(
-        e_minus, rel=1e-12
-    )
+    k1 = k_functional(pair, make_params(p, 0.9)).k1
+    assert k1 == pytest.approx(e_minus, rel=1e-13)
 
 
 def test_k_functional_divergence_guard():
@@ -388,9 +388,12 @@ def test_k_functional_far_field_closed_form():
         closed = math.pi * c * c * (beta**2 + 2.0 * c ** (p - 1.0) / (p + 1.0)) / -expo
         assert rep.tail == pytest.approx(closed, rel=1e-12)
         inner = pair.r <= 1.0
+        # the inward density on r <= 1 (weight 1) with numpy's own stencil
+        wr = np.gradient(pair.w0, h, edge_order=2)
+        pot = 2.0 / (p + 1.0) * np.abs(pair.w0[1:]) ** (p + 1.0) / pair.r[1:] ** (p - 1.0)
+        inward = (wr + pair.w1) ** 2 + np.concatenate(([0.0], pot))
         assert rep.k1 - rep.tail == pytest.approx(
-            math.pi * np.trapezoid(channel_densities(pair.w0, pair.w1, h, p)[inner], dx=h),
-            rel=1e-12)
+            math.pi * np.trapezoid(inward[inner], dx=h), rel=1e-12)
         assert rep.k == pytest.approx(4.0 * rep.k1, rel=1e-15)
     assert reps[132.0].k1 == pytest.approx(233.4786, rel=2e-5)  # ROADMAP item 2's value
     assert reps[132.0] == reps[1028.0]

@@ -345,9 +345,10 @@ FIT_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 def test_fit_exits_with_a_code(tmp_path_factory, rows, text, t_min, t_max, log_growth):
     """nlw fit on generated CSVs exits 0 or 2, with no exception and no
     traceback: a cell that is not a number, a window of fewer than 3 rows
-    and a window no fit can be made on are config errors.  Of the 100 CSVs,
-    about a third are fit (exit 0) and a fifth have a window no fit can be
-    made on."""
+    and a window no fit can be made on are config errors.  Of the 100 CSVs
+    (counted with a spy on main), 9 are fit (exit 0); of the 91 that exit
+    2, 42 have a window of fewer than 3 rows, 32 a window no fit can be
+    made on and 17 a cell that is not a number."""
     cells = [[repr(t), repr(v)] for t, v in rows]
     if text is not None:
         cells[len(cells) // 2][1] = text

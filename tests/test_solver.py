@@ -239,7 +239,7 @@ def test_duhamel_rejects_a_time_past_t_max():
 
 def _direct_cases():
     """(name, pair, params, grid, t_target) of the direct-sum comparisons:
-    three of their own, then the frozen oracle solves."""
+    four of their own, then the frozen oracle solves."""
     own = [
         ("p=3 inward pulse h=1/16 t=2", 3.0, DirectedPulse(0.6, 2.0, 0.4, "inward"),
          GridSpec(h=1.0 / 16.0, r_max=3.0, t_max=2.0), 2.0),
@@ -247,6 +247,9 @@ def _direct_cases():
          GridSpec(h=0.1, r_max=4.0, t_max=1.0), 1.0),
         ("p=4 bump h=1/16 t=h", 4.0, GaussianBump(0.5, 2.0, 0.5),
          GridSpec.padded(1.0 / 16.0, 1.0, 4.0), 1.0 / 16.0),
+        # t_target past r_max: the odd extension holds all n nodes, not m
+        ("p=3 bump h=1/16 r_max=1 t=2", 3.0, GaussianBump(0.5, 0.5, 0.15),
+         GridSpec(h=1.0 / 16.0, r_max=1.0, t_max=2.0, boundary="outgoing"), 2.0),
     ]
     cases = [(name, fam.sample(grid), make_params(p, 0.01), grid, t)
              for name, p, fam, grid, t in own] + _duhamel_cases()
@@ -797,7 +800,8 @@ def test_radius_r_max_records_the_totals_bitwise(linear):
 @pytest.mark.parametrize("linear", [False, True])
 def test_trapz_dot_calls_per_level(monkeypatch, linear):
     """The per-level prefix integrals are trapz_dot calls, counted exactly:
-    E_- and E_+ take two, plus one for the potential if nonlinear."""
+    E_- and E_+ take two, plus one for the potential if nonlinear; evolve's
+    overflow check of the data takes two more, once."""
     calls = []
     real = nlw.solver.trapz_dot
     monkeypatch.setattr(nlw.solver, "trapz_dot", lambda *a: calls.append(1) or real(*a))
@@ -813,7 +817,7 @@ def test_trapz_dot_calls_per_level(monkeypatch, linear):
     totals = energies + (2 if linear else 3)
     per_level = totals + 3 * energies
     bulk_slices = 0 if linear else 33 + 65
-    assert len(calls) == (grid.steps + 1) * per_level + bulk_slices + 2 * energies
+    assert len(calls) == (grid.steps + 1) * per_level + bulk_slices + 2 * energies + 2
 
 
 def _leapfrog_levels(pair, params, grid, linear, times):
