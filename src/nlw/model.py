@@ -349,8 +349,8 @@ class InitialData:
     """Base class for initial data families.
 
     Subclasses implement w-side profiles w0(r) and, unless the data start
-    at rest, w1(r) (vectorized), and report a support radius (None for
-    unbounded tails).  sample() evaluates on a grid and runs the boundary
+    at rest, w1(r) (vectorized), and report a support radius, past which
+    sample() sets them to 0 (None for unbounded tails).  sample() evaluates on a grid and runs the boundary
     leak check at LEAK_TOL, except on data that carry their exact exterior (a
     FarField, from far_field()): their weight at r_max is no leak.
     """
@@ -369,11 +369,16 @@ class InitialData:
         return None
 
     def sample(self, grid):
+        """The data on the grid's nodes, 0 at the origin and past the support
+        radius, if the family has one: they end where GridSpec.padded sized
+        the grid for them, and the step's light-cone window starts there."""
         r = grid.r
         w0 = np.asarray(self.w0(r), dtype=float)
         w1 = np.asarray(self.w1(r), dtype=float)
-        w0[0] = 0.0
-        w1[0] = 0.0
+        w0[0] = w1[0] = 0.0
+        if (support := self.support_radius()) is not None:
+            past = r > support
+            w0[past] = w1[past] = 0.0
         pair = RadialPair(w0=w0, w1=w1, h=grid.h, far_field=self.far_field())
         if pair.far_field is None:
             check_boundary_leak(pair)

@@ -31,8 +31,10 @@ evolve() records, while it steps, the diagnostics its Monitors ask for
 (channel energies, origin trace, flux lines, triangle probes,
 characteristic-line bins), because storing the full space-time field is
 not affordable for production grids.
-Data with a far field, r^beta Phi(t/r) on r > 1 + t, step only their
-light-cone window r <= 1 + t + PAD (clean_edge); Phi fills and closes it.
+Compact data step only the light cone of their last nonzero node, which
+InitialData.sample puts at their support radius.  Data with a far field,
+r^beta Phi(t/r) on r > 1 + t, step only their light-cone window
+r <= 1 + t + PAD (clean_edge); Phi fills and closes it.
 """
 
 import math
@@ -290,7 +292,9 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
     clean_edge's by default) e = edge(m) + 2, Phi fills two nodes past
     edge(m + 1) from one table, and nodes past the window hold no level.
 
-    Raises BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
+    Raises BlowupError if the sup norm of a level, the bootstrap level w(h)
+    included, exceeds 1e3 * (sup|w0| + 1): each level is checked before the
+    next one forms its power.
     """
     h = grid.h
     n = grid.n
@@ -304,7 +308,7 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
     if edge.slope > 0:  # Phi on the nodes edge(m) + 1 and + 2 of each level m
         lv = np.arange(grid.steps + 2)[:, None]
         fill, supp = pair.far_field.field(h * (edge(lv) + [1, 2]), h * lv), edge.node - 1
-    blowup_at = BLOWUP_FACTOR * (np.abs(pair.w0).max() + 1.0)
+    blowup_at = BLOWUP_FACTOR * (float(np.abs(pair.w0).max()) + 1.0)
     # q and f are written only on nodes [0, e) for a window end e that
     # never decreases, so their entries past the window stay zero
     q = np.zeros(n + 1)
@@ -328,10 +332,10 @@ def leapfrog(pair, params, grid, linear=False, edge=None):
             w_next[-1] = 0.0 if grid.boundary == "pad" else w[-2]
             if fill is not None:
                 w_next[e : e + 2] = fill[m + 1]
-            window = w_next[:e]
-            sup = float(np.maximum(window.max(), -window.min()))  # NaN stays NaN
-            if not math.isfinite(sup) or sup > blowup_at:
-                raise BlowupError(f"|w| reached {sup:.3g} at t={(m + 1) * h:.6g}")
+        window = w_next[:e]
+        sup = max(float(window.max()), -float(window.min()))  # NaN stays NaN
+        if not math.isfinite(sup) or sup > blowup_at:
+            raise BlowupError(f"|w| reached {sup:.3g} at t={(m + 1) * h:.6g}")
         yield m, w_prev, w, w_next, e, q[:e], f
         # level m - 1 is no longer needed; its buffer takes level m + 2
         w_prev, w, w_next = w, w_next, w_prev

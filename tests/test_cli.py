@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -626,7 +627,8 @@ def test_overflowing_energy_exits_3_by_name(tmp_path, capsys, monkeypatch, comma
     """Legal data whose energy overflows (a linear Gaussian of amplitude
     1e200) exit 3 naming the overflow, from run and sweep alike, before
     any step and without a numpy warning; they read as "level 0 (t=0) was
-    not recorded"."""
+    not recorded".  The kinetic bulk reads inf: the data end at their
+    support radius (it read nan while their tail ran on to r_max)."""
     def no_run(*args, **kwargs):
         raise AssertionError("evolve ran on data whose energy overflows")
 
@@ -636,7 +638,7 @@ def test_overflowing_energy_exits_3_by_name(tmp_path, capsys, monkeypatch, comma
                            "data.center = 1.5\ndata.width = 0.5\nrun.linear = true\n")
     assert main([command[0], cfg, *command[1:], "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert "error: the data's energy overflows: int r^2 (u_r^2 + u_t^2) dr = nan" in err
+    assert "error: the data's energy overflows: int r^2 (u_r^2 + u_t^2) dr = inf" in err
     assert "not recorded" not in err and "Traceback" not in err
 
 
@@ -657,6 +659,23 @@ def test_overflowing_source_exits_3_by_name(tmp_path, capsys, monkeypatch, ampli
     assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "error: the data's source overflows: int F(w0) w0 dr = " in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_overflowing_bootstrap_level_exits_3_by_name(tmp_path, capsys):
+    """A nonlinear Gaussian of amplitude 1e51 has a finite level-0 source,
+    but its bootstrap level w(h) reaches 2.93e150, whose power overflows:
+    the blow-up check reads w(h) before level 1 forms that power, so the
+    run exits 3 naming |w|, without a numpy warning (one used to escape
+    from the source's multiply)."""
+    cfg = _write(tmp_path, "params.p = 3\ngrid.h = 1/16\ngrid.t_max = 1\n"
+                           "data.family = gaussian\ndata.amplitude = 1e51\n"
+                           "data.center = 1.5\ndata.width = 0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "error: |w| reached 2.93e+150 at t=0.0625" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 

@@ -127,31 +127,45 @@ def test_grid_index():
         grid_index(0.3, 1.0 / 4.0)
 
 
-@pytest.mark.parametrize("q", [2.5, 3.5, 4.5])
+def _ulp_bound(q):
+    """abs_power's stated bound on its distance from np.abs(x)**q, in ulp:
+    k for a half-integer k + 1/2 up to 4.5, 4 at 5.5, 0 (bitwise) for the
+    exponents that take np.power."""
+    k = q - 0.5
+    return min(int(k), 4) if k == int(k) and 1 <= k <= 5 else 0
+
+
+@pytest.mark.parametrize("q", [2.5, 3.5, 4.5, 1.5, 5.5, 2.25])
 def test_power_underflow_guard(q):
-    """Non-integer powers equal np.abs(x)**q bitwise down to the smallest
-    normal float and are exactly zero below it; odd_power keeps the sign."""
-    mags = np.concatenate([[0.0, 5e-324, 1e-320], np.logspace(-320, 3, 4001)])
+    """Non-integer powers stay within the stated ulp bound of np.abs(x)**q
+    (bitwise where they take np.power) down to the smallest normal float,
+    and are exactly zero where that power falls below it; odd_power keeps
+    the sign and is the power times x."""
+    mags = np.concatenate([[0.0, 5e-324, 1e-320], np.logspace(-320, 3, 4001),
+                           np.random.default_rng(7).uniform(0.5, 8.0, 20_000)])
     x = np.concatenate([mags, -mags])
     with np.errstate(under="ignore"):
         ref = np.abs(x) ** q
     normal = ref >= np.finfo(float).tiny
     assert normal.any() and not normal.all()
     got = abs_power(x, q)
-    assert np.array_equal(got[normal], ref[normal])
+    ulp = np.abs(got[normal] - ref[normal]) / np.spacing(ref[normal])
+    assert ulp.max() <= _ulp_bound(q)
     assert np.all(got[~normal] == 0.0)
     odd = odd_power(x, q + 1.0)
-    assert np.array_equal(odd[normal], ref[normal] * x[normal])
-    assert np.all(odd[~normal] == 0.0)
+    assert np.array_equal(odd, got * x)
     assert np.array_equal(np.signbit(odd), np.signbit(x))
 
 
 def _ladder(x, q):
     """abs_power's values spelled out: products of x^2 for the integer
-    exponents 1 .. 8, np.power zeroed below the smallest normal float for
-    the others."""
+    exponents 1 .. 8, |x|^k sqrt|x| for the half-integers k + 1/2 (the odd
+    factor of |x| taken with the root, the even power by squaring), and
+    np.power for the others, those two zeroed below the smallest normal
+    float."""
     a = np.abs(x)
     x2 = x * x
+    root = np.sqrt(a)
     ladder = {
         1: lambda: a,
         2: lambda: x2,
@@ -161,15 +175,21 @@ def _ladder(x, q):
         6: lambda: x2 * x2 * x2,
         7: lambda: a * x2 * x2 * x2,
         8: lambda: (x2 * x2) * (x2 * x2),
+        1.5: lambda: a * root,
+        2.5: lambda: (a * a) * root,
+        3.5: lambda: (a * a) * (root * a),
+        4.5: lambda: ((a * a) * (a * a)) * root,
+        5.5: lambda: ((a * a) * (a * a)) * (root * a),
     }
     if q == int(q):
         return ladder[int(q)]()
-    ref = a**q
+    ref = ladder[q]() if q in ladder else a**q
     ref[ref < np.finfo(float).tiny] = 0.0
     return ref
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5, 3.5, 4.5])
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5, 3.5, 4.5, 1.5, 5.5,
+                               2.25])
 def test_abs_power_out_is_bitwise_the_allocating_form(q):
     """With out=, abs_power writes into out and returns it, with the bits
     of the allocating form: zeros of either sign, NaN, infinities and the

@@ -162,6 +162,28 @@ def test_linear_exactness_at_multiple_resolutions():
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("family", [GaussianBump(0.5, 2.0, 0.5),
+                                    DirectedPulse(0.5, 3.0, 0.5, direction="outward")])
+def test_padded_data_end_at_their_support_radius(family):
+    """A Gaussian's sample is exactly 0 past support_radius() and the
+    profile on and before it, so the field never reaches the padded grid's
+    edge: run on to t_max + 1 with an outgoing boundary (which does not
+    pin r_max), w at r_max stays 0 on every level.  The tail used to run
+    on past r_max = support + t_max + 1 and sit there from t = 0."""
+    h, t_max = 1.0 / 32.0, 8.0
+    padded = GridSpec.padded(h, t_max, family.support_radius())
+    pair = family.sample(padded)
+    r = padded.r
+    past = r > family.support_radius()
+    assert past.any() and not pair.w0[past].any() and not pair.w1[past].any()
+    inside = ~past & (r > 0.0)
+    assert np.array_equal(pair.w0[inside], family.w0(r[inside]))
+    assert np.array_equal(pair.w1[inside], family.w1(r[inside]))
+    grid = GridSpec(h=h, r_max=padded.r_max, t_max=t_max + 1.0, boundary="outgoing")
+    for m, w_prev, w, *_ in leapfrog(pair, make_params(3.5, 0.5), grid):
+        assert w[-1] == 0.0, f"w at r_max is {w[-1]} at t={m * h}"
+
+
 # --------------------------------------------------------------------------
 # nonlinear marching vs the integral-equation solver
 # --------------------------------------------------------------------------
