@@ -349,8 +349,8 @@ class InitialData:
     """Base class for initial data families.
 
     Subclasses implement w-side profiles w0(r) and, unless the data start
-    at rest, w1(r) (vectorized), and report a support radius, past which
-    sample() sets them to 0 (None for unbounded tails).  sample() evaluates on a grid and runs the boundary
+    at rest, w1(r) (vectorized), and report a support radius (None for
+    unbounded tails).  sample() evaluates on a grid and runs the boundary
     leak check at LEAK_TOL, except on data that carry their exact exterior (a
     FarField, from far_field()): their weight at r_max is no leak.
     """

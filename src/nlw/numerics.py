@@ -93,10 +93,10 @@ def abs_power(x, q, out=None):
     normal float are exactly 0 and all others normal: the entries at or
     below the underflow floor of the path are zeroed before it runs, so no
     subnormal reaches a multiply and no power takes libm's path near
-    underflow, some 50 times slower than a normal power.  A half-integer
-    q = k + 1/2, k = 1 .. 5, takes one square root, |x|^k sqrt|x|, within
-    4 ulp of np.abs(x)**q (k ulp for k <= 4); any other exponent takes
-    np.power, bitwise np.abs(x)**q.
+    underflow, some 50 times slower than a normal power.  The exponents
+    2.5, 3.5 and 4.5 (p - 1 and p at p = 3.5 and 4.5) take one square
+    root, |x|^k sqrt|x| for q = k + 1/2, within k ulp of np.abs(x)**q; any
+    other exponent takes np.power, bitwise np.abs(x)**q.
 
     out, a float array of x's shape, receives the result and is returned;
     its values are bitwise those of the allocating form.  Exponents 5 to 7
@@ -137,13 +137,13 @@ def abs_power(x, q, out=None):
 
 def _positive_power(a, q):
     """a**q in place, for a float array a >= 0 and a non-integer q > 0:
-    a^k sqrt(a) for q = k + 1/2, k = 1 .. 5, np.power otherwise."""
-    k = int(round(q - 0.5))
-    if abs(q - 0.5 - k) < 1e-12 and 1 <= k <= 5:
+    a^k sqrt(a) for q = k + 1/2 exactly, k = 2, 3, 4; np.power otherwise."""
+    k = q - 0.5
+    if k in (2.0, 3.0, 4.0):
         root = np.sqrt(a)
-        if k % 2 and k > 1:
+        if k == 3.0:
             root *= a  # a^(3/2): the odd factor rides with the root
-        for _ in range(k // 2):  # a^2 or a^4 by squaring; k = 1 keeps a
+        for _ in range(int(k) // 2):  # a^2 or a^4 by squaring
             a *= a
         a *= root
     else:

@@ -26,11 +26,15 @@ To regenerate after an intended change of the numbers, dump
 ``ledger_record`` of the four fixtures (and the two appendix reruns), with
 ``report_record`` under "reports" and ``duhamel_record`` under
 "duhamel", to the JSON file from a throwaway test and say why in the
-change log.  The Duhamel digests were last regenerated when the oracle
-began taking each level's source from its new row (Gauss-Seidel sweeps),
-which solves the discrete system exactly instead of to an update of
-1e-10; ``tests/test_solver.py`` bounds it against the direct sums of
-``oracles.duhamel_loop`` at its fixed point.
+change log.  The snapshot digests of the compact and linear-pulse
+fixtures, the Duhamel digests and the ledgers were last regenerated when
+sampled data began to end at their support radius (their Gaussian tails
+had run on to r_max) and the exponents 2.5, 3.5 and 4.5 began to take one
+square root instead of np.power.  The Duhamel digests had changed before
+when the oracle began taking each level's source from its new row
+(Gauss-Seidel sweeps), which solves the discrete system exactly instead
+of to an update of 1e-10; ``tests/test_solver.py`` bounds it against the
+direct sums of ``oracles.duhamel_loop`` at its fixed point.
 """
 
 import hashlib

@@ -127,15 +127,19 @@ def test_grid_index():
         grid_index(0.3, 1.0 / 4.0)
 
 
+# 1.5 and 5.5 (no caller's exponent), 2.25 and the float just past 2.5
+# take np.power, bitwise
+_OFF_PATH = [1.5, 5.5, 2.25, float(np.nextafter(2.5, 3.0))]
+
+
 def _ulp_bound(q):
     """abs_power's stated bound on its distance from np.abs(x)**q, in ulp:
-    k for a half-integer k + 1/2 up to 4.5, 4 at 5.5, 0 (bitwise) for the
+    k for the half-integers k + 1/2 = 2.5, 3.5, 4.5, 0 (bitwise) for the
     exponents that take np.power."""
-    k = q - 0.5
-    return min(int(k), 4) if k == int(k) and 1 <= k <= 5 else 0
+    return int(q - 0.5) if q in (2.5, 3.5, 4.5) else 0
 
 
-@pytest.mark.parametrize("q", [2.5, 3.5, 4.5, 1.5, 5.5, 2.25])
+@pytest.mark.parametrize("q", [2.5, 3.5, 4.5, *_OFF_PATH])
 def test_power_underflow_guard(q):
     """Non-integer powers stay within the stated ulp bound of np.abs(x)**q
     (bitwise where they take np.power) down to the smallest normal float,
@@ -159,10 +163,10 @@ def test_power_underflow_guard(q):
 
 def _ladder(x, q):
     """abs_power's values spelled out: products of x^2 for the integer
-    exponents 1 .. 8, |x|^k sqrt|x| for the half-integers k + 1/2 (the odd
-    factor of |x| taken with the root, the even power by squaring), and
-    np.power for the others, those two zeroed below the smallest normal
-    float."""
+    exponents 1 .. 8, |x|^k sqrt|x| for the half-integers k + 1/2 = 2.5,
+    3.5, 4.5 (the odd factor of |x| taken with the root, the even power by
+    squaring), and np.power for the others, those two zeroed below the
+    smallest normal float."""
     a = np.abs(x)
     x2 = x * x
     root = np.sqrt(a)
@@ -175,11 +179,9 @@ def _ladder(x, q):
         6: lambda: x2 * x2 * x2,
         7: lambda: a * x2 * x2 * x2,
         8: lambda: (x2 * x2) * (x2 * x2),
-        1.5: lambda: a * root,
         2.5: lambda: (a * a) * root,
         3.5: lambda: (a * a) * (root * a),
         4.5: lambda: ((a * a) * (a * a)) * root,
-        5.5: lambda: ((a * a) * (a * a)) * (root * a),
     }
     if q == int(q):
         return ladder[int(q)]()
@@ -188,8 +190,8 @@ def _ladder(x, q):
     return ref
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5, 3.5, 4.5, 1.5, 5.5,
-                               2.25])
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5, 3.5, 4.5,
+                               *_OFF_PATH])
 def test_abs_power_out_is_bitwise_the_allocating_form(q):
     """With out=, abs_power writes into out and returns it, with the bits
     of the allocating form: zeros of either sign, NaN, infinities and the
