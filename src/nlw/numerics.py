@@ -82,51 +82,37 @@ def derivative(f, h):
 
 
 def abs_power(x, q, out=None):
-    """|x|**q with cheap paths for small integer and half-integer exponents.
+    """|x|**q for q > 0, by the table of the exponents its callers pass.
 
-    The evolution loop evaluates |w|^{p-1} every step; for the integer
-    exponents that dominate actual use (p = 3, 4) repeated multiplication
-    is several times faster than np.power and bit-exact reproducible
-    across platforms.
+    The callers pass p - 1, p and 1 with 3 <= p < 5, matched here by
+    equality: q = 1, 2, 3 and 4 take |x| and products of x, several times
+    faster than np.power and bit-exact reproducible across platforms; any
+    other q goes to _positive_power, which takes 2.5, 3.5 and 4.5 by one
+    square root and the rest, 5 to 8 and a float a rounding away from an
+    integer included, by np.power.
 
-    Other exponents must be positive.  Their results below the smallest
-    normal float are exactly 0 and all others normal: the entries at or
-    below the underflow floor of the path are zeroed before it runs, so no
-    subnormal reaches a multiply and no power takes libm's path near
-    underflow, some 50 times slower than a normal power.  The exponents
-    2.5, 3.5 and 4.5 (p - 1 and p at p = 3.5 and 4.5) take one square
-    root, |x|^k sqrt|x| for q = k + 1/2, within k ulp of np.abs(x)**q; any
-    other exponent takes np.power, bitwise np.abs(x)**q.
+    Off the integer products the results below the smallest normal float
+    are exactly 0 and all others normal: the entries at or below the
+    underflow floor of the path are zeroed before it runs, so no subnormal
+    reaches a multiply and no power takes libm's path near underflow, some
+    50 times slower than a normal power.
 
     out, a float array of x's shape, receives the result and is returned;
-    its values are bitwise those of the allocating form.  Exponents 5 to 7
-    and the half-integers take one temporary (x^2 or the root), the others
-    none.
+    its values are bitwise those of the allocating form.  The
+    half-integers take one temporary (the root), the others none.
     """
     x = np.asarray(x)
     res = np.empty(x.shape) if out is None else out
-    qi = int(round(q))
-    if abs(q - qi) < 1e-12 and 1 <= qi <= 8:
-        if qi == 1:
-            np.abs(x, out=res)
-        elif qi in (2, 4, 8):
-            np.multiply(x, x, out=res)
-            for _ in range(qi // 4):
-                res *= res
-        elif qi == 3:
+    if q == 1.0:
+        np.abs(x, out=res)
+    elif q in (2.0, 3.0, 4.0):
+        np.multiply(x, x, out=res)
+        if q == 3.0:
             # |x| x^2 == |x x^2| bitwise: rounding is symmetric in sign
-            np.multiply(x, x, out=res)
             res *= x
             np.abs(res, out=res)
-        else:
-            x2 = x * x
-            if qi == 6:
-                np.multiply(x2, x2, out=res)
-            else:
-                np.multiply(x, x2, out=res)
-                np.abs(res, out=res)
-            for _ in range((qi - 3) // 2):
-                res *= x2
+        elif q == 4.0:
+            res *= res
     else:
         a = np.abs(x, out=res)
         # a <= floor is False for NaN, so NaN stays NaN
@@ -136,8 +122,9 @@ def abs_power(x, q, out=None):
 
 
 def _positive_power(a, q):
-    """a**q in place, for a float array a >= 0 and a non-integer q > 0:
-    a^k sqrt(a) for q = k + 1/2 exactly, k = 2, 3, 4; np.power otherwise."""
+    """a**q in place, for a float array a >= 0 and q > 0 off abs_power's
+    integer products: a^k sqrt(a) for q = k + 1/2 = 2.5, 3.5 and 4.5
+    exactly, within k ulp of np.power; np.power, bitwise, otherwise."""
     k = q - 0.5
     if k in (2.0, 3.0, 4.0):
         root = np.sqrt(a)
@@ -165,10 +152,9 @@ def _underflow_floor(q):
 
 
 def odd_power(x, q):
-    """|x|^{q-1} * x, the odd extension of the power law (q >= 1)."""
+    """|x|^{q-1} * x, the odd extension of the power law; its callers pass
+    q = p, so abs_power takes p - 1."""
     x = np.asarray(x)
-    if abs(q - 1.0) < 1e-12:
-        return x
     return abs_power(x, q - 1.0) * x
 
 

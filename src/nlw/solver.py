@@ -471,15 +471,16 @@ class _Recorders:
 
     def totals(self, m, w_prev, w, w_next, e, q, f):
         """E_-, E_+, E (on energy_at only), xi, bulk, y2p and the exterior
-        norm of level m, as trapezoid dot products over the window."""
+        norm of level m, as trapezoid dot products over the window.
+        Raises BlowupError, naming it, if E, bulk, y2p or the exterior
+        norm overflowed (u = w/r can overflow F^2 long before |w| blows up)."""
         h, led, tmp = self.h, self.led, self.tmp
         end, tails = (e, (0.0,) * 5) if self.tails is None else (self.edge(m) + 1, self.tails[m])
-        if m in self.energy_at:
+        checked = []
+        if m in self.energy_at:  # elsewhere E is NaN: not recorded, not an overflow
             e_minus, e_plus = self.energies(w, f, end, tails)
             led.e_minus[m], led.e_plus[m], led.e_total[m] = e_minus, e_plus, e_minus + e_plus
-            if not math.isfinite(led.e_total[m]):  # an overflow, not an unrecorded level
-                raise BlowupError(f"energy E_- + E_+ = {led.e_total[m]} is not finite at level "
-                                  f"{m} (t={m * h:g})")
+            checked.append(("energy E_- + E_+", led.e_total[m]))
         if not self.linear:
             u = np.multiply(w[:end], self.inv_r[:end], out=tmp[:end])
             led.bulk[m] = trapz_dot(f[:end], u, h) + tails[2]
@@ -492,6 +493,11 @@ class _Recorders:
         j0 = m + self.one
         u_p1 = np.multiply(q[j0:end], self.r_2mp[j0:end], out=tmp[j0:end])  # |u|^{p-1} r
         led.exterior_l2p2[m] = 4.0 * math.pi * trapz_dot(u_p1, u_p1, h) + tails[4]
+        checked += [("bulk", led.bulk[m]), ("y2p", led.y2p[m]),
+                   ("exterior_l2p2", led.exterior_l2p2[m])]
+        for name, value in checked:
+            if not math.isfinite(value):
+                raise BlowupError(f"{name} = {value} is not finite at level {m} (t={m * h:g})")
 
     def radii(self, m, w_prev, w, w_next, e, q, f):
         """Channel energies on [0, R], R a monitored radius or t/4, at energy_at."""
@@ -551,8 +557,8 @@ class _Recorders:
         midpoint-in-time field; bin k collects mass near r+t=(k+1/2)h."""
         if m == self.steps:
             return
-        # |x|^{p+1} as |x|^{p-1} x^2 with x = w_m + w_{m+1}: no temporary,
-        # and for p = 3 .. 6 the multiplications of abs_power's own ladder
+        # |x|^{p+1} as |x|^{p-1} x^2 with x = w_m + w_{m+1}: abs_power takes
+        # p - 1 = 2 or 3 by products, 2.5 or 3.5 by one root, others by np.power
         x = np.add(w[:e], w_next[:e], out=self.tmp[:e])
         g = abs_power(x, self.p - 1.0, out=self.chan[0, :e])
         x *= x
@@ -664,7 +670,8 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     plan_run refuses a bad request (ConfigError, OffGridError) before
     any step, and a BlowupError data whose level-0 integrals of F(w0) w0
     or F(w0)^2 overflow (linear runs too: y2p reads F).  Raises
-    BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1).
+    BlowupError if the sup norm exceeds 1e3 * (sup|w0| + 1), or a total
+    of a level (E, bulk, y2p, the exterior norm) is not finite.
     """
     mon = monitors or Monitors()
     *plan, edge = plan_run(grid, mon, pair.far_field is not None, linear)
@@ -677,9 +684,10 @@ def evolve(pair, params, grid, monitors=None, linear=False):
     ledger = EnergyLedger.allocate(grid.steps, grid.h, params, mon, grid.n)
     traj = Trajectory(grid, params, mon, ledger, pair, linear=linear, edge=edge)
     recorders = _Recorders(traj, plan)
-    for level in leapfrog(pair, params, grid, linear, edge):
-        for record in recorders.active:
-            record(recorders, *level)
+    with np.errstate(over="ignore", invalid="ignore"):  # the blow-up checks name an overflow
+        for level in leapfrog(pair, params, grid, linear, edge):
+            for record in recorders.active:
+                record(recorders, *level)
     return traj
 
 

@@ -679,6 +679,30 @@ def test_overflowing_bootstrap_level_exits_3_by_name(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("run", "p = 4.5\ndata.family = gaussian\ndata.amplitude = 1e34",
+     "y2p = inf is not finite at level 17 (t=1.0625)"),
+    ("verify", "p = 4.5\ndata.family = gaussian\ndata.amplitude = 1e34",
+     "y2p = inf is not finite at level 17 (t=1.0625)"),
+    ("run", "p = 3.5\ndata.family = pulse\ndata.direction = inward\ndata.amplitude = 1e44",
+     "y2p = inf is not finite at level 4 (t=0.25)"),
+], ids=["run", "verify", "inward-pulse"])
+def test_overflowing_linear_level_exits_3_by_name(tmp_path, capsys, command, data, message):
+    """A linear run whose level-0 source is finite, but whose focusing wave
+    makes u = w/r, and with it F^2, overflow at a later level while |w|
+    stays far below the blow-up bound: it exits 3 naming the total and the
+    level, without a numpy warning (it used to warn in y2p's dot and exit 0
+    with inf in ledger.csv)."""
+    cfg = _write(tmp_path, f"params.{data}\ngrid.h = 1/16\ngrid.t_max = 4\n"
+                           "data.center = 1.5\ndata.width = 0.5\nrun.linear = true\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_write_json_refuses_a_nan(tmp_path):
     """write_json takes documents _jsonable has made; a NaN that bypasses
     it raises instead of writing the invalid JSON literal NaN."""

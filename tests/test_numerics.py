@@ -85,7 +85,7 @@ def test_abs_power_matches_reference():
 def test_odd_power_sign_and_magnitude():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(64) * 2.0
-    for q in (1.0, 2.0, 3.0, 4.0, 5.0, 3.5):
+    for q in (2.0, 3.0, 4.0, 5.0, 3.5):  # the callers pass p; none passes 1
         ref = np.abs(x) ** (q - 1.0) * x
         got = odd_power(x, q)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-300)
@@ -127,9 +127,12 @@ def test_grid_index():
         grid_index(0.3, 1.0 / 4.0)
 
 
-# 1.5 and 5.5 (no caller's exponent), 2.25 and the float just past 2.5
-# take np.power, bitwise
-_OFF_PATH = [1.5, 5.5, 2.25, float(np.nextafter(2.5, 3.0))]
+# 1.5 and 5.5 (no caller's exponent), 2.25, and the floats next to 2.5,
+# 1, 3 and 4, 3 + 5e-13 among them, take np.power, bitwise: the table
+# is matched by equality, not to a tolerance
+_OFF_PATH = [1.5, 5.5, 2.25, float(np.nextafter(2.5, 3.0)), 3.0 + 5e-13,
+             float(np.nextafter(3.0, 4.0)), float(np.nextafter(4.0, 3.0)),
+             float(np.nextafter(1.0, 2.0))]
 
 
 def _ulp_bound(q):
@@ -156,17 +159,17 @@ def test_power_underflow_guard(q):
     ulp = np.abs(got[normal] - ref[normal]) / np.spacing(ref[normal])
     assert ulp.max() <= _ulp_bound(q)
     assert np.all(got[~normal] == 0.0)
-    odd = odd_power(x, q + 1.0)
-    assert np.array_equal(odd, got * x)
+    odd = odd_power(x, q + 1.0)  # q + 1.0 - 1.0 is q but next to an integer
+    assert np.array_equal(odd, abs_power(x, q + 1.0 - 1.0) * x)
     assert np.array_equal(np.signbit(odd), np.signbit(x))
 
 
 def _ladder(x, q):
-    """abs_power's values spelled out: products of x^2 for the integer
-    exponents 1 .. 8, |x|^k sqrt|x| for the half-integers k + 1/2 = 2.5,
-    3.5, 4.5 (the odd factor of |x| taken with the root, the even power by
-    squaring), and np.power for the others, those two zeroed below the
-    smallest normal float."""
+    """abs_power's values spelled out: |x| and products of x^2 for the
+    integer exponents 1 .. 4, |x|^k sqrt|x| for the half-integers k + 1/2
+    = 2.5, 3.5, 4.5 (the odd factor of |x| taken with the root, the even
+    power by squaring), and np.power for the others, 5 .. 8 included,
+    those two zeroed below the smallest normal float."""
     a = np.abs(x)
     x2 = x * x
     root = np.sqrt(a)
@@ -175,16 +178,12 @@ def _ladder(x, q):
         2: lambda: x2,
         3: lambda: a * x2,
         4: lambda: x2 * x2,
-        5: lambda: a * x2 * x2,
-        6: lambda: x2 * x2 * x2,
-        7: lambda: a * x2 * x2 * x2,
-        8: lambda: (x2 * x2) * (x2 * x2),
         2.5: lambda: (a * a) * root,
         3.5: lambda: (a * a) * (root * a),
         4.5: lambda: ((a * a) * (a * a)) * root,
     }
-    if q == int(q):
-        return ladder[int(q)]()
+    if q in (1, 2, 3, 4):
+        return ladder[q]()
     ref = ladder[q]() if q in ladder else a**q
     ref[ref < np.finfo(float).tiny] = 0.0
     return ref
